@@ -101,6 +101,24 @@ def _load(path: str) -> StructureFile:
         return parse_structure_file(fh.read())
 
 
+def _require_kind(sf: StructureFile, name: str, kind: str, role: str) -> None:
+    """Usage error unless object ``name`` exists and has the given kind."""
+    actual = sf.kind_of(name)
+    if actual != kind:
+        raise StructureParseError(f"{role} {name!r} is a {actual}; expected a {kind}")
+
+
+def _require_morphism(sf: StructureFile, name: str, role: str) -> None:
+    """A morphism whose source and target are Doi modules in the same file."""
+    _require_kind(sf, name, "morphism", role)
+    for end in ("source", "target"):
+        ref = sf.raw[name][end]
+        if not isinstance(ref, str) or ref not in sf.raw:
+            raise StructureParseError(
+                f"{role} {name!r}: {end} {ref!r} is not an object in the file")
+        _require_kind(sf, ref, "doi_module", f"{end} of {name!r}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -160,6 +178,7 @@ def cmd_check(args) -> int:
 
 def cmd_find_integral(args) -> int:
     sf = _load(args.path)
+    _require_kind(sf, args.datum, "doi_datum", "datum")
     datum = sf.build(args.datum)
     result = solve_normalized_integral(datum)
     if isinstance(result, Infeasible):
@@ -186,6 +205,9 @@ def cmd_find_integral(args) -> int:
 
 def cmd_certify(args) -> int:
     sf = _load(args.path)
+    _require_kind(sf, args.datum, "doi_datum", "datum")
+    for name in args.modules:
+        _require_kind(sf, name, "doi_module", "module")
     datum = sf.build(args.datum)
     modules = [(name, sf.build(name)) for name in args.modules]
     result = separability_report(datum, modules)
@@ -204,6 +226,9 @@ def cmd_certify(args) -> int:
 
 def cmd_split(args) -> int:
     sf = _load(args.path)
+    _require_kind(sf, args.datum, "doi_datum", "datum")
+    _require_morphism(sf, args.f, "f")
+    _require_morphism(sf, args.g, "g")
     datum = sf.build(args.datum)
     f_raw = sf.raw[args.f]
     src = sf.build(f_raw["source"])
@@ -224,6 +249,8 @@ def cmd_split(args) -> int:
 
 def cmd_twist(args) -> int:
     sf = _load(args.path)
+    _require_kind(sf, args.hopf, "hom_hopf_algebra", "hopf")
+    _require_kind(sf, args.automorphism, "morphism", "automorphism")
     hopf = sf.build(args.hopf)
     auto = sf.build(args.automorphism)
     twisted = yau_twist(hopf, auto)

@@ -356,27 +356,24 @@ def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
     answer carrying an exact inconsistency witness."""
     system = assemble_integral_system(d)
     field = system.field
+    zero = field.zero()
     nunk = system.unknown_count
     labels = list(system.homogeneous_labels) + list(system.affine_labels)
-    rows = []
-    rhs = []
-    for r in range(system.homogeneous.rows):
-        rows.append(system.homogeneous.row(r))
-        rhs.append(field.zero())
-    for r in range(system.affine_lhs.rows):
-        rows.append(system.affine_lhs.row(r))
-        rhs.append(system.affine_rhs[r])
-    aug = [row + [val] for row, val in zip(rows, rhs)]
+    aug = system.homogeneous.sparse_rows()
+    for row, b in zip(system.affine_lhs.sparse_rows(), system.affine_rhs):
+        if b:
+            row[nunk] = b
+        aug.append(row)
     red, pivots, transform = _rref_rows(aug, field)
     if nunk in pivots:
-        ri = list(pivots).index(nunk)
-        combo = [(labels[j], transform[ri][j]) for j in range(len(labels)) if transform[ri][j]]
-        witness_value = red[ri][nunk]
-        _assert_certificate(rows, rhs, transform[ri], field)
-        return Infeasible(ri, witness_value, tuple(combo))
+        ri = pivots.index(nunk)
+        y = transform[ri]
+        _assert_certificate(aug, y, nunk, field)
+        combo = [(labels[j], y[j]) for j in sorted(y)]
+        return Infeasible(ri, red[ri][nunk], tuple(combo))
     particular = vec_zero(field, nunk)
     for r, col in enumerate(pivots):
-        particular[col] = red[r][nunk]
+        particular[col] = red[r].get(nunk, zero)
     cand = IntegralCandidate.from_vector(field, system.dim_c, system.dim_a, particular)
     rep = verify_integral(cand, d)
     if not rep.passed:
@@ -386,13 +383,11 @@ def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
     return cand
 
 
-def _assert_certificate(rows, rhs, y, field) -> None:
-    n = len(rows[0]) if rows else 0
-    comb = vec_zero(field, n)
-    val = field.zero()
-    for coeff, row, b in zip(y, rows, rhs):
-        if coeff:
-            _acc(comb, coeff, row)
-            val = val + coeff * b
-    if any(comb) or not val:
+def _assert_certificate(aug, y, nunk, field) -> None:
+    """y . [A | b] must be zero on A's columns and nonzero at b (column nunk)."""
+    comb = {}
+    for r, coeff in y.items():
+        for c, x in aug[r].items():
+            comb[c] = comb.get(c, field.zero()) + coeff * x
+    if any(x for c, x in comb.items() if c != nunk) or not comb.get(nunk):
         raise RuntimeError("inconsistency witness failed exact validation")

@@ -239,7 +239,7 @@ def parse_structure_file(text: str) -> StructureFile:
             raise StructureParseError(f"object {name!r} has unknown kind {kind!r}")
         if "dim" in _SCHEMAS[kind]:
             dim = obj.get("dim")
-            if not isinstance(dim, int) or dim <= 0:
+            if not _is_int(dim) or dim <= 0:
                 raise StructureParseError(f"object {name!r}: 'dim' must be a positive integer")
             basis = obj.get("basis")
             if not isinstance(basis, list) or len(basis) != dim:
@@ -257,10 +257,15 @@ def parse_structure_file(text: str) -> StructureFile:
     return StructureFile(field, objects)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` are bools, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_field(data) -> Field:
     if data == "Q":
         return Field.rationals()
-    if isinstance(data, dict) and set(data) == {"GF"} and isinstance(data["GF"], int):
+    if isinstance(data, dict) and set(data) == {"GF"} and _is_int(data["GF"]):
         try:
             return Field.prime(data["GF"])
         except ValueError as exc:

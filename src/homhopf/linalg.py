@@ -1,9 +1,13 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision rationals) or
 :class:`GFElement` (canonical representatives in ``[0, p)``).  Matrices and
-order-3 tensors are dense, row-major and treated as immutable; every
+order-3 tensors are stored dense, row-major and treated as immutable; every
 operation returns a fresh object.
+
+Elimination is sparse: :func:`_rref_rows` works on rows held as
+``{column: nonzero scalar}`` dicts and carries the row-operation transform
+as sparse rows too, so its cost follows the nonzeros, not the shape.
 
 All solving is deterministic so that serialized results are reproducible:
 reduced row echelon form picks the leftmost pivot column and the first
@@ -266,6 +270,20 @@ class Matrix:
                 if e:
                     yield r, c, e
 
+    def sparse_rows(self) -> list:
+        """Each row as a fresh ``{column: nonzero entry}`` dict."""
+        cols, ent = self.cols, self.entries
+        return [{c: e for c, e in enumerate(ent[r * cols:(r + 1) * cols]) if e}
+                for r in range(self.rows)]
+
+    @classmethod
+    def from_sparse_rows(cls, field: Field, cols: int, rows: Sequence[dict]) -> "Matrix":
+        out = [field.zero()] * (len(rows) * cols)
+        for r, row in enumerate(rows):
+            for c, e in row.items():
+                out[r * cols + c] = e
+        return cls(field, len(rows), cols, tuple(out))
+
     # -- arithmetic -----------------------------------------------------
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -360,39 +378,47 @@ class Matrix:
     # -- elimination ----------------------------------------------------
     def rref(self) -> tuple["Matrix", tuple]:
         """Reduced row echelon form and the pivot columns in increasing order."""
-        R, pivots, _ = _rref_rows(self.to_rows(), self.field)
-        flat = tuple(x for row in R for x in row)
-        return Matrix(self.field, self.rows, self.cols, flat), tuple(pivots)
+        R, pivots, _ = _rref_rows(self.sparse_rows(), self.field)
+        return Matrix.from_sparse_rows(self.field, self.cols, R), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def inverse(self) -> "Matrix | None":
+        """The transform T with T @ self == I, when self reduces to I."""
         if self.rows != self.cols:
             return None
-        n = self.rows
-        aug = [self.row(r) + unit_vector(self.field, n, r) for r in range(n)]
-        R, pivots, _ = _rref_rows(aug, self.field)
-        if list(pivots[:n]) != list(range(n)):
+        _, pivots, transform = _rref_rows(self.sparse_rows(), self.field)
+        if len(pivots) != self.rows:
             return None
-        return Matrix(self.field, n, n, tuple(R[r][n + c] for r in range(n) for c in range(n)))
+        return Matrix.from_sparse_rows(self.field, self.rows, transform)
 
 
-def _rref_rows(rows: list, field: Field) -> tuple[list, list, list]:
-    """In-place reduced row echelon form on a list of row lists.
+def _rref_rows(rows: Sequence[dict], field: Field) -> tuple[list, list, list]:
+    """Sparse Gauss-Jordan reduced row echelon form.
 
-    Returns (rows, pivot columns, transform) where transform records the row
-    operations as a matrix T with T @ original == result.
+    ``rows`` holds each row as a ``{column: nonzero scalar}`` dict and is not
+    modified.  Returns (reduced rows, pivot columns, transform), all rows
+    sparse ``{column: nonzero scalar}`` dicts as well.  The
+    transform T starts as the rows ``{r: one}`` and records the row
+    operations: T @ original == reduced.
+
+    The pivot rule is fixed, so every row operation and hence every reduced
+    row, particular solution and certificate is deterministic: take the
+    leftmost column with a nonzero at or below the current pivot row, pick
+    the first such row and swap it up, scale it only when the pivot is not
+    one, and eliminate the column from every other row.
     """
+    rows = [dict(row) for row in rows]
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    transform = [unit_vector(field, nrows, r) for r in range(nrows)]
+    one = field.one()
+    transform = [{r: one} for r in range(nrows)]
     piv_row = 0
     pivots = []
-    for col in range(ncols):
+    for col in sorted(set().union(*rows)):
         sel = None
         for r in range(piv_row, nrows):
-            if rows[r][col]:
+            if col in rows[r]:
                 sel = r
                 break
         if sel is None:
@@ -400,22 +426,37 @@ def _rref_rows(rows: list, field: Field) -> tuple[list, list, list]:
         if sel != piv_row:
             rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
             transform[piv_row], transform[sel] = transform[sel], transform[piv_row]
-        inv = field.one() / rows[piv_row][col]
-        if inv != field.one():
-            rows[piv_row] = [inv * x for x in rows[piv_row]]
-            transform[piv_row] = [inv * x for x in transform[piv_row]]
+        inv = one / rows[piv_row][col]
+        if inv != one:
+            rows[piv_row] = {c: inv * x for c, x in rows[piv_row].items()}
+            transform[piv_row] = {c: inv * x for c, x in transform[piv_row].items()}
+        pivot, pivot_t = rows[piv_row], transform[piv_row]
         for r in range(nrows):
             if r == piv_row:
                 continue
-            f = rows[r][col]
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv_row])]
-                transform[r] = [a - f * b for a, b in zip(transform[r], transform[piv_row])]
+            f = rows[r].get(col)
+            if f is not None:
+                _sub_scaled(rows[r], f, pivot)
+                _sub_scaled(transform[r], f, pivot_t)
         pivots.append(col)
         piv_row += 1
         if piv_row == nrows:
             break
     return rows, pivots, transform
+
+
+def _sub_scaled(row: dict, f, pivot: dict) -> None:
+    """row -= f * pivot on sparse rows, dropping entries that cancel."""
+    for c, b in pivot.items():
+        x = row.get(c)
+        if x is None:
+            row[c] = -(f * b)
+        else:
+            x = x - f * b
+            if x:
+                row[c] = x
+            else:
+                del row[c]
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple]:
@@ -450,13 +491,18 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
         raise ValueError(f"matrix has {a.rows} rows but right-hand side has {len(b)}")
     field = a.field
     n = a.cols
-    aug = [a.row(r) + [field.of(b[r])] for r in range(a.rows)]
+    zero = field.zero()
+    aug = a.sparse_rows()
+    for row, x in zip(aug, b):
+        x = field.of(x)
+        if x:
+            row[n] = x
     R, pivots, _ = _rref_rows(aug, field)
     if n in pivots:
         return AffineSolution(False, (), ())
     particular = vec_zero(field, n)
     for r, col in enumerate(pivots):
-        particular[col] = R[r][n]
+        particular[col] = R[r].get(n, zero)
     pivot_set = set(pivots)
     basis = []
     for j in range(n):
@@ -465,7 +511,7 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
         v = vec_zero(field, n)
         v[j] = -field.one()
         for r, col in enumerate(pivots):
-            v[col] = R[r][j]
+            v[col] = R[r].get(j, zero)
         basis.append(tuple(v))
     return AffineSolution(True, tuple(particular), tuple(basis))
 

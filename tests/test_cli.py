@@ -83,6 +83,70 @@ class TestParser:
             sf.build("D")
 
 
+    def test_boolean_modulus_rejected(self):
+        with pytest.raises(StructureParseError) as exc:
+            parse_structure_file(json.dumps({"field": {"GF": True}, "objects": {}}))
+        assert "bad field descriptor" in str(exc.value)
+
+
+class TestKindErrors:
+    """Commands name the object and the kind they expected, exit 2, and never
+    show a traceback."""
+
+    @pytest.fixture
+    def split_file(self, tmp_path):
+        data = json.loads(serialize_structure_file(golden_file("maschke_split_kZ2", Q)))
+        data["objects"]["f_dangling"] = dict(data["objects"]["f"], source="nowhere")
+        data["objects"]["f_from_hopf"] = dict(data["objects"]["f"], source="k")
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(data))
+        return str(p)
+
+    def assert_usage_error(self, args, *fragments):
+        rc, out, err = run_cli(args)
+        assert rc == 2, (rc, out, err)
+        assert "Traceback" not in err
+        for fragment in fragments:
+            assert fragment in err, err
+
+    def test_find_integral_on_hopf_object(self, tmp_path):
+        p = tmp_path / "h4.json"
+        p.write_text(serialize_structure_file(golden_file("H4", Q)))
+        self.assert_usage_error(["find-integral", str(p), "H"],
+                                "'H'", "hom_hopf_algebra", "expected a doi_datum")
+
+    def test_certify_on_hopf_object(self, split_file):
+        self.assert_usage_error(["certify", split_file, "k", "M"],
+                                "'k'", "expected a doi_datum")
+
+    def test_certify_module_must_be_doi_module(self, split_file):
+        self.assert_usage_error(["certify", split_file, "D", "M", "f"],
+                                "'f'", "expected a doi_module")
+
+    def test_split_with_non_morphism(self, split_file):
+        self.assert_usage_error(["split", split_file, "D", "M", "g"],
+                                "'M'", "expected a morphism")
+
+    def test_split_with_dangling_source(self, split_file):
+        self.assert_usage_error(["split", split_file, "D", "f_dangling", "g"],
+                                "'f_dangling'", "'nowhere'")
+
+    def test_split_with_source_not_a_module(self, split_file):
+        self.assert_usage_error(["split", split_file, "D", "f_from_hopf", "g"],
+                                "'k'", "expected a doi_module")
+
+    def test_twist_of_non_hopf_object(self, split_file):
+        self.assert_usage_error(["twist", split_file, "D", "f"],
+                                "'D'", "expected a hom_hopf_algebra")
+
+    def test_boolean_dim_is_exit_2(self, tmp_path):
+        data = json.loads(serialize_structure_file(golden_file("kZ2", Q)))
+        data["objects"]["H"]["dim"] = True
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps(data))
+        self.assert_usage_error(["check", str(p), "H"], "'dim' must be a positive integer")
+
+
 class TestCommands:
     def test_check_golden_ok(self, tmp_path):
         p = tmp_path / "kZ2.json"

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from homhopf.applications import (regular_comodule_algebra, relative_datum,
-                                  trivial_datum)
+                                  trivial_datum, yd_datum)
+from homhopf.golden import golden_file
 from homhopf.integrals import (Infeasible, IntegralCandidate,
                                assemble_integral_system, integral_residuals,
                                solve_normalized_integral, theta_index,
@@ -190,6 +191,28 @@ class TestVerify:
                 assert verify_integral(r, d).passed, name
 
 
+#: (datum, field) -> (witness_row, witness_value, combination), recorded with
+#: the dense Gauss-Jordan kernel that the sparse one replaced
+PINNED_CERTIFICATES = {
+    ("H4_trivial_datum", "Q"): (12, "1", [
+        (("colinearity", (0, 3), (0, 3)), "-1"),
+        (("normalization", (0,), (0,)), "1")]),
+    ("H4_trivial_datum", "GF(7)"): (12, "1", [
+        (("colinearity", (0, 3), (0, 3)), "6"),
+        (("normalization", (0,), (0,)), "1")]),
+    ("yd_H4_twisted", "Q"): (63, "1", [
+        (("colinearity", (0, 3), (0, 3)), "-1"),
+        (("colinearity", (0, 3), (1, 3)), "-1"),
+        (("normalization", (0,), (0,)), "1"),
+        (("normalization", (0,), (1,)), "1")]),
+    ("yd_H4_twisted", "GF(7)"): (63, "1", [
+        (("colinearity", (0, 3), (0, 3)), "6"),
+        (("colinearity", (0, 3), (1, 3)), "6"),
+        (("normalization", (0,), (0,)), "1"),
+        (("normalization", (0,), (1,)), "1")]),
+}
+
+
 class TestWitness:
     def test_witness_is_exact_certificate(self):
         d = trivial_datum(sweedler_h4(Q))
@@ -210,6 +233,22 @@ class TestWitness:
             val = val + coeff * rhs[i]
         assert vec_is_zero(acc)
         assert val
+
+    @pytest.mark.parametrize("name", sorted({name for name, _ in PINNED_CERTIFICATES}))
+    def test_certificate_is_pinned(self, field, name):
+        # the certificate is a row of the elimination's transform, so a
+        # changed pivot sequence would show in it
+        d = (golden_file("H4_trivial_datum", field).build("D") if name == "H4_trivial_datum"
+             else yd_datum(twisted_sweedler(field, 2)))
+        r = solve_normalized_integral(d)
+        assert isinstance(r, Infeasible)
+        row, value, combination = PINNED_CERTIFICATES[(name, str(field))]
+        assert r.witness_row == row
+        assert r.witness_value == field.of(value)
+        assert type(r.witness_value) is type(field.one())
+        assert [label for label, _ in r.combination] == [label for label, _ in combination]
+        assert [coeff for _, coeff in r.combination] == [field.of(c) for _, c in combination]
+        assert all(type(coeff) is type(field.one()) for _, coeff in r.combination)
 
     def test_theta_index_flattening(self):
         assert theta_index(1, 0, 1, 2, 2) == 5

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, apply3,
-                            compose, rref, solve_affine, tensor, unit_vector,
-                            vec_is_zero)
+from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows,
+                            apply3, compose, rref, solve_affine, tensor,
+                            unit_vector, vec_is_zero)
 
 Q = Field.rationals()
 
@@ -109,6 +109,110 @@ class TestRrefProperties:
             column = r.column(col)
             assert column[row_idx] == Fraction(1)
             assert all(not x for i, x in enumerate(column) if i != row_idx)
+
+
+def dense_gauss_jordan(rows, field):
+    """Reference elimination on dense row lists, with a dense transform: the
+    pivot rule the sparse kernel must reproduce row operation for row
+    operation."""
+    rows = [list(row) for row in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    transform = [unit_vector(field, nrows, r) for r in range(nrows)]
+    piv_row = 0
+    pivots = []
+    for col in range(ncols):
+        sel = None
+        for r in range(piv_row, nrows):
+            if rows[r][col]:
+                sel = r
+                break
+        if sel is None:
+            continue
+        if sel != piv_row:
+            rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
+            transform[piv_row], transform[sel] = transform[sel], transform[piv_row]
+        inv = field.one() / rows[piv_row][col]
+        if inv != field.one():
+            rows[piv_row] = [inv * x for x in rows[piv_row]]
+            transform[piv_row] = [inv * x for x in transform[piv_row]]
+        for r in range(nrows):
+            if r == piv_row:
+                continue
+            f = rows[r][col]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv_row])]
+                transform[r] = [a - f * b for a, b in zip(transform[r], transform[piv_row])]
+        pivots.append(col)
+        piv_row += 1
+        if piv_row == nrows:
+            break
+    return rows, pivots, transform
+
+
+small_ints = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+def int_rows(nrows, ncols):
+    return st.lists(st.lists(small_ints, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def needs_swap(draw):
+    # the first row is zero in a column that a later row is not
+    rows = draw(st.integers(2, 5).flatmap(
+        lambda r: st.integers(1, 5).flatmap(lambda c: int_rows(r, c))))
+    col = draw(st.integers(0, len(rows[0]) - 1))
+    later = draw(st.integers(1, len(rows) - 1))
+    for row in rows[:later]:
+        row[col] = 0
+    rows[later][col] = draw(st.integers(1, 3))
+    return rows
+
+
+SHAPES = {
+    "no_rows": st.just([]),
+    "all_zero": st.integers(1, 4).flatmap(
+        lambda r: st.integers(1, 4).map(lambda c: [[0] * c for _ in range(r)])),
+    "single_row": st.integers(1, 6).flatmap(lambda c: int_rows(1, c)),
+    "tall": st.integers(1, 3).flatmap(
+        lambda c: st.integers(c + 1, 7).flatmap(lambda r: int_rows(r, c))),
+    "wide": st.integers(1, 3).flatmap(
+        lambda r: st.integers(r + 1, 7).flatmap(lambda c: int_rows(r, c))),
+    "needs_swap": needs_swap(),
+}
+
+
+def densify(sparse_rows, ncols, field):
+    return [[row.get(c, field.zero()) for c in range(ncols)] for row in sparse_rows]
+
+
+class TestSparseKernelOracle:
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_gauss_jordan(self, field, shape, data):
+        ints = data.draw(SHAPES[shape])
+        a = [[field.of(x) for x in row] for row in ints]
+        nrows, ncols = len(a), len(a[0]) if a else 0
+        sparse_a = [{c: x for c, x in enumerate(row) if x} for row in a]
+        red, pivots, transform = _rref_rows(sparse_a, field)
+        want_red, want_pivots, want_transform = dense_gauss_jordan(a, field)
+        assert densify(red, ncols, field) == want_red
+        assert pivots == want_pivots
+        assert densify(transform, nrows, field) == want_transform
+        # stored entries are nonzero and the input is left as it was
+        assert all(x for row in red + transform for x in row.values())
+        assert sparse_a == [{c: x for c, x in enumerate(row) if x} for row in a]
+        # T . A == R
+        for i in range(nrows):
+            for j in range(ncols):
+                acc = field.zero()
+                for k, t in transform[i].items():
+                    acc = acc + t * a[k][j]
+                assert acc == red[i].get(j, field.zero())
 
 
 class TestSolveAffine:
