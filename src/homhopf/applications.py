@@ -23,38 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (HomAlgebra, HomComodule, HomHopfAlgebra, HomModule,
-                   check_hom_comodule, check_hom_module, opposite_tensor,
-                   _add_scaled)
+from .core import (HomAlgebra, HomComodule, HomHopfAlgebra, check_hom_comodule,
+                   check_hom_module, opposite_tensor)
 from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
-                  check_doi_datum, check_doi_module)
+                  check_comodule_algebra, check_doi_datum,
+                  check_module_coalgebra)
 from .integrals import IntegralCandidate, verify_integral
 from .linalg import (Field, Matrix, Tensor3, solve_affine, unit_vector,
-                     vec_is_zero, vec_sub, vec_tensor, vec_zero)
-from .report import AxiomReport, ConstructionError, ReportBuilder, Violation
-
-
-@dataclass
-class YDModule:
-    """Module and comodule structure over H on one space, one twist map."""
-
-    field: Field
-    dim: int
-    mu: Matrix
-    action: Tensor3    # [m][h][m']
-    coaction: Tensor3  # [m][m'][h]
-
-    def __post_init__(self):
-        mu_inv = self.mu.inverse()
-        if mu_inv is None:
-            raise ValueError("twist is not invertible")
-        self.mu_inv = mu_inv
-
-    def as_module(self) -> HomModule:
-        return HomModule(self.field, self.dim, self.mu, self.action)
-
-    def as_comodule(self) -> HomComodule:
-        return HomComodule(self.field, self.dim, self.mu, self.coaction)
+                     vec_add_scaled, vec_is_zero, vec_sub, vec_tensor,
+                     vec_zero)
+from .report import AxiomReport, ReportBuilder, Violation, require
 
 
 @dataclass
@@ -72,9 +50,7 @@ def relative_datum(h: HomHopfAlgebra, a: ComoduleAlgebra) -> DoiDatum:
     """The datum (H, A, H) with H acting on itself by multiplication."""
     c = ModuleCoalgebra(h.as_coalgebra(), h.mult)
     datum = DoiDatum(h, a, c)
-    rep = check_doi_datum(datum)
-    if not rep.passed:
-        raise ConstructionError("relative datum failed verification", rep)
+    require(check_doi_datum(datum), "relative datum failed verification")
     return datum
 
 
@@ -95,9 +71,7 @@ def trivial_datum(h: HomHopfAlgebra) -> DoiDatum:
     a = ComoduleAlgebra(scalar_algebra, coaction)
     c = ModuleCoalgebra(h.as_coalgebra(), _scalar_action(h))
     datum = DoiDatum(scalar_hopf, a, c)
-    rep = check_doi_datum(datum)
-    if not rep.passed:
-        raise ConstructionError("trivial datum failed verification", rep)
+    require(check_doi_datum(datum), "trivial datum failed verification")
     return datum
 
 
@@ -118,8 +92,9 @@ def comodule_to_doi(m: HomComodule, d: DoiDatum) -> DoiModule:
 
 def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
     """The Doi datum over the reversed tensor square of H that carries
-    Yetter-Drinfeld modules.  Both component structures are re-verified
-    exhaustively; a failure reports the offending identity."""
+    Yetter-Drinfeld modules.  ``opposite_tensor`` verifies the square; the
+    comodule algebra and the module coalgebra over it are verified here
+    exhaustively, and a failure reports the offending identity."""
     if not h.antipode_invertible:
         raise ValueError("antipode must be invertible")
     square = opposite_tensor(h)
@@ -160,17 +135,16 @@ def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
     action = Tensor3(field, n, n * n, n, tuple(act))
     cstruct = ModuleCoalgebra(h.as_coalgebra(), action)
 
-    datum = DoiDatum(square, a, cstruct)
-    rep = check_doi_datum(datum)
-    if not rep.passed:
-        raise ConstructionError("Yetter-Drinfeld datum failed verification", rep)
-    return datum
+    rep = check_comodule_algebra(a, square).merged(check_module_coalgebra(cstruct, square))
+    require(rep, "Yetter-Drinfeld datum failed verification")
+    return DoiDatum(square, a, cstruct)
 
 
 # ---------------------------------------------------------------------------
-# Yetter-Drinfeld checks and transport
+# Yetter-Drinfeld checks.  A YD module over H is a DoiModule over yd_datum(h):
+# there A = C = H, so its action and coaction are indexed by the basis of H.
 
-def yd_residuals(m: YDModule, h: HomHopfAlgebra) -> dict:
+def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     """Residuals of the braided compatibility on every basis pair."""
     field = m.field
     dm, dh = m.dim, h.dim
@@ -182,9 +156,9 @@ def yd_residuals(m: YDModule, h: HomHopfAlgebra) -> dict:
             lhs = vec_zero(field, dm * dh)
             for m0, m1, co in m.coaction.nonzero_of(i):
                 for h1, h2, cd in h.comult.nonzero_of(j):
-                    lhs = _add_scaled(lhs, co * cd,
-                                      vec_tensor(m.action.at_pair(m0, h1),
-                                                 h.mult.at_pair(m1, h2)))
+                    vec_add_scaled(lhs, co * cd,
+                                   vec_tensor(m.action.at_pair(m0, h1),
+                                              h.mult.at_pair(m1, h2)))
             rhs = vec_zero(field, dm * dh)
             for h1, h2, cd in h.comult.nonzero_of(j):
                 v = m.action.apply(mu_inv_col[i], unit_vector(field, dh, h2))
@@ -193,14 +167,14 @@ def yd_residuals(m: YDModule, h: HomHopfAlgebra) -> dict:
                     for m1 in range(dh):
                         s = legs[m0 * dh + m1]
                         if s:
-                            rhs = _add_scaled(rhs, cd * s,
-                                              vec_tensor(mu_col[m0],
-                                                         h.mult.at_pair(h1, m1)))
+                            vec_add_scaled(rhs, cd * s,
+                                           vec_tensor(mu_col[m0],
+                                                      h.mult.at_pair(h1, m1)))
             out[(i, j)] = vec_sub(lhs, rhs)
     return out
 
 
-def coaction_of_action_residuals(m: YDModule, h: HomHopfAlgebra) -> dict:
+def coaction_of_action_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     """Residuals of the closed formula for rho(m.h) on every basis pair."""
     field = m.field
     dm, dh = m.dim, h.dim
@@ -217,15 +191,15 @@ def coaction_of_action_residuals(m: YDModule, h: HomHopfAlgebra) -> dict:
                     for m0, m1, co in m.coaction.nonzero_of(i):
                         inner = h.mul(alpha_inv_col[m1], unit_vector(field, dh, h22))
                         outer = h.mul(s_col[h1], inner)
-                        rhs = _add_scaled(rhs, c1 * c2 * co,
-                                          vec_tensor(m.action.apply(
-                                              unit_vector(field, dm, m0), alpha_col[h21]),
-                                              outer))
+                        vec_add_scaled(rhs, c1 * c2 * co,
+                                       vec_tensor(m.action.apply(
+                                           unit_vector(field, dm, m0), alpha_col[h21]),
+                                           outer))
             out[(i, j)] = vec_sub(lhs, rhs)
     return out
 
 
-def check_yd_module(m: YDModule, h: HomHopfAlgebra) -> AxiomReport:
+def check_yd_module(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:
     """The braided compatibility on all basis pairs (substructures assumed
     valid; check them with the module/comodule checkers)."""
     violations = []
@@ -236,12 +210,12 @@ def check_yd_module(m: YDModule, h: HomHopfAlgebra) -> AxiomReport:
     return AxiomReport(tuple(violations), len(res))
 
 
-def check_yd_substructures(m: YDModule, h: HomHopfAlgebra) -> AxiomReport:
-    return check_hom_module(m.as_module(), h.as_algebra()).merged(
-        check_hom_comodule(m.as_comodule(), h.as_coalgebra()))
+def check_yd_substructures(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:
+    return check_hom_module(m.underlying_module(), h.as_algebra()).merged(
+        check_hom_comodule(m.underlying_comodule(), h.as_coalgebra()))
 
 
-def check_compatibility_equivalence(m: YDModule, h: HomHopfAlgebra) -> AxiomReport:
+def check_compatibility_equivalence(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:
     """The braided compatibility and the closed coaction-of-action formula
     must hold or fail together on a given module."""
     b = ReportBuilder()
@@ -254,33 +228,12 @@ def check_compatibility_equivalence(m: YDModule, h: HomHopfAlgebra) -> AxiomRepo
     return b.report()
 
 
-def yd_to_doi(m: YDModule, h: HomHopfAlgebra, datum: DoiDatum | None = None,
-              check: bool = True) -> DoiModule:
-    """Transport: identical underlying tensors, viewed over the YD datum."""
-    out = DoiModule(m.field, m.dim, m.mu, m.action, m.coaction)
-    if check:
-        datum = datum if datum is not None else yd_datum(h)
-        rep = check_doi_module(out, datum)
-        if not rep.passed:
-            raise ConstructionError("transported module fails the Doi checks", rep)
-    return out
-
-
-def doi_to_yd(m: DoiModule, h: HomHopfAlgebra, check: bool = True) -> YDModule:
-    out = YDModule(m.field, m.dim, m.mu, m.action, m.coaction)
-    if check:
-        rep = check_yd_substructures(out, h).merged(check_yd_module(out, h))
-        if not rep.passed:
-            raise ConstructionError("transported module fails the YD checks", rep)
-    return out
-
-
-def trivial_yd_module(h: HomHopfAlgebra) -> YDModule:
+def trivial_yd_module(h: HomHopfAlgebra) -> DoiModule:
     """k with action by the counit and coaction by the unit."""
     field = h.field
     action = Tensor3(field, 1, h.dim, 1, tuple(h.counit))
     coaction = Tensor3(field, 1, 1, h.dim, tuple(h.unit))
-    return YDModule(field, 1, Matrix.identity(field, 1), action, coaction)
+    return DoiModule(field, 1, Matrix.identity(field, 1), action, coaction)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +322,14 @@ def check_k_integral_conditions(cand: IntegralCandidate, h: HomHopfAlgebra) -> A
         for j in range(n):
             lhs = vec_zero(field, n)
             for h1, h2, co in h.comult.nonzero_of(j):
-                lhs = _add_scaled(lhs, co * theta_val(alpha_inv_col[g],
-                                                      unit_vector(field, n, h1)),
-                                  alpha_col[h2])
+                vec_add_scaled(lhs, co * theta_val(alpha_inv_col[g],
+                                                   unit_vector(field, n, h1)),
+                               alpha_col[h2])
             rhs = vec_zero(field, n)
             for g1, g2, co in h.comult.nonzero_of(g):
-                rhs = _add_scaled(rhs, co * theta_val(unit_vector(field, n, g2),
-                                                      alpha_inv_col[j]),
-                                  alpha_col[g1])
+                vec_add_scaled(rhs, co * theta_val(unit_vector(field, n, g2),
+                                                   alpha_inv_col[j]),
+                               alpha_col[g1])
             b.check_vec("colinearity", (g, j), lhs, rhs)
     for j in range(n):
         acc = field.zero()

@@ -119,6 +119,18 @@ def _require_morphism(sf: StructureFile, name: str, role: str) -> None:
         _require_kind(sf, ref, "doi_module", f"{end} of {name!r}")
 
 
+def _morphism_matrix(sf: StructureFile, name: str, role: str):
+    """The matrix of morphism ``name``, which must be dim(target) x dim(source)."""
+    raw = sf.raw[name]
+    matrix = sf.build(name)
+    rows, cols = sf.raw[raw["target"]]["dim"], sf.raw[raw["source"]]["dim"]
+    if (matrix.rows, matrix.cols) != (rows, cols):
+        raise StructureParseError(
+            f"{role} {name!r} is a {matrix.rows}x{matrix.cols} matrix; a map from "
+            f"{raw['source']!r} to {raw['target']!r} needs {rows}x{cols}")
+    return matrix
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -233,12 +245,14 @@ def cmd_split(args) -> int:
     f_raw = sf.raw[args.f]
     src = sf.build(f_raw["source"])
     dst = sf.build(f_raw["target"])
+    f = _morphism_matrix(sf, args.f, "f")
+    g = _morphism_matrix(sf, args.g, "g")
     theta = solve_normalized_integral(datum)
     if isinstance(theta, Infeasible):
         print(theta.message())
         return INFEASIBLE
-    section = split_epimorphism(sf.build(args.f), sf.build(args.g), src, dst,
-                                theta, datum, max_twist_power=args.max_twist_power)
+    section = split_epimorphism(f, g, src, dst, theta, datum,
+                                max_twist_power=args.max_twist_power)
     print(f"verified section of {args.f} found")
     if args.out:
         out = StructureFile(sf.field, dict(sf.raw))

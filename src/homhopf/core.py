@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Field, Matrix, Tensor3, unit_vector, vec_scale,
-                     vec_tensor, vec_zero)
-from .report import AxiomReport, ConstructionError, ReportBuilder
+from .linalg import (Field, Matrix, Tensor3, unit_vector, vec_add_scaled,
+                     vec_scale, vec_tensor, vec_zero)
+from .report import AxiomReport, ConstructionError, ReportBuilder, require
 
 
 def _require_invertible(m: Matrix, what: str) -> Matrix:
@@ -211,23 +211,16 @@ def check_hom_coalgebra(c: HomCoalgebra) -> AxiomReport:
         right = vec_zero(c.field, n)
         for j, k, coeff in c.comult.nonzero_of(i):
             # (gamma^-1 (x) Delta) Delta  vs  (Delta (x) gamma^-1) Delta
-            lhs = _add_scaled(lhs, coeff, vec_tensor(gamma_inv_col[j], c.comult.left_slice(k)))
-            rhs = _add_scaled(rhs, coeff, vec_tensor(c.comult.left_slice(j), gamma_inv_col[k]))
+            vec_add_scaled(lhs, coeff, vec_tensor(gamma_inv_col[j], c.comult.left_slice(k)))
+            vec_add_scaled(rhs, coeff, vec_tensor(c.comult.left_slice(j), gamma_inv_col[k]))
             if c.counit[j]:
-                left = _add_scaled(left, coeff * c.counit[j], unit_vector(c.field, n, k))
+                vec_add_scaled(left, coeff * c.counit[j], unit_vector(c.field, n, k))
             if c.counit[k]:
-                right = _add_scaled(right, coeff * c.counit[k], unit_vector(c.field, n, j))
+                vec_add_scaled(right, coeff * c.counit[k], unit_vector(c.field, n, j))
         b.check_vec("hom_coassociativity", (i,), lhs, rhs)
         b.check_vec("left_counit", (i,), left, gamma_inv_col[i])
         b.check_vec("right_counit", (i,), right, gamma_inv_col[i])
     return b.report()
-
-
-def _add_scaled(acc: list, coeff, vec: list) -> list:
-    for s, x in enumerate(vec):
-        if x:
-            acc[s] = acc[s] + coeff * x
-    return acc
 
 
 def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
@@ -247,8 +240,8 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
             rhs = vec_zero(field, n * n)
             for a1, a2, ca in h.comult.nonzero_of(i):
                 for b1, b2, cb in h.comult.nonzero_of(j):
-                    rhs = _add_scaled(rhs, ca * cb,
-                                      vec_tensor(h.mult.at_pair(a1, b1), h.mult.at_pair(a2, b2)))
+                    vec_add_scaled(rhs, ca * cb,
+                                   vec_tensor(h.mult.at_pair(a1, b1), h.mult.at_pair(a2, b2)))
             b.check_vec("comult_multiplicative", (i, j), lhs, rhs)
             b.check_scalar("counit_multiplicative", (i, j),
                            h.counit_of(h.mult.at_pair(i, j)), h.counit[i] * h.counit[j])
@@ -256,8 +249,8 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
         conv_left = vec_zero(field, n)
         conv_right = vec_zero(field, n)
         for j, k, coeff in h.comult.nonzero_of(i):
-            conv_left = _add_scaled(conv_left, coeff, h.mul(s_col[j], unit_vector(field, n, k)))
-            conv_right = _add_scaled(conv_right, coeff, h.mul(unit_vector(field, n, j), s_col[k]))
+            vec_add_scaled(conv_left, coeff, h.mul(s_col[j], unit_vector(field, n, k)))
+            vec_add_scaled(conv_right, coeff, h.mul(unit_vector(field, n, j), s_col[k]))
         target = vec_scale(h.counit[i], unit)
         b.check_vec("antipode_left", (i,), conv_left, target)
         b.check_vec("antipode_right", (i,), conv_right, target)
@@ -304,13 +297,13 @@ def check_hom_comodule(m: HomComodule, c: HomCoalgebra) -> AxiomReport:
         rhs = vec_zero(field, dm * dc * dc)
         for m0, c1, coeff in m.coaction.nonzero_of(i):
             if c.counit[c1]:
-                counit_side = _add_scaled(counit_side, coeff * c.counit[c1],
-                                          unit_vector(field, dm, m0))
+                vec_add_scaled(counit_side, coeff * c.counit[c1],
+                               unit_vector(field, dm, m0))
             # (rho (x) gamma^-1) rho  vs  (mu^-1 (x) Delta) rho
-            lhs = _add_scaled(lhs, coeff,
-                              vec_tensor(m.coaction.left_slice(m0), gamma_inv_col[c1]))
-            rhs = _add_scaled(rhs, coeff,
-                              vec_tensor(mu_inv_col[m0], c.comult.left_slice(c1)))
+            vec_add_scaled(lhs, coeff,
+                           vec_tensor(m.coaction.left_slice(m0), gamma_inv_col[c1]))
+            vec_add_scaled(rhs, coeff,
+                           vec_tensor(mu_inv_col[m0], c.comult.left_slice(c1)))
         b.check_vec("comodule_counit", (i,), counit_side, mu_inv_col[i])
         b.check_vec("comodule_coassociativity", (i,), lhs, rhs)
         b.check_vec("comodule_twist", (i,),
@@ -364,12 +357,8 @@ def yau_twist(h: HomHopfAlgebra, a: Matrix) -> HomHopfAlgebra:
     """
     if not h.alpha.is_identity():
         raise ValueError("input must carry the identity twist")
-    base = check_hom_hopf(h)
-    if not base.passed:
-        raise ConstructionError("input fails the classical checks", base)
-    rep = hopf_automorphism_report(h, a)
-    if not rep.passed:
-        raise ConstructionError("map is not a Hopf automorphism", rep)
+    require(check_hom_hopf(h), "input fails the classical checks")
+    require(hopf_automorphism_report(h, a), "map is not a Hopf automorphism")
     a_inv = a.inverse()
     n = h.dim
     mult = Tensor3.build(h.field, n, n, n,
@@ -377,9 +366,7 @@ def yau_twist(h: HomHopfAlgebra, a: Matrix) -> HomHopfAlgebra:
     comult = Tensor3.build(h.field, n, n, n,
                            lambda i, j, k: _col_dot(h.comult, a_inv, i, j, k))
     twisted = HomHopfAlgebra(h.field, n, a, mult, h.unit, comult, h.counit, h.antipode)
-    out = check_hom_hopf(twisted)
-    if not out.passed:
-        raise ConstructionError("twisted structure failed verification", out)
+    require(check_hom_hopf(twisted), "twisted structure failed verification")
     return twisted
 
 
@@ -421,9 +408,7 @@ def opposite_tensor(h: HomHopfAlgebra) -> HomHopfAlgebra:
     algebra and a module coalgebra over the square (a commutative H hides the
     difference; a noncommutative one does not).
     """
-    base = check_hom_hopf(h)
-    if not base.passed:
-        raise ConstructionError("input fails the Hom-Hopf checks", base)
+    require(check_hom_hopf(h), "input fails the Hom-Hopf checks")
     if not h.antipode_invertible:
         raise ValueError("antipode must be invertible")
     n = h.dim

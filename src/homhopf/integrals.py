@@ -28,7 +28,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .doi import DoiDatum
 from .linalg import (Field, Matrix, Tensor3, _rref_rows, unit_vector,
-                     vec_is_zero, vec_scale, vec_sub, vec_tensor, vec_zero)
+                     vec_add_scaled, vec_is_zero, vec_scale, vec_sub,
+                     vec_tensor, vec_zero)
 from .report import AxiomReport, Violation
 
 
@@ -131,7 +132,7 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
             lhs = vec_zero(field, da * dc)
             for c1, c2, co in coalg.comult.nonzero_of(q):
                 t1 = theta.apply(gam_inv_col[p], unit_vector(field, dc, c1))
-                _acc(lhs, co, vec_tensor(t1, gam_col[c2]))
+                vec_add_scaled(lhs, co, vec_tensor(t1, gam_col[c2]))
             rhs = vec_zero(field, da * dc)
             for d1, d2, co in coalg.comult.nonzero_of(p):
                 t = theta.apply(unit_vector(field, dc, d2), gam_inv_col[q])
@@ -140,15 +141,15 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
                     for hh in range(dh):
                         s = legs[u * dh + hh]
                         if s:
-                            _acc(rhs, co * s,
-                                 vec_tensor(beta_col[u], phi.at_pair(d1, hh)))
+                            vec_add_scaled(rhs, co * s,
+                                           vec_tensor(beta_col[u], phi.at_pair(d1, hh)))
             out[("colinearity", (p, q))] = vec_sub(lhs, rhs)
 
     unit_a = list(alg.unit)
     for p in range(dc):
         acc = vec_zero(field, da)
         for c1, c2, co in coalg.comult.nonzero_of(p):
-            _acc(acc, co, theta.at_pair(c1, c2))
+            vec_add_scaled(acc, co, theta.at_pair(c1, c2))
         out[("normalization", (p,))] = vec_sub(acc, vec_scale(coalg.counit[p], unit_a))
 
     beta2_col = [alg.alpha.apply(beta_col[i]) for i in range(da)]
@@ -162,16 +163,10 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
                         arg1 = phi.apply(gam_inv_col[p], unit_vector(field, dh, h2))
                         arg2 = phi.apply(gam_inv_col[q], alpha_inv_col[hh])
                         tt = theta.apply(arg1, arg2)
-                        _acc(lhs, c1 * c2, alg.mul(beta2_col[u2], tt))
+                        vec_add_scaled(lhs, c1 * c2, alg.mul(beta2_col[u2], tt))
                 rhs = alg.mul(theta.at_pair(p, q), unit_vector(field, da, t_idx))
                 out[("module_linearity", (t_idx, p, q))] = vec_sub(lhs, rhs)
     return out
-
-
-def _acc(acc: list, coeff, vec: list) -> None:
-    for s, x in enumerate(vec):
-        if x:
-            acc[s] = acc[s] + coeff * x
 
 
 def verify_integral(cand: IntegralCandidate, d: DoiDatum) -> AxiomReport:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .applications import YDModule
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
                    HomModule)
 from .doi import ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra
@@ -154,14 +153,17 @@ class StructureFile:
                          _tensor(self.field, obj["coaction"], n, n, d.coalgebra.dim))
 
     def _build_yd_module(self, obj, stack):
+        # a Yetter-Drinfeld module is a Doi module over yd_datum(H)
         h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
         n = obj["dim"]
-        return YDModule(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                        _tensor(self.field, obj["action"], n, h.dim, n),
-                        _tensor(self.field, obj["coaction"], n, n, h.dim))
+        return DoiModule(self.field, n, _matrix(self.field, obj["twist"], n, n),
+                         _tensor(self.field, obj["action"], n, h.dim, n),
+                         _tensor(self.field, obj["coaction"], n, n, h.dim))
 
     def _build_morphism(self, obj, stack):
         rows = obj["matrix"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise StructureParseError("a morphism's 'matrix' must be a list of rows")
         return Matrix.from_rows(self.field, [[self.field.of(x) for x in row] for row in rows])
 
     def _build_integral(self, obj, stack):
@@ -220,6 +222,9 @@ def parse_structure_file(text: str) -> StructureFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureParseError(f"not valid JSON: {exc}") from exc
+    except (RecursionError, MemoryError) as exc:
+        raise StructureParseError("structure file is nested too deeply or is too "
+                                  f"large to load ({type(exc).__name__})") from exc
     if not isinstance(data, dict):
         raise StructureParseError("top level must be an object")
     extra = set(data) - {"field", "objects"}
@@ -339,7 +344,7 @@ def doi_module_to_raw(m: DoiModule, datum_name: str, basis=None) -> dict:
             "coaction": _stensor(m.coaction)}
 
 
-def yd_module_to_raw(m: YDModule, hopf_name: str, basis=None) -> dict:
+def yd_module_to_raw(m: DoiModule, hopf_name: str, basis=None) -> dict:
     return {"kind": "yd_module", "hopf": hopf_name, "dim": m.dim,
             "basis": list(basis) if basis else [f"m{i}" for i in range(m.dim)],
             "twist": _smat(m.mu), "action": _stensor(m.action),

@@ -100,11 +100,13 @@ class GFElement:
         if isinstance(other, GFElement):
             return self.p == other.p and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.p
+            # only the canonical residue equals an int, so that equal values
+            # hash alike (hash(GFElement(1, 7)) == hash(1) != hash(8))
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.p))
+        return hash(self.value)
 
     def __repr__(self):
         return f"GF({self.p}):{self.value}"
@@ -163,9 +165,6 @@ class Field:
             return self.of(Fraction(x))
         raise TypeError(f"cannot coerce {type(x).__name__} into {self}")
 
-    def format(self, x: Scalar) -> str:
-        return str(x)
-
     def __str__(self):
         return "Q" if self.p is None else f"GF({self.p})"
 
@@ -193,6 +192,13 @@ def vec_sub(u: Sequence, v: Sequence) -> list:
 
 def vec_scale(s: Scalar, v: Sequence) -> list:
     return [s * a for a in v]
+
+
+def vec_add_scaled(acc: list, coeff: Scalar, v: Sequence) -> None:
+    """acc += coeff * v in place, touching only the nonzero entries of v."""
+    for s, x in enumerate(v):
+        if x:
+            acc[s] = acc[s] + coeff * x
 
 
 def vec_is_zero(v: Sequence) -> bool:
@@ -459,20 +465,6 @@ def _sub_scaled(row: dict, f, pivot: dict) -> None:
                 del row[c]
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple]:
-    return m.rref()
-
-
-def compose(f: Matrix, g: Matrix) -> Matrix:
-    """Matrix product f @ g, i.e. the composite map "f after g"."""
-    return f @ g
-
-
-def tensor(f: Matrix, g: Matrix) -> Matrix:
-    """Kronecker product realizing the tensor product of linear maps."""
-    return f.kron(g)
-
-
 @dataclass(frozen=True)
 class AffineSolution:
     """Full solution set of A x = b: ``particular + span(nullspace_basis)``.
@@ -653,7 +645,3 @@ class Tensor3:
         for i, j, k, e in self.nonzero():
             out[(j * self.d3 + k) * self.d1 + i] = e
         return Matrix(self.field, rows, self.d1, tuple(out))
-
-
-def apply3(t: Tensor3, v: Sequence, w: Sequence) -> list:
-    return t.apply(v, w)

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 from .core import HomModule
 from .doi import (DoiDatum, DoiModule, doi_morphism_report, induce,
-                  module_morphism_report, _doi_action_matrix)
+                  module_morphism_report, _action_matrix)
 from .integrals import (Infeasible, IntegralCandidate, solve_normalized_integral,
                         verify_integral)
 from .linalg import Matrix, Tensor3, unit_vector, vec_tensor, vec_zero
-from .report import AxiomReport, ConstructionError, ReportBuilder
+from .report import AxiomReport, ConstructionError, ReportBuilder, require
 
 
 def build_retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Matrix:
@@ -54,10 +54,8 @@ def build_retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Mat
             for r in range(dm):
                 ent[r * cols + col] = acc[r]
     nu = Matrix(field, dm, cols, tuple(ent))
-    rep = retraction_report(nu, m, d)
-    if not rep.passed:
-        raise ConstructionError("retraction failed verification "
-                                "(invalid integral or inconsistent bracketing)", rep)
+    require(retraction_report(nu, m, d),
+            "retraction failed verification (invalid integral or inconsistent bracketing)")
     return nu
 
 
@@ -71,7 +69,7 @@ def retraction_report(nu: Matrix, m: DoiModule, d: DoiDatum) -> AxiomReport:
     g = induce(m.underlying_module(), d)
     for a in range(d.algebra.dim):
         b.check_matrix("a_linear", (a,),
-                       nu @ _doi_action_matrix(g, a), _doi_action_matrix(m, a) @ nu)
+                       nu @ _action_matrix(g, a), _action_matrix(m, a) @ nu)
     eye_c = Matrix.identity(field, dc)
     b.check_matrix("c_colinear", (),
                    m.coaction.as_map_to_pair() @ nu,
@@ -97,10 +95,8 @@ def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
     round trip would return theta . (gamma (x) id) instead).
     """
     field = d.field
-    ac = canonical_module(d)
-    rep = retraction_report(nu, ac, d)
-    if not rep.passed:
-        raise ConstructionError("input is not a retraction of the canonical module", rep)
+    require(retraction_report(nu, canonical_module(d), d),
+            "input is not a retraction of the canonical module")
     alg = d.algebra.algebra
     coalg = d.coalgebra.coalgebra
     da, dc = alg.dim, coalg.dim
@@ -124,9 +120,8 @@ def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
             for k in range(da):
                 ent[base + k] = w[k]
     cand = IntegralCandidate(field, dc, da, Tensor3(field, dc, dc, da, tuple(ent)))
-    cand.report = verify_integral(cand, d)
-    if not cand.report.passed:
-        raise ConstructionError("extracted map is not a normalized integral", cand.report)
+    cand.report = require(verify_integral(cand, d),
+                          "extracted map is not a normalized integral")
     return cand
 
 
@@ -169,7 +164,7 @@ def split_epimorphism(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
     A-linear and twist-compatible, f . g = id_N.  The returned map satisfies
     f . section = id_N and is A-linear, C-colinear and twist-compatible.
     """
-    _check_split_inputs(f, g, m, n, d, require="fg")
+    _check_split_inputs(f, g, m, n, d, order="fg")
     base = _section_candidate(g, m, n, theta, d)
     field = d.field
 
@@ -187,7 +182,7 @@ def split_monomorphism(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
                        max_twist_power: int = 2) -> Matrix:
     """Symmetric variant: f: M -> N a Doi monomorphism with an A-linear
     retraction g (g . f = id_M); returns a Doi retraction."""
-    _check_split_inputs(f, g, m, n, d, require="gf")
+    _check_split_inputs(f, g, m, n, d, order="gf")
     base = _section_candidate(g, m, n, theta, d)
     field = d.field
 
@@ -201,23 +196,18 @@ def split_monomorphism(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
 
 
 def _check_split_inputs(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
-                        d: DoiDatum, require: str) -> None:
-    rep = doi_morphism_report(f, m, n, d)
-    if not rep.passed:
-        raise ConstructionError("f is not a morphism of Doi modules", rep)
-    rep = module_morphism_report(g, n.underlying_module(), m.underlying_module(),
-                                 d.algebra.algebra)
-    if not rep.passed:
-        raise ConstructionError("g is not an A-linear twist-compatible map", rep)
+                        d: DoiDatum, order: str) -> None:
+    require(doi_morphism_report(f, m, n, d), "f is not a morphism of Doi modules")
+    require(module_morphism_report(g, n.underlying_module(), m.underlying_module(),
+                                   d.algebra.algebra),
+            "g is not an A-linear twist-compatible map")
     field = d.field
     b = ReportBuilder()
-    if require == "fg":
+    if order == "fg":
         b.check_matrix("f_after_g", (), f @ g, Matrix.identity(field, n.dim))
     else:
         b.check_matrix("g_after_f", (), g @ f, Matrix.identity(field, m.dim))
-    rep = b.report()
-    if not rep.passed:
-        raise ConstructionError("g does not split f on the module level", rep)
+    require(b.report(), "g does not split f on the module level")
 
 
 def _section_candidate(g: Matrix, m: DoiModule, n: DoiModule,
@@ -229,22 +219,6 @@ def _section_candidate(g: Matrix, m: DoiModule, n: DoiModule,
 
 # ---------------------------------------------------------------------------
 # separability certificates
-
-@dataclass
-class Retraction:
-    """Extensional retraction: one verified map per registered module."""
-
-    theta: IntegralCandidate
-    datum: DoiDatum
-
-    def __post_init__(self):
-        self.maps: dict = {}
-
-    def register(self, name: str, m: DoiModule) -> Matrix:
-        nu = build_retraction(self.theta, m, self.datum)
-        self.maps[name] = nu
-        return nu
-
 
 @dataclass
 class SeparabilityCertificate:
@@ -263,10 +237,9 @@ def separability_report(d: DoiDatum, test_modules) -> SeparabilityCertificate | 
     if isinstance(result, Infeasible):
         return result
     checked = []
-    retr = Retraction(result, d)
     for name, module in test_modules:
         try:
-            retr.register(name, module)
+            build_retraction(result, module, d)
             checked.append((name, True))
         except ConstructionError:
             checked.append((name, False))

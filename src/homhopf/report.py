@@ -66,6 +66,13 @@ class ConstructionError(ValueError):
         self.report = report
 
 
+def require(report: AxiomReport, what: str) -> AxiomReport:
+    """Return ``report`` if it passed; otherwise raise ConstructionError(what, report)."""
+    if not report.passed:
+        raise ConstructionError(what, report)
+    return report
+
+
 @dataclass
 class ReportBuilder:
     violations: list = field(default_factory=list)

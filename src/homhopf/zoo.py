@@ -121,43 +121,6 @@ def trivial_comodule(h: HomHopfAlgebra) -> HomComodule:
     return HomComodule(field, 1, Matrix.identity(field, 1), coaction)
 
 
-def direct_sum_comodules(m1: HomComodule, m2: HomComodule) -> HomComodule:
-    if m1.coaction.d3 != m2.coaction.d3:
-        raise ValueError("comodules over different coalgebras")
-    field = m1.field
-    d1, d2, dc = m1.dim, m2.dim, m1.coaction.d3
-    d = d1 + d2
-
-    def entry(i, j, k):
-        if i < d1 and j < d1:
-            return m1.coaction.at(i, j, k)
-        if i >= d1 and j >= d1:
-            return m2.coaction.at(i - d1, j - d1, k)
-        return field.zero()
-
-    coaction = Tensor3.build(field, d, d, dc, entry)
-    mu = block_diag(m1.mu, m2.mu)
-    return HomComodule(field, d, mu, coaction)
-
-
-def direct_sum_modules(n1: HomModule, n2: HomModule) -> HomModule:
-    if n1.action.d2 != n2.action.d2:
-        raise ValueError("modules over different algebras")
-    field = n1.field
-    d1, d2, da = n1.dim, n2.dim, n1.action.d2
-    d = d1 + d2
-
-    def entry(i, a, j):
-        if i < d1 and j < d1:
-            return n1.action.at(i, a, j)
-        if i >= d1 and j >= d1:
-            return n2.action.at(i - d1, a, j - d1)
-        return field.zero()
-
-    action = Tensor3.build(field, d, da, d, entry)
-    return HomModule(field, d, block_diag(n1.mu, n2.mu), action)
-
-
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     field = a.field
 

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import random
 
-from homhopf.applications import YDModule
 from homhopf.core import HomComodule, HomHopfAlgebra, HomModule
+from homhopf.doi import DoiModule
 from homhopf.linalg import Field, Matrix, Tensor3
 
 
@@ -104,9 +104,10 @@ def random_graded_comodule(h: HomHopfAlgebra, dim: int, rng: random.Random) -> H
 
 
 # ---------------------------------------------------------------------------
-# Yetter-Drinfeld candidates (valid and invalid, substructures always valid)
+# Yetter-Drinfeld candidates (valid and invalid, substructures always valid),
+# as Doi modules over yd_datum(h)
 
-def yd_regular_action_trivial_coaction(h: HomHopfAlgebra, mu: Matrix | None = None) -> YDModule:
+def yd_regular_action_trivial_coaction(h: HomHopfAlgebra, mu: Matrix | None = None) -> DoiModule:
     field = h.field
     n = h.dim
     mu = mu if mu is not None else h.alpha
@@ -115,7 +116,7 @@ def yd_regular_action_trivial_coaction(h: HomHopfAlgebra, mu: Matrix | None = No
     action = _compose_output(h.mult, mu @ h.alpha_inv)
     coaction = Tensor3.build(field, n, n, h.dim, lambda i, j, c:
                              (mu_inv @ h.alpha_inv).at(j, i) * _unit_coeff(h, c))
-    return YDModule(field, n, mu, action, coaction)
+    return DoiModule(field, n, mu, action, coaction)
 
 
 def _unit_coeff(h: HomHopfAlgebra, c: int):
@@ -138,7 +139,7 @@ def _compose_output(t: Tensor3, m: Matrix) -> Tensor3:
     return Tensor3.build(field, t.d1, t.d2, t.d3, entry)
 
 
-def yd_trivial_action_group_coaction(h: HomHopfAlgebra) -> YDModule:
+def yd_trivial_action_group_coaction(h: HomHopfAlgebra) -> DoiModule:
     """For a classical group algebra: action by the counit, coaction by the
     grouplike grading of the regular basis."""
     field = h.field
@@ -147,44 +148,20 @@ def yd_trivial_action_group_coaction(h: HomHopfAlgebra) -> YDModule:
                            lambda m, a, mm: h.counit[a] if mm == m else field.zero())
     coaction = Tensor3.build(field, n, n, n,
                              lambda i, j, c: field.one() if i == j == c else field.zero())
-    return YDModule(field, n, Matrix.identity(field, n), action, coaction)
+    return DoiModule(field, n, Matrix.identity(field, n), action, coaction)
 
 
-def yd_both_regular(h: HomHopfAlgebra) -> YDModule:
+def yd_both_regular(h: HomHopfAlgebra) -> DoiModule:
     """Multiplication action plus comultiplication coaction; generally not
     Yetter-Drinfeld, but both substructures are valid."""
-    return YDModule(h.field, h.dim, h.alpha, h.mult, h.comult)
+    return DoiModule(h.field, h.dim, h.alpha, h.mult, h.comult)
 
 
-def yd_regular_action_unit_coaction(h: HomHopfAlgebra) -> YDModule:
+def yd_regular_action_unit_coaction(h: HomHopfAlgebra) -> DoiModule:
     """Multiplication action with the coaction m -> alpha^-1(m) (x) 1."""
     field = h.field
     n = h.dim
     coaction = Tensor3.build(field, n, n, n,
                              lambda i, j, c: h.alpha_inv.at(j, i) * h.unit[c])
-    return YDModule(field, n, h.alpha, h.mult, coaction)
+    return DoiModule(field, n, h.alpha, h.mult, coaction)
 
-
-def yd_direct_sum(m1: YDModule, m2: YDModule) -> YDModule:
-    from homhopf.zoo import block_diag
-    field = m1.field
-    d1, dim = m1.dim, m1.dim + m2.dim
-    dh = m1.action.d2
-
-    def act(i, a, j):
-        if i < d1 and j < d1:
-            return m1.action.at(i, a, j)
-        if i >= d1 and j >= d1:
-            return m2.action.at(i - d1, a, j - d1)
-        return field.zero()
-
-    def coa(i, j, c):
-        if i < d1 and j < d1:
-            return m1.coaction.at(i, j, c)
-        if i >= d1 and j >= d1:
-            return m2.coaction.at(i - d1, j - d1, c)
-        return field.zero()
-
-    return YDModule(field, dim, block_diag(m1.mu, m2.mu),
-                    Tensor3.build(field, dim, dh, dim, act),
-                    Tensor3.build(field, dim, dim, dh, coa))

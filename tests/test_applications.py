@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from corpus import (random_graded_comodule, yd_both_regular, yd_direct_sum,
+from corpus import (random_graded_comodule, yd_both_regular,
                     yd_regular_action_trivial_coaction,
                     yd_regular_action_unit_coaction,
                     yd_trivial_action_group_coaction)
@@ -10,15 +11,15 @@ from homhopf.applications import (DualIntegral,
                                   check_compatibility_equivalence,
                                   check_k_integral_conditions, check_yd_module,
                                   check_yd_substructures, comodule_to_doi,
-                                  doi_to_yd, dual_right_integrals,
-                                  integral_from_dual, regular_comodule_algebra,
-                                  relative_datum, trivial_datum,
-                                  trivial_yd_module, yd_datum, yd_to_doi)
+                                  dual_right_integrals, integral_from_dual,
+                                  regular_comodule_algebra, relative_datum,
+                                  trivial_datum, trivial_yd_module, yd_datum)
 from homhopf.core import check_hom_comodule
-from homhopf.doi import check_comodule_algebra, check_doi_module, check_module_coalgebra
+from homhopf.doi import (check_comodule_algebra, check_doi_module,
+                         check_module_coalgebra, direct_sum_doi)
 from homhopf.integrals import IntegralCandidate, solve_normalized_integral, verify_integral
+from homhopf.io import StructureFile, hopf_to_raw, yd_module_to_raw
 from homhopf.linalg import Field, Matrix, Tensor3
-from homhopf.report import ConstructionError
 from homhopf.zoo import (group_algebra, one_dimensional_hopf, sweedler_h4,
                          twisted_group_algebra, twisted_sweedler)
 
@@ -91,7 +92,23 @@ class TestYdDatum:
         d = yd_datum(h)
         m = trivial_yd_module(h)
         assert check_yd_module(m, h).passed
-        assert check_doi_module(yd_to_doi(m, h, d), d).passed
+        assert check_doi_module(m, d).passed
+
+    def test_square_checked_once(self, monkeypatch):
+        # opposite_tensor verifies the square; yd_datum must not verify it again
+        import homhopf.core
+        real = homhopf.core.check_hom_hopf
+        checked = []
+
+        def counting(h):
+            checked.append(h)
+            return real(h)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("homhopf") and hasattr(module, "check_hom_hopf"):
+                monkeypatch.setattr(module, "check_hom_hopf", counting)
+        d = yd_datum(group_algebra(2, Q))
+        assert sum(h is d.hopf for h in checked) == 1
 
     def test_requires_invertible_antipode(self):
         h = group_algebra(2, Q)
@@ -105,7 +122,7 @@ def yd_corpus(h, rng):
     """Candidates with valid substructures, some satisfying the braided
     compatibility and some not."""
     out = [("trivial", trivial_yd_module(h), True)]
-    out.append(("trivial_sum", yd_direct_sum(trivial_yd_module(h), trivial_yd_module(h)), True))
+    out.append(("trivial_sum", direct_sum_doi(trivial_yd_module(h), trivial_yd_module(h)), True))
     out.append(("both_regular", yd_both_regular(h), None))
     out.append(("regular_action_unit_coaction", yd_regular_action_unit_coaction(h), None))
     if h.alpha.is_identity():
@@ -156,31 +173,34 @@ class TestYdModules:
                 count += 1
         assert count >= 10
 
-    def test_transport_preserves_verdicts(self):
+    def test_doi_verdict_matches_yd_verdict(self):
+        # a YD module is a Doi module over yd_datum(h): the Doi checker and
+        # the YD checkers agree on every candidate, valid or not
         rng = random.Random(11)
         for h in [group_algebra(2, Q), twisted_sweedler(Q, 2)]:
             d = yd_datum(h)
             for name, m, _ in yd_corpus(h, rng):
                 yd_ok = (check_yd_substructures(m, h).passed
                          and check_yd_module(m, h).passed)
-                doi_ok = check_doi_module(yd_to_doi(m, h, d, check=False), d).passed
+                doi_ok = check_doi_module(m, d).passed
                 assert yd_ok == doi_ok, name
 
     def test_round_trip_is_identity_on_tensors(self):
+        # a yd_module entry of a structure file builds back the same tensors
         h = group_algebra(2, Q)
-        d = yd_datum(h)
         m = trivial_yd_module(h)
-        back = doi_to_yd(yd_to_doi(m, h, d), h)
+        sf = StructureFile(Q, {"H": hopf_to_raw(h), "M": yd_module_to_raw(m, "H")})
+        back = sf.build("M")
         assert back.action.entries == m.action.entries
         assert back.coaction.entries == m.coaction.entries
         assert back.mu == m.mu
 
-    def test_transport_rejects_invalid_when_checked(self):
+    def test_doi_check_rejects_invalid(self):
         h = group_algebra(2, Q)
         d = yd_datum(h)
         m = yd_both_regular(h)
-        with pytest.raises(ConstructionError):
-            yd_to_doi(m, h, d, check=True)
+        assert not check_doi_module(m, d).passed
+        assert not check_yd_module(m, h).passed
 
 
 class TestDualIntegrals:

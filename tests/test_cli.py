@@ -98,6 +98,9 @@ class TestKindErrors:
         data = json.loads(serialize_structure_file(golden_file("maschke_split_kZ2", Q)))
         data["objects"]["f_dangling"] = dict(data["objects"]["f"], source="nowhere")
         data["objects"]["f_from_hopf"] = dict(data["objects"]["f"], source="k")
+        data["objects"]["f_wrong_shape"] = dict(data["objects"]["f"],
+                                                matrix=data["objects"]["g"]["matrix"])
+        data["objects"]["f_not_rows"] = dict(data["objects"]["f"], matrix=5)
         p = tmp_path / "m.json"
         p.write_text(json.dumps(data))
         return str(p)
@@ -134,6 +137,13 @@ class TestKindErrors:
     def test_split_with_source_not_a_module(self, split_file):
         self.assert_usage_error(["split", split_file, "D", "f_from_hopf", "g"],
                                 "'k'", "expected a doi_module")
+
+    def test_split_with_wrong_matrix_shape(self, split_file):
+        # f maps M (dim 3) to N (dim 2), so its matrix must be 2x3
+        self.assert_usage_error(["split", split_file, "D", "f_wrong_shape", "g"],
+                                "'f_wrong_shape'", "3x2", "needs 2x3")
+        self.assert_usage_error(["split", split_file, "D", "f_not_rows", "g"],
+                                "'matrix' must be a list of rows")
 
     def test_twist_of_non_hopf_object(self, split_file):
         self.assert_usage_error(["twist", split_file, "D", "f"],
@@ -179,6 +189,15 @@ class TestCommands:
         p.write_text("{not json")
         rc, _, err = run_cli(["check", str(p), "H"])
         assert rc == 2
+
+    def test_deeply_nested_json_is_exit_2(self, tmp_path):
+        p = tmp_path / "deep.json"
+        depth = 100000
+        p.write_text('{"field": "Q", "objects": ' + "[" * depth + "]" * depth + "}")
+        rc, _, err = run_cli(["check", str(p), "H"])
+        assert rc == 2, err
+        assert "Traceback" not in err
+        assert "nested too deeply" in err
 
     def test_find_integral_kz2(self, tmp_path):
         p = tmp_path / "d.json"

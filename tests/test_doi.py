@@ -159,6 +159,22 @@ class TestAdjunction:
         assert check_doi_module(gn, rel_kz2).passed
         assert check_triangle_identities(rel_kz2, gn, n).passed
 
+    def test_triangles_induce_each_module_once(self, rel_kz2, monkeypatch):
+        # N and F(M) are induced once each, not once per unit/counit map
+        import homhopf.doi
+        n = random_module_over_group_algebra(rel_kz2.hopf, 2, random.Random(7))
+        gn = induce(n, rel_kz2)
+        real = homhopf.doi.induce
+        induced = []
+
+        def counting(module, d):
+            induced.append(module)
+            return real(module, d)
+
+        monkeypatch.setattr(homhopf.doi, "induce", counting)
+        assert check_triangle_identities(rel_kz2, gn, n).passed
+        assert len(induced) == 2
+
     def test_triangles_with_nontrivial_coalgebra_twist(self):
         # gamma != id exercises the twist bookkeeping in unit and counit
         from homhopf.zoo import twisted_group_algebra
@@ -169,10 +185,11 @@ class TestAdjunction:
         assert check_triangle_identities(d, gn, n).passed
 
     def test_triangles_over_yd_datum(self):
-        from homhopf.applications import trivial_yd_module, yd_datum, yd_to_doi
+        from homhopf.applications import trivial_yd_module, yd_datum
         h = group_algebra(2, Q)
         d = yd_datum(h)
-        m = yd_to_doi(trivial_yd_module(h), h, d)
+        m = trivial_yd_module(h)
+        assert check_doi_module(m, d).passed
         n = m.underlying_module()
         assert check_triangle_identities(d, m, n).passed
 

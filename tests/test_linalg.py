@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows,
-                            apply3, compose, rref, solve_affine, tensor,
-                            unit_vector, vec_is_zero)
+                            solve_affine, unit_vector, vec_add_scaled,
+                            vec_is_zero)
 
 Q = Field.rationals()
 
@@ -39,6 +39,16 @@ class TestScalars:
         with pytest.raises(ValueError):
             Field.prime(6)
 
+    @given(a=st.integers(-50, 50), p=st.sampled_from([2, 3, 7, 31]))
+    def test_gf_equal_to_int_hashes_alike(self, a, p):
+        # only the canonical residue equals an int, and equal values share a hash
+        x = GFElement(a, p)
+        for v in range(-20, 20):
+            assert (x == v) == (v == x.value)
+            if x == v:
+                assert hash(x) == hash(v)
+        assert len({x, x.value}) == 1
+
     @given(a=st.integers(-50, 50), b=st.integers(-50, 50), c=st.integers(-50, 50))
     def test_gf_field_laws(self, a, b, c):
         p = 7
@@ -53,27 +63,27 @@ class TestScalars:
 class TestRref:
     def test_identity(self):
         m = Matrix.identity(Q, 2)
-        r, pivots = rref(m)
+        r, pivots = m.rref()
         assert r == m
         assert pivots == (0, 1)
 
     def test_zero_row(self):
         m = mat([[0, 0]])
-        r, pivots = rref(m)
+        r, pivots = m.rref()
         assert r == m
         assert pivots == ()
 
     def test_rank_deficient(self):
         # hand Gaussian elimination: row2 - 2*row1 annihilates the second row
         m = mat([[1, 2], [2, 4]])
-        r, pivots = rref(m)
+        r, pivots = m.rref()
         assert r == mat([[1, 2], [0, 0]])
         assert pivots == (0,)
 
     def test_idempotent_on_example(self):
         m = mat([[2, 4, 1], [3, 1, 0], [5, 5, 1]])
-        r, _ = rref(m)
-        assert rref(r)[0] == r
+        r, _ = m.rref()
+        assert r.rref()[0] == r
 
 
 small_matrices = st.integers(1, 4).flatmap(
@@ -87,8 +97,8 @@ class TestRrefProperties:
     @settings(max_examples=60)
     @given(rows=small_matrices)
     def test_idempotent(self, rows):
-        r, pivots = rref(mat(rows))
-        again, pivots2 = rref(r)
+        r, pivots = mat(rows).rref()
+        again, pivots2 = r.rref()
         assert again == r
         assert pivots == pivots2
 
@@ -96,14 +106,14 @@ class TestRrefProperties:
     @given(rows=small_matrices)
     def test_idempotent_over_gf7(self, rows):
         m = mat(rows, Field.prime(7))
-        r, pivots = rref(m)
-        again, pivots2 = rref(r)
+        r, pivots = m.rref()
+        again, pivots2 = r.rref()
         assert again == r and pivots == pivots2
 
     @settings(max_examples=60)
     @given(rows=small_matrices)
     def test_pivots_increasing_with_unit_columns(self, rows):
-        r, pivots = rref(mat(rows))
+        r, pivots = mat(rows).rref()
         assert list(pivots) == sorted(pivots)
         for row_idx, col in enumerate(pivots):
             column = r.column(col)
@@ -266,44 +276,43 @@ class TestSolveAffine:
 class TestComposeTensorApply:
     def test_compose_identity(self):
         m = mat([[1, 2], [3, 4]])
-        assert compose(Matrix.identity(Q, 2), m) == m
-        assert compose(m, Matrix.identity(Q, 2)) == m
+        assert Matrix.identity(Q, 2) @ m == m
+        assert m @ Matrix.identity(Q, 2) == m
 
     def test_tensor_of_identities(self):
-        assert tensor(Matrix.identity(Q, 2), Matrix.identity(Q, 3)) == Matrix.identity(Q, 6)
+        assert Matrix.identity(Q, 2).kron(Matrix.identity(Q, 3)) == Matrix.identity(Q, 6)
 
     def test_tensor_index_order(self):
         a = mat([[2]])
         b = mat([[0, 1], [1, 0]])
-        t = tensor(a, b)
+        t = a.kron(b)
         assert t == mat([[0, 2], [2, 0]])
 
     @settings(max_examples=30)
     @given(a=small_matrices, b=small_matrices, c=small_matrices)
     def test_tensor_associative_under_flattening(self, a, b, c):
         ma, mb, mc = mat(a), mat(b), mat(c)
-        assert tensor(tensor(ma, mb), mc) == tensor(ma, tensor(mb, mc))
+        assert ma.kron(mb).kron(mc) == ma.kron(mb.kron(mc))
 
     @settings(max_examples=30)
     @given(a=small_matrices, b=small_matrices)
     def test_tensor_mixed_product(self, a, b):
         # (f (x) g) = (f (x) id) . (id (x) g)
         ma, mb = mat(a), mat(b)
-        lhs = tensor(ma, mb)
-        rhs = compose(tensor(ma, Matrix.identity(Q, mb.rows)),
-                      tensor(Matrix.identity(Q, ma.cols), mb))
+        lhs = ma.kron(mb)
+        rhs = ma.kron(Matrix.identity(Q, mb.rows)) @ Matrix.identity(Q, ma.cols).kron(mb)
         assert lhs == rhs
 
-    def test_apply3_group_multiplication(self):
+    def test_tensor_apply_group_multiplication(self):
         # multiplication table of the 2-element group: g.g = 1
         t = Tensor3.from_nested(Q, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
         e_g = unit_vector(Q, 2, 1)
-        assert apply3(t, e_g, e_g) == unit_vector(Q, 2, 0)
+        assert t.apply(e_g, e_g) == unit_vector(Q, 2, 0)
 
-    def test_apply3_dimension_mismatch(self):
+    def test_tensor_apply_dimension_mismatch(self):
         t = Tensor3.zeros(Q, 2, 2, 2)
         with pytest.raises(ValueError):
-            apply3(t, [Fraction(1)], [Fraction(0), Fraction(0)])
+            t.apply([Fraction(1)], [Fraction(0), Fraction(0)])
 
 
 class TestTensor3Views:
@@ -326,6 +335,13 @@ class TestTensor3Views:
         t = Tensor3.from_nested(Q, [[[0, 1], [2, 3]], [[4, 5], [6, 7]]])
         assert t.at(1, 0, 1) == Fraction(5)
         assert t.entries[1 * 4 + 0 * 2 + 1] == Fraction(5)
+
+
+def test_vec_add_scaled_in_place(field):
+    acc = [field.of(1), field.of(0), field.of(2)]
+    out = vec_add_scaled(acc, field.of(3), [field.of(0), field.of(1), field.of(-1)])
+    assert out is None
+    assert acc == [field.of(1), field.of(3), field.of(-1)]
 
 
 def test_inverse_round_trip(field):

@@ -8,7 +8,7 @@ from homhopf.applications import (comodule_to_doi, regular_comodule_algebra,
 from homhopf.doi import direct_sum_doi, doi_morphism_report, induce
 from homhopf.integrals import Infeasible, solve_normalized_integral
 from homhopf.linalg import Field, Matrix, Tensor3, unit_vector
-from homhopf.maschke import (Retraction, SeparabilityCertificate,
+from homhopf.maschke import (SeparabilityCertificate,
                              build_retraction, canonical_module,
                              extract_integral, retraction_naturality_report,
                              separability_report, split_epimorphism,
@@ -244,13 +244,6 @@ class TestSeparability:
         cert = separability_report(d, [("point", m)])
         assert cert.all_passed
         assert cert.theta.theta.at(0, 0, 0) == Q.one()
-
-    def test_retraction_registry(self, kz2_setting):
-        h, d, theta = kz2_setting
-        reg = comodule_to_doi(regular_comodule(h.as_coalgebra()), d)
-        r = Retraction(theta, d)
-        nu = r.register("regular", reg)
-        assert r.maps["regular"] is nu
 
     def test_relative_datum_certificate(self):
         h = group_algebra(2, Q)
