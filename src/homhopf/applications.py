@@ -30,8 +30,8 @@ from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                   check_module_coalgebra)
 from .integrals import IntegralCandidate, verify_integral
 from .linalg import (Field, Matrix, Tensor3, solve_affine, unit_vector,
-                     vec_add_scaled, vec_is_zero, vec_sub, vec_tensor,
-                     vec_zero)
+                     vec_add_scaled, vec_dot, vec_is_zero, vec_sub,
+                     vec_tensor, vec_zero)
 from .report import AxiomReport, ReportBuilder, Violation, require
 
 
@@ -211,8 +211,8 @@ def check_yd_module(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:
 
 
 def check_yd_substructures(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:
-    return check_hom_module(m.underlying_module(), h.as_algebra()).merged(
-        check_hom_comodule(m.underlying_comodule(), h.as_coalgebra()))
+    return check_hom_module(m, h.as_algebra()).merged(
+        check_hom_comodule(m, h.as_coalgebra()))
 
 
 def check_compatibility_equivalence(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:
@@ -276,12 +276,8 @@ def integral_from_dual(phi: DualIntegral, h: HomHopfAlgebra,
     n = h.dim
 
     def entry(i, j, _k):
-        prod = h.mul(unit_vector(field, n, j), h.antipode_inv.column(i))
-        s = field.zero()
-        for x, p in zip(prod, phi.phi):
-            if x and p:
-                s = s + x * p
-        return s
+        return vec_dot(field, h.mul(unit_vector(field, n, j), h.antipode_inv.column(i)),
+                       phi.phi)
 
     theta = Tensor3.build(field, n, n, 1, entry)
     cand = IntegralCandidate(field, n, 1, theta)

@@ -241,8 +241,12 @@ def cmd_split(args) -> int:
     _require_kind(sf, args.datum, "doi_datum", "datum")
     _require_morphism(sf, args.f, "f")
     _require_morphism(sf, args.g, "g")
+    f_raw, g_raw = sf.raw[args.f], sf.raw[args.g]
+    if (g_raw["source"], g_raw["target"]) != (f_raw["target"], f_raw["source"]):
+        raise StructureParseError(
+            f"g {args.g!r} maps {g_raw['source']!r} to {g_raw['target']!r}; a section "
+            f"of {args.f!r} must map {f_raw['target']!r} to {f_raw['source']!r}")
     datum = sf.build(args.datum)
-    f_raw = sf.raw[args.f]
     src = sf.build(f_raw["source"])
     dst = sf.build(f_raw["target"])
     f = _morphism_matrix(sf, args.f, "f")

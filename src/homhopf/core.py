@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (Field, Matrix, Tensor3, unit_vector, vec_add_scaled,
-                     vec_scale, vec_tensor, vec_zero)
+                     vec_dot, vec_scale, vec_tensor, vec_zero)
 from .report import AxiomReport, ConstructionError, ReportBuilder, require
 
 
@@ -78,13 +78,6 @@ class HomCoalgebra:
         self.counit = tuple(self.field.of(x) for x in self.counit)
         self.gamma_inv = _require_invertible(self.gamma, "coalgebra twist")
 
-    def counit_of(self, v):
-        s = self.field.zero()
-        for x, e in zip(v, self.counit):
-            if x and e:
-                s = s + x * e
-        return s
-
 
 @dataclass
 class HomHopfAlgebra:
@@ -119,13 +112,6 @@ class HomHopfAlgebra:
 
     def mul(self, v, w) -> list:
         return self.mult.apply(v, w)
-
-    def counit_of(self, v):
-        s = self.field.zero()
-        for x, e in zip(v, self.counit):
-            if x and e:
-                s = s + x * e
-        return s
 
 
 @dataclass
@@ -201,7 +187,7 @@ def check_hom_coalgebra(c: HomCoalgebra) -> AxiomReport:
     gg = c.gamma.kron(c.gamma)
     for i in range(n):
         b.check_scalar("twist_preserves_counit", (i,),
-                       c.counit_of(gamma_col[i]), c.counit[i])
+                       vec_dot(c.field, gamma_col[i], c.counit), c.counit[i])
         b.check_vec("twist_comultiplicative", (i,),
                     c.comult.apply_left(gamma_col[i]),
                     gg.apply(c.comult.left_slice(i)))
@@ -233,7 +219,7 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
     unit = list(h.unit)
     s_col = [h.antipode.column(i) for i in range(n)]
     b.check_vec("comult_unit", (), h.comult.apply_left(unit), vec_tensor(unit, unit))
-    b.check_scalar("counit_unit", (), h.counit_of(unit), field.one())
+    b.check_scalar("counit_unit", (), vec_dot(field, unit, h.counit), field.one())
     for i in range(n):
         for j in range(n):
             lhs = h.comult.apply_left(h.mult.at_pair(i, j))
@@ -244,7 +230,8 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
                                    vec_tensor(h.mult.at_pair(a1, b1), h.mult.at_pair(a2, b2)))
             b.check_vec("comult_multiplicative", (i, j), lhs, rhs)
             b.check_scalar("counit_multiplicative", (i, j),
-                           h.counit_of(h.mult.at_pair(i, j)), h.counit[i] * h.counit[j])
+                           vec_dot(field, h.mult.at_pair(i, j), h.counit),
+                           h.counit[i] * h.counit[j])
     for i in range(n):
         conv_left = vec_zero(field, n)
         conv_right = vec_zero(field, n)
@@ -318,7 +305,7 @@ def derived_antipode_properties(h: HomHopfAlgebra) -> AxiomReport:
     b.check_vec("antipode_fixes_unit", (), h.antipode.apply(list(h.unit)), list(h.unit))
     for i in range(h.dim):
         b.check_scalar("counit_after_antipode", (i,),
-                       h.counit_of(h.antipode.column(i)), h.counit[i])
+                       vec_dot(h.field, h.antipode.column(i), h.counit), h.counit[i])
     return b.report()
 
 
@@ -336,7 +323,8 @@ def hopf_automorphism_report(h: HomHopfAlgebra, a: Matrix) -> AxiomReport:
     b.check_vec("automorphism_unit", (), a.apply(list(h.unit)), list(h.unit))
     aa = a.kron(a)
     for i in range(n):
-        b.check_scalar("automorphism_counit", (i,), h.counit_of(a_col[i]), h.counit[i])
+        b.check_scalar("automorphism_counit", (i,),
+                       vec_dot(h.field, a_col[i], h.counit), h.counit[i])
         b.check_vec("automorphism_comult", (i,),
                     h.comult.apply_left(a_col[i]), aa.apply(h.comult.left_slice(i)))
         b.check_vec("automorphism_antipode", (i,),
@@ -362,22 +350,12 @@ def yau_twist(h: HomHopfAlgebra, a: Matrix) -> HomHopfAlgebra:
     a_inv = a.inverse()
     n = h.dim
     mult = Tensor3.build(h.field, n, n, n,
-                         lambda i, j, k: _dot(a, k, h.mult.at_pair(i, j)))
+                         lambda i, j, k: vec_dot(h.field, a.row(k), h.mult.at_pair(i, j)))
     comult = Tensor3.build(h.field, n, n, n,
                            lambda i, j, k: _col_dot(h.comult, a_inv, i, j, k))
     twisted = HomHopfAlgebra(h.field, n, a, mult, h.unit, comult, h.counit, h.antipode)
     require(check_hom_hopf(twisted), "twisted structure failed verification")
     return twisted
-
-
-def _dot(m: Matrix, row: int, v) -> object:
-    s = m.field.zero()
-    for l, x in enumerate(v):
-        if x:
-            e = m.at(row, l)
-            if e:
-                s = s + e * x
-    return s
 
 
 def _col_dot(t: Tensor3, m_inv: Matrix, i: int, j: int, k: int) -> object:

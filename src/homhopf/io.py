@@ -147,24 +147,25 @@ class StructureFile:
 
     def _build_doi_module(self, obj, stack):
         d = self._ref(obj, "datum", stack, ("doi_datum",))
-        n = obj["dim"]
-        return DoiModule(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                         _tensor(self.field, obj["action"], n, d.algebra.dim, n),
-                         _tensor(self.field, obj["coaction"], n, n, d.coalgebra.dim))
+        return self._doi_module(obj, d.algebra.dim, d.coalgebra.dim)
 
     def _build_yd_module(self, obj, stack):
-        # a Yetter-Drinfeld module is a Doi module over yd_datum(H)
+        # a Yetter-Drinfeld module is a Doi module over yd_datum(H): A = C = H
         h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
+        return self._doi_module(obj, h.dim, h.dim)
+
+    def _doi_module(self, obj, dim_a: int, dim_c: int) -> DoiModule:
         n = obj["dim"]
         return DoiModule(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                         _tensor(self.field, obj["action"], n, h.dim, n),
-                         _tensor(self.field, obj["coaction"], n, n, h.dim))
+                         _tensor(self.field, obj["action"], n, dim_a, n),
+                         _tensor(self.field, obj["coaction"], n, n, dim_c))
 
     def _build_morphism(self, obj, stack):
         rows = obj["matrix"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise StructureParseError("a morphism's 'matrix' must be a list of rows")
-        return Matrix.from_rows(self.field, [[self.field.of(x) for x in row] for row in rows])
+        return Matrix.from_rows(self.field,
+                                [[_scalar(self.field, x) for x in row] for row in rows])
 
     def _build_integral(self, obj, stack):
         d = self._ref(obj, "datum", stack, ("doi_datum",))
@@ -338,14 +339,15 @@ def doi_datum_to_raw(hopf_name: str, algebra_name: str, coalgebra_name: str) -> 
 
 
 def doi_module_to_raw(m: DoiModule, datum_name: str, basis=None) -> dict:
-    return {"kind": "doi_module", "datum": datum_name, "dim": m.dim,
-            "basis": list(basis) if basis else [f"m{i}" for i in range(m.dim)],
-            "twist": _smat(m.mu), "action": _stensor(m.action),
-            "coaction": _stensor(m.coaction)}
+    return _module_to_raw(m, "doi_module", "datum", datum_name, basis)
 
 
 def yd_module_to_raw(m: DoiModule, hopf_name: str, basis=None) -> dict:
-    return {"kind": "yd_module", "hopf": hopf_name, "dim": m.dim,
+    return _module_to_raw(m, "yd_module", "hopf", hopf_name, basis)
+
+
+def _module_to_raw(m: DoiModule, kind: str, key: str, ref: str, basis) -> dict:
+    return {"kind": kind, key: ref, "dim": m.dim,
             "basis": list(basis) if basis else [f"m{i}" for i in range(m.dim)],
             "twist": _smat(m.mu), "action": _stensor(m.action),
             "coaction": _stensor(m.coaction)}

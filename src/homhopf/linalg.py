@@ -182,16 +182,21 @@ def unit_vector(field: Field, n: int, i: int) -> list:
     return v
 
 
-def vec_add(u: Sequence, v: Sequence) -> list:
-    return [a + b for a, b in zip(u, v, strict=True)]
-
-
 def vec_sub(u: Sequence, v: Sequence) -> list:
     return [a - b for a, b in zip(u, v, strict=True)]
 
 
 def vec_scale(s: Scalar, v: Sequence) -> list:
     return [s * a for a in v]
+
+
+def vec_dot(field: Field, u: Sequence, v: Sequence) -> Scalar:
+    """sum of u[i] * v[i] over the nonzero products; the field's zero if none."""
+    s = field.zero()
+    for a, b in zip(u, v, strict=True):
+        if a and b:
+            s = s + a * b
+    return s
 
 
 def vec_add_scaled(acc: list, coeff: Scalar, v: Sequence) -> None:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HomModule
 from .doi import (DoiDatum, DoiModule, doi_morphism_report, induce,
-                  module_morphism_report, _action_matrix)
+                  module_morphism_report)
 from .integrals import (Infeasible, IntegralCandidate, solve_normalized_integral,
                         verify_integral)
-from .linalg import Matrix, Tensor3, unit_vector, vec_tensor, vec_zero
+from .linalg import Matrix, Tensor3, unit_vector, vec_dot, vec_tensor, vec_zero
 from .report import AxiomReport, ConstructionError, ReportBuilder, require
+from .zoo import regular_module
 
 
 def build_retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Matrix:
@@ -60,31 +60,17 @@ def build_retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Mat
 
 
 def retraction_report(nu: Matrix, m: DoiModule, d: DoiDatum) -> AxiomReport:
-    """The four retraction invariants as exact matrix identities."""
+    """nu retracts the adjunction unit and is a Doi morphism M (x) C -> M."""
     b = ReportBuilder()
-    field = m.field
-    dc = d.coalgebra.dim
     eta = m.coaction.as_map_to_pair()
-    b.check_matrix("retracts_unit", (), nu @ eta, Matrix.identity(field, m.dim))
-    g = induce(m.underlying_module(), d)
-    for a in range(d.algebra.dim):
-        b.check_matrix("a_linear", (a,),
-                       nu @ _action_matrix(g, a), _action_matrix(m, a) @ nu)
-    eye_c = Matrix.identity(field, dc)
-    b.check_matrix("c_colinear", (),
-                   m.coaction.as_map_to_pair() @ nu,
-                   nu.kron(eye_c) @ g.coaction.as_map_to_pair())
-    gamma = d.coalgebra.coalgebra.gamma
-    b.check_matrix("twist_commutes", (), nu @ m.mu.kron(gamma), m.mu @ nu)
-    return b.report()
+    b.check_matrix("retracts_unit", (), nu @ eta, Matrix.identity(m.field, m.dim))
+    return b.report().merged(doi_morphism_report(nu, induce(m, d), m, d))
 
 
 def canonical_module(d: DoiDatum) -> DoiModule:
     """The module A (x) C induced from A acting on itself, the object on
     which retractions and integrals determine each other."""
-    alg = d.algebra.algebra
-    regular = HomModule(alg.field, alg.dim, alg.alpha, alg.mult)
-    return induce(regular, d)
+    return induce(regular_module(d.algebra.algebra), d)
 
 
 def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
@@ -109,12 +95,7 @@ def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
         base_vec = vec_tensor(unit_a, gam_inv_col[c])
         for dd in range(dc):
             y = nu.apply(vec_tensor(base_vec, unit_vector(field, dc, dd)))
-            z = vec_zero(field, da)
-            for u in range(da):
-                for s in range(dc):
-                    v = y[u * dc + s]
-                    if v and eps[s]:
-                        z[u] = z[u] + v * eps[s]
+            z = [vec_dot(field, y[u * dc:(u + 1) * dc], eps) for u in range(da)]
             w = alg.alpha.apply(z)
             base = (c * dc + dd) * da
             for k in range(da):
@@ -135,7 +116,7 @@ def _twist_power_candidates(window: int):
 
 
 def _search_section(base: Matrix, identity_check, src: DoiModule, dst: DoiModule,
-                    d: DoiDatum, window: int):
+                    d: DoiDatum, window: int) -> Matrix:
     """Try mu_dst^j . base . mu_src^k until the section verifies."""
     attempts = []
     for j, k in _twist_power_candidates(window):
@@ -144,7 +125,7 @@ def _search_section(base: Matrix, identity_check, src: DoiModule, dst: DoiModule
         if rep.passed:
             morph = doi_morphism_report(cand, src, dst, d)
             if morph.passed:
-                return cand, (j, k)
+                return cand
             attempts.append(((j, k), morph))
         else:
             attempts.append(((j, k), rep))
@@ -164,17 +145,7 @@ def split_epimorphism(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
     A-linear and twist-compatible, f . g = id_N.  The returned map satisfies
     f . section = id_N and is A-linear, C-colinear and twist-compatible.
     """
-    _check_split_inputs(f, g, m, n, d, order="fg")
-    base = _section_candidate(g, m, n, theta, d)
-    field = d.field
-
-    def identity_check(cand: Matrix) -> AxiomReport:
-        b = ReportBuilder()
-        b.check_matrix("splits_epimorphism", (), f @ cand, Matrix.identity(field, n.dim))
-        return b.report()
-
-    section, _ = _search_section(base, identity_check, n, m, d, max_twist_power)
-    return section
+    return _split(f, g, m, n, theta, d, max_twist_power, epi=True)
 
 
 def split_monomorphism(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
@@ -182,32 +153,36 @@ def split_monomorphism(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
                        max_twist_power: int = 2) -> Matrix:
     """Symmetric variant: f: M -> N a Doi monomorphism with an A-linear
     retraction g (g . f = id_M); returns a Doi retraction."""
-    _check_split_inputs(f, g, m, n, d, order="gf")
+    return _split(f, g, m, n, theta, d, max_twist_power, epi=False)
+
+
+def _split(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
+           theta: IntegralCandidate, d: DoiDatum, max_twist_power: int,
+           epi: bool) -> Matrix:
+    """f: M -> N a Doi morphism and g: N -> M an A-linear map with f . g = id
+    (epi) or g . f = id; returns nu_M . (g (x) id_C) . rho_N, twist-adjusted,
+    with the same identity and the Doi morphism property verified."""
+    require(doi_morphism_report(f, m, n, d), "f is not a morphism of Doi modules")
+    require(module_morphism_report(g, n, m, d.algebra.algebra),
+            "g is not an A-linear twist-compatible map")
+    given, found, dim = (("f_after_g", "splits_epimorphism", n.dim) if epi
+                         else ("g_after_f", "splits_monomorphism", m.dim))
+    identity = Matrix.identity(d.field, dim)
+
+    def composite(x: Matrix) -> Matrix:
+        return f @ x if epi else x @ f
+
+    b = ReportBuilder()
+    b.check_matrix(given, (), composite(g), identity)
+    require(b.report(), "g does not split f on the module level")
     base = _section_candidate(g, m, n, theta, d)
-    field = d.field
 
     def identity_check(cand: Matrix) -> AxiomReport:
         b = ReportBuilder()
-        b.check_matrix("splits_monomorphism", (), cand @ f, Matrix.identity(field, m.dim))
+        b.check_matrix(found, (), composite(cand), identity)
         return b.report()
 
-    section, _ = _search_section(base, identity_check, n, m, d, max_twist_power)
-    return section
-
-
-def _check_split_inputs(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
-                        d: DoiDatum, order: str) -> None:
-    require(doi_morphism_report(f, m, n, d), "f is not a morphism of Doi modules")
-    require(module_morphism_report(g, n.underlying_module(), m.underlying_module(),
-                                   d.algebra.algebra),
-            "g is not an A-linear twist-compatible map")
-    field = d.field
-    b = ReportBuilder()
-    if order == "fg":
-        b.check_matrix("f_after_g", (), f @ g, Matrix.identity(field, n.dim))
-    else:
-        b.check_matrix("g_after_f", (), g @ f, Matrix.identity(field, m.dim))
-    require(b.report(), "g does not split f on the module level")
+    return _search_section(base, identity_check, n, m, d, max_twist_power)
 
 
 def _section_candidate(g: Matrix, m: DoiModule, n: DoiModule,

@@ -101,6 +101,10 @@ class TestKindErrors:
         data["objects"]["f_wrong_shape"] = dict(data["objects"]["f"],
                                                 matrix=data["objects"]["g"]["matrix"])
         data["objects"]["f_not_rows"] = dict(data["objects"]["f"], matrix=5)
+        for tag, entry in (("null", None), ("object", {}), ("list", []), ("int", 1)):
+            rows = [list(row) for row in data["objects"]["f"]["matrix"]]
+            rows[0][0] = entry
+            data["objects"][f"f_{tag}_entry"] = dict(data["objects"]["f"], matrix=rows)
         p = tmp_path / "m.json"
         p.write_text(json.dumps(data))
         return str(p)
@@ -144,6 +148,19 @@ class TestKindErrors:
                                 "'f_wrong_shape'", "3x2", "needs 2x3")
         self.assert_usage_error(["split", split_file, "D", "f_not_rows", "g"],
                                 "'matrix' must be a list of rows")
+
+    @pytest.mark.parametrize("tag", ["null", "object", "list", "int"])
+    def test_split_with_non_string_coefficient(self, split_file, tag):
+        # morphism entries parse like every other coefficient: strings only
+        self.assert_usage_error(["split", split_file, "D", f"f_{tag}_entry", "g"],
+                                "coefficients must be strings")
+
+    def test_split_with_g_in_the_wrong_direction(self, split_file):
+        # g must map f's target back to f's source
+        self.assert_usage_error(["split", split_file, "D", "f", "f"],
+                                "g 'f' maps 'M' to 'N'", "must map 'N' to 'M'")
+        self.assert_usage_error(["split", split_file, "D", "g", "g"],
+                                "g 'g' maps 'N' to 'M'", "must map 'M' to 'N'")
 
     def test_twist_of_non_hopf_object(self, split_file):
         self.assert_usage_error(["twist", split_file, "D", "f"],

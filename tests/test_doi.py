@@ -71,6 +71,38 @@ class TestDoiModules:
         assert not rep.passed
         assert "comodule_counit" in rep.failing_axioms()
 
+    def test_mis_shaped_action_or_coaction_rejected(self, triv_kz2):
+        m = comodule_to_doi(regular_comodule(group_algebra(2, Q).as_coalgebra()), triv_kz2)
+        with pytest.raises(ValueError, match="action tensor has wrong shape"):
+            DoiModule(Q, m.dim, m.mu, Tensor3.zeros(Q, m.dim, 1, 3), m.coaction)
+        with pytest.raises(ValueError, match="coaction tensor has wrong shape"):
+            DoiModule(Q, m.dim, m.mu, m.action, Tensor3.zeros(Q, m.dim, 3, 2))
+        with pytest.raises(ValueError, match="twist has wrong shape"):
+            DoiModule(Q, m.dim, Matrix.zeros(Q, 2, 3), m.action, m.coaction)
+        with pytest.raises(ValueError, match="module twist is not invertible"):
+            DoiModule(Q, m.dim, Matrix.zeros(Q, 2, 2), m.action, m.coaction)
+
+    def test_induced_module_is_a_hom_module(self, rel_kz2):
+        from homhopf.core import HomModule
+        n = random_module_over_group_algebra(rel_kz2.hopf, 2, random.Random(8))
+        assert isinstance(induce(n, rel_kz2), HomModule)
+
+    def test_check_doi_module_inverts_nothing(self, rel_kz2, monkeypatch):
+        # the module and comodule checks read the module itself, whose
+        # twist was inverted once at construction
+        n = random_module_over_group_algebra(rel_kz2.hopf, 2, random.Random(9))
+        m = induce(n, rel_kz2)
+        real = Matrix.inverse
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Matrix, "inverse", counting)
+        assert check_doi_module(m, rel_kz2).passed
+        assert calls == []
+
     def test_induce_dimension(self, rel_kz2):
         n = random_module_over_group_algebra(rel_kz2.hopf, 4, random.Random(2))
         g = induce(n, rel_kz2)
@@ -190,8 +222,8 @@ class TestAdjunction:
         d = yd_datum(h)
         m = trivial_yd_module(h)
         assert check_doi_module(m, d).passed
-        n = m.underlying_module()
-        assert check_triangle_identities(d, m, n).passed
+        # the module itself is the A-module N = F(M)
+        assert check_triangle_identities(d, m, m).passed
 
 
 class TestMorphisms:

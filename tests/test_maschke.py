@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from homhopf.linalg import Field, Matrix, Tensor3, unit_vector
 from homhopf.maschke import (SeparabilityCertificate,
                              build_retraction, canonical_module,
                              extract_integral, retraction_naturality_report,
-                             separability_report, split_epimorphism,
-                             split_monomorphism)
+                             retraction_report, separability_report,
+                             split_epimorphism, split_monomorphism)
 from homhopf.report import ConstructionError
 from homhopf.zoo import (group_algebra, inclusion_matrix, one_dimensional_hopf,
                          projection_matrix, regular_comodule, sweedler_h4,
@@ -67,6 +68,46 @@ class TestBuildRetraction:
         m = comodule_to_doi(regular_comodule(h.as_coalgebra()), d)
         with pytest.raises(ConstructionError):
             build_retraction(bad, m, d)
+
+
+class TestRetractionReport:
+    """The full report on maps that are not retractions, pinned when the
+    invariants were still checked one by one: violations in order, their
+    residuals (as a digest) and the instance count."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        # beta on A and gamma on C both nontrivial
+        h = twisted_group_algebra(3, 2, Q)
+        d = relative_datum(h, regular_comodule_algebra(h))
+        m = canonical_module(d)
+        nu = build_retraction(solve_normalized_integral(d), m, d)
+        return d, m, nu
+
+    @staticmethod
+    def summary(rep):
+        text = "\n".join(f"{v.axiom} {v.index} {' '.join(map(str, v.residual))}"
+                         for v in rep.violations)
+        return (rep.checked, [(v.axiom, v.index) for v in rep.violations],
+                hashlib.sha256(text.encode()).hexdigest())
+
+    def test_zero_map(self, setting):
+        d, m, nu = setting
+        zero = Matrix.zeros(Q, nu.rows, nu.cols)
+        assert self.summary(retraction_report(zero, m, d)) == (
+            6, [("retracts_unit", ())],
+            "1ada5aa07acb9b64074a92c9e7fdaddc159bfa8abe975a9c2939c16e781e458d")
+
+    def test_retraction_with_one_entry_changed(self, setting):
+        d, m, nu = setting
+        assert retraction_report(nu, m, d).passed
+        ent = list(nu.entries)
+        ent[1] = ent[1] + Q.one()
+        bad = Matrix(Q, nu.rows, nu.cols, tuple(ent))
+        assert self.summary(retraction_report(bad, m, d)) == (
+            6, [("a_linear", (0,)), ("a_linear", (1,)), ("a_linear", (2,)),
+                ("c_colinear", ()), ("twist_commutes", ())],
+            "215a1a79e009f23d9c7aada81c2a2c25243878326a67acc7d28fff01fc70d0f0")
 
 
 class TestExtraction:
