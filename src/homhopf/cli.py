@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("f", help="name of the epimorphism")
     p.add_argument("g", help="name of its A-linear section")
     p.add_argument("--out", help="write the section as a structure file")
-    p.add_argument("--max-twist-power", type=int, default=2,
+    p.add_argument("--max-twist-power", type=_twist_window, default=2,
                    help="twist-power search window (default 2)")
     p.set_defaults(fn=cmd_split)
 
@@ -94,6 +94,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=cmd_examples)
     return parser
+
+
+def _twist_window(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
 
 
 def _load(path: str) -> StructureFile:

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision rationals) or
-:class:`GFElement` (canonical representatives in ``[0, p)``).  Matrices and
-order-3 tensors are stored dense, row-major and treated as immutable; every
-operation returns a fresh object.
+:class:`GFElement` (canonical representatives in ``[0, p)``); each field
+hands out one shared zero and one.  Matrices are stored dense and row-major.
+Order-3 tensors (structure constants, which are mostly zero) store only
+their nonzeros: one fibre of ``(k, value)`` pairs per index pair (i, j), so
+evaluating a tensor costs its nonzeros, not its shape.  Both are treated as
+immutable; every operation returns a fresh object.
 
 Elimination is sparse: :func:`_rref_rows` works on rows held as
 ``{column: nonzero scalar}`` dicts and carries the row-operation transform
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 
 def _is_prime(n: int) -> bool:
@@ -117,6 +120,8 @@ class GFElement:
 
 Scalar = Fraction | GFElement
 
+_UNITS: dict = {}  # p (None for Q) -> (zero, one)
+
 
 @dataclass(frozen=True)
 class Field:
@@ -128,6 +133,15 @@ class Field:
         if self.p is not None:
             if not (self.p < 2**31 and _is_prime(self.p)):
                 raise ValueError(f"modulus {self.p} is not a prime below 2**31")
+        # one zero and one one per field, shared by every Field(p): scalars
+        # are never mutated, and comparing mostly-zero vectors then stops at
+        # identity instead of calling __eq__ on each pair of zeros
+        units = _UNITS.get(self.p)
+        if units is None:
+            make = Fraction if self.p is None else (lambda x: GFElement(x, self.p))
+            units = _UNITS.setdefault(self.p, (make(0), make(1)))
+        object.__setattr__(self, "_zero", units[0])
+        object.__setattr__(self, "_one", units[1])
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -142,10 +156,10 @@ class Field:
         return self.p is None
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else GFElement(0, self.p)
+        return self._zero
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else GFElement(1, self.p)
+        return self._one
 
     def of(self, x) -> Scalar:
         """Coerce an int, string ("3/2", "5"), Fraction or element into the field."""
@@ -211,10 +225,21 @@ def vec_is_zero(v: Sequence) -> bool:
 
 
 def vec_tensor(u: Sequence, v: Sequence) -> list:
-    """Kronecker product of coordinate vectors: index (i, j) -> i*len(v) + j."""
+    """Kronecker product of coordinate vectors: index (i, j) -> i*len(v) + j.
+
+    Only products of two nonzeros are computed; every other entry is the
+    zero factor itself."""
+    n = len(v)
+    right = [(j, b) for j, b in enumerate(v) if b]
     out = []
     for a in u:
-        out.extend(a * b for b in v)
+        if not a:
+            out.extend([a] * n)
+            continue
+        row = list(v)
+        for j, b in right:
+            row[j] = a * b
+        out.extend(row)
     return out
 
 
@@ -343,13 +368,14 @@ class Matrix:
     def apply(self, v: Sequence) -> list:
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} applied to {self.rows}x{self.cols} matrix")
-        out = [self.field.zero()] * self.rows
+        zero = self.field.zero()
+        out = [zero] * self.rows
         for c, x in enumerate(v):
-            if not x:
+            if x is zero or not x:
                 continue
             for r in range(self.rows):
                 e = self.entries[r * self.cols + c]
-                if e:
+                if e is not zero and e:
                     out[r] = out[r] + e * x
         return out
 
@@ -513,9 +539,66 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
     return AffineSolution(True, tuple(particular), tuple(basis))
 
 
-@dataclass(frozen=True)
+class _DenseEntries(Sequence):
+    """Read-only row-major view of a :class:`Tensor3`'s entries, zeros
+    included, computed from its nonzero fibres on access.  Equal to the
+    tuple of the same entries and hashes like it."""
+
+    __slots__ = ("_fibres", "_d3", "_zero")
+
+    def __init__(self, fibres: tuple, d3: int, zero: Scalar):
+        self._fibres = fibres
+        self._d3 = d3
+        self._zero = zero
+
+    def __len__(self) -> int:
+        return len(self._fibres) * self._d3
+
+    def __getitem__(self, idx: int) -> Scalar:
+        n = len(self)
+        if idx < 0:
+            idx += n
+        if not 0 <= idx < n:
+            raise IndexError("tensor entry index out of range")
+        q, k = divmod(idx, self._d3)
+        for kk, e in self._fibres[q]:
+            if kk == k:
+                return e
+        return self._zero
+
+    def __iter__(self) -> Iterator:
+        d3, zero = self._d3, self._zero
+        for fibre in self._fibres:
+            row = [zero] * d3
+            for k, e in fibre:
+                row[k] = e
+            yield from row
+
+    def __eq__(self, other):
+        if isinstance(other, _DenseEntries):
+            if self._d3 == other._d3 and len(self._fibres) == len(other._fibres):
+                return self._fibres == other._fibres
+            return tuple(self) == tuple(other)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+@dataclass(frozen=True, eq=False)
 class Tensor3:
-    """Dense order-3 tensor; entry (i, j, k) lives at ``i*d2*d3 + j*d3 + k``.
+    """Order-3 tensor stored as its nonzeros, one fibre per (i, j).
+
+    The fibre of (i, j) is a tuple of ``(k, value)`` pairs, increasing in k,
+    holding the nonzero entries t[i][j][k]; ``_fibres[i*d2 + j]`` is that
+    fibre.  The constructor takes the dense row-major entries, entry
+    (i, j, k) at ``i*d2*d3 + j*d3 + k``; ``entries`` gives them back as a
+    read-only sequence built from the fibres.
 
     Used for bilinear maps (multiplication ``m[i][j][k]`` = coefficient of
     basis k in the product of basis i and j, actions likewise) and for maps
@@ -527,11 +610,36 @@ class Tensor3:
     d1: int
     d2: int
     d3: int
-    entries: tuple
+    entries: Sequence
 
     def __post_init__(self):
-        if len(self.entries) != self.d1 * self.d2 * self.d3:
+        d3, entries = self.d3, self.entries
+        if len(entries) != self.d1 * self.d2 * d3:
             raise ValueError("entry count does not match dimensions")
+        if not isinstance(entries, (tuple, list)):
+            entries = tuple(entries)
+        # structure constants repeat a lot: equal values, (k, value) pairs
+        # and fibres are each stored once
+        share = {}.setdefault
+        fibres = []
+        for q in range(self.d1 * self.d2):
+            pairs = ((k, share(e, e)) for k, e in enumerate(entries[q * d3:(q + 1) * d3]) if e)
+            fibre = tuple(share(pair, pair) for pair in pairs)
+            fibres.append(share(fibre, fibre))
+        fibres = tuple(fibres)
+        zero = self.field.zero()
+        object.__setattr__(self, "_fibres", fibres)
+        object.__setattr__(self, "_zero", zero)
+        object.__setattr__(self, "entries", _DenseEntries(fibres, d3, zero))
+
+    def __eq__(self, other):
+        if not isinstance(other, Tensor3):
+            return NotImplemented
+        return ((self.field, self.d1, self.d2, self.d3, self._fibres)
+                == (other.field, other.d1, other.d2, other.d3, other._fibres))
+
+    def __hash__(self):
+        return hash((self.field, self.d1, self.d2, self.d3, self._fibres))
 
     @classmethod
     def zeros(cls, field: Field, d1: int, d2: int, d3: int) -> "Tensor3":
@@ -559,61 +667,64 @@ class Tensor3:
         return cls(field, d1, d2, d3, tuple(ent))
 
     def to_nested(self) -> list:
-        return [[[self.at(i, j, k) for k in range(self.d3)]
-                 for j in range(self.d2)] for i in range(self.d1)]
+        return [[self.at_pair(i, j) for j in range(self.d2)] for i in range(self.d1)]
 
     def at(self, i: int, j: int, k: int) -> Scalar:
-        return self.entries[(i * self.d2 + j) * self.d3 + k]
+        for kk, e in self._fibres[i * self.d2 + j]:
+            if kk == k:
+                return e
+        return self._zero
 
     def at_pair(self, i: int, j: int) -> list:
         """The slice t[i][j][:], e.g. the product of two basis vectors."""
-        base = (i * self.d2 + j) * self.d3
-        return list(self.entries[base : base + self.d3])
+        out = [self._zero] * self.d3
+        for k, e in self._fibres[i * self.d2 + j]:
+            out[k] = e
+        return out
 
     def left_slice(self, i: int) -> list:
         """The flattened slice t[i][:][:], e.g. a coproduct of a basis vector."""
-        base = i * self.d2 * self.d3
-        return list(self.entries[base : base + self.d2 * self.d3])
+        d2, d3 = self.d2, self.d3
+        out = [self._zero] * (d2 * d3)
+        fibres = self._fibres
+        for j in range(d2):
+            base = j * d3
+            for k, e in fibres[i * d2 + j]:
+                out[base + k] = e
+        return out
 
     def nonzero(self) -> Iterator[tuple]:
-        d2, d3 = self.d2, self.d3
-        for i in range(self.d1):
-            for j in range(d2):
-                base = (i * d2 + j) * d3
-                for k in range(d3):
-                    e = self.entries[base + k]
-                    if e:
-                        yield i, j, k, e
+        d2 = self.d2
+        for q, fibre in enumerate(self._fibres):
+            if fibre:
+                i, j = divmod(q, d2)
+                for k, e in fibre:
+                    yield i, j, k, e
 
     def nonzero_of(self, i: int) -> Iterator[tuple]:
         """Nonzero (j, k, value) triples of the slice t[i]."""
-        d2, d3 = self.d2, self.d3
+        d2, fibres = self.d2, self._fibres
         for j in range(d2):
-            base = (i * d2 + j) * d3
-            for k in range(d3):
-                e = self.entries[base + k]
-                if e:
-                    yield j, k, e
+            for k, e in fibres[i * d2 + j]:
+                yield j, k, e
 
     def apply(self, v: Sequence, w: Sequence) -> list:
         """Evaluate the bilinear map: out[k] = sum_ij t[i][j][k] v[i] w[j]."""
         if len(v) != self.d1 or len(w) != self.d2:
             raise ValueError("operand length mismatch")
-        zero = self.field.zero()
+        zero = self._zero
         out = [zero] * self.d3
-        d2, d3 = self.d2, self.d3
+        d2, fibres = self.d2, self._fibres
+        right = [(j, y) for j, y in enumerate(w) if y is not zero and y]
         for i, x in enumerate(v):
-            if not x:
+            if x is zero or not x:
                 continue
-            ibase = i * d2 * d3
-            for j, y in enumerate(w):
-                if not y:
-                    continue
-                c = x * y
-                base = ibase + j * d3
-                for k in range(d3):
-                    e = self.entries[base + k]
-                    if e:
+            ibase = i * d2
+            for j, y in right:
+                fibre = fibres[ibase + j]
+                if fibre:
+                    c = x * y
+                    for k, e in fibre:
                         out[k] = out[k] + c * e
         return out
 
@@ -621,32 +732,32 @@ class Tensor3:
         """Evaluate a map into the tensor square: v -> sum_i v[i] t[i][:][:]."""
         if len(v) != self.d1:
             raise ValueError("operand length mismatch")
-        span = self.d2 * self.d3
-        out = [self.field.zero()] * span
+        d2, d3, fibres, zero = self.d2, self.d3, self._fibres, self._zero
+        out = [zero] * (d2 * d3)
         for i, x in enumerate(v):
-            if not x:
+            if x is zero or not x:
                 continue
-            base = i * span
-            for s in range(span):
-                e = self.entries[base + s]
-                if e:
-                    out[s] = out[s] + x * e
+            for j in range(d2):
+                base = j * d3
+                for k, e in fibres[i * d2 + j]:
+                    out[base + k] = out[base + k] + x * e
         return out
 
     def as_map_from_pair(self) -> Matrix:
         """The bilinear map as a matrix V1 (x) V2 -> V3 (column index i*d2+j)."""
-        zero = self.field.zero()
-        out = [zero] * (self.d3 * self.d1 * self.d2)
+        out = [self._zero] * (self.d3 * self.d1 * self.d2)
         cols = self.d1 * self.d2
-        for i, j, k, e in self.nonzero():
-            out[k * cols + i * self.d2 + j] = e
+        for q, fibre in enumerate(self._fibres):
+            for k, e in fibre:
+                out[k * cols + q] = e
         return Matrix(self.field, self.d3, cols, tuple(out))
 
     def as_map_to_pair(self) -> Matrix:
         """The map into a tensor square as a matrix V1 -> V2 (x) V3."""
-        zero = self.field.zero()
-        rows = self.d2 * self.d3
-        out = [zero] * (rows * self.d1)
-        for i, j, k, e in self.nonzero():
-            out[(j * self.d3 + k) * self.d1 + i] = e
-        return Matrix(self.field, rows, self.d1, tuple(out))
+        d1, d2, d3 = self.d1, self.d2, self.d3
+        out = [self._zero] * (d2 * d3 * d1)
+        for q, fibre in enumerate(self._fibres):
+            i, j = divmod(q, d2)
+            for k, e in fibre:
+                out[(j * d3 + k) * d1 + i] = e
+        return Matrix(self.field, d2 * d3, d1, tuple(out))

@@ -110,26 +110,29 @@ def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
 # Maschke splittings
 
 def _twist_power_candidates(window: int):
-    pairs = [(j, k) for j in range(-window, window + 1) for k in range(-window, window + 1)]
-    pairs.sort(key=lambda jk: (abs(jk[0]) + abs(jk[1]), jk))
-    return pairs
+    """Yield every (j, k) in [-window, window]^2 in increasing |j| + |k|,
+    ties in increasing (j, k), one at a time."""
+    for total in range(2 * window + 1):
+        for j in range(max(-window, -total), min(window, total) + 1):
+            r = total - abs(j)
+            if r <= window:
+                yield from ((j, -r), (j, r)) if r else ((j, 0),)
 
 
 def _search_section(base: Matrix, identity_check, src: DoiModule, dst: DoiModule,
                     d: DoiDatum, window: int) -> Matrix:
-    """Try mu_dst^j . base . mu_src^k until the section verifies."""
-    attempts = []
+    """Try mu_dst^j . base . mu_src^k until the section verifies; otherwise
+    raise with the report of the first candidate tried."""
+    first = None
     for j, k in _twist_power_candidates(window):
         cand = dst.mu.power(j) @ base @ src.mu.power(k)
         rep = identity_check(cand)
         if rep.passed:
-            morph = doi_morphism_report(cand, src, dst, d)
-            if morph.passed:
+            rep = doi_morphism_report(cand, src, dst, d)
+            if rep.passed:
                 return cand
-            attempts.append(((j, k), morph))
-        else:
-            attempts.append(((j, k), rep))
-    first = attempts[0][1] if attempts else None
+        if first is None:
+            first = rep
     raise ConstructionError(
         f"no twist-power adjustment in [-{window}, {window}] yields a verified section",
         first)
@@ -162,6 +165,8 @@ def _split(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
     """f: M -> N a Doi morphism and g: N -> M an A-linear map with f . g = id
     (epi) or g . f = id; returns nu_M . (g (x) id_C) . rho_N, twist-adjusted,
     with the same identity and the Doi morphism property verified."""
+    if max_twist_power < 0:
+        raise ValueError(f"max_twist_power must be 0 or more, got {max_twist_power}")
     require(doi_morphism_report(f, m, n, d), "f is not a morphism of Doi modules")
     require(module_morphism_report(g, n, m, d.algebra.algebra),
             "g is not an A-linear twist-compatible map")

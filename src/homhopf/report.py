@@ -78,20 +78,28 @@ class ReportBuilder:
     violations: list = field(default_factory=list)
     checked: int = 0
 
+    # Each check compares first and subtracts only when the sides differ:
+    # equal sides always leave a zero residual, so the report is the same.
     def check_vec(self, axiom: str, index: tuple, lhs, rhs) -> None:
         self.checked += 1
+        if lhs == rhs:
+            return
         residual = vec_sub(lhs, rhs)
         if any(residual):
             self.violations.append(Violation(axiom, index, tuple(residual)))
 
     def check_scalar(self, axiom: str, index: tuple, lhs, rhs) -> None:
         self.checked += 1
+        if lhs == rhs:
+            return
         residual = lhs - rhs
         if residual:
             self.violations.append(Violation(axiom, index, (residual,)))
 
     def check_matrix(self, axiom: str, index: tuple, lhs, rhs) -> None:
         self.checked += 1
+        if lhs == rhs:
+            return
         residual = lhs.sub(rhs)
         if not residual.is_zero():
             self.violations.append(Violation(axiom, index, tuple(residual.entries)))

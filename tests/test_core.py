@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from homhopf.core import (HomComodule, HomHopfAlgebra, check_hom_algebra,
@@ -171,6 +174,23 @@ class TestOppositeTensor:
         t = opposite_tensor(twisted_sweedler(Q, 2))
         assert t.dim == 16
         assert check_hom_hopf(t).passed
+
+    def test_square_keeps_only_nonzeros(self):
+        # 16^3 entries per tensor, 144 (mult) and 36 (comult) of them nonzero;
+        # with dense tuples the result retained about 86 KiB
+        h = twisted_sweedler(Q, 2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            t = opposite_tensor(h)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(1 for _ in t.mult.nonzero()) == 144
+        assert sum(1 for _ in t.comult.nonzero()) == 36
+        assert retained < 43 * 1024
 
     def test_square_satisfies_derived_consequences(self):
         t = opposite_tensor(group_algebra(2, Q))

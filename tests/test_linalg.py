@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows,
                             solve_affine, unit_vector, vec_add_scaled,
-                            vec_is_zero)
+                            vec_is_zero, vec_tensor)
 
 Q = Field.rationals()
 
@@ -335,6 +335,135 @@ class TestTensor3Views:
         t = Tensor3.from_nested(Q, [[[0, 1], [2, 3]], [[4, 5], [6, 7]]])
         assert t.at(1, 0, 1) == Fraction(5)
         assert t.entries[1 * 4 + 0 * 2 + 1] == Fraction(5)
+
+
+class DenseTensor:
+    """Reference for Tensor3: the row-major entry list, read by index."""
+
+    def __init__(self, field, d1, d2, d3, ent):
+        self.field, self.d1, self.d2, self.d3, self.ent = field, d1, d2, d3, list(ent)
+
+    def at(self, i, j, k):
+        return self.ent[(i * self.d2 + j) * self.d3 + k]
+
+    def at_pair(self, i, j):
+        return [self.at(i, j, k) for k in range(self.d3)]
+
+    def left_slice(self, i):
+        return [self.at(i, j, k) for j in range(self.d2) for k in range(self.d3)]
+
+    def nonzero(self):
+        return [(i, j, k, self.at(i, j, k)) for i in range(self.d1)
+                for j in range(self.d2) for k in range(self.d3) if self.at(i, j, k)]
+
+    def nonzero_of(self, i):
+        return [(j, k, e) for ii, j, k, e in self.nonzero() if ii == i]
+
+    def apply(self, v, w):
+        out = [self.field.zero()] * self.d3
+        for i in range(self.d1):
+            for j in range(self.d2):
+                for k in range(self.d3):
+                    out[k] = out[k] + self.at(i, j, k) * v[i] * w[j]
+        return out
+
+    def apply_left(self, v):
+        out = [self.field.zero()] * (self.d2 * self.d3)
+        for i in range(self.d1):
+            for s in range(self.d2 * self.d3):
+                out[s] = out[s] + v[i] * self.left_slice(i)[s]
+        return out
+
+    def as_map_from_pair(self):
+        return Matrix.build(self.field, self.d3, self.d1 * self.d2,
+                            lambda k, c: self.at(c // self.d2, c % self.d2, k)
+                            if self.d2 else self.field.zero())
+
+    def as_map_to_pair(self):
+        return Matrix.build(self.field, self.d2 * self.d3, self.d1,
+                            lambda r, i: self.at(i, r // self.d3, r % self.d3)
+                            if self.d3 else self.field.zero())
+
+
+def dense_vec_tensor(u, v):
+    return [a * b for a in u for b in v]
+
+
+sparse_ints = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+dims = st.integers(1, 4)
+
+
+@st.composite
+def tensor_ints(draw, shape):
+    d1, d2, d3 = draw(dims), draw(dims), draw(dims)
+    if shape == "zero_dim":
+        d = [d1, d2, d3]
+        d[draw(st.integers(0, 2))] = 0
+        d1, d2, d3 = d
+    n = d1 * d2 * d3
+    if shape == "random":
+        ent = draw(st.lists(sparse_ints, min_size=n, max_size=n))
+    else:
+        ent = [0] * n
+        if shape == "single_nonzero":
+            ent[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-2, -1, 1, 3]))
+    return d1, d2, d3, ent
+
+
+class TestTensor3Oracle:
+    """Tensor3 keeps only its nonzero fibres; every view of it must match
+    the dense row-major entries it was built from."""
+
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @pytest.mark.parametrize("shape", ["all_zero", "zero_dim", "single_nonzero", "random"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_reference(self, field, shape, data):
+        d1, d2, d3, ints = data.draw(tensor_ints(shape))
+        dense = [field.of(x) for x in ints]
+        n = len(dense)
+        t = Tensor3(field, d1, d2, d3, tuple(dense))
+        ref = DenseTensor(field, d1, d2, d3, dense)
+
+        assert t.entries == tuple(dense)
+        assert tuple(dense) == t.entries
+        assert list(t.entries) == dense
+        assert len(t.entries) == n
+        assert hash(t.entries) == hash(tuple(dense))
+        for idx in range(-n, n):
+            assert t.entries[idx] == dense[idx]
+        for idx in (n, -n - 1):
+            with pytest.raises(IndexError):
+                t.entries[idx]
+
+        for i in range(d1):
+            assert t.left_slice(i) == ref.left_slice(i)
+            assert list(t.nonzero_of(i)) == ref.nonzero_of(i)
+            for j in range(d2):
+                assert t.at_pair(i, j) == ref.at_pair(i, j)
+                for k in range(d3):
+                    assert t.at(i, j, k) == ref.at(i, j, k)
+        assert list(t.nonzero()) == ref.nonzero()
+        assert t.as_map_from_pair() == ref.as_map_from_pair()
+        assert t.as_map_to_pair() == ref.as_map_to_pair()
+        assert t.to_nested() == [[ref.at_pair(i, j) for j in range(d2)] for i in range(d1)]
+
+        v = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=d1, max_size=d1))]
+        w = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=d2, max_size=d2))]
+        assert t.apply(v, w) == ref.apply(v, w)
+        assert t.apply_left(v) == ref.apply_left(v)
+        assert vec_tensor(v, w) == dense_vec_tensor(v, w)
+        assert vec_tensor(dense, w) == dense_vec_tensor(dense, w)
+
+        again = Tensor3(field, d1, d2, d3, [field.of(str(x)) for x in ints])
+        assert again == t and hash(again) == hash(t)
+        assert Tensor3(field, d1, d2, d3, t.entries) == t
+        if n:
+            changed = list(dense)
+            changed[-1] = changed[-1] + field.one()
+            assert Tensor3(field, d1, d2, d3, tuple(changed)) != t
+        with pytest.raises(ValueError):
+            Tensor3(field, d1, d2, d3, tuple(dense) + (field.zero(),))
 
 
 def test_vec_add_scaled_in_place(field):

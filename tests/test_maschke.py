@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -9,12 +10,13 @@ from homhopf.applications import (comodule_to_doi, regular_comodule_algebra,
 from homhopf.doi import direct_sum_doi, doi_morphism_report, induce
 from homhopf.integrals import Infeasible, solve_normalized_integral
 from homhopf.linalg import Field, Matrix, Tensor3, unit_vector
-from homhopf.maschke import (SeparabilityCertificate,
+from homhopf.maschke import (SeparabilityCertificate, _search_section,
+                             _twist_power_candidates,
                              build_retraction, canonical_module,
                              extract_integral, retraction_naturality_report,
                              retraction_report, separability_report,
                              split_epimorphism, split_monomorphism)
-from homhopf.report import ConstructionError
+from homhopf.report import AxiomReport, ConstructionError, Violation
 from homhopf.zoo import (group_algebra, inclusion_matrix, one_dimensional_hopf,
                          projection_matrix, regular_comodule, sweedler_h4,
                          trivial_comodule, twisted_group_algebra,
@@ -230,6 +232,42 @@ class TestSplitting:
         g = inclusion_matrix(Q, 3, 0, 2)
         section = split_epimorphism(f, g, big, reg, theta, d, max_twist_power=0)
         assert (f @ section).is_identity()
+
+    @pytest.mark.parametrize("split", [split_epimorphism, split_monomorphism])
+    def test_negative_window_is_a_plain_value_error(self, split):
+        d, theta, reg, tri, big = self._setting()
+        f = projection_matrix(Q, 3, 0, 2)
+        g = inclusion_matrix(Q, 3, 0, 2)
+        args = (f, g, big, reg) if split is split_epimorphism else (g, f, reg, big)
+        with pytest.raises(ValueError) as exc:
+            split(*args, theta, d, max_twist_power=-1)
+        assert type(exc.value) is ValueError
+        assert "max_twist_power" in str(exc.value)
+
+    @pytest.mark.parametrize("window", range(6))
+    def test_candidates_in_the_old_sorted_order(self, window):
+        # the full list the search used to build and sort before its first try
+        pairs = [(j, k) for j in range(-window, window + 1) for k in range(-window, window + 1)]
+        pairs.sort(key=lambda jk: (abs(jk[0]) + abs(jk[1]), jk))
+        assert list(_twist_power_candidates(window)) == pairs
+
+    def test_candidates_are_generated_lazily(self):
+        gen = _twist_power_candidates(50)
+        assert inspect.isgenerator(gen)
+        assert [next(gen) for _ in range(5)] == [(0, 0), (-1, 0), (0, -1), (0, 1), (1, 0)]
+
+    def test_failed_search_raises_with_the_first_report(self):
+        d, _, reg, _, _ = self._setting()
+        tried = []
+
+        def identity_check(cand):
+            tried.append(cand)
+            return AxiomReport((Violation("found", (len(tried),), ()),), 1)
+
+        with pytest.raises(ConstructionError) as exc:
+            _search_section(Matrix.identity(Q, 2), identity_check, reg, reg, d, 1)
+        assert len(tried) == 9
+        assert exc.value.report.violations[0].index == (1,)
 
     def test_splitting_with_nontrivial_twist(self):
         h = twisted_group_algebra(4, 3, Q)
