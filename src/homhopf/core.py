@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Field, Matrix, Tensor3, unit_vector, vec_add_scaled,
-                     vec_dot, vec_scale, vec_tensor, vec_zero)
+from .linalg import (Field, Matrix, Tensor3, vec_add_scaled, vec_dense, vec_dot,
+                     vec_scale, vec_sparse, vec_tensor)
 from .report import AxiomReport, ConstructionError, ReportBuilder, require
 
 
@@ -158,23 +158,25 @@ def check_hom_algebra(a: HomAlgebra) -> AxiomReport:
     """Evaluate every Hom-algebra identity on all basis tuples."""
     b = ReportBuilder()
     n = a.dim
+    one = a.field.one()
     alpha_col = [a.alpha.column(i) for i in range(n)]
-    unit = list(a.unit)
-    b.check_vec("twist_fixes_unit", (), a.alpha.apply(unit), unit)
+    prod = [[a.mult.at_pair(i, j) for j in range(n)] for i in range(n)]
+    unit = vec_sparse(a.unit)
+    b.check_vec("twist_fixes_unit", (), a.alpha.apply(unit), unit, n)
     for i in range(n):
-        e_i = unit_vector(a.field, n, i)
-        b.check_vec("right_unit", (i,), a.mul(e_i, unit), alpha_col[i])
-        b.check_vec("left_unit", (i,), a.mul(unit, e_i), alpha_col[i])
+        e_i = {i: one}
+        b.check_vec("right_unit", (i,), a.mul(e_i, unit), alpha_col[i], n)
+        b.check_vec("left_unit", (i,), a.mul(unit, e_i), alpha_col[i], n)
         for j in range(n):
             b.check_vec("twist_multiplicative", (i, j),
-                        a.alpha.apply(a.mult.at_pair(i, j)),
-                        a.mul(alpha_col[i], alpha_col[j]))
+                        a.alpha.apply(prod[i][j]),
+                        a.mul(alpha_col[i], alpha_col[j]), n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 b.check_vec("hom_associativity", (i, j, k),
-                            a.mul(alpha_col[i], a.mult.at_pair(j, k)),
-                            a.mul(a.mult.at_pair(i, j), alpha_col[k]))
+                            a.mul(alpha_col[i], prod[j][k]),
+                            a.mul(prod[i][j], alpha_col[k]), n)
     return b.report()
 
 
@@ -182,30 +184,26 @@ def check_hom_coalgebra(c: HomCoalgebra) -> AxiomReport:
     """Evaluate every Hom-coalgebra identity on all basis elements."""
     b = ReportBuilder()
     n = c.dim
+    one = c.field.one()
     gamma_col = [c.gamma.column(i) for i in range(n)]
     gamma_inv_col = [c.gamma_inv.column(i) for i in range(n)]
-    gg = c.gamma.kron(c.gamma)
+    coprod = [c.comult.left_slice(i) for i in range(n)]
     for i in range(n):
         b.check_scalar("twist_preserves_counit", (i,),
                        vec_dot(c.field, gamma_col[i], c.counit), c.counit[i])
         b.check_vec("twist_comultiplicative", (i,),
                     c.comult.apply_left(gamma_col[i]),
-                    gg.apply(c.comult.left_slice(i)))
-        lhs = vec_zero(c.field, n * n * n)
-        rhs = vec_zero(c.field, n * n * n)
-        left = vec_zero(c.field, n)
-        right = vec_zero(c.field, n)
+                    c.gamma.kron_apply(c.gamma, coprod[i]), n * n)
+        lhs, rhs, left, right = {}, {}, {}, {}
         for j, k, coeff in c.comult.nonzero_of(i):
             # (gamma^-1 (x) Delta) Delta  vs  (Delta (x) gamma^-1) Delta
-            vec_add_scaled(lhs, coeff, vec_tensor(gamma_inv_col[j], c.comult.left_slice(k)))
-            vec_add_scaled(rhs, coeff, vec_tensor(c.comult.left_slice(j), gamma_inv_col[k]))
-            if c.counit[j]:
-                vec_add_scaled(left, coeff * c.counit[j], unit_vector(c.field, n, k))
-            if c.counit[k]:
-                vec_add_scaled(right, coeff * c.counit[k], unit_vector(c.field, n, j))
-        b.check_vec("hom_coassociativity", (i,), lhs, rhs)
-        b.check_vec("left_counit", (i,), left, gamma_inv_col[i])
-        b.check_vec("right_counit", (i,), right, gamma_inv_col[i])
+            vec_add_scaled(lhs, coeff, vec_tensor(gamma_inv_col[j], coprod[k], n * n))
+            vec_add_scaled(rhs, coeff, vec_tensor(coprod[j], gamma_inv_col[k], n))
+            vec_add_scaled(left, coeff * c.counit[j], {k: one})
+            vec_add_scaled(right, coeff * c.counit[k], {j: one})
+        b.check_vec("hom_coassociativity", (i,), lhs, rhs, n * n * n)
+        b.check_vec("left_counit", (i,), left, gamma_inv_col[i], n)
+        b.check_vec("right_counit", (i,), right, gamma_inv_col[i], n)
     return b.report()
 
 
@@ -216,33 +214,33 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
     b = ReportBuilder()
     n = h.dim
     field = h.field
-    unit = list(h.unit)
+    one = field.one()
+    unit = vec_sparse(h.unit)
     s_col = [h.antipode.column(i) for i in range(n)]
-    b.check_vec("comult_unit", (), h.comult.apply_left(unit), vec_tensor(unit, unit))
-    b.check_scalar("counit_unit", (), vec_dot(field, unit, h.counit), field.one())
+    prod = [[h.mult.at_pair(i, j) for j in range(n)] for i in range(n)]
+    b.check_vec("comult_unit", (), h.comult.apply_left(unit), vec_tensor(unit, unit, n), n * n)
+    b.check_scalar("counit_unit", (), vec_dot(field, unit, h.counit), one)
     for i in range(n):
         for j in range(n):
-            lhs = h.comult.apply_left(h.mult.at_pair(i, j))
-            rhs = vec_zero(field, n * n)
+            lhs = h.comult.apply_left(prod[i][j])
+            rhs = {}
             for a1, a2, ca in h.comult.nonzero_of(i):
                 for b1, b2, cb in h.comult.nonzero_of(j):
-                    vec_add_scaled(rhs, ca * cb,
-                                   vec_tensor(h.mult.at_pair(a1, b1), h.mult.at_pair(a2, b2)))
-            b.check_vec("comult_multiplicative", (i, j), lhs, rhs)
+                    vec_add_scaled(rhs, ca * cb, vec_tensor(prod[a1][b1], prod[a2][b2], n))
+            b.check_vec("comult_multiplicative", (i, j), lhs, rhs, n * n)
             b.check_scalar("counit_multiplicative", (i, j),
-                           vec_dot(field, h.mult.at_pair(i, j), h.counit),
+                           vec_dot(field, prod[i][j], h.counit),
                            h.counit[i] * h.counit[j])
     for i in range(n):
-        conv_left = vec_zero(field, n)
-        conv_right = vec_zero(field, n)
+        conv_left, conv_right = {}, {}
         for j, k, coeff in h.comult.nonzero_of(i):
-            vec_add_scaled(conv_left, coeff, h.mul(s_col[j], unit_vector(field, n, k)))
-            vec_add_scaled(conv_right, coeff, h.mul(unit_vector(field, n, j), s_col[k]))
+            vec_add_scaled(conv_left, coeff, h.mul(s_col[j], {k: one}))
+            vec_add_scaled(conv_right, coeff, h.mul({j: one}, s_col[k]))
         target = vec_scale(h.counit[i], unit)
-        b.check_vec("antipode_left", (i,), conv_left, target)
-        b.check_vec("antipode_right", (i,), conv_right, target)
+        b.check_vec("antipode_left", (i,), conv_left, target, n)
+        b.check_vec("antipode_right", (i,), conv_right, target, n)
         b.check_vec("antipode_twist", (i,),
-                    h.antipode.apply(h.alpha.column(i)), h.alpha.apply(s_col[i]))
+                    h.antipode.apply(h.alpha.column(i)), h.alpha.apply(s_col[i]), n)
     return rep.merged(b.report())
 
 
@@ -251,20 +249,22 @@ def check_hom_module(m: HomModule, a: HomAlgebra) -> AxiomReport:
     if m.action.d2 != a.dim:
         raise ValueError("action tensor does not match the algebra dimension")
     b = ReportBuilder()
-    mu_col = [m.mu.column(i) for i in range(m.dim)]
+    dm = m.dim
+    one = m.field.one()
+    mu_col = [m.mu.column(i) for i in range(dm)]
     alpha_col = [a.alpha.column(i) for i in range(a.dim)]
-    unit = list(a.unit)
-    for i in range(m.dim):
-        e_i = unit_vector(m.field, m.dim, i)
-        b.check_vec("module_unit", (i,), m.act(e_i, unit), mu_col[i])
+    prod = [[a.mult.at_pair(j, k) for k in range(a.dim)] for j in range(a.dim)]
+    unit = vec_sparse(a.unit)
+    for i in range(dm):
+        b.check_vec("module_unit", (i,), m.act({i: one}, unit), mu_col[i], dm)
         for j in range(a.dim):
+            acted = m.action.at_pair(i, j)
             b.check_vec("module_twist", (i, j),
-                        m.mu.apply(m.action.at_pair(i, j)),
-                        m.act(mu_col[i], alpha_col[j]))
+                        m.mu.apply(acted), m.act(mu_col[i], alpha_col[j]), dm)
             for k in range(a.dim):
                 b.check_vec("module_hom_associativity", (i, j, k),
-                            m.act(m.action.at_pair(i, j), alpha_col[k]),
-                            m.act(mu_col[i], a.mult.at_pair(j, k)))
+                            m.act(acted, alpha_col[k]),
+                            m.act(mu_col[i], prod[j][k]), dm)
     return b.report()
 
 
@@ -274,35 +274,31 @@ def check_hom_comodule(m: HomComodule, c: HomCoalgebra) -> AxiomReport:
         raise ValueError("coaction tensor does not match the coalgebra dimension")
     b = ReportBuilder()
     dm, dc = m.dim, c.dim
-    field = m.field
+    one = m.field.one()
     mu_inv_col = [m.mu_inv.column(i) for i in range(dm)]
     gamma_inv_col = [c.gamma_inv.column(i) for i in range(dc)]
-    mu_gamma = m.mu.kron(c.gamma)
+    legs = [m.coaction.left_slice(i) for i in range(dm)]
+    coprod = [c.comult.left_slice(i) for i in range(dc)]
     for i in range(dm):
-        counit_side = vec_zero(field, dm)
-        lhs = vec_zero(field, dm * dc * dc)
-        rhs = vec_zero(field, dm * dc * dc)
+        counit_side, lhs, rhs = {}, {}, {}
         for m0, c1, coeff in m.coaction.nonzero_of(i):
-            if c.counit[c1]:
-                vec_add_scaled(counit_side, coeff * c.counit[c1],
-                               unit_vector(field, dm, m0))
+            vec_add_scaled(counit_side, coeff * c.counit[c1], {m0: one})
             # (rho (x) gamma^-1) rho  vs  (mu^-1 (x) Delta) rho
-            vec_add_scaled(lhs, coeff,
-                           vec_tensor(m.coaction.left_slice(m0), gamma_inv_col[c1]))
-            vec_add_scaled(rhs, coeff,
-                           vec_tensor(mu_inv_col[m0], c.comult.left_slice(c1)))
-        b.check_vec("comodule_counit", (i,), counit_side, mu_inv_col[i])
-        b.check_vec("comodule_coassociativity", (i,), lhs, rhs)
+            vec_add_scaled(lhs, coeff, vec_tensor(legs[m0], gamma_inv_col[c1], dc))
+            vec_add_scaled(rhs, coeff, vec_tensor(mu_inv_col[m0], coprod[c1], dc * dc))
+        b.check_vec("comodule_counit", (i,), counit_side, mu_inv_col[i], dm)
+        b.check_vec("comodule_coassociativity", (i,), lhs, rhs, dm * dc * dc)
         b.check_vec("comodule_twist", (i,),
                     m.coaction.apply_left(m.mu.column(i)),
-                    mu_gamma.apply(m.coaction.left_slice(i)))
+                    m.mu.kron_apply(c.gamma, legs[i]), dm * dc)
     return b.report()
 
 
 def derived_antipode_properties(h: HomHopfAlgebra) -> AxiomReport:
     """Sanity consequences of the axioms: eps(S(h)) = eps(h) and S(1) = 1."""
     b = ReportBuilder()
-    b.check_vec("antipode_fixes_unit", (), h.antipode.apply(list(h.unit)), list(h.unit))
+    unit = vec_sparse(h.unit)
+    b.check_vec("antipode_fixes_unit", (), h.antipode.apply(unit), unit, h.dim)
     for i in range(h.dim):
         b.check_scalar("counit_after_antipode", (i,),
                        vec_dot(h.field, h.antipode.column(i), h.counit), h.counit[i])
@@ -320,18 +316,19 @@ def hopf_automorphism_report(h: HomHopfAlgebra, a: Matrix) -> AxiomReport:
     if a.inverse() is None:
         b.fail("automorphism_invertible", ())
     a_col = [a.column(i) for i in range(n)]
-    b.check_vec("automorphism_unit", (), a.apply(list(h.unit)), list(h.unit))
-    aa = a.kron(a)
+    unit = vec_sparse(h.unit)
+    b.check_vec("automorphism_unit", (), a.apply(unit), unit, n)
     for i in range(n):
         b.check_scalar("automorphism_counit", (i,),
                        vec_dot(h.field, a_col[i], h.counit), h.counit[i])
         b.check_vec("automorphism_comult", (i,),
-                    h.comult.apply_left(a_col[i]), aa.apply(h.comult.left_slice(i)))
+                    h.comult.apply_left(a_col[i]),
+                    a.kron_apply(a, h.comult.left_slice(i)), n * n)
         b.check_vec("automorphism_antipode", (i,),
-                    a.apply(h.antipode.column(i)), h.antipode.apply(a_col[i]))
+                    a.apply(h.antipode.column(i)), h.antipode.apply(a_col[i]), n)
         for j in range(n):
             b.check_vec("automorphism_mult", (i, j),
-                        a.apply(h.mult.at_pair(i, j)), h.mul(a_col[i], a_col[j]))
+                        a.apply(h.mult.at_pair(i, j)), h.mul(a_col[i], a_col[j]), n)
     return b.report()
 
 
@@ -349,24 +346,15 @@ def yau_twist(h: HomHopfAlgebra, a: Matrix) -> HomHopfAlgebra:
     require(hopf_automorphism_report(h, a), "map is not a Hopf automorphism")
     a_inv = a.inverse()
     n = h.dim
-    mult = Tensor3.build(h.field, n, n, n,
-                         lambda i, j, k: vec_dot(h.field, a.row(k), h.mult.at_pair(i, j)))
-    comult = Tensor3.build(h.field, n, n, n,
-                           lambda i, j, k: _col_dot(h.comult, a_inv, i, j, k))
-    twisted = HomHopfAlgebra(h.field, n, a, mult, h.unit, comult, h.counit, h.antipode)
+    mult = {(i, j, k): e for i in range(n) for j in range(n)
+            for k, e in a.apply(h.mult.at_pair(i, j)).items()}
+    comult = {(i, *divmod(q, n)): e for i in range(n)
+              for q, e in h.comult.apply_left(a_inv.column(i)).items()}
+    twisted = HomHopfAlgebra(h.field, n, a, Tensor3.from_nonzeros(h.field, n, n, n, mult),
+                             h.unit, Tensor3.from_nonzeros(h.field, n, n, n, comult),
+                             h.counit, h.antipode)
     require(check_hom_hopf(twisted), "twisted structure failed verification")
     return twisted
-
-
-def _col_dot(t: Tensor3, m_inv: Matrix, i: int, j: int, k: int) -> object:
-    s = t.field.zero()
-    for l in range(t.d1):
-        c = m_inv.at(l, i)
-        if c:
-            e = t.at(l, j, k)
-            if e:
-                s = s + c * e
-    return s
 
 
 #: candidate antipodes for the tensor square with one factor reversed, in the
@@ -392,22 +380,16 @@ def opposite_tensor(h: HomHopfAlgebra) -> HomHopfAlgebra:
     n = h.dim
     N = n * n
     field = h.field
-    zero = field.zero()
-    m_ent = [zero] * (N * N * N)
-    d_ent = [zero] * (N * N * N)
-    for i1, j1, k1, e1 in h.mult.nonzero():
-        for j2, i2, k2, e2 in h.mult.nonzero():
-            # coefficient of (k1,k2) in (i1,i2).(j1,j2) = m[i1][j1][k1] m[j2][i2][k2]
-            m_ent[((i1 * n + i2) * N + (j1 * n + j2)) * N + (k1 * n + k2)] = \
-                m_ent[((i1 * n + i2) * N + (j1 * n + j2)) * N + (k1 * n + k2)] + e1 * e2
-    for i1, j1, k1, e1 in h.comult.nonzero():
-        for i2, j2, k2, e2 in h.comult.nonzero():
-            d_ent[((i1 * n + i2) * N + (j1 * n + j2)) * N + (k1 * n + k2)] = \
-                d_ent[((i1 * n + i2) * N + (j1 * n + j2)) * N + (k1 * n + k2)] + e1 * e2
-    mult = Tensor3(field, N, N, N, tuple(m_ent))
-    comult = Tensor3(field, N, N, N, tuple(d_ent))
-    unit = tuple(vec_tensor(list(h.unit), list(h.unit)))
-    counit = tuple(vec_tensor(list(h.counit), list(h.counit)))
+    # each product of two nonzeros lands on its own index
+    mult = Tensor3.from_nonzeros(field, N, N, N, {
+        # coefficient of (k1,k2) in (i1,i2).(j1,j2) = m[i1][j1][k1] m[j2][i2][k2]
+        (i1 * n + i2, j1 * n + j2, k1 * n + k2): e1 * e2
+        for i1, j1, k1, e1 in h.mult.nonzero() for j2, i2, k2, e2 in h.mult.nonzero()})
+    comult = Tensor3.from_nonzeros(field, N, N, N, {
+        (i1 * n + i2, j1 * n + j2, k1 * n + k2): e1 * e2
+        for i1, j1, k1, e1 in h.comult.nonzero() for i2, j2, k2, e2 in h.comult.nonzero()})
+    unit, counit = (tuple(vec_dense(vec_tensor(vec_sparse(v), vec_sparse(v), n), N, field.zero()))
+                    for v in (h.unit, h.counit))
     alpha = h.alpha.kron(h.alpha)
     s, s_inv = h.antipode, h.antipode_inv
     candidates = {

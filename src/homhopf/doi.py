@@ -25,7 +25,7 @@ from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
                    HomModule, check_hom_comodule, check_hom_hopf,
                    check_hom_module)
 from .linalg import (Field, Matrix, Tensor3, vec_add_scaled, vec_dot,
-                     vec_tensor, vec_zero)
+                     vec_sparse, vec_tensor)
 from .report import AxiomReport, ReportBuilder, require
 from .zoo import block_diag
 
@@ -70,9 +70,24 @@ class ModuleCoalgebra:
 
 @dataclass
 class DoiDatum:
+    """(H, A, C): the parts must share H's field, A must coact by and C be
+    acted on by an algebra of H's dimension."""
+
     hopf: HomHopfAlgebra
     algebra: ComoduleAlgebra
     coalgebra: ModuleCoalgebra
+
+    def __post_init__(self):
+        h = self.hopf
+        for part, f in (("comodule algebra", self.algebra.algebra.field),
+                        ("module coalgebra", self.coalgebra.coalgebra.field)):
+            if f != h.field:
+                raise ValueError(f"the {part} is over {f} but the Hopf algebra is over {h.field}")
+        for part, dim in (("comodule algebra's coaction", self.algebra.coaction.d3),
+                          ("module coalgebra's action", self.coalgebra.action.d2)):
+            if dim != h.dim:
+                raise ValueError(f"the {part} is by a {dim}-dimensional algebra "
+                                 f"but the Hopf algebra has dimension {h.dim}")
 
     @property
     def field(self) -> Field:
@@ -105,20 +120,20 @@ def check_comodule_algebra(a: ComoduleAlgebra, h: HomHopfAlgebra) -> AxiomReport
     """Comodule axioms plus multiplicativity and unitality of the coaction."""
     rep = check_hom_comodule(a.as_comodule(), h.as_coalgebra())
     b = ReportBuilder()
-    field = a.algebra.field
     da, dh = a.dim, h.dim
-    b.check_vec("coaction_unit", (), a.coaction.apply_left(list(a.algebra.unit)),
-                vec_tensor(list(a.algebra.unit), list(h.unit)))
+    unit = vec_sparse(a.algebra.unit)
+    b.check_vec("coaction_unit", (), a.coaction.apply_left(unit),
+                vec_tensor(unit, vec_sparse(h.unit), dh), da * dh)
+    prod_a = [[a.algebra.mult.at_pair(i, j) for j in range(da)] for i in range(da)]
+    prod_h = [[h.mult.at_pair(p, q) for q in range(dh)] for p in range(dh)]
     for i in range(da):
         for j in range(da):
-            lhs = a.coaction.apply_left(a.algebra.mult.at_pair(i, j))
-            rhs = vec_zero(field, da * dh)
+            lhs = a.coaction.apply_left(prod_a[i][j])
+            rhs = {}
             for u, p, c1 in a.coaction.nonzero_of(i):
                 for v, q, c2 in a.coaction.nonzero_of(j):
-                    vec_add_scaled(rhs, c1 * c2,
-                                   vec_tensor(a.algebra.mult.at_pair(u, v),
-                                              h.mult.at_pair(p, q)))
-            b.check_vec("coaction_multiplicative", (i, j), lhs, rhs)
+                    vec_add_scaled(rhs, c1 * c2, vec_tensor(prod_a[u][v], prod_h[p][q], dh))
+            b.check_vec("coaction_multiplicative", (i, j), lhs, rhs, da * dh)
     return rep.merged(b.report())
 
 
@@ -128,18 +143,17 @@ def check_module_coalgebra(c: ModuleCoalgebra, h: HomHopfAlgebra) -> AxiomReport
     b = ReportBuilder()
     field = c.coalgebra.field
     dc, dh = c.dim, h.dim
+    acted = [[c.action.at_pair(i, j) for j in range(dh)] for i in range(dc)]
     for i in range(dc):
         for j in range(dh):
-            lhs = c.coalgebra.comult.apply_left(c.action.at_pair(i, j))
-            rhs = vec_zero(field, dc * dc)
+            lhs = c.coalgebra.comult.apply_left(acted[i][j])
+            rhs = {}
             for c1, c2, u in c.coalgebra.comult.nonzero_of(i):
                 for h1, h2, v in h.comult.nonzero_of(j):
-                    vec_add_scaled(rhs, u * v,
-                                   vec_tensor(c.action.at_pair(c1, h1),
-                                              c.action.at_pair(c2, h2)))
-            b.check_vec("action_comultiplicative", (i, j), lhs, rhs)
+                    vec_add_scaled(rhs, u * v, vec_tensor(acted[c1][h1], acted[c2][h2], dc))
+            b.check_vec("action_comultiplicative", (i, j), lhs, rhs, dc * dc)
             b.check_scalar("action_counit", (i, j),
-                           vec_dot(field, c.action.at_pair(i, j), c.coalgebra.counit),
+                           vec_dot(field, acted[i][j], c.coalgebra.counit),
                            c.coalgebra.counit[i] * h.counit[j])
     return rep.merged(b.report())
 
@@ -155,18 +169,19 @@ def check_doi_module(m: DoiModule, d: DoiDatum) -> AxiomReport:
     rep = check_hom_module(m, d.algebra.algebra)
     rep = rep.merged(check_hom_comodule(m, d.coalgebra.coalgebra))
     b = ReportBuilder()
-    field = m.field
     dm, dc = m.dim, d.coalgebra.dim
+    da = d.algebra.dim
+    acted = [[m.action.at_pair(i, a) for a in range(da)] for i in range(dm)]
     for i in range(dm):
-        for a in range(d.algebra.dim):
-            lhs = m.coaction.apply_left(m.action.at_pair(i, a))
-            rhs = vec_zero(field, dm * dc)
+        for a in range(da):
+            lhs = m.coaction.apply_left(acted[i][a])
+            rhs = {}
             for m0, c1, u in m.coaction.nonzero_of(i):
                 for a0, h1, v in d.algebra.coaction.nonzero_of(a):
                     vec_add_scaled(rhs, u * v,
-                                   vec_tensor(m.action.at_pair(m0, a0),
-                                              d.coalgebra.action.at_pair(c1, h1)))
-            b.check_vec("doi_compatibility", (i, a), lhs, rhs)
+                                   vec_tensor(acted[m0][a0],
+                                              d.coalgebra.action.at_pair(c1, h1), dc))
+            b.check_vec("doi_compatibility", (i, a), lhs, rhs, dm * dc)
     return rep.merged(b.report())
 
 
@@ -182,37 +197,28 @@ def induce(n: HomModule, d: DoiDatum) -> DoiModule:
     da, dh = d.algebra.dim, d.hopf.dim
     dim = dn * dc
     zero = field.zero()
-    act = [zero] * (dim * da * dim)
+    act = {}
     for a in range(da):
         for a0, h1, v in d.algebra.coaction.nonzero_of(a):
             for i in range(dn):
-                for ii in range(dn):
-                    psi = n.action.at(i, a0, ii)
-                    if not psi:
-                        continue
+                for ii, psi in n.action.at_pair(i, a0).items():
                     for c in range(dc):
-                        base = ((i * dc + c) * da + a) * dim + ii * dc
-                        for cc in range(dc):
-                            phi = d.coalgebra.action.at(c, h1, cc)
-                            if phi:
-                                act[base + cc] = act[base + cc] + v * psi * phi
-    action = Tensor3(field, dim, da, dim, tuple(act))
+                        for cc, phi in d.coalgebra.action.at_pair(c, h1).items():
+                            key = (i * dc + c, a, ii * dc + cc)
+                            act[key] = act.get(key, zero) + v * psi * phi
+    action = Tensor3.from_nonzeros(field, dim, da, dim, act)
 
-    coa = [zero] * (dim * dim * dc)
+    coa = {}
     gamma = d.coalgebra.coalgebra.gamma
+    mu_inv_col = [n.mu_inv.column(i) for i in range(dn)]
     for c in range(dc):
         for c1, c2, v in d.coalgebra.coalgebra.comult.nonzero_of(c):
-            for s in range(dc):
-                g = gamma.at(s, c2)
-                if not g:
-                    continue
+            for s, g in gamma.column(c2).items():
                 for i in range(dn):
-                    for ii in range(dn):
-                        nu = n.mu_inv.at(ii, i)
-                        if nu:
-                            idx = ((i * dc + c) * dim + (ii * dc + c1)) * dc + s
-                            coa[idx] = coa[idx] + v * g * nu
-    coaction = Tensor3(field, dim, dim, dc, tuple(coa))
+                    for ii, nu in mu_inv_col[i].items():
+                        key = (i * dc + c, ii * dc + c1, s)
+                        coa[key] = coa.get(key, zero) + v * g * nu
+    coaction = Tensor3.from_nonzeros(field, dim, dim, dc, coa)
     mu = n.mu.kron(gamma)
     return DoiModule(field, dim, mu, action, coaction)
 
@@ -314,21 +320,10 @@ def direct_sum_doi(m1: DoiModule, m2: DoiModule) -> DoiModule:
     d1 = m1.dim
     dim = d1 + m2.dim
     da, dc = m1.action.d2, m1.coaction.d3
-
-    def act(i, a, j):
-        if i < d1 and j < d1:
-            return m1.action.at(i, a, j)
-        if i >= d1 and j >= d1:
-            return m2.action.at(i - d1, a, j - d1)
-        return field.zero()
-
-    def coa(i, j, c):
-        if i < d1 and j < d1:
-            return m1.coaction.at(i, j, c)
-        if i >= d1 and j >= d1:
-            return m2.coaction.at(i - d1, j - d1, c)
-        return field.zero()
-
+    act = {(i, a, j): e for i, a, j, e in m1.action.nonzero()}
+    act.update(((i + d1, a, j + d1), e) for i, a, j, e in m2.action.nonzero())
+    coa = {(i, j, c): e for i, j, c, e in m1.coaction.nonzero()}
+    coa.update(((i + d1, j + d1, c), e) for i, j, c, e in m2.coaction.nonzero())
     return DoiModule(field, dim, block_diag(m1.mu, m2.mu),
-                     Tensor3.build(field, dim, da, dim, act),
-                     Tensor3.build(field, dim, dim, dc, coa))
+                     Tensor3.from_nonzeros(field, dim, da, dim, act),
+                     Tensor3.from_nonzeros(field, dim, dim, dc, coa))

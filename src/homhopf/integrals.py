@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .doi import DoiDatum
-from .linalg import (Field, Matrix, Tensor3, _rref_rows, unit_vector,
-                     vec_add_scaled, vec_is_zero, vec_scale, vec_sub,
-                     vec_tensor, vec_zero)
+from .linalg import (Field, Matrix, Tensor3, _rref_rows, vec_add_scaled,
+                     vec_dense, vec_scale, vec_sparse, vec_sub, vec_tensor)
 from .report import AxiomReport, Violation
 
 
@@ -105,8 +104,9 @@ def theta_index(i: int, j: int, k: int, dim_c: int, dim_a: int) -> int:
 
 def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
     """Evaluate every condition instance directly; maps (family, instance) to
-    the exact residual vector."""
+    the exact residual vector, dense."""
     field = d.field
+    zero, one = field.zero(), field.one()
     theta = cand.theta
     alg = d.algebra.algebra
     coalg = d.coalgebra.coalgebra
@@ -121,51 +121,50 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
     alpha_h_inv = d.hopf.alpha_inv
     out = {}
 
+    def residual(lhs, rhs, n):
+        return vec_dense(vec_sub(lhs, rhs), n, zero)
+
     for p in range(dc):
         for q in range(dc):
             lhs = theta.apply(gam_col[p], gam_col[q])
             rhs = alg.alpha.apply(theta.at_pair(p, q))
-            out[("twist_compatibility", (p, q))] = vec_sub(lhs, rhs)
+            out[("twist_compatibility", (p, q))] = residual(lhs, rhs, da)
 
     for p in range(dc):          # d = e_p
         for q in range(dc):      # c = e_q
-            lhs = vec_zero(field, da * dc)
+            lhs = {}
             for c1, c2, co in coalg.comult.nonzero_of(q):
-                t1 = theta.apply(gam_inv_col[p], unit_vector(field, dc, c1))
-                vec_add_scaled(lhs, co, vec_tensor(t1, gam_col[c2]))
-            rhs = vec_zero(field, da * dc)
+                t1 = theta.apply(gam_inv_col[p], {c1: one})
+                vec_add_scaled(lhs, co, vec_tensor(t1, gam_col[c2], dc))
+            rhs = {}
             for d1, d2, co in coalg.comult.nonzero_of(p):
-                t = theta.apply(unit_vector(field, dc, d2), gam_inv_col[q])
-                legs = rho_a.apply_left(t)  # in A (x) H
-                for u in range(da):
-                    for hh in range(dh):
-                        s = legs[u * dh + hh]
-                        if s:
-                            vec_add_scaled(rhs, co * s,
-                                           vec_tensor(beta_col[u], phi.at_pair(d1, hh)))
-            out[("colinearity", (p, q))] = vec_sub(lhs, rhs)
+                t = theta.apply({d2: one}, gam_inv_col[q])
+                for leg, s in rho_a.apply_left(t).items():  # in A (x) H
+                    u, hh = divmod(leg, dh)
+                    vec_add_scaled(rhs, co * s, vec_tensor(beta_col[u], phi.at_pair(d1, hh), dc))
+            out[("colinearity", (p, q))] = residual(lhs, rhs, da * dc)
 
-    unit_a = list(alg.unit)
+    unit_a = vec_sparse(alg.unit)
     for p in range(dc):
-        acc = vec_zero(field, da)
+        acc = {}
         for c1, c2, co in coalg.comult.nonzero_of(p):
             vec_add_scaled(acc, co, theta.at_pair(c1, c2))
-        out[("normalization", (p,))] = vec_sub(acc, vec_scale(coalg.counit[p], unit_a))
+        out[("normalization", (p,))] = residual(acc, vec_scale(coalg.counit[p], unit_a), da)
 
     beta2_col = [alg.alpha.apply(beta_col[i]) for i in range(da)]
     alpha_inv_col = [alpha_h_inv.column(i) for i in range(dh)]
     for t_idx in range(da):      # a = e_t
         for p in range(dc):      # d = e_p
             for q in range(dc):  # c = e_q
-                lhs = vec_zero(field, da)
+                lhs = {}
                 for u, hh, c1 in rho_a.nonzero_of(t_idx):
                     for u2, h2, c2 in rho_a.nonzero_of(u):
-                        arg1 = phi.apply(gam_inv_col[p], unit_vector(field, dh, h2))
+                        arg1 = phi.apply(gam_inv_col[p], {h2: one})
                         arg2 = phi.apply(gam_inv_col[q], alpha_inv_col[hh])
                         tt = theta.apply(arg1, arg2)
                         vec_add_scaled(lhs, c1 * c2, alg.mul(beta2_col[u2], tt))
-                rhs = alg.mul(theta.at_pair(p, q), unit_vector(field, da, t_idx))
-                out[("module_linearity", (t_idx, p, q))] = vec_sub(lhs, rhs)
+                rhs = alg.mul(theta.at_pair(p, q), {t_idx: one})
+                out[("module_linearity", (t_idx, p, q))] = residual(lhs, rhs, da)
     return out
 
 
@@ -175,7 +174,7 @@ def verify_integral(cand: IntegralCandidate, d: DoiDatum) -> AxiomReport:
     residuals = integral_residuals(cand, d)
     violations = []
     for (family, instance), res in residuals.items():
-        if not vec_is_zero(res):
+        if any(res):
             violations.append(Violation(family, instance, tuple(res)))
     return AxiomReport(tuple(violations), len(residuals))
 
@@ -271,7 +270,7 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
     #        (beta^2 m)[u2][k][r]                        on theta[i2][j2][k]
     #   rhs: mult[k][t][r]                               on theta[p][q][k]
     beta2 = beta @ beta
-    prod_b2 = [[alg.mul(beta2.column(u2), unit_vector(field, da, k))
+    prod_b2 = [[vec_dense(alg.mul(beta2.column(u2), {k: field.one()}), da, zero)
                 for k in range(da)] for u2 in range(da)]
     for t in range(da):
         for p in range(dc):
@@ -366,7 +365,7 @@ def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
         _assert_certificate(aug, y, nunk, field)
         combo = [(labels[j], y[j]) for j in sorted(y)]
         return Infeasible(ri, red[ri][nunk], tuple(combo))
-    particular = vec_zero(field, nunk)
+    particular = [zero] * nunk
     for r, col in enumerate(pivots):
         particular[col] = red[r].get(nunk, zero)
     cand = IntegralCandidate.from_vector(field, system.dim_c, system.dim_a, particular)

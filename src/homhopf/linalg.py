@@ -2,11 +2,14 @@
 
 Scalars are ``fractions.Fraction`` (arbitrary-precision rationals) or
 :class:`GFElement` (canonical representatives in ``[0, p)``); each field
-hands out one shared zero and one.  Matrices are stored dense and row-major.
-Order-3 tensors (structure constants, which are mostly zero) store only
-their nonzeros: one fibre of ``(k, value)`` pairs per index pair (i, j), so
-evaluating a tensor costs its nonzeros, not its shape.  Both are treated as
-immutable; every operation returns a fresh object.
+hands out one shared zero and one.  Vectors are sparse: a dict
+``{index: nonzero scalar}`` that never holds a zero.  Matrices keep their
+entries row-major, but products, Kronecker products and ``apply`` iterate
+their nonzeros.  Order-3 tensors (structure constants, which are mostly
+zero) store only their nonzeros: one fibre of ``(k, value)`` pairs per
+index pair (i, j), so evaluating a tensor costs its nonzeros, not its
+shape.  Both are treated as immutable; every operation returns a fresh
+object.
 
 Elimination is sparse: :func:`_rref_rows` works on rows held as
 ``{column: nonzero scalar}`` dicts and carries the row-operation transform
@@ -184,71 +187,73 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# vectors: plain lists of scalars
+# vectors: sparse dicts ``{index: nonzero scalar}``.  No entry is ever an
+# explicit zero (a sum that cancels is deleted), so two vectors are equal
+# exactly when their dicts are, and every operation costs the nonzeros.
 
-def vec_zero(field: Field, n: int) -> list:
-    return [field.zero()] * n
-
-
-def unit_vector(field: Field, n: int, i: int) -> list:
-    v = [field.zero()] * n
-    v[i] = field.one()
-    return v
+def vec_sparse(v: Sequence) -> dict:
+    """The sparse form of a dense sequence."""
+    return {i: x for i, x in enumerate(v) if x}
 
 
-def vec_sub(u: Sequence, v: Sequence) -> list:
-    return [a - b for a, b in zip(u, v, strict=True)]
+def vec_dense(v: dict, n: int, zero: Scalar) -> list:
+    """The dense list of length ``n`` holding ``v``."""
+    out = [zero] * n
+    for i, x in v.items():
+        out[i] = x
+    return out
 
 
-def vec_scale(s: Scalar, v: Sequence) -> list:
-    return [s * a for a in v]
+def vec_sub(u: dict, v: dict) -> dict:
+    out = dict(u)
+    vec_add_scaled(out, -1, v)
+    return out
 
 
-def vec_dot(field: Field, u: Sequence, v: Sequence) -> Scalar:
-    """sum of u[i] * v[i] over the nonzero products; the field's zero if none."""
+def vec_scale(s: Scalar, v: dict) -> dict:
+    return {i: s * x for i, x in v.items()} if s else {}
+
+
+def vec_dot(field: Field, u: dict, v: Sequence) -> Scalar:
+    """sum of u[i] * v[i] over the nonzeros of the sparse ``u`` against the
+    dense ``v``; the field's zero if none."""
     s = field.zero()
-    for a, b in zip(u, v, strict=True):
-        if a and b:
+    for i, a in u.items():
+        b = v[i]
+        if b:
             s = s + a * b
     return s
 
 
-def vec_add_scaled(acc: list, coeff: Scalar, v: Sequence) -> None:
-    """acc += coeff * v in place, touching only the nonzero entries of v."""
-    for s, x in enumerate(v):
-        if x:
-            acc[s] = acc[s] + coeff * x
+def vec_add_scaled(acc: dict, coeff: Scalar, v: dict) -> None:
+    """acc += coeff * v in place, deleting entries that cancel."""
+    if not coeff:
+        return
+    for i, x in v.items():
+        y = acc.get(i)
+        if y is None:
+            acc[i] = coeff * x
+        else:
+            y = y + coeff * x
+            if y:
+                acc[i] = y
+            else:
+                del acc[i]
 
 
-def vec_is_zero(v: Sequence) -> bool:
-    return not any(v)
-
-
-def vec_tensor(u: Sequence, v: Sequence) -> list:
-    """Kronecker product of coordinate vectors: index (i, j) -> i*len(v) + j.
-
-    Only products of two nonzeros are computed; every other entry is the
-    zero factor itself."""
-    n = len(v)
-    right = [(j, b) for j, b in enumerate(v) if b]
-    out = []
-    for a in u:
-        if not a:
-            out.extend([a] * n)
-            continue
-        row = list(v)
-        for j, b in right:
-            row[j] = a * b
-        out.extend(row)
-    return out
+def vec_tensor(u: dict, v: dict, n: int) -> dict:
+    """Kronecker product of coordinate vectors, ``v`` of length ``n``:
+    index (i, j) -> i*n + j.  Only products of two nonzeros are formed."""
+    return {i * n + j: a * b for i, a in u.items() for j, b in v.items()}
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense matrix; ``entries[r*cols + c]`` is the (r, c) entry.
+    """Matrix stored row-major, ``entries[r*cols + c]`` being the (r, c)
+    entry.  Products, Kronecker products and ``apply`` iterate nonzeros only.
 
     Columns are images of basis vectors: ``M.column(j)`` is ``M`` applied to
-    the j-th unit vector.
+    the j-th unit vector, a sparse vector like every result of ``apply``.
     """
 
     field: Field
@@ -292,19 +297,17 @@ class Matrix:
     def row(self, r: int) -> list:
         return list(self.entries[r * self.cols : (r + 1) * self.cols])
 
-    def column(self, c: int) -> list:
-        return [self.entries[r * self.cols + c] for r in range(self.rows)]
+    def column(self, c: int) -> dict:
+        cols, ent = self.cols, self.entries
+        return {r: e for r in range(self.rows) if (e := ent[r * cols + c])}
 
     def to_rows(self) -> list:
         return [self.row(r) for r in range(self.rows)]
 
     def nonzero(self) -> Iterator[tuple]:
-        for r in range(self.rows):
-            base = r * self.cols
-            for c in range(self.cols):
-                e = self.entries[base + c]
-                if e:
-                    yield r, c, e
+        for r, row in enumerate(self.sparse_rows()):
+            for c, e in row.items():
+                yield r, c, e
 
     def sparse_rows(self) -> list:
         """Each row as a fresh ``{column: nonzero entry}`` dict."""
@@ -324,21 +327,14 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        zero = self.field.zero()
-        out = [zero] * (self.rows * other.cols)
-        for r in range(self.rows):
-            base = r * self.cols
-            obase = r * other.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if not a:
-                    continue
-                kbase = k * other.cols
-                for c in range(other.cols):
-                    b = other.entries[kbase + c]
-                    if b:
-                        out[obase + c] = out[obase + c] + a * b
-        return Matrix(self.field, self.rows, other.cols, tuple(out))
+        right = other.sparse_rows()
+        out = []
+        for row in self.sparse_rows():
+            acc = {}
+            for k, a in row.items():
+                vec_add_scaled(acc, a, right[k])
+            out.append(acc)
+        return Matrix.from_sparse_rows(self.field, other.cols, out)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -357,26 +353,36 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row/column index (i, j) -> i*other.dim + j."""
-        R, C = self.rows * other.rows, self.cols * other.cols
-        zero = self.field.zero()
-        out = [zero] * (R * C)
-        for i, k, a in self.nonzero():
-            for j, l, b in other.nonzero():
-                out[(i * other.rows + j) * C + (k * other.cols + l)] = a * b
-        return Matrix(self.field, R, C, tuple(out))
+        oc = other.cols
+        right = other.sparse_rows()
+        out = [vec_tensor(a, b, oc) for a in self.sparse_rows() for b in right]
+        return Matrix.from_sparse_rows(self.field, self.cols * oc, out)
 
-    def apply(self, v: Sequence) -> list:
-        if len(v) != self.cols:
-            raise ValueError(f"vector of length {len(v)} applied to {self.rows}x{self.cols} matrix")
-        zero = self.field.zero()
-        out = [zero] * self.rows
-        for c, x in enumerate(v):
-            if x is zero or not x:
-                continue
-            for r in range(self.rows):
-                e = self.entries[r * self.cols + c]
-                if e is not zero and e:
-                    out[r] = out[r] + e * x
+    def kron_apply(self, other: "Matrix", v: dict) -> dict:
+        """``self.kron(other).apply(v)`` leg by leg, without forming the
+        Kronecker product: each nonzero v[(j, k)] contributes
+        v[(j, k)] self(e_j) (x) other(e_k)."""
+        if v and max(v) >= self.cols * other.cols:
+            raise ValueError(f"vector index {max(v)} applied to "
+                             f"{self.rows * other.rows}x{self.cols * other.cols} matrix")
+        out, left, right = {}, {}, {}
+        for q, x in v.items():
+            j, k = divmod(q, other.cols)
+            u = left.get(j)
+            if u is None:
+                u = left[j] = self.column(j)
+            w = right.get(k)
+            if w is None:
+                w = right[k] = other.column(k)
+            vec_add_scaled(out, x, vec_tensor(u, w, other.rows))
+        return out
+
+    def apply(self, v: dict) -> dict:
+        if v and max(v) >= self.cols:
+            raise ValueError(f"vector index {max(v)} applied to {self.rows}x{self.cols} matrix")
+        out = {}
+        for c, x in v.items():
+            vec_add_scaled(out, x, self.column(c))
         return out
 
     def power(self, k: int) -> "Matrix":
@@ -523,7 +529,7 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
     R, pivots, _ = _rref_rows(aug, field)
     if n in pivots:
         return AffineSolution(False, (), ())
-    particular = vec_zero(field, n)
+    particular = [zero] * n
     for r, col in enumerate(pivots):
         particular[col] = R[r].get(n, zero)
     pivot_set = set(pivots)
@@ -531,7 +537,7 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
     for j in range(n):
         if j in pivot_set:
             continue
-        v = vec_zero(field, n)
+        v = [zero] * n
         v[j] = -field.one()
         for r, col in enumerate(pivots):
             v[col] = R[r].get(j, zero)
@@ -598,7 +604,9 @@ class Tensor3:
     holding the nonzero entries t[i][j][k]; ``_fibres[i*d2 + j]`` is that
     fibre.  The constructor takes the dense row-major entries, entry
     (i, j, k) at ``i*d2*d3 + j*d3 + k``; ``entries`` gives them back as a
-    read-only sequence built from the fibres.
+    read-only sequence built from the fibres.  ``from_nonzeros`` builds a
+    tensor from its nonzeros alone.  Slices and evaluations are sparse
+    vectors read straight from the fibres.
 
     Used for bilinear maps (multiplication ``m[i][j][k]`` = coefficient of
     basis k in the product of basis i and j, actions likewise) and for maps
@@ -618,19 +626,41 @@ class Tensor3:
             raise ValueError("entry count does not match dimensions")
         if not isinstance(entries, (tuple, list)):
             entries = tuple(entries)
+        self._store(((k, e) for k, e in enumerate(entries[q * d3:(q + 1) * d3]) if e)
+                    for q in range(self.d1 * self.d2))
+
+    def _store(self, fibres) -> None:
+        """Keep the fibres (``(k, nonzero value)`` pairs in increasing k, one
+        iterable per (i, j)) and the dense view on them."""
         # structure constants repeat a lot: equal values, (k, value) pairs
         # and fibres are each stored once
         share = {}.setdefault
-        fibres = []
-        for q in range(self.d1 * self.d2):
-            pairs = ((k, share(e, e)) for k, e in enumerate(entries[q * d3:(q + 1) * d3]) if e)
-            fibre = tuple(share(pair, pair) for pair in pairs)
-            fibres.append(share(fibre, fibre))
-        fibres = tuple(fibres)
+        kept = []
+        for fibre in fibres:
+            pairs = tuple(share(p, p) for p in ((k, share(e, e)) for k, e in fibre))
+            kept.append(share(pairs, pairs))
+        fibres = tuple(kept)
         zero = self.field.zero()
         object.__setattr__(self, "_fibres", fibres)
         object.__setattr__(self, "_zero", zero)
-        object.__setattr__(self, "entries", _DenseEntries(fibres, d3, zero))
+        object.__setattr__(self, "entries", _DenseEntries(fibres, self.d3, zero))
+
+    @classmethod
+    def from_nonzeros(cls, field: Field, d1: int, d2: int, d3: int,
+                      nonzeros: dict) -> "Tensor3":
+        """The tensor with entry ``nonzeros[(i, j, k)]`` at (i, j, k) and zero
+        elsewhere; zero values (sums that cancelled) are dropped."""
+        fibres = [[] for _ in range(d1 * d2)]
+        for (i, j, k), e in sorted(nonzeros.items()):
+            if not (0 <= i < d1 and 0 <= j < d2 and 0 <= k < d3):
+                raise ValueError(f"index ({i}, {j}, {k}) outside a {d1}x{d2}x{d3} tensor")
+            if e:
+                fibres[i * d2 + j].append((k, e))
+        t = cls.__new__(cls)
+        for name, value in (("field", field), ("d1", d1), ("d2", d2), ("d3", d3)):
+            object.__setattr__(t, name, value)
+        t._store(fibres)
+        return t
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
@@ -667,7 +697,9 @@ class Tensor3:
         return cls(field, d1, d2, d3, tuple(ent))
 
     def to_nested(self) -> list:
-        return [[self.at_pair(i, j) for j in range(self.d2)] for i in range(self.d1)]
+        d2, d3, zero = self.d2, self.d3, self._zero
+        return [[vec_dense(dict(self._fibres[i * d2 + j]), d3, zero) for j in range(d2)]
+                for i in range(self.d1)]
 
     def at(self, i: int, j: int, k: int) -> Scalar:
         for kk, e in self._fibres[i * self.d2 + j]:
@@ -675,23 +707,14 @@ class Tensor3:
                 return e
         return self._zero
 
-    def at_pair(self, i: int, j: int) -> list:
+    def at_pair(self, i: int, j: int) -> dict:
         """The slice t[i][j][:], e.g. the product of two basis vectors."""
-        out = [self._zero] * self.d3
-        for k, e in self._fibres[i * self.d2 + j]:
-            out[k] = e
-        return out
+        return dict(self._fibres[i * self.d2 + j])
 
-    def left_slice(self, i: int) -> list:
-        """The flattened slice t[i][:][:], e.g. a coproduct of a basis vector."""
-        d2, d3 = self.d2, self.d3
-        out = [self._zero] * (d2 * d3)
-        fibres = self._fibres
-        for j in range(d2):
-            base = j * d3
-            for k, e in fibres[i * d2 + j]:
-                out[base + k] = e
-        return out
+    def left_slice(self, i: int) -> dict:
+        """The flattened slice t[i][:][:], e.g. a coproduct of a basis
+        vector; entry (j, k) at j*d3 + k."""
+        return {j * self.d3 + k: e for j, k, e in self.nonzero_of(i)}
 
     def nonzero(self) -> Iterator[tuple]:
         d2 = self.d2
@@ -708,39 +731,40 @@ class Tensor3:
             for k, e in fibres[i * d2 + j]:
                 yield j, k, e
 
-    def apply(self, v: Sequence, w: Sequence) -> list:
+    def apply(self, v: dict, w: dict) -> dict:
         """Evaluate the bilinear map: out[k] = sum_ij t[i][j][k] v[i] w[j]."""
-        if len(v) != self.d1 or len(w) != self.d2:
-            raise ValueError("operand length mismatch")
-        zero = self._zero
-        out = [zero] * self.d3
         d2, fibres = self.d2, self._fibres
-        right = [(j, y) for j, y in enumerate(w) if y is not zero and y]
-        for i, x in enumerate(v):
-            if x is zero or not x:
-                continue
+        if (v and max(v) >= self.d1) or (w and max(w) >= d2):
+            raise ValueError("operand index out of range")
+        out = {}
+        for i, x in v.items():
             ibase = i * d2
-            for j, y in right:
+            for j, y in w.items():
                 fibre = fibres[ibase + j]
                 if fibre:
                     c = x * y
+                    # vec_add_scaled, inlined on the fibre's pairs: this is
+                    # the innermost loop of every checker
                     for k, e in fibre:
-                        out[k] = out[k] + c * e
+                        s = out.get(k)
+                        if s is None:
+                            out[k] = c * e
+                        else:
+                            s = s + c * e
+                            if s:
+                                out[k] = s
+                            else:
+                                del out[k]
         return out
 
-    def apply_left(self, v: Sequence) -> list:
-        """Evaluate a map into the tensor square: v -> sum_i v[i] t[i][:][:]."""
-        if len(v) != self.d1:
-            raise ValueError("operand length mismatch")
-        d2, d3, fibres, zero = self.d2, self.d3, self._fibres, self._zero
-        out = [zero] * (d2 * d3)
-        for i, x in enumerate(v):
-            if x is zero or not x:
-                continue
-            for j in range(d2):
-                base = j * d3
-                for k, e in fibres[i * d2 + j]:
-                    out[base + k] = out[base + k] + x * e
+    def apply_left(self, v: dict) -> dict:
+        """Evaluate a map into the tensor square: v -> sum_i v[i] t[i][:][:],
+        entry (j, k) at j*d3 + k."""
+        if v and max(v) >= self.d1:
+            raise ValueError("operand index out of range")
+        out = {}
+        for i, x in v.items():
+            vec_add_scaled(out, x, self.left_slice(i))
         return out
 
     def as_map_from_pair(self) -> Matrix:

@@ -25,7 +25,7 @@ from .doi import (DoiDatum, DoiModule, doi_morphism_report, induce,
                   module_morphism_report)
 from .integrals import (Infeasible, IntegralCandidate, solve_normalized_integral,
                         verify_integral)
-from .linalg import Matrix, Tensor3, unit_vector, vec_dot, vec_tensor, vec_zero
+from .linalg import Matrix, Tensor3, vec_add_scaled, vec_sparse, vec_tensor
 from .report import AxiomReport, ConstructionError, ReportBuilder, require
 from .zoo import regular_module
 
@@ -38,21 +38,18 @@ def build_retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Mat
         raise ValueError("integral dimensions do not match the datum")
     gam_inv_col = [d.coalgebra.coalgebra.gamma_inv.column(i) for i in range(dc)]
     mu_col = [m.mu.column(i) for i in range(dm)]
-    zero = field.zero()
+    zero, one = field.zero(), field.one()
     cols = dm * dc
     ent = [zero] * (dm * cols)
     for i in range(dm):
         for c in range(dc):
-            acc = vec_zero(field, dm)
+            acc = {}
             for m0, c1, co in m.coaction.nonzero_of(i):
-                t = theta.theta.apply(unit_vector(field, dc, c1), gam_inv_col[c])
-                v = m.action.apply(mu_col[m0], t)
-                for r, x in enumerate(v):
-                    if x:
-                        acc[r] = acc[r] + co * x
+                t = theta.theta.apply({c1: one}, gam_inv_col[c])
+                vec_add_scaled(acc, co, m.action.apply(mu_col[m0], t))
             col = i * dc + c
-            for r in range(dm):
-                ent[r * cols + col] = acc[r]
+            for r, x in acc.items():
+                ent[r * cols + col] = x
     nu = Matrix(field, dm, cols, tuple(ent))
     require(retraction_report(nu, m, d),
             "retraction failed verification (invalid integral or inconsistent bracketing)")
@@ -87,19 +84,21 @@ def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
     coalg = d.coalgebra.coalgebra
     da, dc = alg.dim, coalg.dim
     gam_inv_col = [coalg.gamma_inv.column(i) for i in range(dc)]
-    unit_a = list(alg.unit)
+    unit_a = vec_sparse(alg.unit)
     eps = coalg.counit
-    zero = field.zero()
+    zero, one = field.zero(), field.one()
     ent = [zero] * (dc * dc * da)
     for c in range(dc):
-        base_vec = vec_tensor(unit_a, gam_inv_col[c])
+        base_vec = vec_tensor(unit_a, gam_inv_col[c], dc)
         for dd in range(dc):
-            y = nu.apply(vec_tensor(base_vec, unit_vector(field, dc, dd)))
-            z = [vec_dot(field, y[u * dc:(u + 1) * dc], eps) for u in range(da)]
-            w = alg.alpha.apply(z)
+            y = nu.apply(vec_tensor(base_vec, {dd: one}, dc))
+            z = {}  # (id (x) eps) y
+            for q, x in y.items():
+                u, s = divmod(q, dc)
+                vec_add_scaled(z, eps[s], {u: x})
             base = (c * dc + dd) * da
-            for k in range(da):
-                ent[base + k] = w[k]
+            for k, e in alg.alpha.apply(z).items():
+                ent[base + k] = e
     cand = IntegralCandidate(field, dc, da, Tensor3(field, dc, dc, da, tuple(ent)))
     cand.report = require(verify_integral(cand, d),
                           "extracted map is not a normalized integral")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import vec_sub
+from .linalg import vec_dense, vec_sub
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,16 @@ class ReportBuilder:
 
     # Each check compares first and subtracts only when the sides differ:
     # equal sides always leave a zero residual, so the report is the same.
-    def check_vec(self, axiom: str, index: tuple, lhs, rhs) -> None:
+    def check_vec(self, axiom: str, index: tuple, lhs: dict, rhs: dict, n: int) -> None:
+        """Compare two sparse vectors of length ``n``; a violation carries
+        the dense residual lhs - rhs."""
         self.checked += 1
         if lhs == rhs:
             return
+        # sparse vectors hold no zeros, so unequal sides differ somewhere
         residual = vec_sub(lhs, rhs)
-        if any(residual):
-            self.violations.append(Violation(axiom, index, tuple(residual)))
+        some = next(iter(residual.values()))
+        self.violations.append(Violation(axiom, index, tuple(vec_dense(residual, n, some - some))))
 
     def check_scalar(self, axiom: str, index: tuple, lhs, rhs) -> None:
         self.checked += 1

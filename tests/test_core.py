@@ -8,7 +8,7 @@ from homhopf.core import (HomComodule, HomHopfAlgebra, check_hom_algebra,
                           check_hom_hopf, check_hom_module,
                           derived_antipode_properties,
                           hopf_automorphism_report, opposite_tensor, yau_twist)
-from homhopf.linalg import Field, Matrix, Tensor3
+from homhopf.linalg import Field, Matrix, Tensor3, vec_sparse
 from homhopf.report import ConstructionError
 from homhopf.zoo import (group_algebra, one_dimensional_hopf,
                          regular_comodule, regular_module, sweedler_h4,
@@ -116,7 +116,7 @@ class TestYauTwist:
             for j in range(4):
                 prod = t.mult.at_pair(i, j)
                 expect = (3 * (i + j)) % 4
-                assert [k for k, x in enumerate(prod) if x] == [expect]
+                assert list(prod) == [expect]
 
     def test_sweedler_scaling_twist_passes(self):
         assert check_hom_hopf(twisted_sweedler(Q, 2)).passed
@@ -192,6 +192,22 @@ class TestOppositeTensor:
         assert sum(1 for _ in t.comult.nonzero()) == 36
         assert retained < 43 * 1024
 
+    def test_square_construction_peak_memory(self):
+        # the peak, not only what the result retains: with a dense Kronecker
+        # product of the 25x25 twist with itself and dense N^3 lists of
+        # structure constants this peaked at 6.68 MB (27.97 MB on kZ6)
+        h = group_algebra(5, Q)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            t = opposite_tensor(h)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert t.dim == 25
+        assert peak < 640 * 1024
+
     def test_square_satisfies_derived_consequences(self):
         t = opposite_tensor(group_algebra(2, Q))
         assert derived_antipode_properties(t).passed
@@ -204,12 +220,12 @@ class TestOppositeTensor:
         n = h.dim
         x, g = 2, 1
         straight = t.mult.at_pair(x * n + 0, g * n + 0)
-        assert straight == [y for pair in
-                            [[h.mult.at(x, g, k) * h.unit[l] for l in range(n)]
-                             for k in range(n)] for y in pair]
+        assert straight == vec_sparse([y for pair in
+                                       [[h.mult.at(x, g, k) * h.unit[l] for l in range(n)]
+                                        for k in range(n)] for y in pair])
         reversed_side = t.mult.at_pair(0 * n + x, 0 * n + g)
         expect = [h.unit[k] * h.mult.at(g, x, l) for k in range(n) for l in range(n)]
-        assert reversed_side == expect
+        assert reversed_side == vec_sparse(expect)
 
 
 def test_checkers_are_pure(field):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows,
-                            solve_affine, unit_vector, vec_add_scaled,
-                            vec_is_zero, vec_tensor)
+                            solve_affine, vec_add_scaled, vec_dense, vec_dot,
+                            vec_scale, vec_sparse, vec_sub, vec_tensor)
 
 Q = Field.rationals()
 
@@ -116,9 +116,7 @@ class TestRrefProperties:
         r, pivots = mat(rows).rref()
         assert list(pivots) == sorted(pivots)
         for row_idx, col in enumerate(pivots):
-            column = r.column(col)
-            assert column[row_idx] == Fraction(1)
-            assert all(not x for i, x in enumerate(column) if i != row_idx)
+            assert r.column(col) == {row_idx: Fraction(1)}
 
 
 def dense_gauss_jordan(rows, field):
@@ -128,7 +126,8 @@ def dense_gauss_jordan(rows, field):
     rows = [list(row) for row in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    transform = [unit_vector(field, nrows, r) for r in range(nrows)]
+    transform = [[field.one() if c == r else field.zero() for c in range(nrows)]
+                 for r in range(nrows)]
     piv_row = 0
     pivots = []
     for col in range(ncols):
@@ -259,11 +258,12 @@ class TestSolveAffine:
             aug = Matrix.from_rows(Q, [a.row(r) + [Fraction(b[r])] for r in range(a.rows)])
             assert aug.rank() == a.rank() + 1
             return
-        assert a.apply(list(sol.particular)) == [Fraction(x) for x in b]
+        want = vec_sparse([Fraction(x) for x in b])
+        assert a.apply(vec_sparse(sol.particular)) == want
         for v in sol.nullspace_basis:
-            assert vec_is_zero(a.apply(list(v)))
+            assert a.apply(vec_sparse(v)) == {}
             shifted = [p + x for p, x in zip(sol.particular, v)]
-            assert a.apply(shifted) == [Fraction(x) for x in b]
+            assert a.apply(vec_sparse(shifted)) == want
 
     @settings(max_examples=40)
     @given(rows=small_matrices)
@@ -306,13 +306,19 @@ class TestComposeTensorApply:
     def test_tensor_apply_group_multiplication(self):
         # multiplication table of the 2-element group: g.g = 1
         t = Tensor3.from_nested(Q, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-        e_g = unit_vector(Q, 2, 1)
-        assert t.apply(e_g, e_g) == unit_vector(Q, 2, 0)
+        e_g = {1: Q.one()}
+        assert t.apply(e_g, e_g) == {0: Q.one()}
 
     def test_tensor_apply_dimension_mismatch(self):
         t = Tensor3.zeros(Q, 2, 2, 2)
         with pytest.raises(ValueError):
-            t.apply([Fraction(1)], [Fraction(0), Fraction(0)])
+            t.apply({2: Fraction(1)}, {})
+        with pytest.raises(ValueError):
+            t.apply({0: Fraction(1)}, {2: Fraction(1)})
+        with pytest.raises(ValueError):
+            t.apply_left({2: Fraction(1)})
+        with pytest.raises(ValueError):
+            Matrix.identity(Q, 2).apply({2: Fraction(1)})
 
 
 class TestTensor3Views:
@@ -321,15 +327,14 @@ class TestTensor3Views:
         m = t.as_map_from_pair()
         for i in range(2):
             for j in range(2):
-                via_matrix = m.apply([Fraction(1) if k == i * 2 + j else Fraction(0)
-                                      for k in range(4)])
+                via_matrix = m.apply({i * 2 + j: Fraction(1)})
                 assert via_matrix == t.at_pair(i, j)
 
     def test_as_map_to_pair_roundtrip(self):
         t = Tensor3.from_nested(Q, [[[1, 2], [0, 1]], [[3, 0], [1, 1]]])
         m = t.as_map_to_pair()
         for i in range(2):
-            assert m.apply(unit_vector(Q, 2, i)) == t.left_slice(i)
+            assert m.apply({i: Q.one()}) == t.left_slice(i)
 
     def test_flat_index_convention(self):
         t = Tensor3.from_nested(Q, [[[0, 1], [2, 3]], [[4, 5], [6, 7]]])
@@ -437,10 +442,10 @@ class TestTensor3Oracle:
                 t.entries[idx]
 
         for i in range(d1):
-            assert t.left_slice(i) == ref.left_slice(i)
+            assert t.left_slice(i) == vec_sparse(ref.left_slice(i))
             assert list(t.nonzero_of(i)) == ref.nonzero_of(i)
             for j in range(d2):
-                assert t.at_pair(i, j) == ref.at_pair(i, j)
+                assert t.at_pair(i, j) == vec_sparse(ref.at_pair(i, j))
                 for k in range(d3):
                     assert t.at(i, j, k) == ref.at(i, j, k)
         assert list(t.nonzero()) == ref.nonzero()
@@ -450,10 +455,11 @@ class TestTensor3Oracle:
 
         v = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=d1, max_size=d1))]
         w = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=d2, max_size=d2))]
-        assert t.apply(v, w) == ref.apply(v, w)
-        assert t.apply_left(v) == ref.apply_left(v)
-        assert vec_tensor(v, w) == dense_vec_tensor(v, w)
-        assert vec_tensor(dense, w) == dense_vec_tensor(dense, w)
+        assert t.apply(vec_sparse(v), vec_sparse(w)) == vec_sparse(ref.apply(v, w))
+        assert t.apply_left(vec_sparse(v)) == vec_sparse(ref.apply_left(v))
+        assert vec_tensor(vec_sparse(v), vec_sparse(w), d2) == vec_sparse(dense_vec_tensor(v, w))
+        assert (vec_tensor(vec_sparse(dense), vec_sparse(w), d2)
+                == vec_sparse(dense_vec_tensor(dense, w)))
 
         again = Tensor3(field, d1, d2, d3, [field.of(str(x)) for x in ints])
         assert again == t and hash(again) == hash(t)
@@ -467,10 +473,10 @@ class TestTensor3Oracle:
 
 
 def test_vec_add_scaled_in_place(field):
-    acc = [field.of(1), field.of(0), field.of(2)]
-    out = vec_add_scaled(acc, field.of(3), [field.of(0), field.of(1), field.of(-1)])
+    acc = {0: field.of(1), 2: field.of(2)}
+    out = vec_add_scaled(acc, field.of(3), {1: field.of(1), 2: field.of(-1)})
     assert out is None
-    assert acc == [field.of(1), field.of(3), field.of(-1)]
+    assert acc == {0: field.of(1), 1: field.of(3), 2: field.of(-1)}
 
 
 def test_inverse_round_trip(field):
@@ -489,3 +495,132 @@ def test_singular_has_no_inverse(field):
 def test_matrix_power_negative(field):
     m = Matrix.from_rows(field, [[1, 1], [0, 1]])
     assert (m.power(-2) @ m.power(2)).is_identity()
+
+
+def dense_matmul(a, b, field):
+    """Reference product of dense row lists."""
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [[sum((row[k] * b[k][c] for k in range(inner)), field.zero()) for c in range(cols)]
+            for row in a]
+
+
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def dense_apply(rows, v, field):
+    return [sum((x * y for x, y in zip(row, v)), field.zero()) for row in rows]
+
+
+def stores_no_zero(v):
+    return all(v.values())
+
+
+@st.composite
+def int_matrix(draw, rows, cols):
+    return [draw(st.lists(sparse_ints, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+class TestSparseVectorOracle:
+    """Every sparse vector operation agrees with a dense reference, and no
+    sparse vector or fibre ever stores a zero (a stored zero would make two
+    equal vectors compare unequal)."""
+
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_vector_operations(self, field, data):
+        n, m = data.draw(dims), data.draw(dims)
+        u = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=n, max_size=n))]
+        v = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=n, max_size=n))]
+        w = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=m, max_size=m))]
+        c = field.of(data.draw(sparse_ints))
+        if data.draw(st.booleans()):
+            v = [-x for x in u]  # every sum with u cancels
+        su, sv, sw = vec_sparse(u), vec_sparse(v), vec_sparse(w)
+        zero = field.zero()
+
+        assert vec_dense(su, n, zero) == u
+        acc = dict(su)
+        vec_add_scaled(acc, c, sv)
+        results = [vec_sub(su, sv), vec_scale(c, su), acc, vec_tensor(su, sw, m)]
+        assert results == [vec_sparse([a - b for a, b in zip(u, v)]),
+                           vec_sparse([c * a for a in u]),
+                           vec_sparse([a + c * b for a, b in zip(u, v)]),
+                           vec_sparse(dense_vec_tensor(u, w))]
+        assert vec_dot(field, su, v) == sum((a * b for a, b in zip(u, v)), zero)
+        assert all(stores_no_zero(r) for r in results + [su, sv, sw])
+        cancelled = dict(su)
+        vec_add_scaled(cancelled, -field.one(), su)
+        assert cancelled == {} and vec_sub(su, su) == {}
+
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @pytest.mark.parametrize("shape", ["all_zero", "zero_dim", "single_nonzero", "random"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_tensor_operations(self, field, shape, data):
+        d1, d2, d3, ints = data.draw(tensor_ints(shape))
+        dense = [field.of(x) for x in ints]
+        t = Tensor3(field, d1, d2, d3, tuple(dense))
+        ref = DenseTensor(field, d1, d2, d3, dense)
+        v = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=d1, max_size=d1))]
+        w = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=d2, max_size=d2))]
+        results = [t.apply(vec_sparse(v), vec_sparse(w)), t.apply_left(vec_sparse(v))]
+        assert results == [vec_sparse(ref.apply(v, w)), vec_sparse(ref.apply_left(v))]
+        for i in range(d1):
+            results.append(t.left_slice(i))
+            results += [t.at_pair(i, j) for j in range(d2)]
+        assert all(stores_no_zero(r) for r in results)
+        assert all(e for fibre in t._fibres for _, e in fibre)
+
+        # from its nonzeros, with zero values and cancelled sums dropped
+        nonzeros = {(i, j, k): e for i, j, k, e in ref.nonzero()}
+        built = Tensor3.from_nonzeros(field, d1, d2, d3, nonzeros)
+        assert built == t and hash(built) == hash(t) and built.entries == tuple(dense)
+        if d1 * d2 * d3:
+            last = (d1 - 1, d2 - 1, d3 - 1)
+            padded = dict(nonzeros)
+            padded[last] = padded.get(last, field.zero()) - padded.get(last, field.zero())
+            dropped = Tensor3.from_nonzeros(field, d1, d2, d3, padded)
+            assert all(e for fibre in dropped._fibres for _, e in fibre)
+            assert dropped.at(*last) == field.zero()
+            with pytest.raises(ValueError):
+                Tensor3.from_nonzeros(field, d1, d2, d3, {(d1, 0, 0): field.one()})
+            with pytest.raises(ValueError):
+                Tensor3.from_nonzeros(field, d1, d2, d3, {(0, 0, d3): field.one()})
+
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matrix_operations(self, field, data):
+        r, c, s, p, q = (data.draw(dims) for _ in range(5))
+        a = [[field.of(x) for x in row] for row in data.draw(int_matrix(r, c))]
+        b = [[field.of(x) for x in row] for row in data.draw(int_matrix(c, s))]
+        g = [[field.of(x) for x in row] for row in data.draw(int_matrix(p, q))]
+        v = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=c, max_size=c))]
+        vv = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=c * q,
+                                                       max_size=c * q))]
+        ma, mb, mg = (Matrix.from_rows(field, x) for x in (a, b, g))
+
+        assert ma @ mb == Matrix.from_rows(field, dense_matmul(a, b, field))
+        assert ma.kron(mg) == Matrix.from_rows(field, dense_kron(a, g))
+        assert list(ma.nonzero()) == [(i, j, x) for i, row in enumerate(a)
+                                      for j, x in enumerate(row) if x]
+        results = [ma.apply(vec_sparse(v)), ma.kron_apply(mg, vec_sparse(vv))]
+        assert results == [vec_sparse(dense_apply(a, v, field)),
+                           vec_sparse(dense_apply(dense_kron(a, g), vv, field))]
+        columns = [ma.column(j) for j in range(c)]
+        assert columns == [vec_sparse([row[j] for row in a]) for j in range(c)]
+        assert all(stores_no_zero(x) for x in results + columns)
+
+    def test_sums_that_cancel_leave_nothing(self, field):
+        one = field.one()
+        ma = Matrix.from_rows(field, [[1, 1], [0, 2]])
+        assert ma.apply({0: one, 1: -one}) == {1: -(one + one)}
+        assert Matrix.from_rows(field, [[1, 1]]).apply({0: one, 1: -one}) == {}
+        t = Tensor3.from_nested(field, [[[1], [1]], [[0], [0]]])
+        assert t.apply({0: one}, {0: one, 1: -one}) == {}
+        assert t.apply_left({0: one, 1: -one}) == {0: one, 1: one}
+        flip = Matrix.from_rows(field, [[1, 1], [1, -1]])
+        assert flip.kron_apply(flip, {0: one, 3: -one}) == {1: one + one, 2: one + one}
