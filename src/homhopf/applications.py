@@ -68,25 +68,23 @@ def trivial_datum(h: HomHopfAlgebra) -> DoiDatum:
     scalar_algebra = HomAlgebra(field, 1, eye1, Tensor3(field, 1, 1, 1, (one,)), (one,))
     coaction = Tensor3(field, 1, 1, 1, (one,))
     a = ComoduleAlgebra(scalar_algebra, coaction)
-    c = ModuleCoalgebra(h.as_coalgebra(), _scalar_action(h))
+    c = ModuleCoalgebra(h.as_coalgebra(), _twist_action(h.alpha))
     datum = DoiDatum(scalar_hopf, a, c)
     require(check_doi_datum(datum), "trivial datum failed verification")
     return datum
 
 
-def _scalar_action(h: HomHopfAlgebra) -> Tensor3:
-    # action of k on C = H: c . 1 = gamma(c)
-    field = h.field
-    return Tensor3.build(field, h.dim, 1, h.dim, lambda c, _, cc: h.alpha.at(cc, c))
+def _twist_action(mu: Matrix) -> Tensor3:
+    # the action of k on a space with twist mu: v . 1 = mu(v)
+    return Tensor3.from_nonzeros(mu.field, mu.cols, 1, mu.rows,
+                                 {(c, 0, r): e for r, c, e in mu.nonzero()})
 
 
 def comodule_to_doi(m: HomComodule, d: DoiDatum) -> DoiModule:
     """Over the trivial datum the only A-action is m . 1 = mu(m)."""
     if d.algebra.dim != 1:
         raise ValueError("expected a trivial datum")
-    field = m.field
-    action = Tensor3.build(field, m.dim, 1, m.dim, lambda i, _, j: m.mu.at(j, i))
-    return DoiModule(field, m.dim, m.mu, action, m.coaction)
+    return DoiModule(m.field, m.dim, m.mu, _twist_action(m.mu), m.coaction)
 
 
 def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
@@ -235,21 +233,22 @@ def dual_right_integrals(h: HomHopfAlgebra) -> list:
     together with phi . alpha = phi."""
     field = h.field
     n = h.dim
-    rows = []
-    for i in range(n):
+    zero = field.zero()
+    ent = {}
+
+    def add(r, c, x):
+        ent[(r, c)] = ent.get((r, c), zero) + x
+
+    for i in range(n):  # rows i*n + k: coordinate k of phi(h1) h2 - phi(h) 1 at h = e_i
+        for j, k, co in h.comult.nonzero_of(i):
+            add(i * n + k, j, co)
         for k in range(n):
-            row = [field.zero()] * n
-            for j, kk, co in h.comult.nonzero_of(i):
-                if kk == k:
-                    row[j] = row[j] + co
-            row[i] = row[i] - h.unit[k]
-            rows.append(row)
+            add(i * n + k, i, -h.unit[k])
+    for j, i, e in h.alpha.nonzero():  # rows n*n + i: phi(alpha(e_i)) - phi(e_i)
+        add(n * n + i, j, e)
     for i in range(n):
-        row = [h.alpha.at(j, i) for j in range(n)]
-        row[i] = row[i] - field.one()
-        rows.append(row)
-    mat = Matrix(field, len(rows), n, tuple(x for r in rows for x in r))
-    sol = solve_affine(mat, [field.zero()] * len(rows))
+        add(n * n + i, i, -field.one())
+    sol = solve_affine(Matrix.from_nonzeros(field, n * n + n, n, ent), [zero] * (n * n + n))
     out = []
     for v in sol.nullspace_basis:
         lead = next(x for x in v if x)

@@ -34,6 +34,24 @@ def _require_invertible(m: Matrix, what: str) -> Matrix:
     return inv
 
 
+def _check_parts(s, *parts) -> None:
+    """Reject a part of the structure ``s`` that is not shaped by ``s.dim``
+    (matrices dim x dim, tensors dim x dim x dim, vectors of length dim) or
+    whose field is not ``s.field``; ``parts`` are (name, value) pairs."""
+    n = s.dim
+    for name, part in parts:
+        if not isinstance(part, (Matrix, Tensor3)):
+            if len(part) != n:
+                raise ValueError(f"{name} has wrong length")
+            continue
+        shape = part.shape
+        if shape != (n,) * len(shape):
+            raise ValueError(f"{name} has wrong shape")
+        if part.field != s.field:
+            raise ValueError(f"the {name} is over {part.field} but the "
+                             f"{type(s).__name__} is over {s.field}")
+
+
 @dataclass
 class HomAlgebra:
     """(A, alpha): multiplication tensor ``mult[i][j][k]``, unit vector, twist."""
@@ -45,12 +63,8 @@ class HomAlgebra:
     unit: tuple
 
     def __post_init__(self):
-        if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
-            raise ValueError("twist has wrong shape")
-        if (self.mult.d1, self.mult.d2, self.mult.d3) != (self.dim,) * 3:
-            raise ValueError("multiplication tensor has wrong shape")
-        if len(self.unit) != self.dim:
-            raise ValueError("unit vector has wrong length")
+        _check_parts(self, ("twist", self.alpha), ("multiplication tensor", self.mult),
+                     ("unit vector", self.unit))
         self.unit = tuple(self.field.of(x) for x in self.unit)
         self.alpha_inv = _require_invertible(self.alpha, "algebra twist")
 
@@ -69,12 +83,8 @@ class HomCoalgebra:
     counit: tuple
 
     def __post_init__(self):
-        if self.gamma.rows != self.dim or self.gamma.cols != self.dim:
-            raise ValueError("twist has wrong shape")
-        if (self.comult.d1, self.comult.d2, self.comult.d3) != (self.dim,) * 3:
-            raise ValueError("comultiplication tensor has wrong shape")
-        if len(self.counit) != self.dim:
-            raise ValueError("counit vector has wrong length")
+        _check_parts(self, ("twist", self.gamma), ("comultiplication tensor", self.comult),
+                     ("counit vector", self.counit))
         self.counit = tuple(self.field.of(x) for x in self.counit)
         self.gamma_inv = _require_invertible(self.gamma, "coalgebra twist")
 
@@ -93,6 +103,9 @@ class HomHopfAlgebra:
     antipode: Matrix
 
     def __post_init__(self):
+        _check_parts(self, ("twist", self.alpha), ("multiplication tensor", self.mult),
+                     ("unit vector", self.unit), ("comultiplication tensor", self.comult),
+                     ("counit vector", self.counit), ("antipode", self.antipode))
         self.unit = tuple(self.field.of(x) for x in self.unit)
         self.counit = tuple(self.field.of(x) for x in self.counit)
         self.alpha_inv = _require_invertible(self.alpha, "twist")

@@ -250,8 +250,8 @@ def doi_morphism_report(f: Matrix, src: DoiModule, dst: DoiModule,
 
 
 def _action_matrix(m: HomModule, a_index: int) -> Matrix:
-    field = m.field
-    return Matrix.build(field, m.dim, m.dim, lambda r, c: m.action.at(c, a_index, r))
+    return Matrix.from_nonzeros(m.field, m.dim, m.dim, {
+        (r, c): e for c in range(m.dim) for r, e in m.action.at_pair(c, a_index).items()})
 
 
 def unit_map(m: DoiModule, d: DoiDatum) -> Matrix:
@@ -282,8 +282,8 @@ def _counit(n: HomModule, g: DoiModule, d: DoiDatum) -> Matrix:
     field = n.field
     dc = d.coalgebra.dim
     eps = d.coalgebra.coalgebra.counit
-    delta = Matrix.build(field, n.dim, n.dim * dc,
-                         lambda r, col: eps[col % dc] * n.mu.at(r, col // dc))
+    delta = Matrix.from_nonzeros(field, n.dim, n.dim * dc, {
+        (r, c * dc + s): eps[s] * e for r, c, e in n.mu.nonzero() for s in range(dc)})
     require(module_morphism_report(delta, g, n, d.algebra.algebra),
             "adjunction counit failed verification")
     return delta

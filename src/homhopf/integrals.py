@@ -188,13 +188,15 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
     coalg = d.coalgebra.coalgebra
     phi = d.coalgebra.action
     rho_a = d.algebra.coaction
-    da, dc, dh = alg.dim, coalg.dim, d.hopf.dim
+    comult = coalg.comult
+    da, dc = alg.dim, coalg.dim
     nunk = da * dc * dc
     zero = field.zero()
-    gam = coalg.gamma
-    gam_inv = coalg.gamma_inv
+    gam_col = [coalg.gamma.column(i) for i in range(dc)]
+    gam_inv_col = [coalg.gamma_inv.column(i) for i in range(dc)]
     beta = alg.alpha
-    alpha_inv = d.hopf.alpha_inv
+    beta_col = [beta.column(k) for k in range(da)]
+    alpha_inv_col = [d.hopf.alpha_inv.column(h) for h in range(d.hopf.dim)]
 
     hom_rows: list = []
     hom_labels: list = []
@@ -202,26 +204,23 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
     def idx(i, j, k):
         return (i * dc + j) * da + k
 
+    def add(row, col, x):
+        row[col] = row.get(col, zero) + x
+
     # twist compatibility: sum_ij gam[i,p] gam[j,q] theta[i][j][r]
     #                      - sum_k beta[r,k] theta[p][q][k] = 0
     for p in range(dc):
         for q in range(dc):
-            for r in range(da):
-                row = [zero] * nunk
-                for i in range(dc):
-                    gi = gam.at(i, p)
-                    if not gi:
-                        continue
-                    for j in range(dc):
-                        gj = gam.at(j, q)
-                        if gj:
-                            row[idx(i, j, r)] = row[idx(i, j, r)] + gi * gj
-                for k in range(da):
-                    bk = beta.at(r, k)
-                    if bk:
-                        row[idx(p, q, k)] = row[idx(p, q, k)] - bk
-                hom_rows.append(row)
-                hom_labels.append(("twist_compatibility", (p, q), (r,)))
+            rows = [{} for _ in range(da)]
+            for i, gi in gam_col[p].items():
+                for j, gj in gam_col[q].items():
+                    g = gi * gj
+                    for r in range(da):
+                        add(rows[r], idx(i, j, r), g)
+            for r, k, bk in beta.nonzero():
+                add(rows[r], idx(p, q, k), -bk)
+            hom_rows.extend(rows)
+            hom_labels.extend(("twist_compatibility", (p, q), (r,)) for r in range(da))
 
     # colinearity: coefficient of e_r (x) e_s
     #   lhs: gam_inv[i,p] Delta[q][j][l] gam[s,l]       on theta[i][j][r]
@@ -229,40 +228,26 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
     #                                                   on theta[v][j][k]
     for p in range(dc):
         for q in range(dc):
-            rows = [[zero] * nunk for _ in range(da * dc)]
-            for i in range(dc):
-                gi = gam_inv.at(i, p)
-                if not gi:
-                    continue
-                for j, l, co in coalg.comult.nonzero_of(q):
-                    for s in range(dc):
-                        gs = gam.at(s, l)
-                        if not gs:
-                            continue
+            rows = [{} for _ in range(da * dc)]
+            for i, gi in gam_inv_col[p].items():
+                for j, l, co in comult.nonzero_of(q):
+                    for s, gs in gam_col[l].items():
                         c = gi * co * gs
                         for r in range(da):
-                            rows[r * dc + s][idx(i, j, r)] = rows[r * dc + s][idx(i, j, r)] + c
-            for u, v, co1 in coalg.comult.nonzero_of(p):
-                for j in range(dc):
-                    gj = gam_inv.at(j, q)
-                    if not gj:
-                        continue
+                            add(rows[r * dc + s], idx(i, j, r), c)
+            for u, v, co1 in comult.nonzero_of(p):
+                for j, gj in gam_inv_col[q].items():
+                    c0 = -(co1 * gj)
                     for k in range(da):
+                        col = idx(v, j, k)
                         for k2, hh, co2 in rho_a.nonzero_of(k):
-                            for r in range(da):
-                                br = beta.at(r, k2)
-                                if not br:
-                                    continue
-                                for s in range(dc):
-                                    ph = phi.at(u, hh, s)
-                                    if ph:
-                                        c = co1 * gj * co2 * br * ph
-                                        rows[r * dc + s][idx(v, j, k)] = \
-                                            rows[r * dc + s][idx(v, j, k)] - c
-            for r in range(da):
-                for s in range(dc):
-                    hom_rows.append(rows[r * dc + s])
-                    hom_labels.append(("colinearity", (p, q), (r, s)))
+                            c1 = c0 * co2
+                            for r, br in beta_col[k2].items():
+                                c2 = c1 * br
+                                for s, ph in phi.at_pair(u, hh).items():
+                                    add(rows[r * dc + s], col, c2 * ph)
+            hom_rows.extend(rows)
+            hom_labels.extend(("colinearity", (p, q), (r, s)) for r in range(da) for s in range(dc))
 
     # module linearity: coefficient of e_r
     #   lhs: rho_a[t][u][h] rho_a[u][u2][h2]
@@ -270,57 +255,36 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
     #        (beta^2 m)[u2][k][r]                        on theta[i2][j2][k]
     #   rhs: mult[k][t][r]                               on theta[p][q][k]
     beta2 = beta @ beta
-    prod_b2 = [[vec_dense(alg.mul(beta2.column(u2), {k: field.one()}), da, zero)
-                for k in range(da)] for u2 in range(da)]
+    prod_b2 = [[{} for _ in range(da)] for _ in range(da)]
+    for x, u2, b in beta2.nonzero():
+        for k in range(da):
+            vec_add_scaled(prod_b2[u2][k], b, alg.mult.at_pair(x, k))
     for t in range(da):
         for p in range(dc):
             for q in range(dc):
-                rows = [[zero] * nunk for _ in range(da)]
+                rows = [{} for _ in range(da)]
                 for u, hh, c1 in rho_a.nonzero_of(t):
                     for u2, h2, c2 in rho_a.nonzero_of(u):
-                        arg1 = [zero] * dc
-                        for i in range(dc):
-                            gi = gam_inv.at(i, p)
-                            if gi:
-                                for i2 in range(dc):
-                                    ph = phi.at(i, h2, i2)
-                                    if ph:
-                                        arg1[i2] = arg1[i2] + gi * ph
-                        arg2 = [zero] * dc
-                        for j in range(dc):
-                            gj = gam_inv.at(j, q)
-                            if not gj:
-                                continue
-                            for h3 in range(dh):
-                                ai = alpha_inv.at(h3, hh)
-                                if not ai:
-                                    continue
-                                for j2 in range(dc):
-                                    ph = phi.at(j, h3, j2)
-                                    if ph:
-                                        arg2[j2] = arg2[j2] + gj * ai * ph
+                        arg1 = {}
+                        for i, gi in gam_inv_col[p].items():
+                            vec_add_scaled(arg1, gi, phi.at_pair(i, h2))
+                        arg2 = {}
+                        for j, gj in gam_inv_col[q].items():
+                            for h3, ai in alpha_inv_col[hh].items():
+                                vec_add_scaled(arg2, gj * ai, phi.at_pair(j, h3))
                         cc = c1 * c2
-                        for i2, a1 in enumerate(arg1):
-                            if not a1:
-                                continue
-                            for j2, a2 in enumerate(arg2):
-                                if not a2:
-                                    continue
+                        for i2, a1 in arg1.items():
+                            for j2, a2 in arg2.items():
                                 w = cc * a1 * a2
-                                for k in range(da):
+                                for k, pb in enumerate(prod_b2[u2]):
                                     col = idx(i2, j2, k)
-                                    pb = prod_b2[u2][k]
-                                    for r in range(da):
-                                        if pb[r]:
-                                            rows[r][col] = rows[r][col] + w * pb[r]
+                                    for r, x in pb.items():
+                                        add(rows[r], col, w * x)
                 for k in range(da):
-                    for r in range(da):
-                        mk = alg.mult.at(k, t, r)
-                        if mk:
-                            rows[r][idx(p, q, k)] = rows[r][idx(p, q, k)] - mk
-                for r in range(da):
-                    hom_rows.append(rows[r])
-                    hom_labels.append(("module_linearity", (t, p, q), (r,)))
+                    for r, mk in alg.mult.at_pair(k, t).items():
+                        add(rows[r], idx(p, q, k), -mk)
+                hom_rows.extend(rows)
+                hom_labels.extend(("module_linearity", (t, p, q), (r,)) for r in range(da))
 
     # normalization (affine): sum_ij Delta[p][i][j] theta[i][j][r] = eps[p] unit[r]
     aff_rows: list = []
@@ -328,17 +292,19 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
     aff_labels: list = []
     for p in range(dc):
         for r in range(da):
-            row = [zero] * nunk
-            for i, j, co in coalg.comult.nonzero_of(p):
-                row[idx(i, j, r)] = row[idx(i, j, r)] + co
+            row = {}
+            for i, j, co in comult.nonzero_of(p):
+                add(row, idx(i, j, r), co)
             aff_rows.append(row)
             aff_rhs.append(coalg.counit[p] * alg.unit[r])
             aff_labels.append(("normalization", (p,), (r,)))
 
-    hom = Matrix(field, len(hom_rows), nunk, tuple(x for row in hom_rows for x in row))
-    aff = Matrix(field, len(aff_rows), nunk, tuple(x for row in aff_rows for x in row))
-    return IntegralSystem(field, dc, da, hom, tuple(hom_labels),
-                          aff, tuple(aff_rhs), tuple(aff_labels))
+    def matrix(rows):
+        return Matrix.from_nonzeros(field, len(rows), nunk, {
+            (r, c): x for r, row in enumerate(rows) for c, x in row.items()})
+
+    return IntegralSystem(field, dc, da, matrix(hom_rows), tuple(hom_labels),
+                          matrix(aff_rows), tuple(aff_rhs), tuple(aff_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +319,9 @@ def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
     zero = field.zero()
     nunk = system.unknown_count
     labels = list(system.homogeneous_labels) + list(system.affine_labels)
-    aug = system.homogeneous.sparse_rows()
-    for row, b in zip(system.affine_lhs.sparse_rows(), system.affine_rhs):
-        if b:
-            row[nunk] = b
-        aug.append(row)
+    aug = list(system.homogeneous._fibres)
+    aug.extend(fibre + ((nunk, b),) if b else fibre
+               for fibre, b in zip(system.affine_lhs._fibres, system.affine_rhs))
     red, pivots, transform = _rref_rows(aug, field)
     if nunk in pivots:
         ri = pivots.index(nunk)
@@ -381,7 +345,7 @@ def _assert_certificate(aug, y, nunk, field) -> None:
     """y . [A | b] must be zero on A's columns and nonzero at b (column nunk)."""
     comb = {}
     for r, coeff in y.items():
-        for c, x in aug[r].items():
+        for c, x in aug[r]:
             comb[c] = comb.get(c, field.zero()) + coeff * x
     if any(x for c, x in comb.items() if c != nunk) or not comb.get(nunk):
         raise RuntimeError("inconsistency witness failed exact validation")

@@ -241,7 +241,7 @@ def parse_structure_file(text: str) -> StructureFile:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise StructureParseError(f"object {name!r} must carry a 'kind'")
         kind = obj["kind"]
-        if kind not in _SCHEMAS:
+        if not isinstance(kind, str) or kind not in _SCHEMAS:
             raise StructureParseError(f"object {name!r} has unknown kind {kind!r}")
         if "dim" in _SCHEMAS[kind]:
             dim = obj.get("dim")

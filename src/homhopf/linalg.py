@@ -3,17 +3,17 @@
 Scalars are ``fractions.Fraction`` (arbitrary-precision rationals) or
 :class:`GFElement` (canonical representatives in ``[0, p)``); each field
 hands out one shared zero and one.  Vectors are sparse: a dict
-``{index: nonzero scalar}`` that never holds a zero.  Matrices keep their
-entries row-major, but products, Kronecker products and ``apply`` iterate
-their nonzeros.  Order-3 tensors (structure constants, which are mostly
-zero) store only their nonzeros: one fibre of ``(k, value)`` pairs per
-index pair (i, j), so evaluating a tensor costs its nonzeros, not its
-shape.  Both are treated as immutable; every operation returns a fresh
+``{index: nonzero scalar}`` that never holds a zero.  Matrices and order-3
+tensors (structure constants, which are mostly zero) share one store that
+keeps only their nonzeros: one fibre of ``(index, value)`` pairs per matrix
+row, or per index pair (i, j) of a tensor.  Products, Kronecker products,
+evaluations and elimination read the fibres, so they cost the nonzeros, not
+the shape.  Both are treated as immutable; every operation returns a fresh
 object.
 
 Elimination is sparse: :func:`_rref_rows` works on rows held as
-``{column: nonzero scalar}`` dicts and carries the row-operation transform
-as sparse rows too, so its cost follows the nonzeros, not the shape.
+``{column: nonzero scalar}`` dicts (or matrix fibres) and carries the
+row-operation transform as sparse rows too.
 
 All solving is deterministic so that serialized results are reproducible:
 reduced row echelon form picks the leftmost pivot column and the first
@@ -247,10 +247,120 @@ def vec_tensor(u: dict, v: dict, n: int) -> dict:
     return {i * n + j: a * b for i, a in u.items() for j, b in v.items()}
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Matrix stored row-major, ``entries[r*cols + c]`` being the (r, c)
-    entry.  Products, Kronecker products and ``apply`` iterate nonzeros only.
+class _DenseEntries(Sequence):
+    """Read-only row-major view of the entries of a :class:`Matrix` or a
+    :class:`Tensor3`, zeros included, computed from its nonzero fibres on
+    access.  Equal to the tuple of the same entries and hashes like it."""
+
+    __slots__ = ("_fibres", "_width", "_zero")
+
+    def __init__(self, fibres: tuple, width: int, zero: Scalar):
+        self._fibres = fibres
+        self._width = width
+        self._zero = zero
+
+    def __len__(self) -> int:
+        return len(self._fibres) * self._width
+
+    def __getitem__(self, idx: int) -> Scalar:
+        n = len(self)
+        if idx < 0:
+            idx += n
+        if not 0 <= idx < n:
+            raise IndexError("entry index out of range")
+        q, k = divmod(idx, self._width)
+        for kk, e in self._fibres[q]:
+            if kk == k:
+                return e
+        return self._zero
+
+    def __iter__(self) -> Iterator:
+        width, zero = self._width, self._zero
+        for fibre in self._fibres:
+            row = [zero] * width
+            for k, e in fibre:
+                row[k] = e
+            yield from row
+
+    def __eq__(self, other):
+        if isinstance(other, (_DenseEntries, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+class _FibreStore:
+    """The one store of :class:`Matrix` and :class:`Tensor3`: ``_fibres``
+    holds one fibre per matrix row or tensor index pair (i, j), a tuple of
+    ``(index, nonzero value)`` pairs in increasing index, and ``entries`` is
+    the dense row-major view on them.  The dense constructor takes those
+    entries; ``from_nonzeros`` takes the nonzeros alone.  Two objects are
+    equal when their shapes and fibres are."""
+
+    # with ``slots=True`` on both subclasses an object holds no __dict__
+    __slots__ = ("_fibres", "_zero")
+
+    def _store(self, fibres, width: int) -> None:
+        """Keep ``fibres`` (one iterable of pairs per fibre) and the dense view."""
+        # structure constants and twists repeat a lot: equal values,
+        # (index, value) pairs and fibres are each stored once.  Only values
+        # are hashed; a kept value or pair stays alive in its dict for the
+        # whole call, so its id names it in the keys of pairs and fibres.
+        value, pair, fibre_of = {}.setdefault, {}.setdefault, {}.setdefault
+        kept = []
+        for fibre in fibres:
+            pairs = tuple([pair((k, id(v)), (k, v)) for k, e in fibre for v in (value(e, e),)])
+            kept.append(fibre_of(tuple(map(id, pairs)), pairs))
+        fibres = tuple(kept)
+        zero = self.field.zero()
+        object.__setattr__(self, "_fibres", fibres)
+        object.__setattr__(self, "_zero", zero)
+        object.__setattr__(self, "entries", _DenseEntries(fibres, width, zero))
+
+    def _store_dense(self, count: int, width: int) -> None:
+        """Store the ``count`` fibres of ``width`` entries each held by the
+        dense row-major ``entries`` the constructor was given."""
+        entries = self.entries
+        if len(entries) != count * width:
+            raise ValueError("entry count does not match dimensions")
+        if not isinstance(entries, (tuple, list)):
+            entries = tuple(entries)
+        fibres = (((k, e) for k, e in enumerate(entries[q * width:(q + 1) * width]) if e)
+                  for q in range(count))
+        self._store(fibres, width)
+
+    @classmethod
+    def _from_fibres(cls, fibres, width: int, **shape):
+        """The object of ``shape`` (its field and dimensions) holding ``fibres``."""
+        obj = cls.__new__(cls)
+        for name, value in shape.items():
+            object.__setattr__(obj, name, value)
+        obj._store(fibres, width)
+        return obj
+
+    def _key(self) -> tuple:
+        return self.field, self.shape, self._fibres
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Matrix(_FibreStore):
+    """Matrix stored as its nonzeros: ``_fibres[r]`` holds the ``(c, value)``
+    pairs of row r, and entry (r, c) of the dense ``entries`` is at
+    ``r*cols + c``.  Products, Kronecker products, ``apply`` and elimination
+    read the fibres.
 
     Columns are images of basis vectors: ``M.column(j)`` is ``M`` applied to
     the j-th unit vector, a sparse vector like every result of ``apply``.
@@ -259,13 +369,30 @@ class Matrix:
     field: Field
     rows: int
     cols: int
-    entries: tuple
+    entries: Sequence
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
+        self._store_dense(self.rows, self.cols)
 
     # -- constructors --------------------------------------------------
+    @classmethod
+    def from_nonzeros(cls, field: Field, rows: int, cols: int, nonzeros: dict) -> "Matrix":
+        """The matrix with entry ``nonzeros[(r, c)]`` at (r, c) and zero
+        elsewhere; zero values (sums that cancelled) are dropped."""
+        fibres = [[] for _ in range(rows)]
+        for (r, c), e in sorted(nonzeros.items()):
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"index ({r}, {c}) outside a {rows}x{cols} matrix")
+            if e:
+                fibres[r].append((c, e))
+        return cls._from_fibres(fibres, cols, field=field, rows=rows, cols=cols)
+
+    @classmethod
+    def _of_rows(cls, field: Field, cols: int, rows: Sequence[dict]) -> "Matrix":
+        """The matrix whose rows are the sparse vectors ``rows``."""
+        return cls._from_fibres((sorted(row.items()) for row in rows), cols,
+                                field=field, rows=len(rows), cols=cols)
+
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
         r = len(rows)
@@ -279,84 +406,85 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
+        return cls.from_nonzeros(field, n, n, {(i, i): field.one() for i in range(n)})
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, (field.zero(),) * (rows * cols))
+        return cls.from_nonzeros(field, rows, cols, {})
 
     @classmethod
     def build(cls, field: Field, rows: int, cols: int, fn: Callable[[int, int], Scalar]) -> "Matrix":
         return cls(field, rows, cols, tuple(fn(r, c) for r in range(rows) for c in range(cols)))
 
+    @property
+    def shape(self) -> tuple:
+        return self.rows, self.cols
+
     # -- access ---------------------------------------------------------
     def at(self, r: int, c: int) -> Scalar:
-        return self.entries[r * self.cols + c]
+        for cc, e in self._fibres[r]:
+            if cc == c:
+                return e
+        return self._zero
 
     def row(self, r: int) -> list:
-        return list(self.entries[r * self.cols : (r + 1) * self.cols])
+        return vec_dense(dict(self._fibres[r]), self.cols, self._zero)
 
     def column(self, c: int) -> dict:
-        cols, ent = self.cols, self.entries
-        return {r: e for r in range(self.rows) if (e := ent[r * cols + c])}
+        out = {}
+        for r, fibre in enumerate(self._fibres):
+            for cc, e in fibre:
+                if cc >= c:
+                    if cc == c:
+                        out[r] = e
+                    break
+        return out
 
     def to_rows(self) -> list:
         return [self.row(r) for r in range(self.rows)]
 
     def nonzero(self) -> Iterator[tuple]:
-        for r, row in enumerate(self.sparse_rows()):
-            for c, e in row.items():
+        for r, fibre in enumerate(self._fibres):
+            for c, e in fibre:
                 yield r, c, e
-
-    def sparse_rows(self) -> list:
-        """Each row as a fresh ``{column: nonzero entry}`` dict."""
-        cols, ent = self.cols, self.entries
-        return [{c: e for c, e in enumerate(ent[r * cols:(r + 1) * cols]) if e}
-                for r in range(self.rows)]
-
-    @classmethod
-    def from_sparse_rows(cls, field: Field, cols: int, rows: Sequence[dict]) -> "Matrix":
-        out = [field.zero()] * (len(rows) * cols)
-        for r, row in enumerate(rows):
-            for c, e in row.items():
-                out[r * cols + c] = e
-        return cls(field, len(rows), cols, tuple(out))
 
     # -- arithmetic -----------------------------------------------------
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        right = other.sparse_rows()
+        right = [dict(fibre) for fibre in other._fibres]
         out = []
-        for row in self.sparse_rows():
+        for fibre in self._fibres:
             acc = {}
-            for k, a in row.items():
+            for k, a in fibre:
                 vec_add_scaled(acc, a, right[k])
             out.append(acc)
-        return Matrix.from_sparse_rows(self.field, other.cols, out)
+        return Matrix._of_rows(self.field, other.cols, out)
 
     def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        out = [dict(mine) for mine in self._fibres]
+        for acc, theirs in zip(out, other._fibres):
+            vec_add_scaled(acc, self.field.one(), dict(theirs))
+        return Matrix._of_rows(self.field, self.cols, out)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self.add(other.scale(-self.field.one()))
 
     def scale(self, s: Scalar) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, tuple(s * a for a in self.entries))
+        if not s:
+            return Matrix.zeros(self.field, self.rows, self.cols)
+        return Matrix._from_fibres((((c, s * e) for c, e in fibre) for fibre in self._fibres),
+                                   self.cols, field=self.field, rows=self.rows, cols=self.cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row/column index (i, j) -> i*other.dim + j."""
         oc = other.cols
-        right = other.sparse_rows()
-        out = [vec_tensor(a, b, oc) for a in self.sparse_rows() for b in right]
-        return Matrix.from_sparse_rows(self.field, self.cols * oc, out)
+        fibres = [[(c1 * oc + c2, a * b) for c1, a in mine for c2, b in theirs]
+                  for mine in self._fibres for theirs in other._fibres]
+        return Matrix._from_fibres(fibres, self.cols * oc, field=self.field,
+                                   rows=self.rows * other.rows, cols=self.cols * oc)
 
     def kron_apply(self, other: "Matrix", v: dict) -> dict:
         """``self.kron(other).apply(v)`` leg by leg, without forming the
@@ -381,8 +509,14 @@ class Matrix:
         if v and max(v) >= self.cols:
             raise ValueError(f"vector index {max(v)} applied to {self.rows}x{self.cols} matrix")
         out = {}
-        for c, x in v.items():
-            vec_add_scaled(out, x, self.column(c))
+        for r, fibre in enumerate(self._fibres):
+            s = None
+            for c, e in fibre:
+                x = v.get(c)
+                if x is not None:
+                    s = e * x if s is None else s + e * x
+            if s:
+                out[r] = s
         return out
 
     def power(self, k: int) -> "Matrix":
@@ -402,27 +536,19 @@ class Matrix:
 
     # -- predicates -----------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self._fibres)
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
         one = self.field.one()
-        for r in range(self.rows):
-            for c in range(self.cols):
-                e = self.at(r, c)
-                if r == c:
-                    if e != one:
-                        return False
-                elif e:
-                    return False
-        return True
+        return all(fibre == ((r, one),) for r, fibre in enumerate(self._fibres))
 
     # -- elimination ----------------------------------------------------
     def rref(self) -> tuple["Matrix", tuple]:
         """Reduced row echelon form and the pivot columns in increasing order."""
-        R, pivots, _ = _rref_rows(self.sparse_rows(), self.field)
-        return Matrix.from_sparse_rows(self.field, self.cols, R), tuple(pivots)
+        R, pivots, _ = _rref_rows(self._fibres, self.field)
+        return Matrix._of_rows(self.field, self.cols, R), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -431,18 +557,19 @@ class Matrix:
         """The transform T with T @ self == I, when self reduces to I."""
         if self.rows != self.cols:
             return None
-        _, pivots, transform = _rref_rows(self.sparse_rows(), self.field)
+        _, pivots, transform = _rref_rows(self._fibres, self.field)
         if len(pivots) != self.rows:
             return None
-        return Matrix.from_sparse_rows(self.field, self.rows, transform)
+        return Matrix._of_rows(self.field, self.rows, transform)
 
 
 def _rref_rows(rows: Sequence[dict], field: Field) -> tuple[list, list, list]:
     """Sparse Gauss-Jordan reduced row echelon form.
 
-    ``rows`` holds each row as a ``{column: nonzero scalar}`` dict and is not
-    modified.  Returns (reduced rows, pivot columns, transform), all rows
-    sparse ``{column: nonzero scalar}`` dicts as well.  The
+    ``rows`` holds each row as a ``{column: nonzero scalar}`` dict or as a
+    matrix fibre of ``(column, nonzero scalar)`` pairs and is not modified.
+    Returns (reduced rows, pivot columns, transform), all rows sparse
+    ``{column: nonzero scalar}`` dicts.  The
     transform T starts as the rows ``{r: one}`` and records the row
     operations: T @ original == reduced.
 
@@ -521,11 +648,10 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
     field = a.field
     n = a.cols
     zero = field.zero()
-    aug = a.sparse_rows()
-    for row, x in zip(aug, b):
+    aug = []
+    for fibre, x in zip(a._fibres, b):
         x = field.of(x)
-        if x:
-            row[n] = x
+        aug.append(fibre + ((n, x),) if x else fibre)
     R, pivots, _ = _rref_rows(aug, field)
     if n in pivots:
         return AffineSolution(False, (), ())
@@ -545,68 +671,12 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
     return AffineSolution(True, tuple(particular), tuple(basis))
 
 
-class _DenseEntries(Sequence):
-    """Read-only row-major view of a :class:`Tensor3`'s entries, zeros
-    included, computed from its nonzero fibres on access.  Equal to the
-    tuple of the same entries and hashes like it."""
-
-    __slots__ = ("_fibres", "_d3", "_zero")
-
-    def __init__(self, fibres: tuple, d3: int, zero: Scalar):
-        self._fibres = fibres
-        self._d3 = d3
-        self._zero = zero
-
-    def __len__(self) -> int:
-        return len(self._fibres) * self._d3
-
-    def __getitem__(self, idx: int) -> Scalar:
-        n = len(self)
-        if idx < 0:
-            idx += n
-        if not 0 <= idx < n:
-            raise IndexError("tensor entry index out of range")
-        q, k = divmod(idx, self._d3)
-        for kk, e in self._fibres[q]:
-            if kk == k:
-                return e
-        return self._zero
-
-    def __iter__(self) -> Iterator:
-        d3, zero = self._d3, self._zero
-        for fibre in self._fibres:
-            row = [zero] * d3
-            for k, e in fibre:
-                row[k] = e
-            yield from row
-
-    def __eq__(self, other):
-        if isinstance(other, _DenseEntries):
-            if self._d3 == other._d3 and len(self._fibres) == len(other._fibres):
-                return self._fibres == other._fibres
-            return tuple(self) == tuple(other)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True, eq=False)
-class Tensor3:
-    """Order-3 tensor stored as its nonzeros, one fibre per (i, j).
-
-    The fibre of (i, j) is a tuple of ``(k, value)`` pairs, increasing in k,
-    holding the nonzero entries t[i][j][k]; ``_fibres[i*d2 + j]`` is that
-    fibre.  The constructor takes the dense row-major entries, entry
-    (i, j, k) at ``i*d2*d3 + j*d3 + k``; ``entries`` gives them back as a
-    read-only sequence built from the fibres.  ``from_nonzeros`` builds a
-    tensor from its nonzeros alone.  Slices and evaluations are sparse
-    vectors read straight from the fibres.
+@dataclass(frozen=True, eq=False, slots=True)
+class Tensor3(_FibreStore):
+    """Order-3 tensor stored as its nonzeros: ``_fibres[i*d2 + j]`` holds the
+    ``(k, value)`` pairs of t[i][j], and entry (i, j, k) of the dense
+    ``entries`` is at ``i*d2*d3 + j*d3 + k``.  Slices and evaluations are
+    sparse vectors read straight from the fibres.
 
     Used for bilinear maps (multiplication ``m[i][j][k]`` = coefficient of
     basis k in the product of basis i and j, actions likewise) and for maps
@@ -621,29 +691,7 @@ class Tensor3:
     entries: Sequence
 
     def __post_init__(self):
-        d3, entries = self.d3, self.entries
-        if len(entries) != self.d1 * self.d2 * d3:
-            raise ValueError("entry count does not match dimensions")
-        if not isinstance(entries, (tuple, list)):
-            entries = tuple(entries)
-        self._store(((k, e) for k, e in enumerate(entries[q * d3:(q + 1) * d3]) if e)
-                    for q in range(self.d1 * self.d2))
-
-    def _store(self, fibres) -> None:
-        """Keep the fibres (``(k, nonzero value)`` pairs in increasing k, one
-        iterable per (i, j)) and the dense view on them."""
-        # structure constants repeat a lot: equal values, (k, value) pairs
-        # and fibres are each stored once
-        share = {}.setdefault
-        kept = []
-        for fibre in fibres:
-            pairs = tuple(share(p, p) for p in ((k, share(e, e)) for k, e in fibre))
-            kept.append(share(pairs, pairs))
-        fibres = tuple(kept)
-        zero = self.field.zero()
-        object.__setattr__(self, "_fibres", fibres)
-        object.__setattr__(self, "_zero", zero)
-        object.__setattr__(self, "entries", _DenseEntries(fibres, self.d3, zero))
+        self._store_dense(self.d1 * self.d2, self.d3)
 
     @classmethod
     def from_nonzeros(cls, field: Field, d1: int, d2: int, d3: int,
@@ -656,20 +704,11 @@ class Tensor3:
                 raise ValueError(f"index ({i}, {j}, {k}) outside a {d1}x{d2}x{d3} tensor")
             if e:
                 fibres[i * d2 + j].append((k, e))
-        t = cls.__new__(cls)
-        for name, value in (("field", field), ("d1", d1), ("d2", d2), ("d3", d3)):
-            object.__setattr__(t, name, value)
-        t._store(fibres)
-        return t
+        return cls._from_fibres(fibres, d3, field=field, d1=d1, d2=d2, d3=d3)
 
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return ((self.field, self.d1, self.d2, self.d3, self._fibres)
-                == (other.field, other.d1, other.d2, other.d3, other._fibres))
-
-    def __hash__(self):
-        return hash((self.field, self.d1, self.d2, self.d3, self._fibres))
+    @property
+    def shape(self) -> tuple:
+        return self.d1, self.d2, self.d3
 
     @classmethod
     def zeros(cls, field: Field, d1: int, d2: int, d3: int) -> "Tensor3":
@@ -769,19 +808,11 @@ class Tensor3:
 
     def as_map_from_pair(self) -> Matrix:
         """The bilinear map as a matrix V1 (x) V2 -> V3 (column index i*d2+j)."""
-        out = [self._zero] * (self.d3 * self.d1 * self.d2)
-        cols = self.d1 * self.d2
-        for q, fibre in enumerate(self._fibres):
-            for k, e in fibre:
-                out[k * cols + q] = e
-        return Matrix(self.field, self.d3, cols, tuple(out))
+        return Matrix.from_nonzeros(self.field, self.d3, self.d1 * self.d2,
+                                    {(k, q): e for q, fibre in enumerate(self._fibres)
+                                     for k, e in fibre})
 
     def as_map_to_pair(self) -> Matrix:
         """The map into a tensor square as a matrix V1 -> V2 (x) V3."""
-        d1, d2, d3 = self.d1, self.d2, self.d3
-        out = [self._zero] * (d2 * d3 * d1)
-        for q, fibre in enumerate(self._fibres):
-            i, j = divmod(q, d2)
-            for k, e in fibre:
-                out[(j * d3 + k) * d1 + i] = e
-        return Matrix(self.field, d2 * d3, d1, tuple(out))
+        return Matrix.from_nonzeros(self.field, self.d2 * self.d3, self.d1,
+                                    {(j * self.d3 + k, i): e for i, j, k, e in self.nonzero()})

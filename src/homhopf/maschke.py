@@ -38,19 +38,16 @@ def build_retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Mat
         raise ValueError("integral dimensions do not match the datum")
     gam_inv_col = [d.coalgebra.coalgebra.gamma_inv.column(i) for i in range(dc)]
     mu_col = [m.mu.column(i) for i in range(dm)]
-    zero, one = field.zero(), field.one()
-    cols = dm * dc
-    ent = [zero] * (dm * cols)
+    one = field.one()
+    ent = {}
     for i in range(dm):
         for c in range(dc):
             acc = {}
             for m0, c1, co in m.coaction.nonzero_of(i):
                 t = theta.theta.apply({c1: one}, gam_inv_col[c])
                 vec_add_scaled(acc, co, m.action.apply(mu_col[m0], t))
-            col = i * dc + c
-            for r, x in acc.items():
-                ent[r * cols + col] = x
-    nu = Matrix(field, dm, cols, tuple(ent))
+            ent.update(((r, i * dc + c), x) for r, x in acc.items())
+    nu = Matrix.from_nonzeros(field, dm, dm * dc, ent)
     require(retraction_report(nu, m, d),
             "retraction failed verification (invalid integral or inconsistent bracketing)")
     return nu
@@ -86,8 +83,8 @@ def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
     gam_inv_col = [coalg.gamma_inv.column(i) for i in range(dc)]
     unit_a = vec_sparse(alg.unit)
     eps = coalg.counit
-    zero, one = field.zero(), field.one()
-    ent = [zero] * (dc * dc * da)
+    one = field.one()
+    ent = {}
     for c in range(dc):
         base_vec = vec_tensor(unit_a, gam_inv_col[c], dc)
         for dd in range(dc):
@@ -96,10 +93,8 @@ def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
             for q, x in y.items():
                 u, s = divmod(q, dc)
                 vec_add_scaled(z, eps[s], {u: x})
-            base = (c * dc + dd) * da
-            for k, e in alg.alpha.apply(z).items():
-                ent[base + k] = e
-    cand = IntegralCandidate(field, dc, da, Tensor3(field, dc, dc, da, tuple(ent)))
+            ent.update(((c, dd, k), e) for k, e in alg.alpha.apply(z).items())
+    cand = IntegralCandidate(field, dc, da, Tensor3.from_nonzeros(field, dc, dc, da, ent))
     cand.report = require(verify_integral(cand, d),
                           "extracted map is not a normalized integral")
     return cand

@@ -122,27 +122,18 @@ def trivial_comodule(h: HomHopfAlgebra) -> HomComodule:
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    field = a.field
-
-    def entry(r, c):
-        if r < a.rows and c < a.cols:
-            return a.at(r, c)
-        if r >= a.rows and c >= a.cols:
-            return b.at(r - a.rows, c - a.cols)
-        return field.zero()
-
-    return Matrix.build(field, a.rows + b.rows, a.cols + b.cols, entry)
+    ent = {(r, c): e for r, c, e in a.nonzero()}
+    ent.update(((a.rows + r, a.cols + c), e) for r, c, e in b.nonzero())
+    return Matrix.from_nonzeros(a.field, a.rows + b.rows, a.cols + b.cols, ent)
 
 
 def inclusion_matrix(field: Field, total: int, offset: int, dim: int) -> Matrix:
     """Inclusion of a summand of dimension ``dim`` at ``offset`` into k^total."""
-    one, zero = field.one(), field.zero()
-    return Matrix.build(field, total, dim,
-                        lambda r, c: one if r == offset + c else zero)
+    return Matrix.from_nonzeros(field, total, dim,
+                                {(offset + c, c): field.one() for c in range(dim)})
 
 
 def projection_matrix(field: Field, total: int, offset: int, dim: int) -> Matrix:
     """Projection of k^total onto the summand at ``offset``."""
-    one, zero = field.one(), field.zero()
-    return Matrix.build(field, dim, total,
-                        lambda r, c: one if c == offset + r else zero)
+    return Matrix.from_nonzeros(field, dim, total,
+                                {(r, offset + r): field.one() for r in range(dim)})

@@ -213,6 +213,18 @@ class TestCommands:
         rc, _, err = run_cli(["check", str(p), "H"])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", [["hom_hopf_algebra"], {"hom_hopf_algebra": 1}],
+                             ids=["list", "dict"])
+    def test_non_string_kind_is_exit_2(self, tmp_path, kind):
+        p = tmp_path / "k.json"
+        p.write_text(json.dumps({"field": "Q", "objects": {"H": {"kind": kind}}}))
+        rc, _, err = run_cli(["check", str(p), "H"])
+        assert rc == 2, err
+        assert "Traceback" not in err
+        assert "'H'" in err
+        with pytest.raises(StructureParseError, match="object 'H' has unknown kind"):
+            parse_structure_file(p.read_text())
+
     def test_deeply_nested_json_is_exit_2(self, tmp_path):
         p = tmp_path / "deep.json"
         depth = 100000

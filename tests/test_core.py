@@ -3,8 +3,8 @@ import tracemalloc
 
 import pytest
 
-from homhopf.core import (HomComodule, HomHopfAlgebra, check_hom_algebra,
-                          check_hom_coalgebra, check_hom_comodule,
+from homhopf.core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
+                          check_hom_algebra, check_hom_coalgebra, check_hom_comodule,
                           check_hom_hopf, check_hom_module,
                           derived_antipode_properties,
                           hopf_automorphism_report, opposite_tensor, yau_twist)
@@ -100,6 +100,38 @@ class TestCorruptions:
         with pytest.raises(ValueError):
             HomHopfAlgebra(Q, 2, Matrix.zeros(Q, 2, 2), h.mult, h.unit,
                            h.comult, h.counit, h.antipode)
+
+
+def _kz3_with(**parts):
+    h = group_algebra(3, Q)
+    args = dict(field=Q, dim=3, alpha=h.alpha, mult=h.mult, unit=h.unit,
+                comult=h.comult, counit=h.counit, antipode=h.antipode)
+    args.update(parts)
+    return HomHopfAlgebra(**args)
+
+
+class TestConstructionValidation:
+    """Malformed parts are rejected when the structure is built, naming the
+    part, instead of failing inside a checker."""
+
+    @pytest.mark.parametrize("parts, message", [
+        (lambda: {"unit": (Q.one(), Q.zero())}, "unit vector has wrong length"),
+        (lambda: {"mult": group_algebra(2, Q).mult}, "multiplication tensor has wrong shape"),
+        (lambda: {"antipode": group_algebra(2, Q).antipode}, "antipode has wrong shape"),
+        (lambda: {"mult": group_algebra(3, Field.prime(7)).mult},
+         "the multiplication tensor is over GF\\(7\\) but the HomHopfAlgebra is over Q"),
+    ], ids=["unit_length", "mult_shape", "antipode_shape", "mult_field"])
+    def test_malformed_hopf_algebra_rejected(self, parts, message):
+        with pytest.raises(ValueError, match=message):
+            _kz3_with(**parts())
+
+    def test_algebra_and_coalgebra_reject_foreign_twist(self):
+        h = group_algebra(3, Q)
+        twist = group_algebra(3, Field.prime(7)).alpha
+        with pytest.raises(ValueError, match="the twist is over GF\\(7\\) but the HomAlgebra"):
+            HomAlgebra(Q, 3, twist, h.mult, h.unit)
+        with pytest.raises(ValueError, match="the twist is over GF\\(7\\) but the HomCoalgebra"):
+            HomCoalgebra(Q, 3, twist, h.comult, h.counit)
 
 
 class TestYauTwist:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,9 @@ def datum_zoo(field):
         "trivial_H4": trivial_datum(sweedler_h4(field)),
         "relative_kZ2": relative_datum(group_algebra(2, field),
                                        regular_comodule_algebra(group_algebra(2, field))),
+        "relative_tw_H4": relative_datum(twisted_sweedler(field, 2),
+                                         regular_comodule_algebra(twisted_sweedler(field, 2))),
+        "yd_kZ2": yd_datum(group_algebra(2, field)),
     }
 
 
@@ -68,7 +72,8 @@ class TestOracleEquivalence:
     their residuals must agree entry for entry on arbitrary candidates."""
 
     @pytest.mark.parametrize("name", ["trivial_kZ2", "trivial_tw_kZ4",
-                                      "trivial_H4", "relative_kZ2"])
+                                      "trivial_H4", "relative_kZ2",
+                                      "relative_tw_H4", "yd_kZ2"])
     def test_rows_match_direct_evaluation(self, field, name):
         d = datum_zoo(field)[name]
         s = assemble_integral_system(d)
@@ -252,3 +257,76 @@ class TestWitness:
 
     def test_theta_index_flattening(self):
         assert theta_index(1, 0, 1, 2, 2) == 5
+
+
+def _pinned_datum(kind, base, field):
+    h = {"kZ2": lambda: group_algebra(2, field),
+         "tw_kZ3": lambda: twisted_group_algebra(3, 2, field),
+         "H4": lambda: sweedler_h4(field)}[base]()
+    if kind == "trivial":
+        return trivial_datum(h)
+    if kind == "relative":
+        return relative_datum(h, regular_comodule_algebra(h))
+    return yd_datum(h)
+
+
+def system_digest(s) -> str:
+    """sha256 over every label, every row and every affine right-hand side
+    of an assembled system, written as strings."""
+    text = []
+    for labels, m in ((s.homogeneous_labels, s.homogeneous), (s.affine_labels, s.affine_lhs)):
+        text.append(f"{m.rows}x{m.cols}")
+        text.extend(f"{label} {' '.join(map(str, m.row(r)))}" for r, label in enumerate(labels))
+    text.append(" ".join(map(str, s.affine_rhs)))
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()
+
+
+#: (datum kind, base algebra, field) -> system_digest, recorded with the
+#: assembler that built dense rows
+SYSTEM_DIGESTS = {
+    ("trivial", "kZ2", "Q"):
+        "d091eb8cc0e34efdc71dc9998511219b48e9e33a830cad9c90a653cecdce6138",
+    ("trivial", "kZ2", "GF7"):
+        "c736935da9049df1d7d5ecf8770387b408dafa69ba6cf34207d287145b81cd8d",
+    ("trivial", "tw_kZ3", "Q"):
+        "10cb3e19b5264c9e1bd451268e0843435e995841428ce29a330e0b483bdf582e",
+    ("trivial", "tw_kZ3", "GF7"):
+        "2298798d84e8e3a70b14132d41e041767ab15b9e3b44211dbfb3102a29073ae9",
+    ("trivial", "H4", "Q"):
+        "435960202637a8a00d1c816c8588406181869eba1d9091ea00cf402dc30f279c",
+    ("trivial", "H4", "GF7"):
+        "b4b20eb42a997d8765a663ec0dc027b2ce75086b153701b8bd8a1b0a11635455",
+    ("relative", "kZ2", "Q"):
+        "56844cf5b2081be6d0afec7ee3ad3efd9e81e161deee8d27b18a6a53ba671991",
+    ("relative", "kZ2", "GF7"):
+        "a13a33c6f8d6b161c81b02adaf584611697088c6abde7497c763eb4ff9fad350",
+    ("relative", "tw_kZ3", "Q"):
+        "edec7fd78445a81af2d14023992dffccf91131a7ac9512e6638e260222dd0034",
+    ("relative", "tw_kZ3", "GF7"):
+        "b0787521cb1e49e12c0ec2f283ffb5e03c10911bd64d79c26a252aaa56538139",
+    ("relative", "H4", "Q"):
+        "e0bcdd6cf616118ab13082e0993e78b1eac37045265826d3c24e4054f0e7d31c",
+    ("relative", "H4", "GF7"):
+        "853852c362f7e74a612d09e2672cedec3a21533fb1da3d3ed2228b990219e9c5",
+    ("yd", "kZ2", "Q"):
+        "3b60f0ca8707d27bf2524a3ba3cefda0230059e833edc5a81a5d11acf02b5502",
+    ("yd", "kZ2", "GF7"):
+        "aa38b1a97091363e5b24c36812fb61ba199ca12c6920977db0711f9536a9774e",
+    ("yd", "tw_kZ3", "Q"):
+        "1f8689eb9598c7a618676216ac5751d5a2667db4dcfbad17a83be071d38ea38c",
+    ("yd", "tw_kZ3", "GF7"):
+        "8c7081587543fe6114d9b99f2445767e26435e0d886e72f7af37e30a297251be",
+    ("yd", "H4", "Q"):
+        "767be5d4e24f6e895e7d23c9057806da56d2bbe9d137a50899e04a032c32b514",
+    ("yd", "H4", "GF7"):
+        "fa1ea1ea17eeda0663c66071c81bd623958062cca553ced9601016ff62325af9",
+}
+
+
+class TestAssembledSystemPins:
+    @pytest.mark.parametrize("key", sorted(SYSTEM_DIGESTS), ids="-".join)
+    def test_system_is_pinned(self, key):
+        kind, base, flag = key
+        field = Field.rationals() if flag == "Q" else Field.prime(7)
+        s = assemble_integral_system(_pinned_datum(kind, base, field))
+        assert system_digest(s) == SYSTEM_DIGESTS[key]

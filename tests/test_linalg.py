@@ -624,3 +624,172 @@ class TestSparseVectorOracle:
         assert t.apply_left({0: one, 1: -one}) == {0: one, 1: one}
         flip = Matrix.from_rows(field, [[1, 1], [1, -1]])
         assert flip.kron_apply(flip, {0: one, 3: -one}) == {1: one + one, 2: one + one}
+
+
+class DenseMatrix:
+    """Reference for Matrix: the row-major entry list, read by index."""
+
+    def __init__(self, field, rows, cols, ent):
+        self.field, self.rows, self.cols, self.ent = field, rows, cols, list(ent)
+
+    def at(self, r, c):
+        return self.ent[r * self.cols + c]
+
+    def row(self, r):
+        return [self.at(r, c) for c in range(self.cols)]
+
+    def column(self, c):
+        return [self.at(r, c) for r in range(self.rows)]
+
+    def to_rows(self):
+        return [self.row(r) for r in range(self.rows)]
+
+    def matrix(self):
+        return Matrix(self.field, self.rows, self.cols, tuple(self.ent))
+
+    def of_rows(self, rows, cols):
+        return Matrix(self.field, len(rows), cols, tuple(x for row in rows for x in row))
+
+    def matmul(self, other):
+        zero = self.field.zero()
+        return self.of_rows([[sum((self.at(r, k) * other.at(k, c) for k in range(self.cols)), zero)
+                              for c in range(other.cols)] for r in range(self.rows)], other.cols)
+
+    def kron(self, other):
+        return self.of_rows([[self.at(i, j) * other.at(k, l) for j in range(self.cols)
+                              for l in range(other.cols)]
+                             for i in range(self.rows) for k in range(other.rows)],
+                            self.cols * other.cols)
+
+    def combine(self, other, f):
+        return Matrix(self.field, self.rows, self.cols,
+                      tuple(f(a, b) for a, b in zip(self.ent, other.ent)))
+
+    def is_identity(self):
+        return self.rows == self.cols and all(
+            self.at(r, c) == (self.field.one() if r == c else self.field.zero())
+            for r in range(self.rows) for c in range(self.cols))
+
+    def inverse(self):
+        if self.rows != self.cols:
+            return None
+        _, pivots, transform = dense_gauss_jordan(self.to_rows(), self.field)
+        return self.of_rows(transform, self.rows) if len(pivots) == self.rows else None
+
+
+@st.composite
+def matrix_ints(draw, shape):
+    rows, cols = draw(dims), draw(dims)
+    if shape == "zero_dim":
+        if draw(st.booleans()):
+            rows = 0
+        else:
+            cols = 0
+    n = rows * cols
+    if shape == "random":
+        ent = draw(st.lists(sparse_ints, min_size=n, max_size=n))
+    elif shape == "square_random":
+        cols = rows
+        ent = draw(st.lists(small_ints, min_size=rows * rows, max_size=rows * rows))
+    else:
+        ent = [0] * n
+        if shape == "single_nonzero":
+            ent[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-2, -1, 1, 3]))
+    return rows, cols, ent
+
+
+class TestMatrixOracle:
+    """Matrix keeps only its nonzeros, one fibre per row; every view of it
+    and every operation on it must match the dense row-major entries."""
+
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @pytest.mark.parametrize("shape", ["all_zero", "zero_dim", "single_nonzero", "random",
+                                       "square_random"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_reference(self, field, shape, data):
+        rows, cols, ints = data.draw(matrix_ints(shape))
+        dense = [field.of(x) for x in ints]
+        n = len(dense)
+        m = Matrix(field, rows, cols, tuple(dense))
+        ref = DenseMatrix(field, rows, cols, dense)
+        zero = field.zero()
+
+        # views
+        assert m.entries == tuple(dense) and tuple(dense) == m.entries
+        assert list(m.entries) == dense and len(m.entries) == n
+        assert hash(m.entries) == hash(tuple(dense))
+        for idx in range(-n, n):
+            assert m.entries[idx] == dense[idx]
+        for idx in (n, -n - 1):
+            with pytest.raises(IndexError):
+                m.entries[idx]
+        for r in range(rows):
+            assert m.row(r) == ref.row(r)
+            for c in range(cols):
+                assert m.at(r, c) == ref.at(r, c)
+        assert m.to_rows() == ref.to_rows()
+        columns = [m.column(c) for c in range(cols)]
+        assert columns == [vec_sparse(ref.column(c)) for c in range(cols)]
+        assert all(e for fibre in m._fibres for _, e in fibre)
+
+        # operations, each against the dense reference
+        draw_ints = lambda k: [field.of(x) for x in data.draw(  # noqa: E731
+            st.lists(sparse_ints, min_size=k, max_size=k))]
+        s, p, q = data.draw(dims), data.draw(dims), data.draw(dims)
+        other = DenseMatrix(field, cols, s, draw_ints(cols * s))
+        same = DenseMatrix(field, rows, cols, draw_ints(n))
+        g = DenseMatrix(field, p, q, draw_ints(p * q))
+        v, vv = draw_ints(cols), draw_ints(cols * q)
+        scalar = field.of(data.draw(sparse_ints))
+        assert m @ other.matrix() == ref.matmul(other)
+        assert m.kron(g.matrix()) == ref.kron(g)
+        results = [m.apply(vec_sparse(v)), m.kron_apply(g.matrix(), vec_sparse(vv))]
+        assert results == [vec_sparse(dense_apply(ref.to_rows(), v, field)),
+                           vec_sparse(dense_apply(ref.kron(g).to_rows(), vv, field))]
+        assert all(stores_no_zero(x) for x in results + columns)
+        assert m.add(same.matrix()) == ref.combine(same, lambda a, b: a + b)
+        assert m.sub(same.matrix()) == ref.combine(same, lambda a, b: a - b)
+        assert m.sub(m).is_zero() and m.sub(m) == Matrix.zeros(field, rows, cols)
+        assert m.scale(scalar) == ref.combine(ref, lambda a, _: scalar * a)
+        assert m.is_zero() == (not any(dense))
+        assert m.is_identity() == ref.is_identity()
+        assert m.inverse() == ref.inverse()
+        red, pivots, _ = dense_gauss_jordan(ref.to_rows(), field)
+        assert m.rref() == (ref.of_rows(red, cols), tuple(pivots))
+        for result in (m @ other.matrix(), m.kron(g.matrix()), m.add(same.matrix()),
+                       m.scale(scalar), m.inverse() or m):
+            assert all(e for fibre in result._fibres for _, e in fibre)
+
+        # dense-built and nonzero-built matrices are one store
+        nonzeros = {(r, c): ref.at(r, c) for r in range(rows) for c in range(cols)
+                    if ref.at(r, c)}
+        built = Matrix.from_nonzeros(field, rows, cols, nonzeros)
+        assert built == m and hash(built) == hash(m) and built.entries == tuple(dense)
+        assert Matrix.build(field, rows, cols, ref.at) == m
+        assert Matrix(field, rows, cols, m.entries) == m
+        if n:
+            padded = dict(nonzeros)
+            padded[(rows - 1, cols - 1)] = zero
+            padded[(0, 0)] = padded.get((0, 0), zero) - padded.get((0, 0), zero)
+            dropped = Matrix.from_nonzeros(field, rows, cols, padded)
+            assert all(e for fibre in dropped._fibres for _, e in fibre)
+            assert dropped.at(rows - 1, cols - 1) == zero and dropped.at(0, 0) == zero
+            changed = list(dense)
+            changed[-1] = changed[-1] + field.one()
+            assert Matrix(field, rows, cols, tuple(changed)) != m
+        for bad in ((rows, 0), (0, cols), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="outside"):
+                Matrix.from_nonzeros(field, rows, cols, {bad: field.one()})
+        with pytest.raises(ValueError):
+            Matrix(field, rows, cols, tuple(dense) + (zero,))
+
+    def test_identity_and_zero_predicates(self, field):
+        for k in range(4):
+            eye = Matrix.identity(field, k)
+            assert eye.is_identity() and eye == Matrix.build(
+                field, k, k, lambda r, c: field.one() if r == c else field.zero())
+            assert Matrix.zeros(field, k, k + 1).is_zero()
+        assert not Matrix.from_rows(field, [[1, 0], [0, 2]]).is_identity()
+        assert not Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0]]).is_identity()
+        assert not Matrix.from_rows(field, [[1, 1], [0, 1]]).is_identity()
