@@ -29,8 +29,8 @@ from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                   check_comodule_algebra, check_doi_datum,
                   check_module_coalgebra)
 from .integrals import IntegralCandidate, verify_integral
-from .linalg import (Field, Matrix, Tensor3, solve_affine, vec_add_scaled,
-                     vec_dense, vec_dot, vec_sub, vec_tensor)
+from .linalg import (Field, Matrix, Tensor3, require_same_field, solve_affine,
+                     vec_add_scaled, vec_dense, vec_dot, vec_sub, vec_tensor)
 from .report import AxiomReport, ReportBuilder, Violation, require
 
 
@@ -138,6 +138,7 @@ def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
 
 def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     """Residuals of the braided compatibility on every basis pair."""
+    require_same_field(h, m)
     field = m.field
     one = field.one()
     dm, dh = m.dim, h.dim
@@ -165,6 +166,7 @@ def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
 
 def coaction_of_action_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     """Residuals of the closed formula for rho(m.h) on every basis pair."""
+    require_same_field(h, m)
     field = m.field
     one = field.one()
     dm, dh = m.dim, h.dim
@@ -252,7 +254,7 @@ def dual_right_integrals(h: HomHopfAlgebra) -> list:
     out = []
     for v in sol.nullspace_basis:
         lead = next(x for x in v if x)
-        out.append(DualIntegral(field, tuple(x / lead for x in v)))
+        out.append(DualIntegral(field, tuple(field.div(x, lead) for x in v)))
     return out
 
 
@@ -260,6 +262,7 @@ def integral_from_dual(phi: DualIntegral, h: HomHopfAlgebra,
                        datum: DoiDatum | None = None) -> IntegralCandidate:
     """theta(x (x) y) = phi(y S^-1(x)) on the trivial datum; the verification
     report is attached (a failing normalization is informative, not an error)."""
+    require_same_field(h, phi)
     if not h.antipode_invertible:
         raise ValueError("antipode must be invertible")
     field = h.field
@@ -289,6 +292,7 @@ def check_k_integral_conditions(cand: IntegralCandidate, h: HomHopfAlgebra) -> A
     """
     if cand.dim_a != 1 or cand.dim_c != h.dim:
         raise ValueError("expected a scalar-valued candidate on H")
+    require_same_field(h, cand)
     field = h.field
     n = h.dim
     zero, one = field.zero(), field.one()

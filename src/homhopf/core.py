@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Field, Matrix, Tensor3, vec_add_scaled, vec_dense, vec_dot,
-                     vec_scale, vec_sparse, vec_tensor)
+from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
+                     vec_dense, vec_dot, vec_scale, vec_sparse, vec_tensor)
 from .report import AxiomReport, ConstructionError, ReportBuilder, require
 
 
@@ -32,6 +32,14 @@ def _require_invertible(m: Matrix, what: str) -> Matrix:
     if inv is None:
         raise ValueError(f"{what} is not invertible")
     return inv
+
+
+def _view(cls, **attrs):
+    """An instance of the dataclass ``cls`` holding ``attrs`` as they are,
+    without ``__post_init__``: for parts a structure has already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
 
 
 def _check_parts(s, *parts) -> None:
@@ -117,11 +125,14 @@ class HomHopfAlgebra:
     def antipode_invertible(self) -> bool:
         return self.antipode_inv is not None
 
+    # views on the parts checked, and the twist inverted, when self was built
     def as_algebra(self) -> HomAlgebra:
-        return HomAlgebra(self.field, self.dim, self.alpha, self.mult, self.unit)
+        return _view(HomAlgebra, field=self.field, dim=self.dim, alpha=self.alpha,
+                     mult=self.mult, unit=self.unit, alpha_inv=self.alpha_inv)
 
     def as_coalgebra(self) -> HomCoalgebra:
-        return HomCoalgebra(self.field, self.dim, self.alpha, self.comult, self.counit)
+        return _view(HomCoalgebra, field=self.field, dim=self.dim, gamma=self.alpha,
+                     comult=self.comult, counit=self.counit, gamma_inv=self.alpha_inv)
 
     def mul(self, v, w) -> list:
         return self.mult.apply(v, w)
@@ -141,6 +152,7 @@ class HomModule:
             raise ValueError("twist has wrong shape")
         if self.action.d1 != self.dim or self.action.d3 != self.dim:
             raise ValueError("action tensor has wrong shape")
+        require_same_field(self, self.mu, self.action)
         self.mu_inv = _require_invertible(self.mu, "module twist")
 
     def act(self, v, a) -> list:
@@ -161,6 +173,7 @@ class HomComodule:
             raise ValueError("twist has wrong shape")
         if self.coaction.d1 != self.dim or self.coaction.d2 != self.dim:
             raise ValueError("coaction tensor has wrong shape")
+        require_same_field(self, self.mu, self.coaction)
         self.mu_inv = _require_invertible(self.mu, "comodule twist")
 
 
@@ -259,6 +272,7 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
 
 def check_hom_module(m: HomModule, a: HomAlgebra) -> AxiomReport:
     """Right Hom-module axioms over (A, alpha) on all basis tuples."""
+    require_same_field(a, m)
     if m.action.d2 != a.dim:
         raise ValueError("action tensor does not match the algebra dimension")
     b = ReportBuilder()
@@ -283,6 +297,7 @@ def check_hom_module(m: HomModule, a: HomAlgebra) -> AxiomReport:
 
 def check_hom_comodule(m: HomComodule, c: HomCoalgebra) -> AxiomReport:
     """Right Hom-comodule axioms over (C, gamma) on all basis elements."""
+    require_same_field(c, m)
     if m.coaction.d3 != c.dim:
         raise ValueError("coaction tensor does not match the coalgebra dimension")
     b = ReportBuilder()
@@ -324,6 +339,7 @@ def derived_antipode_properties(h: HomHopfAlgebra) -> AxiomReport:
 def hopf_automorphism_report(h: HomHopfAlgebra, a: Matrix) -> AxiomReport:
     """Check that ``a`` is a Hopf automorphism of ``h``: it preserves
     multiplication, unit, comultiplication, counit, antipode and is invertible."""
+    require_same_field(h, a)
     b = ReportBuilder()
     n = h.dim
     if a.inverse() is None:

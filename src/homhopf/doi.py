@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
                    HomModule, check_hom_comodule, check_hom_hopf,
                    check_hom_module)
-from .linalg import (Field, Matrix, Tensor3, vec_add_scaled, vec_dot,
-                     vec_sparse, vec_tensor)
+from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
+                     vec_dot, vec_sparse, vec_tensor)
 from .report import AxiomReport, ReportBuilder, require
 from .zoo import block_diag
 
@@ -111,6 +111,7 @@ class DoiModule(HomModule):
         super().__post_init__()
         if self.coaction.d1 != self.dim or self.coaction.d2 != self.dim:
             raise ValueError("coaction tensor has wrong shape")
+        require_same_field(self, self.coaction)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +317,7 @@ def check_triangle_identities(d: DoiDatum, m: DoiModule, n: HomModule) -> AxiomR
 def direct_sum_doi(m1: DoiModule, m2: DoiModule) -> DoiModule:
     if m1.action.d2 != m2.action.d2 or m1.coaction.d3 != m2.coaction.d3:
         raise ValueError("modules over different data")
+    require_same_field(m1, m2)
     field = m1.field
     d1 = m1.dim
     dim = d1 + m2.dim

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .doi import DoiDatum
-from .linalg import (Field, Matrix, Tensor3, _rref_rows, vec_add_scaled,
-                     vec_dense, vec_scale, vec_sparse, vec_sub, vec_tensor)
+from .linalg import (Field, Matrix, Tensor3, _rref_rows, canonical, require_same_field,
+                     vec_add_scaled, vec_dense, vec_scale, vec_sparse, vec_sub, vec_tensor)
 from .report import AxiomReport, Violation
 
 
@@ -105,6 +105,7 @@ def theta_index(i: int, j: int, k: int, dim_c: int, dim_a: int) -> int:
 def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
     """Evaluate every condition instance directly; maps (family, instance) to
     the exact residual vector, dense."""
+    require_same_field(d, cand)
     field = d.field
     zero, one = field.zero(), field.one()
     theta = cand.theta
@@ -327,8 +328,8 @@ def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
         ri = pivots.index(nunk)
         y = transform[ri]
         _assert_certificate(aug, y, nunk, field)
-        combo = [(labels[j], y[j]) for j in sorted(y)]
-        return Infeasible(ri, red[ri][nunk], tuple(combo))
+        combo = [(labels[j], canonical(y[j])) for j in sorted(y)]
+        return Infeasible(ri, canonical(red[ri][nunk]), tuple(combo))
     particular = [zero] * nunk
     for r, col in enumerate(pivots):
         particular[col] = red[r].get(nunk, zero)

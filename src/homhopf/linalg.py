@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Scalars are ``fractions.Fraction`` (arbitrary-precision rationals) or
-:class:`GFElement` (canonical representatives in ``[0, p)``); each field
-hands out one shared zero and one.  Vectors are sparse: a dict
+Every scalar has one canonical form: over Q an integral value is an
+``int`` and any other a ``fractions.Fraction`` (the two compare equal, hash
+alike and print the same), over GF(p) a :class:`GFElement` in ``[0, p)``.
+Each field hands out one shared zero and one; :meth:`Field.div` is the one
+way to divide.  Stored entries, ``Matrix.apply``, solutions and residuals
+are made canonical, not every intermediate sum.  Vectors are sparse: a dict
 ``{index: nonzero scalar}`` that never holds a zero.  Matrices and order-3
 tensors (structure constants, which are mostly zero) share one store that
 keeps only their nonzeros: one fibre of ``(index, value)`` pairs per matrix
@@ -121,7 +124,16 @@ class GFElement:
         return str(self.value)
 
 
-Scalar = Fraction | GFElement
+Scalar = int | Fraction | GFElement
+
+
+def canonical(x):
+    """The canonical form of a field scalar: an integral ``Fraction`` as
+    its ``int``, any other scalar unchanged."""
+    if x.__class__ is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
 
 _UNITS: dict = {}  # p (None for Q) -> (zero, one)
 
@@ -141,7 +153,7 @@ class Field:
         # identity instead of calling __eq__ on each pair of zeros
         units = _UNITS.get(self.p)
         if units is None:
-            make = Fraction if self.p is None else (lambda x: GFElement(x, self.p))
+            make = int if self.p is None else (lambda x: GFElement(x, self.p))
             units = _UNITS.setdefault(self.p, (make(0), make(1)))
         object.__setattr__(self, "_zero", units[0])
         object.__setattr__(self, "_one", units[1])
@@ -165,25 +177,42 @@ class Field:
         return self._one
 
     def of(self, x) -> Scalar:
-        """Coerce an int, string ("3/2", "5"), Fraction or element into the field."""
+        """Coerce an int, string ("3/2", "5"), Fraction or element into the
+        field, in canonical form."""
         if isinstance(x, GFElement):
             if self.p != x.p:
                 raise ValueError(f"element of GF({x.p}) in field {self}")
             return x
         if isinstance(x, Fraction):
             if self.p is None:
-                return x
+                return canonical(x)
             num = GFElement(x.numerator, self.p)
             den = GFElement(x.denominator, self.p)
             return num / den
         if isinstance(x, int):
-            return Fraction(x) if self.p is None else GFElement(x, self.p)
+            return int(x) if self.p is None else GFElement(x, self.p)
         if isinstance(x, str):
             return self.of(Fraction(x))
         raise TypeError(f"cannot coerce {type(x).__name__} into {self}")
 
+    def div(self, a: Scalar, b: Scalar) -> Scalar:
+        """a / b for field scalars, ``b`` nonzero; the one way to divide."""
+        if self.p is not None:
+            return a / b
+        return canonical(Fraction(a, b))
+
     def __str__(self):
         return "Q" if self.p is None else f"GF({self.p})"
+
+
+def require_same_field(base, *parts) -> None:
+    """Reject a part over another field than ``base`` with a ``ValueError``
+    naming both: an int scalar over Q would otherwise mix silently with the
+    elements of GF(p)."""
+    for part in parts:
+        if part.field != base.field:
+            raise ValueError(f"the {type(part).__name__} is over {part.field} but the "
+                             f"{type(base).__name__} is over {base.field}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +234,10 @@ def vec_dense(v: dict, n: int, zero: Scalar) -> list:
 
 
 def vec_sub(u: dict, v: dict) -> dict:
+    """u - v in canonical form: residuals are made of it."""
     out = dict(u)
     vec_add_scaled(out, -1, v)
-    return out
+    return {i: canonical(x) for i, x in out.items()}
 
 
 def vec_scale(s: Scalar, v: dict) -> dict:
@@ -311,10 +341,12 @@ class _FibreStore:
         # (index, value) pairs and fibres are each stored once.  Only values
         # are hashed; a kept value or pair stays alive in its dict for the
         # whole call, so its id names it in the keys of pairs and fibres.
+        # Values are kept in canonical form; an equal Fraction finds them.
         value, pair, fibre_of = {}.setdefault, {}.setdefault, {}.setdefault
         kept = []
         for fibre in fibres:
-            pairs = tuple([pair((k, id(v)), (k, v)) for k, e in fibre for v in (value(e, e),)])
+            pairs = tuple([pair((k, id(v)), (k, v)) for k, e in fibre
+                           for v in (value(e, canonical(e)),)])
             kept.append(fibre_of(tuple(map(id, pairs)), pairs))
         fibres = tuple(kept)
         zero = self.field.zero()
@@ -450,6 +482,7 @@ class Matrix(_FibreStore):
 
     # -- arithmetic -----------------------------------------------------
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        require_same_field(self, other)
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         right = [dict(fibre) for fibre in other._fibres]
@@ -462,6 +495,7 @@ class Matrix(_FibreStore):
         return Matrix._of_rows(self.field, other.cols, out)
 
     def add(self, other: "Matrix") -> "Matrix":
+        require_same_field(self, other)
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         out = [dict(mine) for mine in self._fibres]
@@ -480,6 +514,7 @@ class Matrix(_FibreStore):
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row/column index (i, j) -> i*other.dim + j."""
+        require_same_field(self, other)
         oc = other.cols
         fibres = [[(c1 * oc + c2, a * b) for c1, a in mine for c2, b in theirs]
                   for mine in self._fibres for theirs in other._fibres]
@@ -490,6 +525,7 @@ class Matrix(_FibreStore):
         """``self.kron(other).apply(v)`` leg by leg, without forming the
         Kronecker product: each nonzero v[(j, k)] contributes
         v[(j, k)] self(e_j) (x) other(e_k)."""
+        require_same_field(self, other)
         if v and max(v) >= self.cols * other.cols:
             raise ValueError(f"vector index {max(v)} applied to "
                              f"{self.rows * other.rows}x{self.cols * other.cols} matrix")
@@ -516,7 +552,7 @@ class Matrix(_FibreStore):
                 if x is not None:
                     s = e * x if s is None else s + e * x
             if s:
-                out[r] = s
+                out[r] = canonical(s)
         return out
 
     def power(self, k: int) -> "Matrix":
@@ -596,7 +632,7 @@ def _rref_rows(rows: Sequence[dict], field: Field) -> tuple[list, list, list]:
         if sel != piv_row:
             rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
             transform[piv_row], transform[sel] = transform[sel], transform[piv_row]
-        inv = one / rows[piv_row][col]
+        inv = field.div(one, rows[piv_row][col])
         if inv != one:
             rows[piv_row] = {c: inv * x for c, x in rows[piv_row].items()}
             transform[piv_row] = {c: inv * x for c, x in transform[piv_row].items()}
@@ -657,7 +693,7 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
         return AffineSolution(False, (), ())
     particular = [zero] * n
     for r, col in enumerate(pivots):
-        particular[col] = R[r].get(n, zero)
+        particular[col] = canonical(R[r].get(n, zero))
     pivot_set = set(pivots)
     basis = []
     for j in range(n):
@@ -666,7 +702,7 @@ def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
         v = [zero] * n
         v[j] = -field.one()
         for r, col in enumerate(pivots):
-            v[col] = R[r].get(j, zero)
+            v[col] = canonical(R[r].get(j, zero))
         basis.append(tuple(v))
     return AffineSolution(True, tuple(particular), tuple(basis))
 

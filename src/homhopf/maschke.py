@@ -25,13 +25,15 @@ from .doi import (DoiDatum, DoiModule, doi_morphism_report, induce,
                   module_morphism_report)
 from .integrals import (Infeasible, IntegralCandidate, solve_normalized_integral,
                         verify_integral)
-from .linalg import Matrix, Tensor3, vec_add_scaled, vec_sparse, vec_tensor
+from .linalg import (Matrix, Tensor3, require_same_field, vec_add_scaled, vec_sparse,
+                     vec_tensor)
 from .report import AxiomReport, ConstructionError, ReportBuilder, require
 from .zoo import regular_module
 
 
 def build_retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Matrix:
     """The retraction nu_M of the adjunction unit on M, fully verified."""
+    require_same_field(d, theta, m)
     field = m.field
     dm, dc, da = m.dim, d.coalgebra.dim, d.algebra.dim
     if (theta.dim_c, theta.dim_a) != (dc, da):

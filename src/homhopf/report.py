@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import vec_dense, vec_sub
+from .linalg import canonical, vec_dense, vec_sub
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ class ReportBuilder:
         # sparse vectors hold no zeros, so unequal sides differ somewhere
         residual = vec_sub(lhs, rhs)
         some = next(iter(residual.values()))
-        self.violations.append(Violation(axiom, index, tuple(vec_dense(residual, n, some - some))))
+        zero = canonical(some - some)
+        self.violations.append(Violation(axiom, index, tuple(vec_dense(residual, n, zero))))
 
     def check_scalar(self, axiom: str, index: tuple, lhs, rhs) -> None:
         self.checked += 1
@@ -97,7 +98,7 @@ class ReportBuilder:
             return
         residual = lhs - rhs
         if residual:
-            self.violations.append(Violation(axiom, index, (residual,)))
+            self.violations.append(Violation(axiom, index, (canonical(residual),)))
 
     def check_matrix(self, axiom: str, index: tuple, lhs, rhs) -> None:
         self.checked += 1

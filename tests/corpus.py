@@ -6,10 +6,20 @@ Everything is seeded; reruns produce identical corpora.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from homhopf.core import HomComodule, HomHopfAlgebra, HomModule
 from homhopf.doi import DoiModule
-from homhopf.linalg import Field, Matrix, Tensor3
+from homhopf.linalg import Field, GFElement, Matrix, Tensor3
+
+
+def is_canonical(x, field: Field) -> bool:
+    """Is ``x`` a scalar of ``field`` in its one canonical form?  Over Q an
+    integral value is an ``int`` (never a ``bool``) and any other value a
+    ``Fraction``; over GF(p) every value is a ``GFElement`` of p."""
+    if field.p is not None:
+        return type(x) is GFElement and x.p == field.p
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def random_invertible(field: Field, n: int, rng: random.Random, span: int = 3) -> Matrix:

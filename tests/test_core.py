@@ -3,11 +3,12 @@ import tracemalloc
 
 import pytest
 
-from homhopf.core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
+from homhopf.core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra, HomModule,
                           check_hom_algebra, check_hom_coalgebra, check_hom_comodule,
                           check_hom_hopf, check_hom_module,
                           derived_antipode_properties,
                           hopf_automorphism_report, opposite_tensor, yau_twist)
+from homhopf.doi import DoiModule
 from homhopf.linalg import Field, Matrix, Tensor3, vec_sparse
 from homhopf.report import ConstructionError
 from homhopf.zoo import (group_algebra, one_dimensional_hopf,
@@ -132,6 +133,33 @@ class TestConstructionValidation:
             HomAlgebra(Q, 3, twist, h.mult, h.unit)
         with pytest.raises(ValueError, match="the twist is over GF\\(7\\) but the HomCoalgebra"):
             HomCoalgebra(Q, 3, twist, h.comult, h.counit)
+
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda h, h7: HomModule(Q, 2, h7.alpha, h.mult), "the Matrix is over GF\\(7\\) but the HomModule"),
+        (lambda h, h7: HomModule(Q, 2, h.alpha, h7.mult), "the Tensor3 is over GF\\(7\\) but the HomModule"),
+        (lambda h, h7: HomComodule(Q, 2, h7.alpha, h.comult), "the Matrix is over GF\\(7\\) but the HomComodule"),
+        (lambda h, h7: HomComodule(Q, 2, h.alpha, h7.comult), "the Tensor3 is over GF\\(7\\) but the HomComodule"),
+        (lambda h, h7: DoiModule(Q, 2, h.alpha, h.mult, h7.comult), "the Tensor3 is over GF\\(7\\) but the DoiModule"),
+    ], ids=["module_twist", "module_action", "comodule_twist", "comodule_coaction", "doi_coaction"])
+    def test_modules_reject_parts_over_another_field(self, build, message):
+        # a module like this one passed check_hom_module once Q scalars were ints
+        with pytest.raises(ValueError, match=message):
+            build(group_algebra(2, Q), group_algebra(2, Field.prime(7)))
+
+    @pytest.mark.parametrize("view", ["as_algebra", "as_coalgebra"])
+    def test_views_reuse_the_twist_inverse(self, monkeypatch, view):
+        h = twisted_sweedler(Q, 2)
+        calls = []
+        inverse = Matrix.inverse
+        monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
+        part = getattr(h, view)()
+        assert calls == []
+        assert (part.alpha_inv if view == "as_algebra" else part.gamma_inv) is h.alpha_inv
+        check = check_hom_algebra if view == "as_algebra" else check_hom_coalgebra
+        assert check(part).passed
+        assert check_hom_hopf(h).passed
+        assert calls == []
 
 
 class TestYauTwist:

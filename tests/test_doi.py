@@ -1,19 +1,26 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from corpus import (random_module_over_group_algebra,
                     random_module_over_scalars)
-from homhopf.applications import (comodule_to_doi, regular_comodule_algebra,
-                                  relative_datum, trivial_datum)
-from homhopf.core import check_hom_module
+from homhopf.applications import (check_k_integral_conditions, check_yd_module,
+                                  coaction_of_action_residuals, comodule_to_doi,
+                                  dual_right_integrals, integral_from_dual,
+                                  regular_comodule_algebra, relative_datum,
+                                  trivial_datum, trivial_yd_module, yd_datum,
+                                  yd_residuals)
+from homhopf.core import check_hom_comodule, check_hom_module, hopf_automorphism_report
 from homhopf.doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                          check_comodule_algebra,
                          check_doi_datum, check_doi_module,
                          check_module_coalgebra, check_triangle_identities,
                          counit_map, direct_sum_doi, doi_morphism_report,
-                         induce, unit_map)
+                         induce, module_morphism_report, unit_map)
+from homhopf.integrals import integral_residuals, solve_normalized_integral
 from homhopf.linalg import Field, Matrix, Tensor3, vec_dense
+from homhopf.maschke import build_retraction, retraction_naturality_report, retraction_report
 from homhopf.report import ConstructionError
 from homhopf.zoo import (group_algebra, inclusion_matrix, projection_matrix,
                          regular_comodule, sweedler_h4, trivial_comodule,
@@ -33,6 +40,15 @@ def triv_kz2():
     return trivial_datum(group_algebra(2, Q))
 
 
+def _trivial_datum_parts(field):
+    """kZ2, its trivial datum, the regular comodule as a Doi module over it,
+    the datum's integral and an identity map, all over ``field``."""
+    h = group_algebra(2, field)
+    d = trivial_datum(h)
+    return SimpleNamespace(h=h, d=d, m=comodule_to_doi(regular_comodule(h.as_coalgebra()), d),
+                           theta=solve_normalized_integral(d), f=Matrix.identity(field, 2))
+
+
 class TestDatumBoundary:
     """DoiDatum rejects parts that cannot belong together when it is built,
     not deep inside a checker."""
@@ -48,6 +64,51 @@ class TestDatumBoundary:
         h, h7 = group_algebra(2, Q), group_algebra(2, Field.prime(7))
         with pytest.raises(ValueError, match=r"module coalgebra is over GF\(7\) but the Hopf algebra is over Q"):
             DoiDatum(h, regular_comodule_algebra(h), ModuleCoalgebra(h7.as_coalgebra(), h7.mult))
+
+    # Over Q an integral scalar is an int, which a GFElement would take for
+    # an element of GF(p), so every entry must reject the mixed pair before
+    # any arithmetic.  Each probe used to die with TypeError: unsupported
+    # operand type(s) for *: 'GFElement' and 'Fraction'.
+    @pytest.mark.parametrize("entry", [
+        lambda m, mq, d, h: check_doi_module(m, d),
+        lambda m, mq, d, h: check_hom_module(m, d.algebra.algebra),
+        lambda m, mq, d, h: check_hom_comodule(m, d.coalgebra.coalgebra),
+        lambda m, mq, d, h: check_yd_module(m, h),
+        lambda m, mq, d, h: induce(m, d),
+        lambda m, mq, d, h: check_triangle_identities(d, m, mq),
+        lambda m, mq, d, h: check_triangle_identities(d, mq, m),
+    ], ids=["check_doi_module", "check_hom_module", "check_hom_comodule",
+            "check_yd_module", "induce", "triangle_m", "triangle_n"])
+    def test_checker_entry_rejects_module_over_another_field(self, entry):
+        h = group_algebra(2, Q)
+        m = trivial_yd_module(group_algebra(2, Field.prime(7)))
+        with pytest.raises(ValueError, match=r"the DoiModule is over GF\(7\) but the \w+ is over Q"):
+            entry(m, trivial_yd_module(h), yd_datum(h), h)
+
+    @pytest.mark.parametrize("entry", [
+        lambda q, p: hopf_automorphism_report(q.h, p.f),
+        lambda q, p: module_morphism_report(p.f, q.m, q.m, q.d.algebra.algebra),
+        lambda q, p: doi_morphism_report(p.f, q.m, q.m, q.d),
+        lambda q, p: build_retraction(p.theta, q.m, q.d),
+        lambda q, p: retraction_report(build_retraction(p.theta, p.m, p.d), q.m, q.d),
+        lambda q, p: retraction_naturality_report(p.f, q.m, q.m, q.theta, q.d),
+        lambda q, p: integral_residuals(p.theta, q.d),
+        lambda q, p: direct_sum_doi(q.m, p.m),
+        lambda q, p: yd_residuals(trivial_yd_module(p.h), q.h),
+        lambda q, p: coaction_of_action_residuals(trivial_yd_module(p.h), q.h),
+        lambda q, p: check_k_integral_conditions(
+            integral_from_dual(dual_right_integrals(p.h)[0], p.h), q.h),
+        lambda q, p: integral_from_dual(dual_right_integrals(p.h)[0], q.h),
+    ], ids=["hopf_automorphism_report", "module_morphism_report", "doi_morphism_report",
+            "build_retraction", "retraction_report", "retraction_naturality_report",
+            "integral_residuals", "direct_sum_doi", "yd_residuals",
+            "coaction_of_action_residuals", "check_k_integral_conditions",
+            "integral_from_dual"])
+    def test_entry_rejects_part_over_another_field(self, entry):
+        # the Q parts meet a GF(7) morphism, integral, module or functional;
+        # each probe used to die with a TypeError on mixed scalars
+        with pytest.raises(ValueError, match=r"is over (Q|GF\(7\)) but the \w+ is over (Q|GF\(7\))"):
+            entry(_trivial_datum_parts(Q), _trivial_datum_parts(Field.prime(7)))
 
     def test_coaction_by_another_dimension_rejected(self):
         with pytest.raises(ValueError, match="coaction is by a 3-dimensional algebra "

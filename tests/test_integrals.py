@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from corpus import is_canonical
 from homhopf.applications import (regular_comodule_algebra, relative_datum,
                                   trivial_datum, yd_datum)
 from homhopf.golden import golden_file
@@ -250,10 +251,10 @@ class TestWitness:
         row, value, combination = PINNED_CERTIFICATES[(name, str(field))]
         assert r.witness_row == row
         assert r.witness_value == field.of(value)
-        assert type(r.witness_value) is type(field.one())
+        assert is_canonical(r.witness_value, field)
         assert [label for label, _ in r.combination] == [label for label, _ in combination]
         assert [coeff for _, coeff in r.combination] == [field.of(c) for _, c in combination]
-        assert all(type(coeff) is type(field.one()) for _, coeff in r.combination)
+        assert all(is_canonical(coeff, field) for _, coeff in r.combination)
 
     def test_theta_index_flattening(self):
         assert theta_index(1, 0, 1, 2, 2) == 5

@@ -60,6 +60,19 @@ class TestScalars:
             assert (x / y) * y == x
 
 
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a @ b, lambda a, b: a.add(b), lambda a, b: a.sub(b),
+        lambda a, b: a.kron(b), lambda a, b: a.kron_apply(b, {0: a.field.one()}),
+    ], ids=["matmul", "add", "sub", "kron", "kron_apply"])
+    def test_matrices_over_different_fields_rejected(self, op):
+        # an int over Q would pass for an element of GF(7); this used to be
+        # a TypeError on Fraction * GFElement
+        q, gf = Matrix.identity(Q, 2), mat([[1, 2], [3, 4]], Field.prime(7))
+        for a, b in ((q, gf), (gf, q)):
+            with pytest.raises(ValueError, match=r"the Matrix is over .* but the Matrix is over"):
+                op(a, b)
+
+
 class TestRref:
     def test_identity(self):
         m = Matrix.identity(Q, 2)
@@ -141,7 +154,7 @@ def dense_gauss_jordan(rows, field):
         if sel != piv_row:
             rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
             transform[piv_row], transform[sel] = transform[sel], transform[piv_row]
-        inv = field.one() / rows[piv_row][col]
+        inv = field.div(field.one(), rows[piv_row][col])
         if inv != field.one():
             rows[piv_row] = [inv * x for x in rows[piv_row]]
             transform[piv_row] = [inv * x for x in transform[piv_row]]

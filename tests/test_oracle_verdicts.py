@@ -5,7 +5,8 @@ making it cheaper must not change a single verdict.  This test runs every
 oracle call of ``test_classical_limit.py`` and of acceptance criterion 8's
 in-process part with each oracle function wrapped, and records
 (function, sha256 of the arguments' repr, verdict) in call order, nested
-calls included.  The list is compared with ``oracle_verdicts.json``, which
+calls included.  Integer scalars are written as ``Fraction`` in that repr,
+so the digest names the values and not the form the package keeps them in.  The list is compared with ``oracle_verdicts.json``, which
 was recorded before the oracle learned to skip zero structure constants.
 Re-record it, only when the inputs are meant to change, with
 
@@ -20,6 +21,7 @@ import inspect
 import json
 import os
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -33,11 +35,19 @@ ORACLE_FUNCTIONS = ("algebra_ok", "coalgebra_ok", "bialgebra_compat_ok", "hopf_o
                     "module_coalgebra_ok", "doi_module_ok")
 
 
+def _as_fractions(x):
+    """``x`` with every int (the arguments are nested lists of scalars)
+    written as the equal ``Fraction``."""
+    if isinstance(x, (list, tuple)):
+        return type(x)(_as_fractions(y) for y in x)
+    return Fraction(x) if type(x) is int else x
+
+
 def _recording(name: str, fn, table: list):
     @functools.wraps(fn)
     def wrapper(*args):
         verdict = fn(*args)
-        digest = hashlib.sha256(repr(args).encode("utf-8")).hexdigest()[:16]
+        digest = hashlib.sha256(repr(_as_fractions(args)).encode("utf-8")).hexdigest()[:16]
         table.append([name, digest, verdict])
         return verdict
     return wrapper
