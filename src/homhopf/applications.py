@@ -120,9 +120,9 @@ def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
     for c in range(n):
         alpha_inv_c = h.alpha_inv.column(c)
         for x in range(n):
-            inner = h.mul(alpha_inv_c, {x: one})
+            inner = h.mult.apply(alpha_inv_c, {x: one})
             for y in range(n):
-                for cc, e in h.mul(alpha_col[y], inner).items():
+                for cc, e in h.mult.apply(alpha_col[y], inner).items():
                     act[(c, x * n + y, cc)] = e
     action = Tensor3.from_nonzeros(field, n, n * n, n, act)
     cstruct = ModuleCoalgebra(h.as_coalgebra(), action)
@@ -181,8 +181,8 @@ def coaction_of_action_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
             for h1, h2, c1 in h.comult.nonzero_of(j):
                 for h21, h22, c2 in h.comult.nonzero_of(h2):
                     for m0, m1, co in m.coaction.nonzero_of(i):
-                        inner = h.mul(alpha_inv_col[m1], {h22: one})
-                        outer = h.mul(s_col[h1], inner)
+                        inner = h.mult.apply(alpha_inv_col[m1], {h22: one})
+                        outer = h.mult.apply(s_col[h1], inner)
                         vec_add_scaled(rhs, c1 * c2 * co,
                                        vec_tensor(m.action.apply({m0: one}, alpha_col[h21]),
                                                   outer, dh))
@@ -270,7 +270,7 @@ def integral_from_dual(phi: DualIntegral, h: HomHopfAlgebra,
     one = field.one()
 
     def entry(i, j, _k):
-        return vec_dot(field, h.mul({j: one}, h.antipode_inv.column(i)), phi.phi)
+        return vec_dot(field, h.mult.apply({j: one}, h.antipode_inv.column(i)), phi.phi)
 
     theta = Tensor3.build(field, n, n, 1, entry)
     cand = IntegralCandidate(field, n, 1, theta)

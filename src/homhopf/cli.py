@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from .applications import check_yd_module, check_yd_substructures
-from .core import (check_hom_algebra, check_hom_coalgebra, check_hom_comodule,
-                   check_hom_hopf, check_hom_module, yau_twist)
+from .core import (HomHopfAlgebra, check_hom_algebra, check_hom_coalgebra,
+                   check_hom_comodule, check_hom_hopf, check_hom_module, yau_twist)
 from .doi import (check_comodule_algebra, check_doi_datum, check_doi_module,
                   check_module_coalgebra)
 from .golden import golden_file, golden_names
@@ -149,46 +149,34 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+#: kind -> (the key of the object it is checked against, or None; checker);
+#: a Hopf algebra that modules or comodules reference is checked as its
+#: algebra or coalgebra
 _CHECKERS = {
-    "hom_hopf_algebra": lambda sf, name: check_hom_hopf(sf.build(name)),
-    "hom_algebra": lambda sf, name: check_hom_algebra(sf.build(name)),
-    "hom_coalgebra": lambda sf, name: check_hom_coalgebra(sf.build(name)),
-    "doi_datum": lambda sf, name: check_doi_datum(sf.build(name)),
+    "hom_hopf_algebra": (None, check_hom_hopf),
+    "hom_algebra": (None, check_hom_algebra),
+    "hom_coalgebra": (None, check_hom_coalgebra),
+    "doi_datum": (None, check_doi_datum),
+    "hom_module": ("algebra", lambda m, a: check_hom_module(
+        m, a.as_algebra() if isinstance(a, HomHopfAlgebra) else a)),
+    "hom_comodule": ("coalgebra", lambda m, c: check_hom_comodule(
+        m, c.as_coalgebra() if isinstance(c, HomHopfAlgebra) else c)),
+    "comodule_algebra": ("hopf", check_comodule_algebra),
+    "module_coalgebra": ("hopf", check_module_coalgebra),
+    "doi_module": ("datum", check_doi_module),
+    "yd_module": ("hopf", lambda m, h: check_yd_substructures(m, h).merged(
+        check_yd_module(m, h))),
+    "integral": ("datum", verify_integral),
 }
 
 
 def _check_object(sf: StructureFile, name: str) -> AxiomReport:
     kind = sf.kind_of(name)
-    if kind in _CHECKERS:
-        return _CHECKERS[kind](sf, name)
-    raw = sf.raw[name]
-    if kind == "hom_module":
-        return check_hom_module(sf.build(name), _as_algebra(sf, raw["algebra"]))
-    if kind == "hom_comodule":
-        return check_hom_comodule(sf.build(name), _as_coalgebra(sf, raw["coalgebra"]))
-    if kind == "comodule_algebra":
-        return check_comodule_algebra(sf.build(name), sf.build(raw["hopf"]))
-    if kind == "module_coalgebra":
-        return check_module_coalgebra(sf.build(name), sf.build(raw["hopf"]))
-    if kind == "doi_module":
-        return check_doi_module(sf.build(name), sf.build(raw["datum"]))
-    if kind == "yd_module":
-        m = sf.build(name)
-        h = sf.build(raw["hopf"])
-        return check_yd_substructures(m, h).merged(check_yd_module(m, h))
-    if kind == "integral":
-        return verify_integral(sf.build(name), sf.build(raw["datum"]))
-    raise ValueError(f"objects of kind {kind!r} have no checker")
-
-
-def _as_algebra(sf, name):
+    if kind not in _CHECKERS:
+        raise ValueError(f"objects of kind {kind!r} have no checker")
+    ref, checker = _CHECKERS[kind]
     obj = sf.build(name)
-    return obj.as_algebra() if hasattr(obj, "as_algebra") else obj
-
-
-def _as_coalgebra(sf, name):
-    obj = sf.build(name)
-    return obj.as_coalgebra() if hasattr(obj, "as_coalgebra") else obj
+    return checker(obj) if ref is None else checker(obj, sf.build(sf.raw[name][ref]))
 
 
 def cmd_check(args) -> int:

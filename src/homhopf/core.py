@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
                      vec_dense, vec_dot, vec_scale, vec_sparse, vec_tensor)
-from .report import AxiomReport, ConstructionError, ReportBuilder, require
+from .report import AxiomReport, ReportBuilder, require
 
 
 def _require_invertible(m: Matrix, what: str) -> Matrix:
@@ -36,7 +36,8 @@ def _require_invertible(m: Matrix, what: str) -> Matrix:
 
 def _view(cls, **attrs):
     """An instance of the dataclass ``cls`` holding ``attrs`` as they are,
-    without ``__post_init__``: for parts a structure has already checked."""
+    without ``__post_init__``: for parts already checked or built to shape,
+    with their inverses."""
     obj = object.__new__(cls)
     obj.__dict__.update(attrs)
     return obj
@@ -75,9 +76,6 @@ class HomAlgebra:
                      ("unit vector", self.unit))
         self.unit = tuple(self.field.of(x) for x in self.unit)
         self.alpha_inv = _require_invertible(self.alpha, "algebra twist")
-
-    def mul(self, v, w) -> list:
-        return self.mult.apply(v, w)
 
 
 @dataclass
@@ -134,9 +132,6 @@ class HomHopfAlgebra:
         return _view(HomCoalgebra, field=self.field, dim=self.dim, gamma=self.alpha,
                      comult=self.comult, counit=self.counit, gamma_inv=self.alpha_inv)
 
-    def mul(self, v, w) -> list:
-        return self.mult.apply(v, w)
-
 
 @dataclass
 class HomModule:
@@ -154,9 +149,6 @@ class HomModule:
             raise ValueError("action tensor has wrong shape")
         require_same_field(self, self.mu, self.action)
         self.mu_inv = _require_invertible(self.mu, "module twist")
-
-    def act(self, v, a) -> list:
-        return self.action.apply(v, a)
 
 
 @dataclass
@@ -191,18 +183,18 @@ def check_hom_algebra(a: HomAlgebra) -> AxiomReport:
     b.check_vec("twist_fixes_unit", (), a.alpha.apply(unit), unit, n)
     for i in range(n):
         e_i = {i: one}
-        b.check_vec("right_unit", (i,), a.mul(e_i, unit), alpha_col[i], n)
-        b.check_vec("left_unit", (i,), a.mul(unit, e_i), alpha_col[i], n)
+        b.check_vec("right_unit", (i,), a.mult.apply(e_i, unit), alpha_col[i], n)
+        b.check_vec("left_unit", (i,), a.mult.apply(unit, e_i), alpha_col[i], n)
         for j in range(n):
             b.check_vec("twist_multiplicative", (i, j),
                         a.alpha.apply(prod[i][j]),
-                        a.mul(alpha_col[i], alpha_col[j]), n)
+                        a.mult.apply(alpha_col[i], alpha_col[j]), n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 b.check_vec("hom_associativity", (i, j, k),
-                            a.mul(alpha_col[i], prod[j][k]),
-                            a.mul(prod[i][j], alpha_col[k]), n)
+                            a.mult.apply(alpha_col[i], prod[j][k]),
+                            a.mult.apply(prod[i][j], alpha_col[k]), n)
     return b.report()
 
 
@@ -260,8 +252,8 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
     for i in range(n):
         conv_left, conv_right = {}, {}
         for j, k, coeff in h.comult.nonzero_of(i):
-            vec_add_scaled(conv_left, coeff, h.mul(s_col[j], {k: one}))
-            vec_add_scaled(conv_right, coeff, h.mul({j: one}, s_col[k]))
+            vec_add_scaled(conv_left, coeff, h.mult.apply(s_col[j], {k: one}))
+            vec_add_scaled(conv_right, coeff, h.mult.apply({j: one}, s_col[k]))
         target = vec_scale(h.counit[i], unit)
         b.check_vec("antipode_left", (i,), conv_left, target, n)
         b.check_vec("antipode_right", (i,), conv_right, target, n)
@@ -283,15 +275,15 @@ def check_hom_module(m: HomModule, a: HomAlgebra) -> AxiomReport:
     prod = [[a.mult.at_pair(j, k) for k in range(a.dim)] for j in range(a.dim)]
     unit = vec_sparse(a.unit)
     for i in range(dm):
-        b.check_vec("module_unit", (i,), m.act({i: one}, unit), mu_col[i], dm)
+        b.check_vec("module_unit", (i,), m.action.apply({i: one}, unit), mu_col[i], dm)
         for j in range(a.dim):
             acted = m.action.at_pair(i, j)
             b.check_vec("module_twist", (i, j),
-                        m.mu.apply(acted), m.act(mu_col[i], alpha_col[j]), dm)
+                        m.mu.apply(acted), m.action.apply(mu_col[i], alpha_col[j]), dm)
             for k in range(a.dim):
                 b.check_vec("module_hom_associativity", (i, j, k),
-                            m.act(acted, alpha_col[k]),
-                            m.act(mu_col[i], prod[j][k]), dm)
+                            m.action.apply(acted, alpha_col[k]),
+                            m.action.apply(mu_col[i], prod[j][k]), dm)
     return b.report()
 
 
@@ -340,8 +332,11 @@ def hopf_automorphism_report(h: HomHopfAlgebra, a: Matrix) -> AxiomReport:
     """Check that ``a`` is a Hopf automorphism of ``h``: it preserves
     multiplication, unit, comultiplication, counit, antipode and is invertible."""
     require_same_field(h, a)
-    b = ReportBuilder()
     n = h.dim
+    if a.shape != (n, n):
+        raise ValueError(f"the automorphism is a {a.rows}x{a.cols} matrix but the "
+                         f"Hopf algebra has dimension {n}, which needs {n}x{n}")
+    b = ReportBuilder()
     if a.inverse() is None:
         b.fail("automorphism_invertible", ())
     a_col = [a.column(i) for i in range(n)]
@@ -357,7 +352,7 @@ def hopf_automorphism_report(h: HomHopfAlgebra, a: Matrix) -> AxiomReport:
                     a.apply(h.antipode.column(i)), h.antipode.apply(a_col[i]), n)
         for j in range(n):
             b.check_vec("automorphism_mult", (i, j),
-                        a.apply(h.mult.at_pair(i, j)), h.mul(a_col[i], a_col[j]), n)
+                        a.apply(h.mult.at_pair(i, j)), h.mult.apply(a_col[i], a_col[j]), n)
     return b.report()
 
 
@@ -379,16 +374,19 @@ def yau_twist(h: HomHopfAlgebra, a: Matrix) -> HomHopfAlgebra:
             for k, e in a.apply(h.mult.at_pair(i, j)).items()}
     comult = {(i, *divmod(q, n)): e for i in range(n)
               for q, e in h.comult.apply_left(a_inv.column(i)).items()}
-    twisted = HomHopfAlgebra(h.field, n, a, Tensor3.from_nonzeros(h.field, n, n, n, mult),
-                             h.unit, Tensor3.from_nonzeros(h.field, n, n, n, comult),
-                             h.counit, h.antipode)
+    # the parts are built here, shaped and over h's field; a and the
+    # antipode are inverted already
+    twisted = _view(HomHopfAlgebra, field=h.field, dim=n, alpha=a,
+                    mult=Tensor3.from_nonzeros(h.field, n, n, n, mult), unit=h.unit,
+                    comult=Tensor3.from_nonzeros(h.field, n, n, n, comult), counit=h.counit,
+                    antipode=h.antipode, alpha_inv=a_inv, antipode_inv=h.antipode_inv)
     require(check_hom_hopf(twisted), "twisted structure failed verification")
     return twisted
 
 
-#: candidate antipodes for the tensor square with one factor reversed, in the
-#: order they are tried; the first one passing the full check wins.
-OPPOSITE_TENSOR_ANTIPODES = ("S (x) S^-1", "S^-1 (x) S", "S (x) S", "S^-1 (x) S^-1")
+#: the antipode of the tensor square with one factor reversed, as recorded
+#: in its ``antipode_choice``: S (x) S^-1 is the only one there is
+OPPOSITE_TENSOR_ANTIPODES = ("S (x) S^-1",)
 
 
 def opposite_tensor(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -396,12 +394,15 @@ def opposite_tensor(h: HomHopfAlgebra) -> HomHopfAlgebra:
     in the opposite order: (x (x) y)(x' (x) y') = xx' (x) y'y.
 
     Index convention: basis pair (i, j) sits at i*dim + j.  The coalgebra is
-    componentwise, the twist is alpha (x) alpha.  Candidate antipodes are
-    tried in the order of ``OPPOSITE_TENSOR_ANTIPODES``; the winner is
-    recorded on the result as ``antipode_choice``.  The reversed factor goes
-    second because that is the convention under which H becomes a comodule
-    algebra and a module coalgebra over the square (a commutative H hides the
-    difference; a noncommutative one does not).
+    componentwise, the twist is alpha (x) alpha and the antipode is
+    S (x) S^-1: H^op has antipode S^-1, and the antipode of a monoidal
+    Hom-Hopf algebra is unique (Caenepeel and Goyvaerts, Monoidal Hom-Hopf
+    algebras, Comm. Algebra 39 (2011)), so there is no other to try.  The
+    result is checked exhaustively and records its antipode as
+    ``antipode_choice``.  The reversed factor goes second because that is
+    the convention under which H becomes a comodule algebra and a module
+    coalgebra over the square (a commutative H hides the difference; a
+    noncommutative one does not).
     """
     require(check_hom_hopf(h), "input fails the Hom-Hopf checks")
     if not h.antipode_invertible:
@@ -419,20 +420,8 @@ def opposite_tensor(h: HomHopfAlgebra) -> HomHopfAlgebra:
         for i1, j1, k1, e1 in h.comult.nonzero() for i2, j2, k2, e2 in h.comult.nonzero()})
     unit, counit = (tuple(vec_dense(vec_tensor(vec_sparse(v), vec_sparse(v), n), N, field.zero()))
                     for v in (h.unit, h.counit))
-    alpha = h.alpha.kron(h.alpha)
-    s, s_inv = h.antipode, h.antipode_inv
-    candidates = {
-        "S (x) S^-1": s.kron(s_inv),
-        "S^-1 (x) S": s_inv.kron(s),
-        "S (x) S": s.kron(s),
-        "S^-1 (x) S^-1": s_inv.kron(s_inv),
-    }
-    last = None
-    for name in OPPOSITE_TENSOR_ANTIPODES:
-        cand = HomHopfAlgebra(field, N, alpha, mult, unit, comult, counit, candidates[name])
-        rep = check_hom_hopf(cand)
-        if rep.passed:
-            cand.antipode_choice = name
-            return cand
-        last = rep
-    raise ConstructionError("construction failed axiom check", last)
+    square = HomHopfAlgebra(field, N, h.alpha.kron(h.alpha), mult, unit, comult, counit,
+                            h.antipode.kron(h.antipode_inv))
+    require(check_hom_hopf(square), "construction failed axiom check")
+    square.antipode_choice = OPPOSITE_TENSOR_ANTIPODES[0]
+    return square

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
-                   HomModule, check_hom_comodule, check_hom_hopf,
+                   HomModule, _view, check_hom_comodule, check_hom_hopf,
                    check_hom_module)
 from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
                      vec_dot, vec_sparse, vec_tensor)
@@ -40,13 +40,18 @@ class ComoduleAlgebra:
     def __post_init__(self):
         if self.coaction.d1 != self.algebra.dim or self.coaction.d2 != self.algebra.dim:
             raise ValueError("coaction tensor has wrong shape")
+        require_same_field(self.algebra, self.coaction)
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
     def as_comodule(self) -> HomComodule:
-        return HomComodule(self.algebra.field, self.dim, self.algebra.alpha, self.coaction)
+        """A view of the algebra's twist and the coaction as an H-comodule,
+        sharing the twist inverse the algebra holds."""
+        a = self.algebra
+        return _view(HomComodule, field=a.field, dim=a.dim, mu=a.alpha,
+                     coaction=self.coaction, mu_inv=a.alpha_inv)
 
 
 @dataclass
@@ -59,13 +64,18 @@ class ModuleCoalgebra:
     def __post_init__(self):
         if self.action.d1 != self.coalgebra.dim or self.action.d3 != self.coalgebra.dim:
             raise ValueError("action tensor has wrong shape")
+        require_same_field(self.coalgebra, self.action)
 
     @property
     def dim(self) -> int:
         return self.coalgebra.dim
 
     def as_module(self) -> HomModule:
-        return HomModule(self.coalgebra.field, self.dim, self.coalgebra.gamma, self.action)
+        """A view of the coalgebra's twist and the action as an H-module,
+        sharing the twist inverse the coalgebra holds."""
+        c = self.coalgebra
+        return _view(HomModule, field=c.field, dim=c.dim, mu=c.gamma,
+                     action=self.action, mu_inv=c.gamma_inv)
 
 
 @dataclass

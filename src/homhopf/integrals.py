@@ -163,8 +163,8 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
                         arg1 = phi.apply(gam_inv_col[p], {h2: one})
                         arg2 = phi.apply(gam_inv_col[q], alpha_inv_col[hh])
                         tt = theta.apply(arg1, arg2)
-                        vec_add_scaled(lhs, c1 * c2, alg.mul(beta2_col[u2], tt))
-                rhs = alg.mul(theta.at_pair(p, q), {t_idx: one})
+                        vec_add_scaled(lhs, c1 * c2, alg.mult.apply(beta2_col[u2], tt))
+                rhs = alg.mult.apply(theta.at_pair(p, q), {t_idx: one})
                 out[("module_linearity", (t_idx, p, q))] = residual(lhs, rhs, da)
     return out
 

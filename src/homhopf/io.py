@@ -90,54 +90,45 @@ class StructureFile:
                 f"{key!r} must reference one of {kinds}, got {target_kind!r}")
         return self.build(name, stack)
 
-    def _build_hom_hopf_algebra(self, obj, stack):
+    def _parts(self, obj: dict, *keys: str, act: int = 0, coact: int = 0) -> list:
+        """Decode the parts ``keys`` of ``obj``, each shaped by its key and
+        ``obj["dim"]``: an action is by an algebra of dimension ``act``, a
+        coaction into a coalgebra of dimension ``coact``."""
         n = obj["dim"]
-        return HomHopfAlgebra(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                              _tensor(self.field, obj["mult"], n, n, n),
-                              _vector(self.field, obj["unit"], n),
-                              _tensor(self.field, obj["comult"], n, n, n),
-                              _vector(self.field, obj["counit"], n),
-                              _matrix(self.field, obj["antipode"], n, n))
+        shapes = {"twist": (n, n), "antipode": (n, n), "unit": (n,), "counit": (n,),
+                  "mult": (n, n, n), "comult": (n, n, n), "action": (n, act, n),
+                  "coaction": (n, n, coact)}
+        return [_decode(self.field, obj[key], shapes[key]) for key in keys]
+
+    def _build_hom_hopf_algebra(self, obj, stack):
+        return HomHopfAlgebra(self.field, obj["dim"], *self._parts(
+            obj, "twist", "mult", "unit", "comult", "counit", "antipode"))
 
     def _build_hom_algebra(self, obj, stack):
-        n = obj["dim"]
-        return HomAlgebra(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                          _tensor(self.field, obj["mult"], n, n, n),
-                          _vector(self.field, obj["unit"], n))
+        return HomAlgebra(self.field, obj["dim"], *self._parts(obj, "twist", "mult", "unit"))
 
     def _build_hom_coalgebra(self, obj, stack):
-        n = obj["dim"]
-        return HomCoalgebra(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                            _tensor(self.field, obj["comult"], n, n, n),
-                            _vector(self.field, obj["counit"], n))
+        return HomCoalgebra(self.field, obj["dim"],
+                            *self._parts(obj, "twist", "comult", "counit"))
 
     def _build_hom_module(self, obj, stack):
         a = self._ref(obj, "algebra", stack, ("hom_algebra", "hom_hopf_algebra"))
-        n = obj["dim"]
-        return HomModule(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                         _tensor(self.field, obj["action"], n, a.dim, n))
+        return HomModule(self.field, obj["dim"], *self._parts(obj, "twist", "action", act=a.dim))
 
     def _build_hom_comodule(self, obj, stack):
         c = self._ref(obj, "coalgebra", stack, ("hom_coalgebra", "hom_hopf_algebra"))
-        n = obj["dim"]
-        return HomComodule(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                           _tensor(self.field, obj["coaction"], n, n, c.dim))
+        return HomComodule(self.field, obj["dim"],
+                           *self._parts(obj, "twist", "coaction", coact=c.dim))
 
     def _build_comodule_algebra(self, obj, stack):
         h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
-        n = obj["dim"]
-        alg = HomAlgebra(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                         _tensor(self.field, obj["mult"], n, n, n),
-                         _vector(self.field, obj["unit"], n))
-        return ComoduleAlgebra(alg, _tensor(self.field, obj["coaction"], n, n, h.dim))
+        alg = self._build_hom_algebra(obj, stack)
+        return ComoduleAlgebra(alg, *self._parts(obj, "coaction", coact=h.dim))
 
     def _build_module_coalgebra(self, obj, stack):
         h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
-        n = obj["dim"]
-        coalg = HomCoalgebra(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                             _tensor(self.field, obj["comult"], n, n, n),
-                             _vector(self.field, obj["counit"], n))
-        return ModuleCoalgebra(coalg, _tensor(self.field, obj["action"], n, h.dim, n))
+        coalg = self._build_hom_coalgebra(obj, stack)
+        return ModuleCoalgebra(coalg, *self._parts(obj, "action", act=h.dim))
 
     def _build_doi_datum(self, obj, stack):
         h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
@@ -147,18 +138,14 @@ class StructureFile:
 
     def _build_doi_module(self, obj, stack):
         d = self._ref(obj, "datum", stack, ("doi_datum",))
-        return self._doi_module(obj, d.algebra.dim, d.coalgebra.dim)
+        return DoiModule(self.field, obj["dim"], *self._parts(
+            obj, "twist", "action", "coaction", act=d.algebra.dim, coact=d.coalgebra.dim))
 
     def _build_yd_module(self, obj, stack):
         # a Yetter-Drinfeld module is a Doi module over yd_datum(H): A = C = H
         h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
-        return self._doi_module(obj, h.dim, h.dim)
-
-    def _doi_module(self, obj, dim_a: int, dim_c: int) -> DoiModule:
-        n = obj["dim"]
-        return DoiModule(self.field, n, _matrix(self.field, obj["twist"], n, n),
-                         _tensor(self.field, obj["action"], n, dim_a, n),
-                         _tensor(self.field, obj["coaction"], n, n, dim_c))
+        return DoiModule(self.field, obj["dim"], *self._parts(
+            obj, "twist", "action", "coaction", act=h.dim, coact=h.dim))
 
     def _build_morphism(self, obj, stack):
         rows = obj["matrix"]
@@ -169,8 +156,8 @@ class StructureFile:
 
     def _build_integral(self, obj, stack):
         d = self._ref(obj, "datum", stack, ("doi_datum",))
-        theta = _tensor(self.field, obj["theta"], d.coalgebra.dim, d.coalgebra.dim,
-                        d.algebra.dim)
+        theta = _decode(self.field, obj["theta"],
+                        (d.coalgebra.dim, d.coalgebra.dim, d.algebra.dim))
         return IntegralCandidate(self.field, d.coalgebra.dim, d.algebra.dim, theta)
 
     def _build_certificate(self, obj, stack):
@@ -178,35 +165,24 @@ class StructureFile:
                                      "theta": obj["theta"]}, stack)
 
 
-def _vector(field: Field, data, n: int) -> tuple:
-    if not isinstance(data, list) or len(data) != n:
-        raise StructureParseError(f"expected a vector of length {n}")
-    return tuple(_scalar(field, x) for x in data)
+def _decode(field: Field, data, shape: tuple):
+    """A vector, matrix or tensor of the given shape from nested lists of
+    coefficient strings."""
+    dims = "x".join(map(str, shape))
+    what = (f"a vector of length {dims}", f"a {dims} matrix", f"a {dims} tensor")[len(shape) - 1]
+    flat = tuple(_flatten(field, data, shape, what))
+    if len(shape) == 1:
+        return flat
+    return (Matrix if len(shape) == 2 else Tensor3)(field, *shape, flat)
 
 
-def _matrix(field: Field, data, rows: int, cols: int) -> Matrix:
-    if not isinstance(data, list) or len(data) != rows:
-        raise StructureParseError(f"expected a {rows}x{cols} matrix")
-    flat = []
-    for row in data:
-        if not isinstance(row, list) or len(row) != cols:
-            raise StructureParseError(f"expected a {rows}x{cols} matrix")
-        flat.extend(_scalar(field, x) for x in row)
-    return Matrix(field, rows, cols, tuple(flat))
-
-
-def _tensor(field: Field, data, d1: int, d2: int, d3: int) -> Tensor3:
-    if not isinstance(data, list) or len(data) != d1:
-        raise StructureParseError(f"expected a {d1}x{d2}x{d3} tensor")
-    flat = []
-    for plane in data:
-        if not isinstance(plane, list) or len(plane) != d2:
-            raise StructureParseError(f"expected a {d1}x{d2}x{d3} tensor")
-        for row in plane:
-            if not isinstance(row, list) or len(row) != d3:
-                raise StructureParseError(f"expected a {d1}x{d2}x{d3} tensor")
-            flat.extend(_scalar(field, x) for x in row)
-    return Tensor3(field, d1, d2, d3, tuple(flat))
+def _flatten(field: Field, data, shape: tuple, what: str) -> list:
+    # depth first, so the first bad list or coefficient in reading order is reported
+    if not isinstance(data, list) or len(data) != shape[0]:
+        raise StructureParseError(f"expected {what}")
+    if len(shape) == 1:
+        return [_scalar(field, x) for x in data]
+    return [x for item in data for x in _flatten(field, item, shape[1:], what)]
 
 
 def _scalar(field: Field, x):
@@ -300,37 +276,39 @@ def serialize_structure_file(sf: StructureFile) -> str:
 # ---------------------------------------------------------------------------
 # raw-dict encoders for in-memory objects
 
-def _svec(v) -> list:
-    return [str(x) for x in v]
+def _encode(part) -> list:
+    """A vector, matrix or tensor as nested lists of coefficient strings."""
+    if isinstance(part, Matrix):
+        return [_encode(part.row(r)) for r in range(part.rows)]
+    if isinstance(part, Tensor3):
+        return [[[str(part.at(i, j, k)) for k in range(part.d3)]
+                 for j in range(part.d2)] for i in range(part.d1)]
+    return [str(x) for x in part]
 
-def _smat(m: Matrix) -> list:
-    return [_svec(m.row(r)) for r in range(m.rows)]
 
-def _stensor(t: Tensor3) -> list:
-    return [[[str(t.at(i, j, k)) for k in range(t.d3)]
-             for j in range(t.d2)] for i in range(t.d1)]
+def _raw(kind: str, dim: int, basis, prefix: str, refs: dict, **parts) -> dict:
+    """The record of a ``dim``-dimensional object: its references, its basis
+    labels (``prefix`` and the index by default) and its parts encoded."""
+    return {"kind": kind, **refs, "dim": dim,
+            "basis": list(basis) if basis else [f"{prefix}{i}" for i in range(dim)],
+            **{key: _encode(part) for key, part in parts.items()}}
 
 
 def hopf_to_raw(h: HomHopfAlgebra, basis=None) -> dict:
-    return {"kind": "hom_hopf_algebra", "dim": h.dim,
-            "basis": list(basis) if basis else [f"b{i}" for i in range(h.dim)],
-            "twist": _smat(h.alpha), "mult": _stensor(h.mult), "unit": _svec(h.unit),
-            "comult": _stensor(h.comult), "counit": _svec(h.counit),
-            "antipode": _smat(h.antipode)}
+    return _raw("hom_hopf_algebra", h.dim, basis, "b", {}, twist=h.alpha, mult=h.mult,
+                unit=h.unit, comult=h.comult, counit=h.counit, antipode=h.antipode)
 
 
 def comodule_algebra_to_raw(a: ComoduleAlgebra, hopf_name: str, basis=None) -> dict:
-    return {"kind": "comodule_algebra", "hopf": hopf_name, "dim": a.dim,
-            "basis": list(basis) if basis else [f"a{i}" for i in range(a.dim)],
-            "twist": _smat(a.algebra.alpha), "mult": _stensor(a.algebra.mult),
-            "unit": _svec(a.algebra.unit), "coaction": _stensor(a.coaction)}
+    return _raw("comodule_algebra", a.dim, basis, "a", {"hopf": hopf_name},
+                twist=a.algebra.alpha, mult=a.algebra.mult, unit=a.algebra.unit,
+                coaction=a.coaction)
 
 
 def module_coalgebra_to_raw(c: ModuleCoalgebra, hopf_name: str, basis=None) -> dict:
-    return {"kind": "module_coalgebra", "hopf": hopf_name, "dim": c.dim,
-            "basis": list(basis) if basis else [f"c{i}" for i in range(c.dim)],
-            "twist": _smat(c.coalgebra.gamma), "comult": _stensor(c.coalgebra.comult),
-            "counit": _svec(c.coalgebra.counit), "action": _stensor(c.action)}
+    return _raw("module_coalgebra", c.dim, basis, "c", {"hopf": hopf_name},
+                twist=c.coalgebra.gamma, comult=c.coalgebra.comult,
+                counit=c.coalgebra.counit, action=c.action)
 
 
 def doi_datum_to_raw(hopf_name: str, algebra_name: str, coalgebra_name: str) -> dict:
@@ -339,29 +317,24 @@ def doi_datum_to_raw(hopf_name: str, algebra_name: str, coalgebra_name: str) -> 
 
 
 def doi_module_to_raw(m: DoiModule, datum_name: str, basis=None) -> dict:
-    return _module_to_raw(m, "doi_module", "datum", datum_name, basis)
+    return _raw("doi_module", m.dim, basis, "m", {"datum": datum_name},
+                twist=m.mu, action=m.action, coaction=m.coaction)
 
 
 def yd_module_to_raw(m: DoiModule, hopf_name: str, basis=None) -> dict:
-    return _module_to_raw(m, "yd_module", "hopf", hopf_name, basis)
-
-
-def _module_to_raw(m: DoiModule, kind: str, key: str, ref: str, basis) -> dict:
-    return {"kind": kind, key: ref, "dim": m.dim,
-            "basis": list(basis) if basis else [f"m{i}" for i in range(m.dim)],
-            "twist": _smat(m.mu), "action": _stensor(m.action),
-            "coaction": _stensor(m.coaction)}
+    return _raw("yd_module", m.dim, basis, "m", {"hopf": hopf_name},
+                twist=m.mu, action=m.action, coaction=m.coaction)
 
 
 def morphism_to_raw(f: Matrix, source: str, target: str) -> dict:
     return {"kind": "morphism", "source": source, "target": target,
-            "matrix": _smat(f)}
+            "matrix": _encode(f)}
 
 
 def integral_to_raw(cand: IntegralCandidate, datum_name: str) -> dict:
-    return {"kind": "integral", "datum": datum_name, "theta": _stensor(cand.theta)}
+    return {"kind": "integral", "datum": datum_name, "theta": _encode(cand.theta)}
 
 
 def certificate_to_raw(cand: IntegralCandidate, datum_name: str, modules) -> dict:
-    return {"kind": "certificate", "datum": datum_name, "theta": _stensor(cand.theta),
+    return {"kind": "certificate", "datum": datum_name, "theta": _encode(cand.theta),
             "modules": [{"name": name, "retraction_ok": bool(ok)} for name, ok in modules]}

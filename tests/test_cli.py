@@ -172,6 +172,17 @@ class TestKindErrors:
         self.assert_usage_error(["twist", split_file, "D", "f"],
                                 "'D'", "expected a hom_hopf_algebra")
 
+    @pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3)])
+    def test_twist_with_automorphism_of_wrong_shape(self, tmp_path, rows, cols):
+        # 3x2 died with an IndexError traceback, 2x3 exited 1 on automorphism_comult
+        data = json.loads(serialize_structure_file(golden_file("kZ2", Q)))
+        data["objects"]["a"] = {"kind": "morphism", "source": "H", "target": "H",
+                                "matrix": [[str(int(r == c)) for c in range(cols)]
+                                           for r in range(rows)]}
+        p = tmp_path / "shape.json"
+        p.write_text(json.dumps(data))
+        self.assert_usage_error(["twist", str(p), "H", "a"], f"{rows}x{cols}", "needs 2x2")
+
     def test_boolean_dim_is_exit_2(self, tmp_path):
         data = json.loads(serialize_structure_file(golden_file("kZ2", Q)))
         data["objects"]["H"]["dim"] = True

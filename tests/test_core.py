@@ -1,17 +1,21 @@
 import gc
 import tracemalloc
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homhopf.core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra, HomModule,
                           check_hom_algebra, check_hom_coalgebra, check_hom_comodule,
                           check_hom_hopf, check_hom_module,
                           derived_antipode_properties,
                           hopf_automorphism_report, opposite_tensor, yau_twist)
-from homhopf.doi import DoiModule
+from homhopf.doi import (ComoduleAlgebra, DoiModule, ModuleCoalgebra, check_comodule_algebra,
+                         check_module_coalgebra)
 from homhopf.linalg import Field, Matrix, Tensor3, vec_sparse
 from homhopf.report import ConstructionError
-from homhopf.zoo import (group_algebra, one_dimensional_hopf,
+from homhopf.zoo import (group_algebra, one_dimensional_hopf, power_automorphism,
                          regular_comodule, regular_module, sweedler_h4,
                          sweedler_scaling, twisted_group_algebra,
                          twisted_sweedler)
@@ -147,16 +151,28 @@ class TestConstructionValidation:
         with pytest.raises(ValueError, match=message):
             build(group_algebra(2, Q), group_algebra(2, Field.prime(7)))
 
-    @pytest.mark.parametrize("view", ["as_algebra", "as_coalgebra"])
+    @pytest.mark.parametrize("view", ["as_algebra", "as_coalgebra", "as_comodule", "as_module"])
     def test_views_reuse_the_twist_inverse(self, monkeypatch, view):
         h = twisted_sweedler(Q, 2)
+        # H over itself, built on parts of its own: each inverts its twist once, here
+        a = ComoduleAlgebra(HomAlgebra(Q, 4, h.alpha, h.mult, h.unit), h.comult)
+        c = ModuleCoalgebra(HomCoalgebra(Q, 4, h.alpha, h.comult, h.counit), h.mult)
+        # view -> (owner, the inverse the owner holds, the view's name for it, a check)
+        owner, owned, shared, check = {
+            "as_algebra": (h, h.alpha_inv, "alpha_inv", check_hom_algebra),
+            "as_coalgebra": (h, h.alpha_inv, "gamma_inv", check_hom_coalgebra),
+            # the datum checks, which check the owner through its view
+            "as_comodule": (a, a.algebra.alpha_inv, "mu_inv",
+                            lambda part: check_comodule_algebra(a, h)),
+            "as_module": (c, c.coalgebra.gamma_inv, "mu_inv",
+                          lambda part: check_module_coalgebra(c, h)),
+        }[view]
         calls = []
         inverse = Matrix.inverse
         monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
-        part = getattr(h, view)()
+        part = getattr(owner, view)()
         assert calls == []
-        assert (part.alpha_inv if view == "as_algebra" else part.gamma_inv) is h.alpha_inv
-        check = check_hom_algebra if view == "as_algebra" else check_hom_coalgebra
+        assert getattr(part, shared) is owned
         assert check(part).passed
         assert check_hom_hopf(h).passed
         assert calls == []
@@ -199,6 +215,27 @@ class TestYauTwist:
         rep = hopf_automorphism_report(h, sweedler_scaling(Q, 3))
         assert rep.passed
 
+    @pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3)])
+    def test_automorphism_of_wrong_shape_rejected(self, rows, cols):
+        # 3x2 died with an IndexError, 2x3 failed automorphism_comult
+        h = group_algebra(2, Q)
+        a = Matrix.from_rows(Q, [[int(r == c) for c in range(cols)] for r in range(rows)])
+        for entry in (hopf_automorphism_report, yau_twist):
+            with pytest.raises(ValueError, match=f"is a {rows}x{cols} matrix .* needs 2x2"):
+                entry(h, a)
+
+    def test_twist_inverts_the_automorphism_once(self, monkeypatch):
+        h, a = group_algebra(5, Q), power_automorphism(5, 2, Q)
+        calls = []
+        inverse = Matrix.inverse
+        monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
+        t = yau_twist(h, a)
+        # the automorphism check inverts a, and the twist inverts it once for
+        # its comultiplication and twist inverse; the antipode's inverse is h's
+        assert len(calls) == 2 and all(m is a for m in calls)
+        assert t.antipode_inv is h.antipode_inv
+        assert t.alpha_inv @ a == Matrix.identity(Q, 5)
+
 
 class TestModulesComodules:
     def test_regular_module_passes(self, field):
@@ -228,6 +265,23 @@ class TestOppositeTensor:
         t = opposite_tensor(group_algebra(2, Q))
         assert t.dim == 4
         assert check_hom_hopf(t).passed
+        assert t.antipode_choice == "S (x) S^-1"
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([Q, Field.prime(7)]), st.data())
+    def test_antipode_is_s_tensor_s_inverse(self, field, data):
+        # H^op has antipode S^-1 and a Hom-Hopf antipode is unique, so no Yau
+        # twist needs another candidate
+        if data.draw(st.booleans(), label="group algebra"):
+            n = data.draw(st.integers(1, 5), label="n")
+            k = data.draw(st.sampled_from([k for k in range(n) if gcd(k, n) == 1]), label="k")
+            h = yau_twist(group_algebra(n, field), power_automorphism(n, k, field))
+        else:
+            lam = data.draw(st.integers(1, 6) if field.p else
+                            st.fractions(-5, 5, max_denominator=5).filter(bool), label="lambda")
+            h = twisted_sweedler(field, lam)
+        t = opposite_tensor(h)
+        assert t.antipode == h.antipode.kron(h.antipode_inv)
         assert t.antipode_choice == "S (x) S^-1"
 
     def test_twisted_sweedler_square(self):
