@@ -230,8 +230,9 @@ def induce(n: HomModule, d: DoiDatum) -> DoiModule:
                         key = (i * dc + c, ii * dc + c1, s)
                         coa[key] = coa.get(key, zero) + v * g * nu
     coaction = Tensor3.from_nonzeros(field, dim, dim, dc, coa)
-    mu = n.mu.kron(gamma)
-    return DoiModule(field, dim, mu, action, coaction)
+    # (mu (x) gamma)^-1 = mu^-1 (x) gamma^-1: both inverses are at hand
+    return _view(DoiModule, field=field, dim=dim, mu=n.mu.kron(gamma), action=action,
+                 coaction=coaction, mu_inv=n.mu_inv.kron(d.coalgebra.coalgebra.gamma_inv))
 
 
 def module_morphism_report(f: Matrix, src: HomModule, dst: HomModule,

@@ -5,11 +5,17 @@ scalar is serialized as a string ("3/2", "5") so no numeric precision is
 involved.  Serialization is canonical (sorted keys, two-space indent,
 lowest-terms rationals, trailing newline) so parse . serialize is the
 identity on emitted files byte for byte.  Unknown keys are rejected.
+
+Reading is bound by coefficients: a file repeats a handful of distinct
+strings thousands of times, so each distinct coefficient string is parsed
+once per file and shared.  Matrices and tensors are decoded straight into
+their nonzero fibres, one per innermost list; no dense copy is built.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field as dc_field
 
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
@@ -48,6 +54,7 @@ class StructureFile:
     field: Field
     raw: dict
     _built: dict = dc_field(default_factory=dict)
+    _scalars: dict = dc_field(default_factory=dict)  # coefficient string -> scalar
 
     def names(self):
         return sorted(self.raw)
@@ -98,7 +105,7 @@ class StructureFile:
         shapes = {"twist": (n, n), "antipode": (n, n), "unit": (n,), "counit": (n,),
                   "mult": (n, n, n), "comult": (n, n, n), "action": (n, act, n),
                   "coaction": (n, n, coact)}
-        return [_decode(self.field, obj[key], shapes[key]) for key in keys]
+        return [self._decode(obj[key], shapes[key]) for key in keys]
 
     def _build_hom_hopf_algebra(self, obj, stack):
         return HomHopfAlgebra(self.field, obj["dim"], *self._parts(
@@ -151,47 +158,56 @@ class StructureFile:
         rows = obj["matrix"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise StructureParseError("a morphism's 'matrix' must be a list of rows")
-        return Matrix.from_rows(self.field,
-                                [[_scalar(self.field, x) for x in row] for row in rows])
+        return self._decode(rows, (len(rows), len(rows[0]) if rows else 0))
 
     def _build_integral(self, obj, stack):
         d = self._ref(obj, "datum", stack, ("doi_datum",))
-        theta = _decode(self.field, obj["theta"],
-                        (d.coalgebra.dim, d.coalgebra.dim, d.algebra.dim))
+        theta = self._decode(obj["theta"], (d.coalgebra.dim, d.coalgebra.dim, d.algebra.dim))
         return IntegralCandidate(self.field, d.coalgebra.dim, d.algebra.dim, theta)
 
     def _build_certificate(self, obj, stack):
         return self._build_integral({"kind": "integral", "datum": obj["datum"],
                                      "theta": obj["theta"]}, stack)
 
+    # -- coefficients -------------------------------------------------------
+    def _decode(self, data, shape: tuple):
+        """A vector (a dense tuple), matrix or tensor of the given shape from
+        nested lists of coefficient strings; a matrix or tensor keeps the
+        nonzeros of each innermost list as one fibre."""
+        dims = "x".join(map(str, shape))
+        what = (f"a vector of length {dims}", f"a {dims} matrix",
+                f"a {dims} tensor")[len(shape) - 1]
+        rows = self._rows(data, shape, what)
+        if len(shape) == 1:
+            return tuple(next(rows))
+        fibres = ([(k, x) for k, x in enumerate(row) if x] for row in rows)
+        cls, names = ((Matrix, ("rows", "cols")) if len(shape) == 2
+                      else (Tensor3, ("d1", "d2", "d3")))
+        return cls._from_fibres(fibres, shape[-1], field=self.field, **dict(zip(names, shape)))
 
-def _decode(field: Field, data, shape: tuple):
-    """A vector, matrix or tensor of the given shape from nested lists of
-    coefficient strings."""
-    dims = "x".join(map(str, shape))
-    what = (f"a vector of length {dims}", f"a {dims} matrix", f"a {dims} tensor")[len(shape) - 1]
-    flat = tuple(_flatten(field, data, shape, what))
-    if len(shape) == 1:
-        return flat
-    return (Matrix if len(shape) == 2 else Tensor3)(field, *shape, flat)
+    def _rows(self, data, shape: tuple, what: str):
+        """The innermost lists of ``data`` as lists of scalars, in reading order."""
+        # depth first, so the first bad list or coefficient in reading order is reported
+        if not isinstance(data, list) or len(data) != shape[0]:
+            raise StructureParseError(f"expected {what}")
+        if len(shape) == 1:
+            yield [self._scalar(x) for x in data]
+        else:
+            for item in data:
+                yield from self._rows(item, shape[1:], what)
 
-
-def _flatten(field: Field, data, shape: tuple, what: str) -> list:
-    # depth first, so the first bad list or coefficient in reading order is reported
-    if not isinstance(data, list) or len(data) != shape[0]:
-        raise StructureParseError(f"expected {what}")
-    if len(shape) == 1:
-        return [_scalar(field, x) for x in data]
-    return [x for item in data for x in _flatten(field, item, shape[1:], what)]
-
-
-def _scalar(field: Field, x):
-    if not isinstance(x, str):
-        raise StructureParseError(f"coefficients must be strings, got {x!r}")
-    try:
-        return field.of(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructureParseError(f"bad coefficient {x!r}: {exc}") from exc
+    def _scalar(self, x):
+        """The field element written ``x``, parsed once per distinct string."""
+        if not isinstance(x, str):
+            # bounded: the repr of a list nested near the recursion limit raises
+            raise StructureParseError(f"coefficients must be strings, got {reprlib.repr(x)}")
+        value = self._scalars.get(x)
+        if value is None:
+            try:
+                value = self._scalars[x] = self.field.of(x)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise StructureParseError(f"bad coefficient {x!r}: {exc}") from exc
+        return value
 
 
 def parse_structure_file(text: str) -> StructureFile:
@@ -218,7 +234,7 @@ def parse_structure_file(text: str) -> StructureFile:
             raise StructureParseError(f"object {name!r} must carry a 'kind'")
         kind = obj["kind"]
         if not isinstance(kind, str) or kind not in _SCHEMAS:
-            raise StructureParseError(f"object {name!r} has unknown kind {kind!r}")
+            raise StructureParseError(f"object {name!r} has unknown kind {reprlib.repr(kind)}")
         if "dim" in _SCHEMAS[kind]:
             dim = obj.get("dim")
             if not _is_int(dim) or dim <= 0:
@@ -252,7 +268,7 @@ def _parse_field(data) -> Field:
             return Field.prime(data["GF"])
         except ValueError as exc:
             raise StructureParseError(str(exc)) from exc
-    raise StructureParseError(f"bad field descriptor {data!r}")
+    raise StructureParseError(f"bad field descriptor {reprlib.repr(data)}")
 
 
 def field_to_raw(field: Field):

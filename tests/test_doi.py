@@ -24,7 +24,7 @@ from homhopf.maschke import build_retraction, retraction_naturality_report, retr
 from homhopf.report import ConstructionError
 from homhopf.zoo import (group_algebra, inclusion_matrix, projection_matrix,
                          regular_comodule, sweedler_h4, trivial_comodule,
-                         twisted_sweedler)
+                         twisted_group_algebra, twisted_sweedler)
 
 Q = Field.rationals()
 
@@ -199,6 +199,30 @@ class TestDoiModules:
         monkeypatch.setattr(Matrix, "inverse", counting)
         assert check_doi_module(m, rel_kz2).passed
         assert calls == []
+
+    @pytest.mark.parametrize("datum", ["relative_kZ2", "trivial_kZ3_twisted"])
+    def test_induced_twist_inverse_is_not_recomputed(self, field, datum, monkeypatch):
+        # induce forms mu^-1 (x) gamma^-1 from inverses it already holds
+        if datum == "relative_kZ2":
+            h = group_algebra(2, field)
+            d = relative_datum(h, regular_comodule_algebra(h))
+            n = random_module_over_group_algebra(h, 3, random.Random(4))
+        else:
+            d = trivial_datum(twisted_group_algebra(3, 2, field))
+            n = random_module_over_scalars(field, 2, random.Random(5))
+        real = Matrix.inverse
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Matrix, "inverse", counting)
+        m = induce(n, d)
+        assert calls == []
+        monkeypatch.setattr(Matrix, "inverse", real)
+        assert m.mu_inv == m.mu.inverse()
+        assert check_doi_module(m, d).passed
 
     def test_induce_dimension(self, rel_kz2):
         n = random_module_over_group_algebra(rel_kz2.hopf, 4, random.Random(2))

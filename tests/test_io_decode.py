@@ -1,0 +1,181 @@
+"""The structure-file boundary: coefficients are parsed once per distinct
+string, and matrices and tensors are decoded straight into their nonzero
+fibres.  These tests pin that the result is the object the dense
+constructors build, over Q and GF(7), with the parser's errors unchanged."""
+
+import collections
+import json
+from fractions import Fraction
+
+import pytest
+
+from homhopf.golden import golden_file, golden_names
+from homhopf.integrals import solve_normalized_integral
+from homhopf.io import (StructureFile, StructureParseError, integral_to_raw,
+                        parse_structure_file, serialize_structure_file)
+from homhopf.linalg import Field, GFElement, Matrix, Tensor3
+
+FIELDS = {"Q": Field.rationals(), "GF7": Field.prime(7)}
+
+#: kind -> {raw key: attribute path of the built object holding that part}
+PARTS = {
+    "hom_hopf_algebra": {"twist": "alpha", "mult": "mult", "unit": "unit",
+                         "comult": "comult", "counit": "counit", "antipode": "antipode"},
+    "comodule_algebra": {"twist": "algebra.alpha", "mult": "algebra.mult",
+                         "unit": "algebra.unit", "coaction": "coaction"},
+    "module_coalgebra": {"twist": "coalgebra.gamma", "comult": "coalgebra.comult",
+                         "counit": "coalgebra.counit", "action": "action"},
+    "doi_module": {"twist": "mu", "action": "action", "coaction": "coaction"},
+    "yd_module": {"twist": "mu", "action": "action", "coaction": "coaction"},
+    "morphism": {"matrix": ""},
+    "integral": {"theta": "theta"},
+    "doi_datum": {},
+}
+
+
+def _reparse(sf):
+    return parse_structure_file(serialize_structure_file(sf))
+
+
+def _dense(field, raw):
+    """The part ``raw`` (nested lists of strings) through the dense constructors."""
+    if not isinstance(raw[0], list):
+        return tuple(field.of(x) for x in raw)
+    if not isinstance(raw[0][0], list):
+        return Matrix.from_rows(field, raw)
+    return Tensor3.from_nested(field, raw)
+
+
+def _attr(obj, path):
+    for name in filter(None, path.split(".")):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _with_integral(field):
+    """kZ2's trivial datum with its solved normalized integral ``theta``."""
+    sf = _reparse(golden_file("kZ2_trivial_datum", field))
+    raw = dict(sf.raw, theta=integral_to_raw(solve_normalized_integral(sf.build("D")), "D"))
+    return parse_structure_file(serialize_structure_file(StructureFile(field, raw)))
+
+
+def _files():
+    for fname, field in FIELDS.items():
+        for name in golden_names():
+            yield pytest.param(field, name, id=f"{fname}-{name}")
+        yield pytest.param(field, "integral", id=f"{fname}-integral")
+
+
+def _load(field, name):
+    return _with_integral(field) if name == "integral" else _reparse(golden_file(name, field))
+
+
+@pytest.mark.parametrize("field, name", _files())
+def test_decoded_parts_equal_the_dense_constructors(field, name):
+    sf = _load(field, name)
+    seen = 0
+    for obj in sf.names():
+        built = sf.build(obj)
+        raw = sf.raw[obj]
+        for key, path in PARTS[raw["kind"]].items():
+            part, dense = _attr(built, path), _dense(field, raw[key])
+            assert type(part) is type(dense), (obj, key)
+            assert part == dense, (obj, key)
+            if not isinstance(dense, tuple):
+                assert part.shape == dense.shape
+                assert part.entries == dense.entries
+                assert tuple(part.entries) == tuple(dense.entries)
+            seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("field, name", _files())
+def test_each_distinct_coefficient_is_parsed_once(field, name, monkeypatch):
+    text = serialize_structure_file(_load(field, name))
+    strings = collections.Counter()
+
+    def leaves(x):
+        if isinstance(x, list):
+            for y in x:
+                leaves(y)
+        elif isinstance(x, str):
+            strings[x] += 1
+
+    for obj in json.loads(text)["objects"].values():
+        for key in PARTS[obj["kind"]]:
+            leaves(obj[key])
+
+    real = Field.of
+    parsed = collections.Counter()
+
+    def counting(self, x):
+        if isinstance(x, str):
+            parsed[x] += 1
+        return real(self, x)
+
+    monkeypatch.setattr(Field, "of", counting)
+    sf = parse_structure_file(text)
+    for obj in sf.names():
+        sf.build(obj)
+    assert parsed == {s: 1 for s in strings}
+    assert sum(strings.values()) > len(strings)
+
+
+def _morphism_file(field_raw, entries):
+    return json.dumps({"field": field_raw, "objects": {
+        "f": {"kind": "morphism", "source": "a", "target": "b", "matrix": [entries]}}})
+
+
+def test_same_string_is_each_fields_own_value():
+    q = parse_structure_file(_morphism_file("Q", ["3/2", "8", "0"])).build("f")
+    gf = parse_structure_file(_morphism_file({"GF": 7}, ["3/2", "8", "0"])).build("f")
+    assert q.row(0) == [Fraction(3, 2), 8, 0]
+    assert type(q.at(0, 1)) is int
+    assert gf.row(0) == [GFElement(5, 7), GFElement(1, 7), GFElement(0, 7)]
+    assert all(type(x) is GFElement for x in gf.row(0))
+    assert q == Matrix.from_rows(Field.rationals(), [[Fraction(3, 2), 8, 0]])
+    assert gf == Matrix.from_rows(Field.prime(7), [[5, 1, 0]])
+
+
+def test_scalars_are_not_shared_between_files():
+    # the memo belongs to one file: "1/7" is a value over Q and no value in GF(7)
+    assert parse_structure_file(_morphism_file("Q", ["1/7"])).build("f").at(0, 0) == Fraction(1, 7)
+    sf = parse_structure_file(_morphism_file({"GF": 7}, ["1/7"]))
+    with pytest.raises(StructureParseError, match="bad coefficient '1/7': division by zero"):
+        sf.build("f")
+
+
+def _kz2_with(field, **parts):
+    data = json.loads(serialize_structure_file(golden_file("kZ2", field)))
+    data["objects"]["H"].update(parts)
+    return parse_structure_file(json.dumps(data))
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+def test_zero_denominator_at_two_sites_reports_the_first(field):
+    sf = _kz2_with(field, twist=[["1", "0"], ["0", "1/0"]], counit=["1/0", "1"])
+    for _ in range(2):  # failures are not remembered: a second build fails alike
+        with pytest.raises(StructureParseError) as exc:
+            sf.build("H")
+        assert str(exc.value) == "bad coefficient '1/0': Fraction(1, 0)"
+    sf = _kz2_with(field, twist=[["1", "0"], ["0", "2/0"]], counit=["1/0", "1"])
+    with pytest.raises(StructureParseError, match=r"^bad coefficient '2/0': Fraction\(2, 0\)$"):
+        sf.build("H")
+
+
+@pytest.mark.parametrize("entry", [["1"], {"a": "1"}, [], 1, None, True, 1.5])
+def test_non_string_coefficient_is_a_parse_error(entry):
+    # an unhashable entry is rejected before the memo lookup, not by a TypeError
+    sf = _kz2_with(Field.rationals(), unit=["1", entry])
+    with pytest.raises(StructureParseError, match="coefficients must be strings, got "):
+        sf.build("H")
+
+
+def test_shape_errors_come_in_reading_order():
+    sf = _kz2_with(Field.rationals(), twist=[["1", "x"], ["0"]])
+    with pytest.raises(StructureParseError, match="bad coefficient 'x'"):
+        sf.build("H")
+    sf = _kz2_with(Field.rationals(), twist=[["1", "0"], ["0"], ["x"]])
+    with pytest.raises(StructureParseError, match="^expected a 2x2 matrix$"):
+        sf.build("H")
+
