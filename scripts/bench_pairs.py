@@ -3,11 +3,12 @@
 
     python3 scripts/bench_pairs.py --base <rev> --workload verify --seeds 2001-2010
 
-Run from the root of a checkout.  The base revision is checked out with
-``git worktree add`` in a temporary directory (removed afterwards).  For each
-seed, ``perfbench/run.py --trace 0`` runs once on the base and once on the
-working tree, for the run length BENCHMARK.json fixes; the side that runs
-first alternates from pair to pair (base first on even pairs).
+Run from the root of a checkout.  The committed files of the base revision
+are exported with ``git archive`` to a temporary directory (removed
+afterwards).  For each seed, ``perfbench/run.py --trace 0`` runs once on the
+base and once on the working tree, for the run length BENCHMARK.json fixes;
+the side that runs first alternates from pair to pair (base first on even
+pairs).
 
 For each end-to-end metric of BENCHMARK.json it prints both sides' median
 and quartiles and how many pairs each side won, ties counting for neither.
@@ -18,11 +19,13 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -35,6 +38,15 @@ def parse_seeds(text: str) -> list:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def export_revision(rev: str, dest: str) -> None:
+    """The committed files of ``rev`` in the new directory ``dest``."""
+    os.makedirs(dest)
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
 
 
 def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -84,22 +96,17 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base_dir = os.path.join(tmp, "base")
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", base_dir, args.base],
-                       cwd=ROOT, check=True)
-        try:
-            runs = []
-            for i, seed in enumerate(args.seeds):
-                sides = [("base", base_dir), ("change", ROOT)]
-                if i % 2:
-                    sides.reverse()
-                run = {"seed": seed, "first": sides[0][0]}
-                for side, checkout in sides:
-                    run[side] = run_bench(checkout, args.workload, seed, bench["run_seconds"])
-                runs.append(run)
-                print(f"seed {seed}: {sides[0][0]} first", file=sys.stderr)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", base_dir],
-                           cwd=ROOT, check=False)
+        export_revision(args.base, base_dir)
+        runs = []
+        for i, seed in enumerate(args.seeds):
+            sides = [("base", base_dir), ("change", ROOT)]
+            if i % 2:
+                sides.reverse()
+            run = {"seed": seed, "first": sides[0][0]}
+            for side, checkout in sides:
+                run[side] = run_bench(checkout, args.workload, seed, bench["run_seconds"])
+            runs.append(run)
+            print(f"seed {seed}: {sides[0][0]} first", file=sys.stderr)
 
     summary = summarize(bench["end_to_end"], runs)
     n = len(runs)

@@ -89,9 +89,9 @@ def comodule_to_doi(m: HomComodule, d: DoiDatum) -> DoiModule:
 
 def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
     """The Doi datum over the reversed tensor square of H that carries
-    Yetter-Drinfeld modules.  ``opposite_tensor`` verifies the square; the
-    comodule algebra and the module coalgebra over it are verified here
-    exhaustively, and a failure reports the offending identity."""
+    Yetter-Drinfeld modules.  ``opposite_tensor`` checks H and H^op, whose
+    tensor product the square is; the comodule algebra and the module
+    coalgebra over the square are checked here exhaustively."""
     if not h.antipode_invertible:
         raise ValueError("antipode must be invertible")
     square = opposite_tensor(h)

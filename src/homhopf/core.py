@@ -390,38 +390,38 @@ OPPOSITE_TENSOR_ANTIPODES = ("S (x) S^-1",)
 
 
 def opposite_tensor(h: HomHopfAlgebra) -> HomHopfAlgebra:
-    """The Hom-Hopf algebra on H (x) H whose second tensor factor multiplies
-    in the opposite order: (x (x) y)(x' (x) y') = xx' (x) y'y.
+    """H (x) H^op: the Hom-Hopf algebra on H (x) H whose second factor
+    multiplies in the opposite order, (x (x) y)(x' (x) y') = xx' (x) y'y.
 
-    Index convention: basis pair (i, j) sits at i*dim + j.  The coalgebra is
-    componentwise, the twist is alpha (x) alpha and the antipode is
-    S (x) S^-1: H^op has antipode S^-1, and the antipode of a monoidal
-    Hom-Hopf algebra is unique (Caenepeel and Goyvaerts, Monoidal Hom-Hopf
-    algebras, Comm. Algebra 39 (2011)), so there is no other to try.  The
-    result is checked exhaustively and records its antipode as
-    ``antipode_choice``.  The reversed factor goes second because that is
-    the convention under which H becomes a comodule algebra and a module
-    coalgebra over the square (a commutative H hides the difference; a
-    noncommutative one does not).
+    Basis pair (i, j) sits at i*dim + j; the coalgebra is componentwise, the
+    twist alpha (x) alpha and the antipode S (x) S^-1 (``antipode_choice``).
+    Only with the reversed factor second is a noncommutative H a comodule
+    algebra and a module coalgebra over the square.  Its structure constants
+    are Kronecker products of those of H and H^op = (H, m^op, alpha, Delta,
+    S^-1), and a tensor product of monoidal Hom-Hopf algebras is one, with
+    antipode S (x) S' (Caenepeel and Goyvaerts, Monoidal Hom-Hopf algebras,
+    Comm. Algebra 39 (2011)): so H and H^op are checked exhaustively, O(dim^3)
+    instances each, and the square, O(dim^6), is not checked again.
     """
     require(check_hom_hopf(h), "input fails the Hom-Hopf checks")
     if not h.antipode_invertible:
         raise ValueError("antipode must be invertible")
-    n = h.dim
-    N = n * n
-    field = h.field
-    # each product of two nonzeros lands on its own index
-    mult = Tensor3.from_nonzeros(field, N, N, N, {
-        # coefficient of (k1,k2) in (i1,i2).(j1,j2) = m[i1][j1][k1] m[j2][i2][k2]
-        (i1 * n + i2, j1 * n + j2, k1 * n + k2): e1 * e2
-        for i1, j1, k1, e1 in h.mult.nonzero() for j2, i2, k2, e2 in h.mult.nonzero()})
-    comult = Tensor3.from_nonzeros(field, N, N, N, {
-        (i1 * n + i2, j1 * n + j2, k1 * n + k2): e1 * e2
-        for i1, j1, k1, e1 in h.comult.nonzero() for i2, j2, k2, e2 in h.comult.nonzero()})
+    n, N, field = h.dim, h.dim * h.dim, h.field
+    mult_op = {(j, i, k): e for i, j, k, e in h.mult.nonzero()}
+    h_op = _view(HomHopfAlgebra, field=field, dim=n, alpha=h.alpha, unit=h.unit,
+                 mult=Tensor3.from_nonzeros(field, n, n, n, mult_op), comult=h.comult,
+                 counit=h.counit, antipode=h.antipode_inv, alpha_inv=h.alpha_inv,
+                 antipode_inv=h.antipode)
+    require(check_hom_hopf(h_op), "the opposite algebra fails the Hom-Hopf checks")
+
+    def kron3(t, u):  # each product of two nonzeros lands on its own index
+        return Tensor3.from_nonzeros(field, N, N, N, {
+            (i1 * n + i2, j1 * n + j2, k1 * n + k2): e1 * e2
+            for i1, j1, k1, e1 in t.nonzero() for i2, j2, k2, e2 in u.nonzero()})
+
     unit, counit = (tuple(vec_dense(vec_tensor(vec_sparse(v), vec_sparse(v), n), N, field.zero()))
                     for v in (h.unit, h.counit))
-    square = HomHopfAlgebra(field, N, h.alpha.kron(h.alpha), mult, unit, comult, counit,
-                            h.antipode.kron(h.antipode_inv))
-    require(check_hom_hopf(square), "construction failed axiom check")
+    square = HomHopfAlgebra(field, N, h.alpha.kron(h.alpha), kron3(h.mult, h_op.mult), unit,
+                            kron3(h.comult, h_op.comult), counit, h.antipode.kron(h_op.antipode))
     square.antipode_choice = OPPOSITE_TENSOR_ANTIPODES[0]
     return square

@@ -94,6 +94,43 @@ def twisted_sweedler(field: Field, lam=2) -> HomHopfAlgebra:
     return yau_twist(sweedler_h4(field), sweedler_scaling(field, lam))
 
 
+def taft_algebra(n: int, zeta, field: Field) -> HomHopfAlgebra:
+    """The Taft algebra T_n (Taft, PNAS 68 (1971)): basis g^i x^j at i*n + j
+    with g^n = 1, x^n = 0 and xg = zeta gx, where zeta is a primitive n-th
+    root of unity; Delta(g) = g (x) g, Delta(x) = x (x) 1 + g (x) x,
+    S(x) = -g^-1 x.  Identity twist."""
+    zeta = field.of(zeta)
+    one, zero = field.one(), field.zero()
+    pw = [one]                                  # pw[e] = zeta^e, e mod n
+    for _ in range(n - 1):
+        pw.append(pw[-1] * zeta)
+    if pw[-1] * zeta != one or one in pw[1:]:
+        raise ValueError(f"{zeta} is not a primitive {n}-th root of unity in {field}")
+    # (g^i x^j)(g^k x^l) = zeta^(jk) g^(i+k) x^(j+l)
+    mult = {(i * n + j, k * n + l, (i + k) % n * n + j + l): pw[j * k % n]
+            for i in range(n) for j in range(n) for k in range(n) for l in range(n - j)}
+    # Delta(g^i x^j) = sum_k [j, k]_q zeta^(k(j-k)) g^(i+j-k) x^k (x) g^i x^(j-k),
+    # q = zeta^-1, with Gaussian binomials [j, k]_q = [j-1, k-1]_q + q^k [j-1, k]_q
+    binom = [[one]]
+    for j in range(1, n):
+        prev = binom[-1] + [zero]
+        binom.append([one] + [prev[k - 1] + pw[-k % n] * prev[k] for k in range(1, j + 1)])
+    comult = {(i * n + j, (i + j - k) % n * n + k, i * n + j - k):
+              binom[j][k] * pw[k * (j - k) % n]
+              for i in range(n) for j in range(n) for k in range(j + 1)}
+    # S(g^i x^j) = (-1)^j zeta^(-j(j-1)/2 - ij) g^(-i-j) x^j
+    antipode = {((-i - j) % n * n + j, i * n + j):
+                (-one if j % 2 else one) * pw[(-j * (j - 1) // 2 - i * j) % n]
+                for i in range(n) for j in range(n)}
+    d = n * n
+    return HomHopfAlgebra(field, d, Matrix.identity(field, d),
+                          Tensor3.from_nonzeros(field, d, d, d, mult),
+                          tuple(one if q == 0 else zero for q in range(d)),
+                          Tensor3.from_nonzeros(field, d, d, d, comult),
+                          tuple(one if q % n == 0 else zero for q in range(d)),
+                          Matrix.from_nonzeros(field, d, d, antipode))
+
+
 def one_dimensional_hopf(field: Field) -> HomHopfAlgebra:
     one = field.one()
     eye = Matrix.identity(field, 1)

@@ -14,13 +14,13 @@ from homhopf.applications import (DualIntegral,
                                   dual_right_integrals, integral_from_dual,
                                   regular_comodule_algebra, relative_datum,
                                   trivial_datum, trivial_yd_module, yd_datum)
-from homhopf.core import check_hom_comodule
+from homhopf.core import check_hom_comodule, check_hom_hopf
 from homhopf.doi import (check_comodule_algebra, check_doi_module,
                          check_module_coalgebra, direct_sum_doi)
 from homhopf.integrals import IntegralCandidate, solve_normalized_integral, verify_integral
 from homhopf.io import StructureFile, hopf_to_raw, yd_module_to_raw
 from homhopf.linalg import Field, Matrix, Tensor3
-from homhopf.zoo import (group_algebra, one_dimensional_hopf, sweedler_h4,
+from homhopf.zoo import (group_algebra, one_dimensional_hopf, sweedler_h4, taft_algebra,
                          twisted_group_algebra, twisted_sweedler)
 
 Q = Field.rationals()
@@ -94,8 +94,9 @@ class TestYdDatum:
         assert check_yd_module(m, h).passed
         assert check_doi_module(m, d).passed
 
-    def test_square_checked_once(self, monkeypatch):
-        # opposite_tensor verifies the square; yd_datum must not verify it again
+    def test_square_checked_through_its_factors(self, monkeypatch):
+        # opposite_tensor checks H and the H^op view once each and never the
+        # square; yd_datum does not check the square either
         import homhopf.core
         real = homhopf.core.check_hom_hopf
         checked = []
@@ -107,8 +108,17 @@ class TestYdDatum:
         for name, module in list(sys.modules.items()):
             if name.startswith("homhopf") and hasattr(module, "check_hom_hopf"):
                 monkeypatch.setattr(module, "check_hom_hopf", counting)
-        d = yd_datum(group_algebra(2, Q))
-        assert sum(h is d.hopf for h in checked) == 1
+        for h in (group_algebra(2, Q), sweedler_h4(Q)):
+            checked.clear()
+            d = yd_datum(h)
+            assert not any(c is d.hopf for c in checked)
+            assert len(checked) == 2 and checked[0] is h
+            h_op, n = checked[1], h.dim
+            assert all(h_op.mult.at(i, j, k) == h.mult.at(j, i, k)
+                       for i in range(n) for j in range(n) for k in range(n))
+            assert h_op.comult is h.comult and h_op.alpha is h.alpha
+            assert h_op.alpha_inv is h.alpha_inv
+            assert h_op.antipode is h.antipode_inv and h_op.antipode_inv is h.antipode
 
     def test_requires_invertible_antipode(self):
         h = group_algebra(2, Q)
@@ -116,6 +126,42 @@ class TestYdDatum:
                          Matrix.from_rows(Q, [[1, 1], [1, 1]]))
         with pytest.raises(ValueError):
             yd_datum(broken)
+
+
+class TestTaftAlgebra:
+    GF7 = Field.prime(7)
+
+    def test_t3_presentation(self):
+        # basis g^i x^j at 3i + j: g = 3, x = 1, gx = 4, g^2 x = 7
+        h = taft_algebra(3, 2, self.GF7)
+        f = self.GF7.of
+        g, x = 3, 1
+        assert h.dim == 9
+        assert h.mult.at_pair(g, 6) == {0: f(1)}                 # g^3 = 1
+        assert h.mult.at_pair(x, 2) == {}                        # x^3 = 0
+        assert h.mult.at_pair(x, g) == {4: f(2)}                 # xg = zeta gx
+        assert h.mult.at_pair(g, x) == {4: f(1)}
+        assert h.comult.left_slice(x) == {x * 9 + 0: f(1), g * 9 + x: f(1)}
+        assert h.antipode.column(x) == {7: f(-1)}                # S(x) = -g^-1 x
+        assert h.counit == tuple(f(int(q % 3 == 0)) for q in range(9))
+
+    @pytest.mark.parametrize("n, zeta, p", [(1, 1, 7), (2, 6, 7), (3, 2, 7), (3, 4, 7),
+                                             (4, 2, 5)])
+    def test_is_hom_hopf(self, n, zeta, p):
+        assert check_hom_hopf(taft_algebra(n, zeta, Field.prime(p))).passed
+
+    @pytest.mark.parametrize("n, zeta", [(3, 1), (3, 3), (6, 2)])
+    def test_rejects_non_primitive_root(self, n, zeta):
+        with pytest.raises(ValueError, match="primitive"):
+            taft_algebra(n, zeta, self.GF7)
+
+    def test_t3_yd_datum(self):
+        h = taft_algebra(3, 2, self.GF7)
+        d = yd_datum(h)
+        assert d.hopf.dim == 81
+        assert d.hopf.antipode == h.antipode.kron(h.antipode_inv)
+        m = trivial_yd_module(h)
+        assert check_yd_module(m, h).passed
 
 
 def yd_corpus(h, rng):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -13,9 +15,25 @@ from homhopf.linalg import Field
 Q = Field.rationals()
 
 
-def run_cli(args, tmp_path=None):
+def run_cli(args):
+    """Exit code, stdout and stderr of ``cli.main`` run in-process; an
+    exception that escapes ``main`` fails the calling test."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run_console(args):
+    """The same through ``python -m homhopf.cli`` in a fresh interpreter.
+    One test per exit code (0-3) runs this way, so the entry point, its exit
+    status and the absence of a traceback stay covered end to end."""
     proc = subprocess.run([sys.executable, "-m", "homhopf.cli", *args],
                           capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -208,7 +226,7 @@ class TestCommands:
     def test_check_corrupted_antipode(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(serialize_structure_file(golden_file("H4_corrupted_antipode", Q)))
-        rc, out, _ = run_cli(["check", str(p), "H"])
+        rc, out, _ = run_console(["check", str(p), "H"])
         assert rc == 1
         assert "antipode" in out and "(x)" in out
 
@@ -221,7 +239,7 @@ class TestCommands:
     def test_parse_error_is_exit_2(self, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text("{not json")
-        rc, _, err = run_cli(["check", str(p), "H"])
+        rc, _, err = run_console(["check", str(p), "H"])
         assert rc == 2
 
     @pytest.mark.parametrize("kind", [["hom_hopf_algebra"], {"hom_hopf_algebra": 1}],
@@ -256,7 +274,7 @@ class TestCommands:
     def test_find_integral_h4_infeasible(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text(serialize_structure_file(golden_file("H4_trivial_datum", Q)))
-        rc, out, _ = run_cli(["find-integral", str(p), "D"])
+        rc, out, _ = run_console(["find-integral", str(p), "D"])
         assert rc == 3
         assert "infeasible" in out
         assert "normalization" in out or "colinearity" in out
@@ -349,8 +367,9 @@ class TestCommands:
     def test_determinism_byte_identical_runs(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text(serialize_structure_file(golden_file("kZ4_trivial_datum", Q)))
-        r1 = run_cli(["find-integral", str(p), "D"])
-        r2 = run_cli(["find-integral", str(p), "D"])
+        # two interpreters (two hash seeds, unless PYTHONHASHSEED pins one)
+        r1 = run_console(["find-integral", str(p), "D"])
+        r2 = run_console(["find-integral", str(p), "D"])
         assert r1 == r2
 
     def test_main_callable_in_process(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -283,6 +284,19 @@ class TestOppositeTensor:
         t = opposite_tensor(h)
         assert t.antipode == h.antipode.kron(h.antipode_inv)
         assert t.antipode_choice == "S (x) S^-1"
+
+    def test_square_passes_exhaustive_check_over_corpus(self, field):
+        # opposite_tensor checks H and H^op, not the square it returns: the
+        # square itself must pass the exhaustive checker on the whole corpus
+        lams = (2, 3, 6) if field.p else (2, -1, Fraction(1, 2))
+        # g -> g^k for every unit k of Z_n; k = 1 leaves kZn untwisted
+        corpus = [yau_twist(group_algebra(n, field), power_automorphism(n, k, field))
+                  for n in range(1, 6) for k in range(1, n + 1) if gcd(k, n) == 1]
+        corpus += [sweedler_h4(field)] + [twisted_sweedler(field, lam) for lam in lams]
+        for h in corpus:
+            t = opposite_tensor(h)
+            assert t.dim == h.dim ** 2
+            assert check_hom_hopf(t).passed, (h.dim, h.alpha)
 
     def test_twisted_sweedler_square(self):
         t = opposite_tensor(twisted_sweedler(Q, 2))
