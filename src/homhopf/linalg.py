@@ -9,10 +9,12 @@ are made canonical, not every intermediate sum.  Vectors are sparse: a dict
 ``{index: nonzero scalar}`` that never holds a zero.  Matrices and order-3
 tensors (structure constants, which are mostly zero) share one store that
 keeps only their nonzeros: one fibre of ``(index, value)`` pairs per matrix
-row, or per index pair (i, j) of a tensor.  Products, Kronecker products,
-evaluations and elimination read the fibres, so they cost the nonzeros, not
-the shape.  Both are treated as immutable; every operation returns a fresh
-object.
+row, or per index pair (i, j) of a tensor.  Kronecker products, induced
+modules and twists repeat whole rows, so equal fibres are stored once per
+object; values and ``(index, value)`` pairs are not shared, since that would
+cost a table lookup per nonzero.  Products, Kronecker products, evaluations
+and elimination read the fibres, so they cost the nonzeros, not the shape.
+Both are treated as immutable; every operation returns a fresh object.
 
 Elimination is sparse: :func:`_rref_rows` works on rows held as
 ``{column: nonzero scalar}`` dicts (or matrix fibres) and carries the
@@ -292,7 +294,9 @@ class _DenseEntries(Sequence):
     def __len__(self) -> int:
         return len(self._fibres) * self._width
 
-    def __getitem__(self, idx: int) -> Scalar:
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return tuple(self)[idx]
         n = len(self)
         if idx < 0:
             idx += n
@@ -337,18 +341,15 @@ class _FibreStore:
 
     def _store(self, fibres, width: int) -> None:
         """Keep ``fibres`` (one iterable of pairs per fibre) and the dense view."""
-        # structure constants and twists repeat a lot: equal values,
-        # (index, value) pairs and fibres are each stored once.  Only values
-        # are hashed; a kept value or pair stays alive in its dict for the
-        # whole call, so its id names it in the keys of pairs and fibres.
-        # Values are kept in canonical form; an equal Fraction finds them.
-        value, pair, fibre_of = {}.setdefault, {}.setdefault, {}.setdefault
-        kept = []
-        for fibre in fibres:
-            pairs = tuple([pair((k, id(v)), (k, v)) for k, e in fibre
-                           for v in (value(e, canonical(e)),)])
-            kept.append(fibre_of(tuple(map(id, pairs)), pairs))
-        fibres = tuple(kept)
+        # Kronecker products, induced modules and twists repeat whole rows:
+        # each nonempty fibre is swapped for the equal one already seen in
+        # this call, so equal fibres are stored once per object.  Values and
+        # pairs are not shared; a lookup per nonzero cost more time than the
+        # memory it saved.  Values are stored in canonical form.
+        fibre_of = {}.setdefault
+        fibres = tuple([fibre_of(t, t) if t else () for t in
+                        (tuple([(k, canonical(e)) for k, e in fibre]) if fibre else ()
+                         for fibre in fibres)])
         zero = self.field.zero()
         object.__setattr__(self, "_fibres", fibres)
         object.__setattr__(self, "_zero", zero)
@@ -374,6 +375,11 @@ class _FibreStore:
             object.__setattr__(obj, name, value)
         obj._store(fibres, width)
         return obj
+
+    def _outside(self, what: str, index) -> IndexError:
+        """The error for ``index`` (a ``what``) outside this object's shape."""
+        shape = "x".join(map(str, self.shape))
+        return IndexError(f"{what} {index} outside a {shape} {type(self).__name__}")
 
     def _key(self) -> tuple:
         return self.field, self.shape, self._fibres
@@ -454,15 +460,21 @@ class Matrix(_FibreStore):
 
     # -- access ---------------------------------------------------------
     def at(self, r: int, c: int) -> Scalar:
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise self._outside("index", (r, c))
         for cc, e in self._fibres[r]:
             if cc == c:
                 return e
         return self._zero
 
     def row(self, r: int) -> list:
+        if not 0 <= r < self.rows:
+            raise self._outside("row", r)
         return vec_dense(dict(self._fibres[r]), self.cols, self._zero)
 
     def column(self, c: int) -> dict:
+        if not 0 <= c < self.cols:
+            raise self._outside("column", c)
         out = {}
         for r, fibre in enumerate(self._fibres):
             for cc, e in fibre:
@@ -777,6 +789,8 @@ class Tensor3(_FibreStore):
                 for i in range(self.d1)]
 
     def at(self, i: int, j: int, k: int) -> Scalar:
+        if not (0 <= i < self.d1 and 0 <= j < self.d2 and 0 <= k < self.d3):
+            raise self._outside("index", (i, j, k))
         for kk, e in self._fibres[i * self.d2 + j]:
             if kk == k:
                 return e
@@ -784,6 +798,8 @@ class Tensor3(_FibreStore):
 
     def at_pair(self, i: int, j: int) -> dict:
         """The slice t[i][j][:], e.g. the product of two basis vectors."""
+        if not (0 <= i < self.d1 and 0 <= j < self.d2):
+            raise self._outside("index pair", (i, j))
         return dict(self._fibres[i * self.d2 + j])
 
     def left_slice(self, i: int) -> dict:
@@ -801,6 +817,8 @@ class Tensor3(_FibreStore):
 
     def nonzero_of(self, i: int) -> Iterator[tuple]:
         """Nonzero (j, k, value) triples of the slice t[i]."""
+        if not 0 <= i < self.d1:
+            raise self._outside("index", i)
         d2, fibres = self.d2, self._fibres
         for j in range(d2):
             for k, e in fibres[i * d2 + j]:

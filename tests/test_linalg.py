@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homhopf.core import opposite_tensor
 from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows,
                             solve_affine, vec_add_scaled, vec_dense, vec_dot,
                             vec_scale, vec_sparse, vec_sub, vec_tensor)
+from homhopf.zoo import group_algebra
 
 Q = Field.rationals()
 
@@ -353,6 +355,77 @@ class TestTensor3Views:
         t = Tensor3.from_nested(Q, [[[0, 1], [2, 3]], [[4, 5], [6, 7]]])
         assert t.at(1, 0, 1) == Fraction(5)
         assert t.entries[1 * 4 + 0 * 2 + 1] == Fraction(5)
+
+
+class TestFibreStore:
+    def test_equal_fibres_stored_once(self, field):
+        # kZ3 (x) kZ3^op repeats each of its 9 distinct product rows 9 times
+        fibres = opposite_tensor(group_algebra(3, field)).mult._fibres
+        seen = {}
+        for fibre in fibres:
+            if fibre:
+                assert seen.setdefault(fibre, fibre) is fibre
+            else:
+                assert fibre is ()
+        assert len(fibres) == 81 and len(seen) == 9
+
+    def test_integral_fraction_stored_as_int(self):
+        two = Fraction(4, 2)
+        stored = [Matrix.from_nonzeros(Q, 2, 2, {(0, 1): two}),
+                  Matrix.identity(Q, 2).scale(two),
+                  Matrix(Q, 1, 2, (two, 0)),
+                  Tensor3(Q, 1, 1, 2, (0, two))]
+        for m in stored:
+            values = [e for fibre in m._fibres for _, e in fibre]
+            assert values and all(type(e) is int and e == 2 for e in values)
+
+    def test_equality_and_hashing(self, field):
+        rows = [[1, 0, 2], [0, 0, 0], [1, 0, 2]]
+        dense = Matrix.from_rows(field, rows)
+        sparse = Matrix.from_nonzeros(field, 3, 3, {(r, c): field.of(x)
+                                                    for r, row in enumerate(rows)
+                                                    for c, x in enumerate(row)})
+        assert dense == sparse and hash(dense) == hash(sparse)
+        assert dense.entries == tuple(field.of(x) for row in rows for x in row)
+        assert dense != Matrix.from_rows(field, [[1, 0, 2], [0, 0, 0], [1, 0, 3]])
+        other = Field.rationals() if field.p is not None else Field.prime(7)
+        assert dense != Matrix.from_rows(other, rows)
+        # equal fibres under different shapes are different objects
+        assert Matrix.zeros(field, 1, 4) != Matrix.zeros(field, 2, 2)
+        t = Tensor3.from_nested(field, [[[1, 0], [1, 0]]])
+        assert t == Tensor3.from_nonzeros(field, 1, 2, 2, {(0, 0, 0): field.one(),
+                                                           (0, 1, 0): field.one()})
+        assert hash(t) == hash(Tensor3.from_nested(field, [[[1, 0], [1, 0]]]))
+        assert t != Tensor3.from_nested(field, [[[1, 0]], [[1, 0]]])
+
+    @pytest.mark.parametrize("cut", [slice(1, 3), slice(-2, None), slice(None, None, -1)])
+    def test_dense_entries_slice_like_their_tuple(self, field, cut):
+        m = Matrix.from_rows(field, [[1, 0, 2], [0, 3, 0]])
+        t = Tensor3.from_nested(field, [[[1, 0], [0, 2]], [[0, 0], [3, 4]]])
+        for entries in (m.entries, t.entries):
+            assert entries[cut] == tuple(entries)[cut]
+            assert type(entries[cut]) is tuple
+
+    def test_accessors_reject_indices_outside_the_shape(self, field):
+        m = Matrix.from_rows(field, [[1, 2], [3, 4]])
+        t = Tensor3.from_nested(field, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+        for read, index in [(lambda: m.at(-1, 0), r"\(-1, 0\)"),
+                            (lambda: m.at(0, 5), r"\(0, 5\)"),
+                            (lambda: m.row(-1), "row -1"),
+                            (lambda: m.row(2), "row 2"),
+                            (lambda: m.column(5), "column 5"),
+                            (lambda: m.column(-1), "column -1")]:
+            with pytest.raises(IndexError, match=index + " outside a 2x2 "):
+                read()
+        for read, index in [(lambda: t.at(0, 2, 0), r"\(0, 2, 0\)"),
+                            (lambda: t.at(0, 0, -1), r"\(0, 0, -1\)"),
+                            (lambda: t.at_pair(0, 2), r"\(0, 2\)"),
+                            (lambda: t.at_pair(-1, 0), r"\(-1, 0\)"),
+                            (lambda: t.left_slice(2), "index 2")]:
+            with pytest.raises(IndexError, match=index + " outside a 2x2x2 "):
+                read()
+        assert m.at(1, 0) == 3 and m.row(1) == [3, 4] and m.column(1) == {0: 2, 1: 4}
+        assert t.at_pair(1, 0) == {1: 1} and t.at(1, 1, 0) == 1
 
 
 class DenseTensor:
