@@ -11,7 +11,12 @@ the side that runs first alternates from pair to pair (base first on even
 pairs).
 
 For each end-to-end metric of BENCHMARK.json it prints both sides' median
-and quartiles and how many pairs each side won, ties counting for neither.
+and quartiles, how many pairs each side won (ties counting for neither) and
+a verdict against the metric's relative bound: ``worse than bound`` when the
+change's median is worse than the base's by more than the bound,
+``unresolved`` when the base's interquartile spread is wider than the bound
+and the two sides' runs overlap, so that the runs cannot tell, and
+``within bound`` otherwise.
 The last line of stdout is one JSON object with every run's metrics.
 Standard library only.
 """
@@ -68,6 +73,20 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
+def verdict(base: list, change: list, better: str, bound: float) -> str:
+    """The change's runs against the base's under a relative ``bound`` on a
+    metric where ``better`` ("higher" or "lower") values win.  Spreads and
+    differences are relative to the base's median (absolute when it is 0)."""
+    q1, med, q3 = quartiles(base)
+    scale = abs(med) or 1.0
+    moved = quartiles(change)[1]
+    apart = max(change) < min(base) or min(change) > max(base)
+    if (q3 - q1) / scale > bound and not apart:
+        return "unresolved"
+    loss = (med - moved if better == "higher" else moved - med) / scale
+    return "worse than bound" if loss > bound else "within bound"
+
+
 def summarize(metrics: list, runs: list) -> dict:
     """Per metric: both sides' quartiles and the pairs each side won."""
     out = {}
@@ -81,7 +100,8 @@ def summarize(metrics: list, runs: list) -> dict:
                      "base_quartiles": quartiles(base),
                      "change_quartiles": quartiles(change),
                      "change_wins": sum(d > 0 for d in diffs),
-                     "base_wins": sum(d < 0 for d in diffs)}
+                     "base_wins": sum(d < 0 for d in diffs),
+                     "verdict": verdict(base, change, m["better"], m["bound"])}
     return out
 
 
@@ -115,7 +135,8 @@ def main(argv=None) -> int:
         print(f"{args.workload} {name} ({s['unit']}, {s['better']} is better): "
               f"base {bq[1]:.4g} [{bq[0]:.4g}, {bq[2]:.4g}]  "
               f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]  "
-              f"change won {s['change_wins']}/{n}, base won {s['base_wins']}/{n}")
+              f"change won {s['change_wins']}/{n}, base won {s['base_wins']}/{n}: "
+              f"{s['verdict']} ({s['bound']:.0%})")
     failed = {side: sum(r[side]["failed"] for r in runs) for side in ("base", "change")}
     correct = all(r[side]["correct"] for r in runs for side in ("base", "change"))
     print(f"{args.workload} failed jobs: base {failed['base']}, change {failed['change']}; "

@@ -31,7 +31,7 @@ from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
 from .integrals import IntegralCandidate, verify_integral
 from .linalg import (Field, Matrix, Tensor3, require_same_field, solve_affine,
                      vec_add_scaled, vec_dense, vec_dot, vec_sub, vec_tensor)
-from .report import AxiomReport, ReportBuilder, Violation, require
+from .report import AxiomReport, ReportBuilder, require, residual_report
 
 
 @dataclass
@@ -193,12 +193,8 @@ def coaction_of_action_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
 def check_yd_module(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:
     """The braided compatibility on all basis pairs (substructures assumed
     valid; check them with the module/comodule checkers)."""
-    violations = []
-    res = yd_residuals(m, h)
-    for idx, r in res.items():
-        if any(r):
-            violations.append(Violation("yd_compatibility", idx, tuple(r)))
-    return AxiomReport(tuple(violations), len(res))
+    return residual_report({("yd_compatibility", idx): r
+                            for idx, r in yd_residuals(m, h).items()})
 
 
 def check_yd_substructures(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:

@@ -16,20 +16,26 @@ families hold with zero residual:
 is the H-action.)  All four are linear or affine in theta, so existence is a
 linear feasibility problem.
 
-Two independent routes are kept deliberately separate: ``integral_residuals``
-evaluates the conditions directly on vectors, while
-``assemble_integral_system`` builds the coefficient rows by explicit index
-contraction.  Tests compare them entry for entry.
+Two independent routes are kept deliberately separate.
+``assemble_integral_system`` writes each side of a condition as the map it
+is, Post o (theta (x) id_X) o Pre, where Pre sends an instance to
+C (x) C (x) X and Post sends A (x) X to the output, and one contraction turns
+every such term into coefficient rows; the row and column layout lives in
+that one helper.  ``integral_residuals`` evaluates the conditions directly
+on vectors for a given theta and shares no term with the assembler, so a
+wrong term on either side shows as a disagreement: tests compare the two
+entry for entry, and every solution is certified by the direct route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .doi import DoiDatum
 from .linalg import (Field, Matrix, Tensor3, _rref_rows, canonical, require_same_field,
                      vec_add_scaled, vec_dense, vec_scale, vec_sparse, vec_sub, vec_tensor)
-from .report import AxiomReport, Violation
+from .report import AxiomReport, residual_report
 
 
 @dataclass
@@ -43,6 +49,7 @@ class IntegralCandidate:
     report: AxiomReport | None = dc_field(default=None, compare=False)
 
     def __post_init__(self):
+        require_same_field(self, self.theta)
         if (self.theta.d1, self.theta.d2, self.theta.d3) != (self.dim_c, self.dim_c, self.dim_a):
             raise ValueError("theta tensor has wrong shape")
 
@@ -172,140 +179,105 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
 def verify_integral(cand: IntegralCandidate, d: DoiDatum) -> AxiomReport:
     """Direct exhaustive evaluation of all four condition families; the
     independent oracle for the assembled system."""
-    residuals = integral_residuals(cand, d)
-    violations = []
-    for (family, instance), res in residuals.items():
-        if any(res):
-            violations.append(Violation(family, instance, tuple(res)))
-    return AxiomReport(tuple(violations), len(residuals))
+    return residual_report(integral_residuals(cand, d))
 
 
 # ---------------------------------------------------------------------------
-# route 2: row assembly by index contraction
+# route 2: row assembly, one contraction per condition term
+
+def _contract(family: str, instances, shape: tuple, terms, dc: int, da: int) -> tuple:
+    """Rows and labels of ``family``: each instance gets one row per output
+    coordinate (row-major over ``shape``) of the sum over ``terms`` of
+    Post o (theta (x) id_X) o Pre.  ``pre(*instance)`` maps ((i, j), x) to
+    the coefficient of e_i (x) e_j (x) e_x, and ``post[x]`` lists the
+    (o, k, e) with e the coefficient of e_o in Post(e_k (x) e_x)."""
+    coords = list(product(*map(range, shape)))
+    rows, labels = [], []
+    for inst in instances:
+        block = [{} for _ in coords]
+        for pre, post in terms:
+            for ((i, j), x), c in pre(*inst).items():
+                for o, k, e in post[x]:
+                    row, col = block[o], theta_index(i, j, k, dc, da)
+                    s = row.get(col)
+                    row[col] = c * e if s is None else s + c * e
+        rows.extend(block)
+        labels.extend((family, inst, coord) for coord in coords)
+    return rows, labels
+
 
 def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
+    """Homogeneous rows for the three linear families and affine rows for
+    normalization, over the unknowns laid out by ``theta_index``."""
     field = d.field
-    alg = d.algebra.algebra
-    coalg = d.coalgebra.coalgebra
-    phi = d.coalgebra.action
-    rho_a = d.algebra.coaction
-    comult = coalg.comult
+    one = field.one()
+    alg, coalg = d.algebra.algebra, d.coalgebra.coalgebra
+    phi, rho_a, comult, mult = d.coalgebra.action, d.algebra.coaction, coalg.comult, alg.mult
     da, dc = alg.dim, coalg.dim
-    nunk = da * dc * dc
-    zero = field.zero()
-    gam_col = [coalg.gamma.column(i) for i in range(dc)]
-    gam_inv_col = [coalg.gamma_inv.column(i) for i in range(dc)]
-    beta = alg.alpha
-    beta_col = [beta.column(k) for k in range(da)]
-    alpha_inv_col = [d.hopf.alpha_inv.column(h) for h in range(d.hopf.dim)]
+    gam = [coalg.gamma.column(i) for i in range(dc)]
+    gam_inv = [coalg.gamma_inv.column(i) for i in range(dc)]
+    beta = [alg.alpha.column(k) for k in range(da)]
+    alpha_inv = [d.hopf.alpha_inv.column(h) for h in range(d.hopf.dim)]
+    pairs = list(product(range(dc), repeat=2))
+    ident = [[(r, r, one) for r in range(da)]]  # id_A, X trivial
 
-    hom_rows: list = []
-    hom_labels: list = []
+    # twist compatibility: (gamma (x) gamma, id_A) and (id, -beta)
+    twist = [(lambda p, q: {((i, j), 0): a * b for i, a in gam[p].items()
+                            for j, b in gam[q].items()}, ident),
+             (lambda p, q: {((p, q), 0): one},
+              [[(r, k, -b) for k in range(da) for r, b in beta[k].items()]])]
+    # colinearity, X = C: (gamma^-1 (x) Delta, id_A (x) gamma) and
+    # (d (x) c -> d2 (x) gamma^-1(c) (x) d1, -(beta (x) phi) o (rho_A (x) id))
+    colin = [(lambda p, q: {((i, j), x): a * b for i, a in gam_inv[p].items()
+                            for j, x, b in comult.nonzero_of(q)},
+              [[(r * dc + s, r, g) for r in range(da) for s, g in gam[x].items()]
+               for x in range(dc)]),
+             (lambda p, q: {((d2, j), d1): b * a for d1, d2, b in comult.nonzero_of(p)
+                            for j, a in gam_inv[q].items()},
+              [[(r * dc + s, k, -(c * b * f)) for k in range(da)
+                for k2, h, c in rho_a.nonzero_of(k) for r, b in beta[k2].items()
+                for s, f in phi.at_pair(x, h).items()] for x in range(dc)])]
 
-    def idx(i, j, k):
-        return (i * dc + j) * da + k
+    # module linearity, X = A: (a (x) d (x) c -> gamma^-1(d).a[0][1]
+    # (x) gamma^-1(c).alpha^-1(a[1]) (x) a[0][0], m o (beta^2 (x) id)), and (id, -m)
+    def double_coaction(t, p, q):
+        out = {}
+        for u, h, c1 in rho_a.nonzero_of(t):
+            arg2 = phi.apply(gam_inv[q], alpha_inv[h])
+            for x, h2, c2 in rho_a.nonzero_of(u):
+                arg1 = phi.apply(gam_inv[p], {h2: one})
+                vec_add_scaled(out, c1 * c2, {((i, j), x): a * b for i, a in arg1.items()
+                                              for j, b in arg2.items()})
+        return out
 
-    def add(row, col, x):
-        row[col] = row.get(col, zero) + x
+    beta2 = [alg.alpha.apply(b) for b in beta]
+    module = [(double_coaction, [[(r, k, e) for k in range(da)
+                                  for r, e in mult.apply(beta2[x], {k: one}).items()]
+                                 for x in range(da)]),
+              (lambda t, p, q: {((p, q), t): one},
+               [[(r, k, -e) for k in range(da) for r, e in mult.at_pair(k, x).items()]
+                for x in range(da)])]
 
-    # twist compatibility: sum_ij gam[i,p] gam[j,q] theta[i][j][r]
-    #                      - sum_k beta[r,k] theta[p][q][k] = 0
-    for p in range(dc):
-        for q in range(dc):
-            rows = [{} for _ in range(da)]
-            for i, gi in gam_col[p].items():
-                for j, gj in gam_col[q].items():
-                    g = gi * gj
-                    for r in range(da):
-                        add(rows[r], idx(i, j, r), g)
-            for r, k, bk in beta.nonzero():
-                add(rows[r], idx(p, q, k), -bk)
-            hom_rows.extend(rows)
-            hom_labels.extend(("twist_compatibility", (p, q), (r,)) for r in range(da))
-
-    # colinearity: coefficient of e_r (x) e_s
-    #   lhs: gam_inv[i,p] Delta[q][j][l] gam[s,l]       on theta[i][j][r]
-    #   rhs: Delta[p][u][v] gam_inv[j,q] rho_a[k][k2][h] beta[r,k2] phi[u][h][s]
-    #                                                   on theta[v][j][k]
-    for p in range(dc):
-        for q in range(dc):
-            rows = [{} for _ in range(da * dc)]
-            for i, gi in gam_inv_col[p].items():
-                for j, l, co in comult.nonzero_of(q):
-                    for s, gs in gam_col[l].items():
-                        c = gi * co * gs
-                        for r in range(da):
-                            add(rows[r * dc + s], idx(i, j, r), c)
-            for u, v, co1 in comult.nonzero_of(p):
-                for j, gj in gam_inv_col[q].items():
-                    c0 = -(co1 * gj)
-                    for k in range(da):
-                        col = idx(v, j, k)
-                        for k2, hh, co2 in rho_a.nonzero_of(k):
-                            c1 = c0 * co2
-                            for r, br in beta_col[k2].items():
-                                c2 = c1 * br
-                                for s, ph in phi.at_pair(u, hh).items():
-                                    add(rows[r * dc + s], col, c2 * ph)
-            hom_rows.extend(rows)
-            hom_labels.extend(("colinearity", (p, q), (r, s)) for r in range(da) for s in range(dc))
-
-    # module linearity: coefficient of e_r
-    #   lhs: rho_a[t][u][h] rho_a[u][u2][h2]
-    #        (gam_inv[i,p] phi[i][h2][i2]) (gam_inv[j,q] alpha_inv[h3,h] phi[j][h3][j2])
-    #        (beta^2 m)[u2][k][r]                        on theta[i2][j2][k]
-    #   rhs: mult[k][t][r]                               on theta[p][q][k]
-    beta2 = beta @ beta
-    prod_b2 = [[{} for _ in range(da)] for _ in range(da)]
-    for x, u2, b in beta2.nonzero():
-        for k in range(da):
-            vec_add_scaled(prod_b2[u2][k], b, alg.mult.at_pair(x, k))
-    for t in range(da):
-        for p in range(dc):
-            for q in range(dc):
-                rows = [{} for _ in range(da)]
-                for u, hh, c1 in rho_a.nonzero_of(t):
-                    for u2, h2, c2 in rho_a.nonzero_of(u):
-                        arg1 = {}
-                        for i, gi in gam_inv_col[p].items():
-                            vec_add_scaled(arg1, gi, phi.at_pair(i, h2))
-                        arg2 = {}
-                        for j, gj in gam_inv_col[q].items():
-                            for h3, ai in alpha_inv_col[hh].items():
-                                vec_add_scaled(arg2, gj * ai, phi.at_pair(j, h3))
-                        cc = c1 * c2
-                        for i2, a1 in arg1.items():
-                            for j2, a2 in arg2.items():
-                                w = cc * a1 * a2
-                                for k, pb in enumerate(prod_b2[u2]):
-                                    col = idx(i2, j2, k)
-                                    for r, x in pb.items():
-                                        add(rows[r], col, w * x)
-                for k in range(da):
-                    for r, mk in alg.mult.at_pair(k, t).items():
-                        add(rows[r], idx(p, q, k), -mk)
-                hom_rows.extend(rows)
-                hom_labels.extend(("module_linearity", (t, p, q), (r,)) for r in range(da))
-
-    # normalization (affine): sum_ij Delta[p][i][j] theta[i][j][r] = eps[p] unit[r]
-    aff_rows: list = []
-    aff_rhs: list = []
-    aff_labels: list = []
-    for p in range(dc):
-        for r in range(da):
-            row = {}
-            for i, j, co in comult.nonzero_of(p):
-                add(row, idx(i, j, r), co)
-            aff_rows.append(row)
-            aff_rhs.append(coalg.counit[p] * alg.unit[r])
-            aff_labels.append(("normalization", (p,), (r,)))
+    hom_rows, hom_labels = [], []
+    for family, instances, shape, terms in (
+            ("twist_compatibility", pairs, (da,), twist),
+            ("colinearity", pairs, (da, dc), colin),
+            ("module_linearity", list(product(range(da), range(dc), range(dc))), (da,), module)):
+        rows, labels = _contract(family, instances, shape, terms, dc, da)
+        hom_rows += rows
+        hom_labels += labels
+    # normalization (affine), X trivial: (Delta, id_A) = eps(c) 1_A
+    aff_rows, aff_labels = _contract(
+        "normalization", [(p,) for p in range(dc)], (da,),
+        [(lambda p: {((i, j), 0): c for i, j, c in comult.nonzero_of(p)}, ident)], dc, da)
+    aff_rhs = tuple(coalg.counit[p] * alg.unit[r] for p in range(dc) for r in range(da))
 
     def matrix(rows):
-        return Matrix.from_nonzeros(field, len(rows), nunk, {
+        return Matrix.from_nonzeros(field, len(rows), da * dc * dc, {
             (r, c): x for r, row in enumerate(rows) for c, x in row.items()})
 
     return IntegralSystem(field, dc, da, matrix(hom_rows), tuple(hom_labels),
-                          matrix(aff_rows), tuple(aff_rhs), tuple(aff_labels))
+                          matrix(aff_rows), aff_rhs, tuple(aff_labels))
 
 
 # ---------------------------------------------------------------------------

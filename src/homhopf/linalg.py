@@ -538,11 +538,12 @@ class Matrix(_FibreStore):
         Kronecker product: each nonzero v[(j, k)] contributes
         v[(j, k)] self(e_j) (x) other(e_k)."""
         require_same_field(self, other)
-        if v and max(v) >= self.cols * other.cols:
-            raise ValueError(f"vector index {max(v)} applied to "
-                             f"{self.rows * other.rows}x{self.cols * other.cols} matrix")
+        cols = self.cols * other.cols
         out, left, right = {}, {}, {}
         for q, x in v.items():
+            if not 0 <= q < cols:
+                raise ValueError(f"vector index {q} applied to "
+                                 f"{self.rows * other.rows}x{cols} matrix")
             j, k = divmod(q, other.cols)
             u = left.get(j)
             if u is None:
@@ -554,8 +555,10 @@ class Matrix(_FibreStore):
         return out
 
     def apply(self, v: dict) -> dict:
-        if v and max(v) >= self.cols:
-            raise ValueError(f"vector index {max(v)} applied to {self.rows}x{self.cols} matrix")
+        # a loop over the few nonzeros costs less than calling max and min
+        for c in v:
+            if not 0 <= c < self.cols:
+                raise ValueError(f"vector index {c} applied to {self.rows}x{self.cols} matrix")
         out = {}
         for r, fibre in enumerate(self._fibres):
             s = None
@@ -826,11 +829,14 @@ class Tensor3(_FibreStore):
 
     def apply(self, v: dict, w: dict) -> dict:
         """Evaluate the bilinear map: out[k] = sum_ij t[i][j][k] v[i] w[j]."""
-        d2, fibres = self.d2, self._fibres
-        if (v and max(v) >= self.d1) or (w and max(w) >= d2):
-            raise ValueError("operand index out of range")
+        d1, d2, fibres = self.d1, self.d2, self._fibres
+        for j in w:
+            if not 0 <= j < d2:
+                raise ValueError("operand index out of range")
         out = {}
         for i, x in v.items():
+            if not 0 <= i < d1:
+                raise ValueError("operand index out of range")
             ibase = i * d2
             for j, y in w.items():
                 fibre = fibres[ibase + j]
@@ -853,10 +859,10 @@ class Tensor3(_FibreStore):
     def apply_left(self, v: dict) -> dict:
         """Evaluate a map into the tensor square: v -> sum_i v[i] t[i][:][:],
         entry (j, k) at j*d3 + k."""
-        if v and max(v) >= self.d1:
-            raise ValueError("operand index out of range")
         out = {}
         for i, x in v.items():
+            if not 0 <= i < self.d1:
+                raise ValueError("operand index out of range")
             vec_add_scaled(out, x, self.left_slice(i))
         return out
 

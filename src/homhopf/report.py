@@ -50,6 +50,14 @@ class AxiomReport:
         return "\n".join(lines)
 
 
+def residual_report(residuals: dict) -> AxiomReport:
+    """The report on dense residuals keyed by ``(axiom, index)``: one
+    violation for each residual that is not all zero."""
+    violations = tuple(Violation(axiom, index, tuple(res))
+                       for (axiom, index), res in residuals.items() if any(res))
+    return AxiomReport(violations, len(residuals))
+
+
 def _label(i, labels):
     if labels is not None and isinstance(i, int) and 0 <= i < len(labels):
         return labels[i]

@@ -184,6 +184,13 @@ class TestVerify:
             if fam != "normalization":
                 assert not any(r)
 
+    def test_candidate_rejects_theta_over_another_field(self):
+        # over GF(7) the entry 8 is 1, so this theta would pass on kZ2 over Q
+        theta = Tensor3(Field.prime(7), 2, 2, 1, (1, 0, 0, 8))
+        with pytest.raises(ValueError, match="the Tensor3 is over GF.7. but the "
+                                             "IntegralCandidate is over Q"):
+            IntegralCandidate(Q, 2, 1, theta)
+
     def test_dimension_mismatch(self):
         d = trivial_datum(group_algebra(2, Q))
         wrong = IntegralCandidate(Q, 3, 1, Tensor3.zeros(Q, 3, 3, 1))
@@ -263,7 +270,8 @@ class TestWitness:
 def _pinned_datum(kind, base, field):
     h = {"kZ2": lambda: group_algebra(2, field),
          "tw_kZ3": lambda: twisted_group_algebra(3, 2, field),
-         "H4": lambda: sweedler_h4(field)}[base]()
+         "H4": lambda: sweedler_h4(field),
+         "tw_H4": lambda: twisted_sweedler(field, 2)}[base]()
     if kind == "trivial":
         return trivial_datum(h)
     if kind == "relative":
@@ -283,7 +291,8 @@ def system_digest(s) -> str:
 
 
 #: (datum kind, base algebra, field) -> system_digest, recorded with the
-#: assembler that built dense rows
+#: assembler that built dense rows; the tw_H4 entries with the sparse
+#: assembler that preceded the one-contraction-per-term assembler
 SYSTEM_DIGESTS = {
     ("trivial", "kZ2", "Q"):
         "d091eb8cc0e34efdc71dc9998511219b48e9e33a830cad9c90a653cecdce6138",
@@ -321,6 +330,19 @@ SYSTEM_DIGESTS = {
         "767be5d4e24f6e895e7d23c9057806da56d2bbe9d137a50899e04a032c32b514",
     ("yd", "H4", "GF7"):
         "fa1ea1ea17eeda0663c66071c81bd623958062cca553ced9601016ff62325af9",
+    # twisted by lambda = 2: the rows carry entries such as 1/2, 1/4 and 3, not only 0 and +-1
+    ("trivial", "tw_H4", "Q"):
+        "2835dacb3610fca169267391c5164563d65a23bb92685c499c195c89050be2e9",
+    ("trivial", "tw_H4", "GF7"):
+        "d9de8d1696a4448ff4ee3c2b5f0e749e59c2994553173e94aed575566fa72cd0",
+    ("relative", "tw_H4", "Q"):
+        "d25934e3fed81f40157ad30d9a1f0dc9474b29b702ba2b1f9f567e048d602485",
+    ("relative", "tw_H4", "GF7"):
+        "fc59d093c0f62a88d53c81acf0f35281a19252f63c7063a78b463949a0c7d63e",
+    ("yd", "tw_H4", "Q"):
+        "fa9b476d5d1c7a1ad267381358f3f0a57d20f3574f033746ebd04031260c060c",
+    ("yd", "tw_H4", "GF7"):
+        "3badd0ab5212a3f2a4a1558ac6ad3fa298f6269cbcd8e818a09f089a8dab5452",
 }
 
 

@@ -335,6 +335,29 @@ class TestComposeTensorApply:
         with pytest.raises(ValueError):
             Matrix.identity(Q, 2).apply({2: Fraction(1)})
 
+    def test_tensor_apply_rejects_negative_index(self):
+        # -1 would wrap to the fibre t[1][0] = 5 e1
+        t = Tensor3.from_nonzeros(Q, 2, 2, 2, {(0, 0, 0): 1, (1, 0, 1): 5})
+        for v, w in (({-1: 1}, {0: 1}), ({0: 1}, {-1: 1}), ({-1: 1}, {})):
+            with pytest.raises(ValueError, match="operand index out of range"):
+                t.apply(v, w)
+        with pytest.raises(ValueError, match="operand index out of range"):
+            t.apply_left({-1: 1})
+
+    def test_matrix_apply_rejects_negative_index(self):
+        m = Matrix.identity(Q, 2)
+        with pytest.raises(ValueError, match="vector index -1 applied to 2x2 matrix"):
+            m.apply({-1: 1})
+        with pytest.raises(ValueError, match="vector index 2 applied to 2x2 matrix"):
+            m.apply({2: 1})
+
+    def test_kron_apply_rejects_negative_index(self):
+        m = Matrix.identity(Q, 2)
+        with pytest.raises(ValueError, match="vector index -1 applied to 4x4 matrix"):
+            m.kron_apply(m, {-1: 1})
+        with pytest.raises(ValueError, match="vector index 4 applied to 4x4 matrix"):
+            m.kron_apply(m, {4: 1})
+
 
 class TestTensor3Views:
     def test_as_map_from_pair_matches_apply(self):
