@@ -7,12 +7,18 @@ candidate normalize?  Everything is exact; reruns print identical tables.
 """
 
 import argparse
+import os
+import sys
 
-from homhopf.applications import (dual_right_integrals, integral_from_dual,
+# run from a checkout, installed or not: the package is imported from its src
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from homhopf.applications import (dual_right_integrals, integral_from_dual,  # noqa: E402
                                   trivial_datum)
-from homhopf.integrals import Infeasible, solve_normalized_integral
-from homhopf.io import parse_field_flag
-from homhopf.zoo import (group_algebra, sweedler_h4, twisted_group_algebra,
+from homhopf.integrals import Infeasible, solve_normalized_integral  # noqa: E402
+from homhopf.io import parse_field_flag  # noqa: E402
+from homhopf.zoo import (group_algebra, sweedler_h4, twisted_group_algebra,  # noqa: E402
                          twisted_sweedler)
 
 

@@ -2,10 +2,16 @@
 """Write every built-in golden structure file into a directory."""
 
 import argparse
+import os
 import pathlib
+import sys
 
-from homhopf.golden import golden_file, golden_names
-from homhopf.io import parse_field_flag, serialize_structure_file
+# run from a checkout, installed or not: the package is imported from its src
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from homhopf.golden import golden_file, golden_names  # noqa: E402
+from homhopf.io import parse_field_flag, serialize_structure_file  # noqa: E402
 
 
 def main():

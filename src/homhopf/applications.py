@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (HomAlgebra, HomComodule, HomHopfAlgebra, check_hom_comodule,
+from .core import (HomComodule, HomHopfAlgebra, check_hom_comodule,
                    check_hom_module, opposite_tensor)
 from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                   check_comodule_algebra, check_doi_datum,
@@ -32,6 +32,7 @@ from .integrals import IntegralCandidate, verify_integral
 from .linalg import (Field, Matrix, Tensor3, require_same_field, solve_affine,
                      vec_add_scaled, vec_dense, vec_dot, vec_sub, vec_tensor)
 from .report import AxiomReport, ReportBuilder, require, residual_report
+from .zoo import one_dimensional_hopf
 
 
 @dataclass
@@ -60,16 +61,9 @@ def regular_comodule_algebra(h: HomHopfAlgebra) -> ComoduleAlgebra:
 
 def trivial_datum(h: HomHopfAlgebra) -> DoiDatum:
     """The datum (k, k, H): Doi modules over it are exactly (H, alpha)-comodules."""
-    field = h.field
-    one = field.one()
-    eye1 = Matrix.identity(field, 1)
-    scalar_hopf = HomHopfAlgebra(field, 1, eye1, Tensor3(field, 1, 1, 1, (one,)),
-                                 (one,), Tensor3(field, 1, 1, 1, (one,)), (one,), eye1)
-    scalar_algebra = HomAlgebra(field, 1, eye1, Tensor3(field, 1, 1, 1, (one,)), (one,))
-    coaction = Tensor3(field, 1, 1, 1, (one,))
-    a = ComoduleAlgebra(scalar_algebra, coaction)
+    k = one_dimensional_hopf(h.field)
     c = ModuleCoalgebra(h.as_coalgebra(), _twist_action(h.alpha))
-    datum = DoiDatum(scalar_hopf, a, c)
+    datum = DoiDatum(k, regular_comodule_algebra(k), c)
     require(check_doi_datum(datum), "trivial datum failed verification")
     return datum
 

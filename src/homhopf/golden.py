@@ -7,6 +7,8 @@ end; their names say what is broken.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .applications import (comodule_to_doi, regular_comodule_algebra,
                            trivial_datum, trivial_yd_module, yd_datum)
 from .doi import direct_sum_doi
@@ -76,24 +78,17 @@ def _maschke_split_objects(field: Field):
 
 def _corrupt_group_mult(field: Field):
     # 1.1 = g instead of 1: breaks the unit axiom at the first basis vector
-    h = group_algebra(2, field)
     one, zero = field.one(), field.zero()
     mult = Tensor3.from_nested(field, [[[zero, one], [zero, one]],
                                        [[zero, one], [one, zero]]])
-    raw = hopf_to_raw(h, GROUP_BASIS[2])
-    raw["mult"] = [[[str(mult.at(i, j, k)) for k in range(2)] for j in range(2)]
-                   for i in range(2)]
-    return {"H": raw}
+    return _hopf_file(replace(group_algebra(2, field), mult=mult), GROUP_BASIS[2])
 
 
 def _corrupt_h4_antipode(field: Field):
     # S(x) = +gx instead of -gx: breaks the antipode convolution at x
-    h = sweedler_h4(field)
-    raw = hopf_to_raw(h, H4_BASIS)
     bad = Matrix.from_rows(field, [[1, 0, 0, 0], [0, 1, 0, 0],
                                    [0, 0, 0, 1], [0, 0, 1, 0]])
-    raw["antipode"] = [[str(bad.at(r, c)) for c in range(4)] for r in range(4)]
-    return {"H": raw}
+    return _hopf_file(replace(sweedler_h4(field), antipode=bad), H4_BASIS)
 
 
 def golden_names() -> list:
@@ -102,7 +97,7 @@ def golden_names() -> list:
 
 def golden_file(name: str, field: Field) -> StructureFile:
     if name not in _BUILDERS:
-        raise KeyError(f"unknown example {name!r}; available: {', '.join(golden_names())}")
+        raise ValueError(f"unknown example {name!r}; available: {', '.join(golden_names())}")
     return StructureFile(field, _BUILDERS[name](field))
 
 

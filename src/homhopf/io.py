@@ -1,10 +1,11 @@
 """Structure files: a strict, canonical, JSON-compatible text format.
 
 A file holds one coefficient field and a dictionary of named objects; every
-scalar is serialized as a string ("3/2", "5") so no numeric precision is
-involved.  Serialization is canonical (sorted keys, two-space indent,
-lowest-terms rationals, trailing newline) so parse . serialize is the
-identity on emitted files byte for byte.  Unknown keys are rejected.
+scalar is a string of ASCII digits, with an optional minus sign and "/"
+denominator ("3/2", "-5"), so no numeric precision is involved.
+Serialization is canonical (sorted keys, two-space indent, lowest-terms
+rationals, trailing newline) so parse . serialize is the identity on emitted
+files byte for byte.  Unknown keys are rejected.
 
 Reading is bound by coefficients: a file repeats a handful of distinct
 strings thousands of times, so each distinct coefficient string is parsed
@@ -15,6 +16,7 @@ their nonzero fibres, one per innermost list; no dense copy is built.
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from dataclasses import dataclass, field as dc_field
 
@@ -27,6 +29,10 @@ from .linalg import Field, Matrix, Tensor3
 
 class StructureParseError(ValueError):
     pass
+
+
+#: the one coefficient spelling; Fraction() also reads blanks, "_", "e", "." and "\u0661"
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?").fullmatch
 
 
 _SCHEMAS = {
@@ -204,6 +210,8 @@ class StructureFile:
         value = self._scalars.get(x)
         if value is None:
             try:
+                if not _COEFFICIENT(x):
+                    raise ValueError("not an integer or a fraction p/q in ASCII digits")
                 value = self._scalars[x] = self.field.of(x)
             except (ValueError, ZeroDivisionError) as exc:
                 raise StructureParseError(f"bad coefficient {x!r}: {exc}") from exc

@@ -345,11 +345,22 @@ class _FibreStore:
         # each nonempty fibre is swapped for the equal one already seen in
         # this call, so equal fibres are stored once per object.  Values and
         # pairs are not shared; a lookup per nonzero cost more time than the
-        # memory it saved.  Values are stored in canonical form.
+        # memory it saved.  Values are stored in the field's canonical form:
+        # over Q an integral Fraction as its int; over GF(p) an int or a
+        # Fraction is coerced (and dropped if it is zero there) and another
+        # modulus is a ValueError, while an element of GF(p), nearly every
+        # value, is kept without a call.
+        p, of = self.field.p, self.field.of
+        if p is None:
+            fibres = (tuple([(k, canonical(e)) for k, e in fibre]) if fibre else ()
+                      for fibre in fibres)
+        else:
+            fibres = (tuple([(k, x) for k, e in fibre
+                             if (x := e if e.__class__ is GFElement and e.p == p
+                                 else of(e) or None) is not None]) if fibre else ()
+                      for fibre in fibres)
         fibre_of = {}.setdefault
-        fibres = tuple([fibre_of(t, t) if t else () for t in
-                        (tuple([(k, canonical(e)) for k, e in fibre]) if fibre else ()
-                         for fibre in fibres)])
+        fibres = tuple([fibre_of(t, t) if t else () for t in fibres])
         zero = self.field.zero()
         object.__setattr__(self, "_fibres", fibres)
         object.__setattr__(self, "_zero", zero)

@@ -1,5 +1,5 @@
-"""Built-in golden structures: cyclic group algebras, Sweedler's
-four-dimensional Hopf algebra, their Yau twists, and small helper modules."""
+"""Built-in golden structures: cyclic group algebras, the Taft algebras (Sweedler's
+H4 is T_2), their Yau twists, and small helper modules."""
 
 from __future__ import annotations
 
@@ -41,42 +41,11 @@ def twisted_group_algebra(n: int, k: int, field: Field) -> HomHopfAlgebra:
 
 
 def sweedler_h4(field: Field) -> HomHopfAlgebra:
-    """Sweedler's Hopf algebra: basis 1, g, x, gx with g^2 = 1, x^2 = 0,
-    xg = -gx; Delta(g) = g(x)g, Delta(x) = x(x)1 + g(x)x."""
+    """Sweedler's Hopf algebra H4 = T_2 at zeta = -1: basis 1, g, x, gx with
+    g^2 = 1, x^2 = 0, xg = -gx; Delta(g) = g(x)g, Delta(x) = x(x)1 + g(x)x."""
     if field.p == 2:
         raise ValueError("needs a field of characteristic different from 2")
-    f = field.of
-    # multiplication table: row i, column j -> coefficients on (1, g, x, gx)
-    table = [
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        [[0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0]],
-        [[0, 0, 0, 1], [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-    ]
-    mult = Tensor3.from_nested(field, table)
-
-    def plane(*pairs):
-        p = [[field.zero()] * 4 for _ in range(4)]
-        for j, k, v in pairs:
-            p[j][k] = f(v)
-        return p
-
-    comult = Tensor3.from_nested(field, [
-        plane((0, 0, 1)),                       # Delta(1) = 1 (x) 1
-        plane((1, 1, 1)),                       # Delta(g) = g (x) g
-        plane((2, 0, 1), (1, 2, 1)),            # Delta(x) = x (x) 1 + g (x) x
-        plane((3, 1, 1), (0, 3, 1)),            # Delta(gx) = gx (x) g + 1 (x) gx
-    ])
-    unit = (f(1), f(0), f(0), f(0))
-    counit = (f(1), f(1), f(0), f(0))
-    antipode = Matrix.from_rows(field, [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],    # S(gx) = x
-        [0, 0, -1, 0],   # S(x) = -gx
-    ])
-    return HomHopfAlgebra(field, 4, Matrix.identity(field, 4), mult, unit,
-                          comult, counit, antipode)
+    return taft_algebra(2, -1, field)
 
 
 def sweedler_scaling(field: Field, lam) -> Matrix:
@@ -95,10 +64,10 @@ def twisted_sweedler(field: Field, lam=2) -> HomHopfAlgebra:
 
 
 def taft_algebra(n: int, zeta, field: Field) -> HomHopfAlgebra:
-    """The Taft algebra T_n (Taft, PNAS 68 (1971)): basis g^i x^j at i*n + j
-    with g^n = 1, x^n = 0 and xg = zeta gx, where zeta is a primitive n-th
-    root of unity; Delta(g) = g (x) g, Delta(x) = x (x) 1 + g (x) x,
-    S(x) = -g^-1 x.  Identity twist."""
+    """The Taft algebra T_n (Taft, PNAS 68 (1971)): basis g^i x^j at j*n + i,
+    x-major, with g^n = 1, x^n = 0 and xg = zeta gx for a primitive n-th root
+    of unity zeta; Delta(g) = g (x) g, Delta(x) = x (x) 1 + g (x) x,
+    S(x) = -g^-1 x.  Identity twist.  T_2 at zeta = -1 is Sweedler's H4."""
     zeta = field.of(zeta)
     one, zero = field.one(), field.zero()
     pw = [one]                                  # pw[e] = zeta^e, e mod n
@@ -107,7 +76,7 @@ def taft_algebra(n: int, zeta, field: Field) -> HomHopfAlgebra:
     if pw[-1] * zeta != one or one in pw[1:]:
         raise ValueError(f"{zeta} is not a primitive {n}-th root of unity in {field}")
     # (g^i x^j)(g^k x^l) = zeta^(jk) g^(i+k) x^(j+l)
-    mult = {(i * n + j, k * n + l, (i + k) % n * n + j + l): pw[j * k % n]
+    mult = {(j * n + i, l * n + k, (j + l) * n + (i + k) % n): pw[j * k % n]
             for i in range(n) for j in range(n) for k in range(n) for l in range(n - j)}
     # Delta(g^i x^j) = sum_k [j, k]_q zeta^(k(j-k)) g^(i+j-k) x^k (x) g^i x^(j-k),
     # q = zeta^-1, with Gaussian binomials [j, k]_q = [j-1, k-1]_q + q^k [j-1, k]_q
@@ -115,11 +84,11 @@ def taft_algebra(n: int, zeta, field: Field) -> HomHopfAlgebra:
     for j in range(1, n):
         prev = binom[-1] + [zero]
         binom.append([one] + [prev[k - 1] + pw[-k % n] * prev[k] for k in range(1, j + 1)])
-    comult = {(i * n + j, (i + j - k) % n * n + k, i * n + j - k):
+    comult = {(j * n + i, k * n + (i + j - k) % n, (j - k) * n + i):
               binom[j][k] * pw[k * (j - k) % n]
               for i in range(n) for j in range(n) for k in range(j + 1)}
     # S(g^i x^j) = (-1)^j zeta^(-j(j-1)/2 - ij) g^(-i-j) x^j
-    antipode = {((-i - j) % n * n + j, i * n + j):
+    antipode = {(j * n + (-i - j) % n, j * n + i):
                 (-one if j % 2 else one) * pw[(-j * (j - 1) // 2 - i * j) % n]
                 for i in range(n) for j in range(n)}
     d = n * n
@@ -127,15 +96,13 @@ def taft_algebra(n: int, zeta, field: Field) -> HomHopfAlgebra:
                           Tensor3.from_nonzeros(field, d, d, d, mult),
                           tuple(one if q == 0 else zero for q in range(d)),
                           Tensor3.from_nonzeros(field, d, d, d, comult),
-                          tuple(one if q % n == 0 else zero for q in range(d)),
+                          tuple(one if q < n else zero for q in range(d)),
                           Matrix.from_nonzeros(field, d, d, antipode))
 
 
 def one_dimensional_hopf(field: Field) -> HomHopfAlgebra:
-    one = field.one()
-    eye = Matrix.identity(field, 1)
-    t = Tensor3(field, 1, 1, 1, (one,))
-    return HomHopfAlgebra(field, 1, eye, t, (one,), t, (one,), eye)
+    """The one-dimensional Hopf algebra k, the group algebra of Z_1."""
+    return group_algebra(1, field)
 
 
 # ---------------------------------------------------------------------------

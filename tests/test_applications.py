@@ -151,18 +151,18 @@ class TestTaftAlgebra:
     GF7 = Field.prime(7)
 
     def test_t3_presentation(self):
-        # basis g^i x^j at 3i + j: g = 3, x = 1, gx = 4, g^2 x = 7
+        # basis g^i x^j at 3j + i: g = 1, x = 3, g^2 = 2, x^2 = 6, gx = 4, g^2 x = 5
         h = taft_algebra(3, 2, self.GF7)
         f = self.GF7.of
-        g, x = 3, 1
+        g, x = 1, 3
         assert h.dim == 9
-        assert h.mult.at_pair(g, 6) == {0: f(1)}                 # g^3 = 1
-        assert h.mult.at_pair(x, 2) == {}                        # x^3 = 0
+        assert h.mult.at_pair(g, 2) == {0: f(1)}                 # g^3 = 1
+        assert h.mult.at_pair(x, 6) == {}                        # x^3 = 0
         assert h.mult.at_pair(x, g) == {4: f(2)}                 # xg = zeta gx
         assert h.mult.at_pair(g, x) == {4: f(1)}
         assert h.comult.left_slice(x) == {x * 9 + 0: f(1), g * 9 + x: f(1)}
-        assert h.antipode.column(x) == {7: f(-1)}                # S(x) = -g^-1 x
-        assert h.counit == tuple(f(int(q % 3 == 0)) for q in range(9))
+        assert h.antipode.column(x) == {5: f(-1)}                # S(x) = -g^-1 x
+        assert h.counit == tuple(f(int(q < 3)) for q in range(9))
 
     @pytest.mark.parametrize("n, zeta, p", [(1, 1, 7), (2, 6, 7), (3, 2, 7), (3, 4, 7),
                                              (4, 2, 5)])

@@ -341,6 +341,7 @@ class TestCommands:
     def test_examples_unknown_name(self):
         rc, _, err = run_cli(["examples", "nope"])
         assert rc == 2
+        assert err.startswith("error: unknown example 'nope'; available: H4, ")
 
     def test_examples_round_trips_byte_identical(self, tmp_path):
         p = tmp_path / "e.json"

@@ -191,6 +191,13 @@ class TestVerify:
                                              "IntegralCandidate is over Q"):
             IntegralCandidate(Q, 2, 1, theta)
 
+    def test_from_vector_reduces_entries_over_gf(self):
+        gf7 = Field.prime(7)
+        cand = IntegralCandidate.from_vector(gf7, 2, 1, [1, 0, 0, 8])
+        assert cand.theta == Tensor3(gf7, 2, 2, 1, (gf7.one(), 0, 0, gf7.one()))
+        assert [str(x) for x in cand.theta.entries] == ["1", "0", "0", "1"]
+        assert verify_integral(cand, trivial_datum(group_algebra(2, gf7))).passed
+
     def test_dimension_mismatch(self):
         d = trivial_datum(group_algebra(2, Q))
         wrong = IntegralCandidate(Q, 3, 1, Tensor3.zeros(Q, 3, 3, 1))

@@ -5,6 +5,7 @@ constructors build, over Q and GF(7), with the parser's errors unchanged."""
 
 import collections
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,16 @@ def test_zero_denominator_at_two_sites_reports_the_first(field):
     sf = _kz2_with(field, twist=[["1", "0"], ["0", "2/0"]], counit=["1/0", "1"])
     with pytest.raises(StructureParseError, match=r"^bad coefficient '2/0': Fraction\(2, 0\)$"):
         sf.build("H")
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+def test_coefficient_spelled_other_than_digits_is_a_parse_error(field):
+    # Fraction() reads each of these, as 1000, 3/2, 5, 1000 and 1
+    for text in ["1e3", "1.5", " 5 ", "1_000", "\u0661"]:
+        sf = _kz2_with(field, unit=["1", text])
+        message = re.escape(f"bad coefficient {text!r}: ")
+        with pytest.raises(StructureParseError, match="^" + message):
+            sf.build("H")
 
 
 @pytest.mark.parametrize("entry", [["1"], {"a": "1"}, [], 1, None, True, 1.5])

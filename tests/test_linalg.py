@@ -402,6 +402,30 @@ class TestFibreStore:
             values = [e for fibre in m._fibres for _, e in fibre]
             assert values and all(type(e) is int and e == 2 for e in values)
 
+    def test_gf_entries_stored_as_reduced_elements(self):
+        gf7 = Field.prime(7)
+        one = gf7.of(1)
+        stored = [Matrix(gf7, 1, 2, (8, 0)),
+                  Tensor3(gf7, 1, 1, 2, (Fraction(15, 1), 7)),
+                  Matrix.from_nonzeros(gf7, 1, 2, {(0, 0): 8, (0, 1): 14}),
+                  Tensor3.from_nonzeros(gf7, 1, 1, 2, {(0, 0, 0): Fraction(8), (0, 0, 1): 7})]
+        for m in stored:
+            # an entry that reduces to zero is dropped like any other zero
+            assert m._fibres == (((0, one),),)
+            assert type(m._fibres[0][0][1]) is GFElement
+        assert stored[0] == Matrix(gf7, 1, 2, (one, 0))
+        assert stored[1] == Tensor3(gf7, 1, 1, 2, (one, 0))
+        assert Matrix(gf7, 1, 1, (Fraction(1, 2),)).at(0, 0) == 4
+
+    def test_element_of_another_modulus_is_rejected(self):
+        gf7, other = Field.prime(7), GFElement(1, 5)
+        for build in (lambda: Matrix(gf7, 1, 1, (other,)),
+                      lambda: Tensor3(gf7, 1, 1, 1, (other,)),
+                      lambda: Matrix.from_nonzeros(gf7, 1, 1, {(0, 0): other}),
+                      lambda: Tensor3.from_nonzeros(gf7, 1, 1, 1, {(0, 0, 0): other})):
+            with pytest.raises(ValueError, match=r"element of GF\(5\) in field GF\(7\)"):
+                build()
+
     def test_equality_and_hashing(self, field):
         rows = [[1, 0, 2], [0, 0, 0], [1, 0, 2]]
         dense = Matrix.from_rows(field, rows)
