@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (HomComodule, HomHopfAlgebra, check_hom_comodule,
-                   check_hom_module, opposite_tensor)
+                   check_hom_module, leg_products, opposite_tensor)
 from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                   check_comodule_algebra, check_doi_datum,
                   check_module_coalgebra)
@@ -139,22 +139,14 @@ def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     mu_col = [m.mu.column(i) for i in range(dm)]
     mu_inv_col = [m.mu_inv.column(i) for i in range(dm)]
     out = {}
-    for i in range(dm):
-        for j in range(dh):
-            lhs = {}
-            for m0, m1, co in m.coaction.nonzero_of(i):
-                for h1, h2, cd in h.comult.nonzero_of(j):
-                    vec_add_scaled(lhs, co * cd,
-                                   vec_tensor(m.action.at_pair(m0, h1),
-                                              h.mult.at_pair(m1, h2), dh))
-            rhs = {}
-            for h1, h2, cd in h.comult.nonzero_of(j):
-                v = m.action.apply(mu_inv_col[i], {h2: one})
-                for q, s in m.coaction.apply_left(v).items():
-                    m0, m1 = divmod(q, dh)
-                    vec_add_scaled(rhs, cd * s,
-                                   vec_tensor(mu_col[m0], h.mult.at_pair(h1, m1), dh))
-            out[(i, j)] = vec_dense(vec_sub(lhs, rhs), dm * dh, field.zero())
+    for i, j, lhs in leg_products(m.coaction, h.comult, m.action, h.mult):
+        rhs = {}
+        for h1, h2, cd in h.comult.nonzero_of(j):
+            v = m.action.apply(mu_inv_col[i], {h2: one})
+            for q, s in m.coaction.apply_left(v).items():
+                m0, m1 = divmod(q, dh)
+                vec_add_scaled(rhs, cd * s, vec_tensor(mu_col[m0], h.mult.at_pair(h1, m1), dh))
+        out[(i, j)] = vec_dense(vec_sub(lhs, rhs), dm * dh, field.zero())
     return out
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
                    HomModule, _view, check_hom_comodule, check_hom_hopf,
-                   check_hom_module)
-from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
-                     vec_dot, vec_sparse, vec_tensor)
+                   check_hom_module, leg_products)
+from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_dot, vec_sparse,
+                     vec_tensor)
 from .report import AxiomReport, ReportBuilder, require
 from .zoo import block_diag
 
@@ -135,16 +135,9 @@ def check_comodule_algebra(a: ComoduleAlgebra, h: HomHopfAlgebra) -> AxiomReport
     unit = vec_sparse(a.algebra.unit)
     b.check_vec("coaction_unit", (), a.coaction.apply_left(unit),
                 vec_tensor(unit, vec_sparse(h.unit), dh), da * dh)
-    prod_a = [[a.algebra.mult.at_pair(i, j) for j in range(da)] for i in range(da)]
-    prod_h = [[h.mult.at_pair(p, q) for q in range(dh)] for p in range(dh)]
-    for i in range(da):
-        for j in range(da):
-            lhs = a.coaction.apply_left(prod_a[i][j])
-            rhs = {}
-            for u, p, c1 in a.coaction.nonzero_of(i):
-                for v, q, c2 in a.coaction.nonzero_of(j):
-                    vec_add_scaled(rhs, c1 * c2, vec_tensor(prod_a[u][v], prod_h[p][q], dh))
-            b.check_vec("coaction_multiplicative", (i, j), lhs, rhs, da * dh)
+    for i, j, rhs in leg_products(a.coaction, a.coaction, a.algebra.mult, h.mult):
+        b.check_vec("coaction_multiplicative", (i, j),
+                    a.coaction.apply_left(a.algebra.mult.at_pair(i, j)), rhs, da * dh)
     return rep.merged(b.report())
 
 
@@ -152,20 +145,12 @@ def check_module_coalgebra(c: ModuleCoalgebra, h: HomHopfAlgebra) -> AxiomReport
     """Module axioms plus compatibility of the action with Delta and eps."""
     rep = check_hom_module(c.as_module(), h.as_algebra())
     b = ReportBuilder()
-    field = c.coalgebra.field
-    dc, dh = c.dim, h.dim
-    acted = [[c.action.at_pair(i, j) for j in range(dh)] for i in range(dc)]
-    for i in range(dc):
-        for j in range(dh):
-            lhs = c.coalgebra.comult.apply_left(acted[i][j])
-            rhs = {}
-            for c1, c2, u in c.coalgebra.comult.nonzero_of(i):
-                for h1, h2, v in h.comult.nonzero_of(j):
-                    vec_add_scaled(rhs, u * v, vec_tensor(acted[c1][h1], acted[c2][h2], dc))
-            b.check_vec("action_comultiplicative", (i, j), lhs, rhs, dc * dc)
-            b.check_scalar("action_counit", (i, j),
-                           vec_dot(field, acted[i][j], c.coalgebra.counit),
-                           c.coalgebra.counit[i] * h.counit[j])
+    dc, comult, counit = c.dim, c.coalgebra.comult, c.coalgebra.counit
+    for i, j, rhs in leg_products(comult, h.comult, c.action, c.action):
+        acted = c.action.at_pair(i, j)
+        b.check_vec("action_comultiplicative", (i, j), comult.apply_left(acted), rhs, dc * dc)
+        b.check_scalar("action_counit", (i, j),
+                       vec_dot(c.coalgebra.field, acted, counit), counit[i] * h.counit[j])
     return rep.merged(b.report())
 
 
@@ -180,19 +165,9 @@ def check_doi_module(m: DoiModule, d: DoiDatum) -> AxiomReport:
     rep = check_hom_module(m, d.algebra.algebra)
     rep = rep.merged(check_hom_comodule(m, d.coalgebra.coalgebra))
     b = ReportBuilder()
-    dm, dc = m.dim, d.coalgebra.dim
-    da = d.algebra.dim
-    acted = [[m.action.at_pair(i, a) for a in range(da)] for i in range(dm)]
-    for i in range(dm):
-        for a in range(da):
-            lhs = m.coaction.apply_left(acted[i][a])
-            rhs = {}
-            for m0, c1, u in m.coaction.nonzero_of(i):
-                for a0, h1, v in d.algebra.coaction.nonzero_of(a):
-                    vec_add_scaled(rhs, u * v,
-                                   vec_tensor(acted[m0][a0],
-                                              d.coalgebra.action.at_pair(c1, h1), dc))
-            b.check_vec("doi_compatibility", (i, a), lhs, rhs, dm * dc)
+    for i, a, rhs in leg_products(m.coaction, d.algebra.coaction, m.action, d.coalgebra.action):
+        b.check_vec("doi_compatibility", (i, a), m.coaction.apply_left(m.action.at_pair(i, a)),
+                    rhs, m.dim * d.coalgebra.dim)
     return rep.merged(b.report())
 
 
@@ -235,9 +210,22 @@ def induce(n: HomModule, d: DoiDatum) -> DoiModule:
                  coaction=coaction, mu_inv=n.mu_inv.kron(d.coalgebra.coalgebra.gamma_inv))
 
 
+def _require_over(a_dim: int, c_dim: int | None, *modules) -> None:
+    """Reject a module not acted on by an ``a_dim``-dimensional algebra or,
+    unless ``c_dim`` is None, not coacting into a ``c_dim``-dimensional one."""
+    for m in modules:
+        if m.action.d2 != a_dim:
+            raise ValueError(f"the module's action is by a {m.action.d2}-dimensional "
+                             f"algebra but the algebra has dimension {a_dim}")
+        if c_dim is not None and m.coaction.d3 != c_dim:
+            raise ValueError(f"the module's coaction is into a {m.coaction.d3}-dimensional "
+                             f"coalgebra but the coalgebra has dimension {c_dim}")
+
+
 def module_morphism_report(f: Matrix, src: HomModule, dst: HomModule,
                            a: HomAlgebra) -> AxiomReport:
     """Is f an A-linear morphism of Hom-modules (action- and twist-compatible)?"""
+    _require_over(a.dim, None, src, dst)
     b = ReportBuilder()
     for j in range(a.dim):
         b.check_matrix("a_linear", (j,),
@@ -249,6 +237,7 @@ def module_morphism_report(f: Matrix, src: HomModule, dst: HomModule,
 def doi_morphism_report(f: Matrix, src: DoiModule, dst: DoiModule,
                         d: DoiDatum) -> AxiomReport:
     """A-linearity, C-colinearity and twist-compatibility of a matrix."""
+    _require_over(d.algebra.dim, d.coalgebra.dim, src, dst)
     b = ReportBuilder()
     for j in range(d.algebra.dim):
         b.check_matrix("a_linear", (j,),

@@ -5,7 +5,7 @@ scalar is a string of ASCII digits, with an optional minus sign and "/"
 denominator ("3/2", "-5"), so no numeric precision is involved.
 Serialization is canonical (sorted keys, two-space indent, lowest-terms
 rationals, trailing newline) so parse . serialize is the identity on emitted
-files byte for byte.  Unknown keys are rejected.
+files byte for byte.  Unknown keys are rejected; basis labels are strings.
 
 Reading is bound by coefficients: a file repeats a handful of distinct
 strings thousands of times, so each distinct coefficient string is parsed
@@ -248,8 +248,9 @@ def parse_structure_file(text: str) -> StructureFile:
             if not _is_int(dim) or dim <= 0:
                 raise StructureParseError(f"object {name!r}: 'dim' must be a positive integer")
             basis = obj.get("basis")
-            if not isinstance(basis, list) or len(basis) != dim:
-                raise StructureParseError(f"object {name!r}: 'basis' must list {dim} labels")
+            if not (isinstance(basis, list) and len(basis) == dim
+                    and all(isinstance(label, str) for label in basis)):
+                raise StructureParseError(f"object {name!r}: 'basis' must list {dim} strings")
         keys = set(obj)
         if keys != _SCHEMAS[kind]:
             missing = _SCHEMAS[kind] - keys

@@ -346,19 +346,17 @@ class _FibreStore:
         # this call, so equal fibres are stored once per object.  Values and
         # pairs are not shared; a lookup per nonzero cost more time than the
         # memory it saved.  Values are stored in the field's canonical form:
-        # over Q an integral Fraction as its int; over GF(p) an int or a
-        # Fraction is coerced (and dropped if it is zero there) and another
-        # modulus is a ValueError, while an element of GF(p), nearly every
-        # value, is kept without a call.
+        # the field's own scalars, an int over Q and an element of GF(p) over
+        # GF(p), nearly every value, are kept without a call; anything else
+        # goes through ``Field.of`` (a Fraction to its canonical form, an
+        # element of another field is a ValueError, a float a TypeError) and
+        # is dropped if it is zero there.
         p, of = self.field.p, self.field.of
-        if p is None:
-            fibres = (tuple([(k, canonical(e)) for k, e in fibre]) if fibre else ()
-                      for fibre in fibres)
-        else:
-            fibres = (tuple([(k, x) for k, e in fibre
-                             if (x := e if e.__class__ is GFElement and e.p == p
-                                 else of(e) or None) is not None]) if fibre else ()
-                      for fibre in fibres)
+        kept = int if p is None else GFElement
+        fibres = (tuple([(k, x) for k, e in fibre
+                         if (x := e if e.__class__ is kept and (p is None or e.p == p)
+                             else of(e) or None) is not None]) if fibre else ()
+                  for fibre in fibres)
         fibre_of = {}.setdefault
         fibres = tuple([fibre_of(t, t) if t else () for t in fibres])
         zero = self.field.zero()
@@ -527,7 +525,7 @@ class Matrix(_FibreStore):
         return Matrix._of_rows(self.field, self.cols, out)
 
     def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(-self.field.one()))
+        return self.add(other.scale(-other.field.one()))
 
     def scale(self, s: Scalar) -> "Matrix":
         if not s:

@@ -201,6 +201,28 @@ class TestKindErrors:
         p.write_text(json.dumps(data))
         self.assert_usage_error(["twist", str(p), "H", "a"], f"{rows}x{cols}", "needs 2x2")
 
+    def test_non_string_basis_label_is_exit_2(self, tmp_path):
+        # a label of another type died in AxiomReport.format with a TypeError
+        data = json.loads(serialize_structure_file(golden_file("kZ2_corrupted_mult", Q)))
+        data["objects"]["H"]["basis"] = [1, None]
+        p = tmp_path / "labels.json"
+        p.write_text(json.dumps(data))
+        self.assert_usage_error(["check", str(p), "H"], "'basis' must list 2 strings")
+
+    def test_split_over_a_datum_the_modules_are_not_over(self, tmp_path):
+        # M and N are over D; D2 is kZ2's relative datum, whose algebra has
+        # dimension 2.  This died in doi._action_matrix with an IndexError.
+        data = json.loads(serialize_structure_file(golden_file("maschke_split_kZ2", Q)))
+        other = json.loads(serialize_structure_file(golden_file("kZ2_relative_datum", Q)))
+        for name, obj in other["objects"].items():
+            data["objects"][name + "2"] = {key: value + "2" if key in ("hopf", "algebra",
+                                                                      "coalgebra") else value
+                                           for key, value in obj.items()}
+        p = tmp_path / "mix.json"
+        p.write_text(json.dumps(data))
+        self.assert_usage_error(["split", str(p), "D2", "f", "g"],
+                                "1-dimensional algebra", "dimension 2")
+
     def test_boolean_dim_is_exit_2(self, tmp_path):
         data = json.loads(serialize_structure_file(golden_file("kZ2", Q)))
         data["objects"]["H"]["dim"] = True

@@ -382,6 +382,20 @@ class TestMorphisms:
         gff = f.kron(Matrix.identity(Q, 2))
         assert gff @ eta_src == eta_dst @ f
 
+    def test_modules_over_another_datum_rejected(self, rel_kz2, triv_kz2):
+        # modules over (k, k, kZ2), against (kZ2, kZ2, kZ2) and (k, k, kZ3):
+        # the first died in _action_matrix with an IndexError
+        m = comodule_to_doi(regular_comodule(group_algebra(2, Q).as_coalgebra()), triv_kz2)
+        eye = Matrix.identity(Q, 2)
+        by_a = r"action is by a 1-dimensional algebra but the algebra has dimension 2"
+        with pytest.raises(ValueError, match=by_a):
+            doi_morphism_report(eye, m, m, rel_kz2)
+        with pytest.raises(ValueError, match=by_a):
+            module_morphism_report(eye, m, m, rel_kz2.algebra.algebra)
+        with pytest.raises(ValueError, match=r"coaction is into a 2-dimensional coalgebra "
+                                             r"but the coalgebra has dimension 3"):
+            doi_morphism_report(eye, m, m, trivial_datum(group_algebra(3, Q)))
+
     def test_compatibility_fails_alone_for_mismatched_grading(self, rel_kz2):
         # a valid comodule structure that is incompatible with the action:
         # the all-degree-zero grading against the induced action

@@ -2,8 +2,8 @@
 
 Each example takes a small golden file over Q or GF(7), breaks it in one
 way (a dropped or extra key, a wrong kind or reference, a bad shape, a
-non-string, malformed or zero-denominator coefficient, a bad dim or field,
-deep nesting) and checks one of its objects.  Whatever the input, the run
+non-string, malformed or zero-denominator coefficient, a basis label that is
+not a string, a bad dim or field, deep nesting) and checks one of its objects.  Whatever the input, the run
 must end with a documented exit code (0 pass, 1 check failed, 2 parse or
 usage error, 3 infeasible) and no traceback.
 """
@@ -66,7 +66,7 @@ def mutated(draw):
     name = draw(st.sampled_from(sorted(objects)))
     obj = objects[name]
     how = draw(st.sampled_from(["drop", "extra", "kind", "reference", "shape",
-                                "coefficient", "dim", "field", "top", "deep"]))
+                                "coefficient", "label", "dim", "field", "top", "deep"]))
     depth = 0
     if how == "drop":
         del obj[draw(st.sampled_from(sorted(obj)))]
@@ -92,6 +92,9 @@ def mutated(draw):
                     del parent[key]
                 else:
                     parent.append(parent[key])
+    elif how == "label":
+        if isinstance(obj.get("basis"), list):
+            obj["basis"][draw(st.integers(0, len(obj["basis"]) - 1))] = draw(JUNK)
     elif how == "dim":
         obj["dim"] = draw(st.sampled_from([0, -1, 1, 2, 3, 8]) | JUNK)
     elif how == "field":

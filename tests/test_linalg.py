@@ -418,13 +418,25 @@ class TestFibreStore:
         assert Matrix(gf7, 1, 1, (Fraction(1, 2),)).at(0, 0) == 4
 
     def test_element_of_another_modulus_is_rejected(self):
-        gf7, other = Field.prime(7), GFElement(1, 5)
-        for build in (lambda: Matrix(gf7, 1, 1, (other,)),
-                      lambda: Tensor3(gf7, 1, 1, 1, (other,)),
-                      lambda: Matrix.from_nonzeros(gf7, 1, 1, {(0, 0): other}),
-                      lambda: Tensor3.from_nonzeros(gf7, 1, 1, 1, {(0, 0, 0): other})):
-            with pytest.raises(ValueError, match=r"element of GF\(5\) in field GF\(7\)"):
-                build()
+        # over GF(7) an element of GF(5); over Q an element of GF(7) and a float
+        cases = [(Field.prime(7), GFElement(1, 5), ValueError,
+                  r"element of GF\(5\) in field GF\(7\)"),
+                 (Q, GFElement(8, 7), ValueError, r"element of GF\(7\) in field Q"),
+                 (Q, 1.5, TypeError, r"cannot coerce float into Q")]
+        for field, other, error, message in cases:
+            for build in (lambda: Matrix(field, 1, 1, (other,)),
+                          lambda: Tensor3(field, 1, 1, 1, (other,)),
+                          lambda: Matrix.from_nonzeros(field, 1, 1, {(0, 0): other}),
+                          lambda: Tensor3.from_nonzeros(field, 1, 1, 1, {(0, 0, 0): other})):
+                with pytest.raises(error, match=message):
+                    build()
+
+    def test_q_entries_coerced_into_the_field(self):
+        # a string is parsed and a bool is the int it equals; "0" is dropped
+        m = Matrix(Q, 1, 4, ("3", True, "1/2", "0"))
+        assert m._fibres == (((0, 3), (1, 1), (2, Fraction(1, 2))),)
+        assert [type(e) for _, e in m._fibres[0]] == [int, int, Fraction]
+        assert m == Matrix(Q, 1, 4, (3, 1, Fraction(1, 2), 0))
 
     def test_equality_and_hashing(self, field):
         rows = [[1, 0, 2], [0, 0, 0], [1, 0, 2]]

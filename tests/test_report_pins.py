@@ -12,15 +12,17 @@ import hashlib
 
 import pytest
 
-from homhopf.applications import (regular_comodule_algebra, relative_datum,
-                                  yd_datum)
+import dataclasses
+
+from homhopf.applications import (check_yd_module, regular_comodule_algebra,
+                                  relative_datum, trivial_yd_module, yd_datum)
 from homhopf.core import HomHopfAlgebra, check_hom_hopf
-from homhopf.doi import (ComoduleAlgebra, DoiDatum, DoiModule, check_doi_datum,
-                         check_doi_module)
+from homhopf.doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
+                         check_doi_datum, check_doi_module, check_module_coalgebra)
 from homhopf.golden import golden_file
 from homhopf.linalg import Field, Matrix, Tensor3
 from homhopf.maschke import canonical_module
-from homhopf.zoo import group_algebra, twisted_group_algebra
+from homhopf.zoo import group_algebra, twisted_group_algebra, twisted_sweedler
 
 FIELDS = {"Q": Field.rationals(), "GF7": Field.prime(7)}
 
@@ -70,6 +72,24 @@ def yd_kz4t_passing(field):
     return check_doi_datum(yd_datum(twisted_group_algebra(4, 3, field)))
 
 
+def sweedler_t_mult_changed(field):
+    h = twisted_sweedler(field)
+    return check_hom_hopf(dataclasses.replace(h, mult=_changed(h.mult, 5)))
+
+
+def relative_sweedler_t_action_changed(field):
+    h = twisted_sweedler(field)
+    c = relative_datum(h, regular_comodule_algebra(h)).coalgebra
+    return check_module_coalgebra(ModuleCoalgebra(c.coalgebra, _changed(c.action, 5)), h)
+
+
+def yd_trivial_sweedler_t_action_changed(field):
+    h = twisted_sweedler(field)
+    m = trivial_yd_module(h)
+    bad = DoiModule(field, m.dim, m.mu, _changed(m.action, 1), m.coaction)
+    return check_yd_module(bad, h)
+
+
 CASES = {
     "kZ2_corrupted_mult": lambda f: golden_hopf("kZ2_corrupted_mult", f),
     "H4_corrupted_antipode": lambda f: golden_hopf("H4_corrupted_antipode", f),
@@ -77,6 +97,9 @@ CASES = {
     "yd_kZ3t_coaction_changed": yd_kz3t_coaction_changed,
     "doi_module_action_changed": doi_module_action_changed,
     "yd_kZ4t_passing": yd_kz4t_passing,
+    "sweedler_t_mult_changed": sweedler_t_mult_changed,
+    "relative_sweedler_t_action_changed": relative_sweedler_t_action_changed,
+    "yd_trivial_sweedler_t_action_changed": yd_trivial_sweedler_t_action_changed,
 }
 
 #: recorded at the parent of the sparse-tensor change
@@ -168,6 +191,76 @@ PINS = {'H4_corrupted_antipode': {'GF7': (155,
                      'Q': (6276,
                            [],
                            'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855')}}
+
+
+#: recorded before the product side of the compatibility laws was written
+#: once, as ``core.leg_products``
+PINS.update({'relative_sweedler_t_action_changed': {'GF7': (116,
+                                                            [('module_hom_associativity', (0, 1, 1)),
+                                                             ('module_hom_associativity', (0, 1, 2)),
+                                                             ('module_hom_associativity', (0, 1, 3)),
+                                                             ('module_hom_associativity', (1, 1, 1)),
+                                                             ('action_comultiplicative', (0, 1)),
+                                                             ('action_counit', (0, 1)),
+                                                             ('action_comultiplicative', (0, 2)),
+                                                             ('action_comultiplicative', (0, 3)),
+                                                             ('action_comultiplicative', (2, 1)),
+                                                             ('action_comultiplicative', (3, 1))],
+                                                            '453bfbb4765940d0c0994438032c02a1ebe0180c39fe4b8ac294e6d0e6bde536'),
+                                                    'Q': (116,
+                                                          [('module_hom_associativity', (0, 1, 1)),
+                                                           ('module_hom_associativity', (0, 1, 2)),
+                                                           ('module_hom_associativity', (0, 1, 3)),
+                                                           ('module_hom_associativity', (1, 1, 1)),
+                                                           ('action_comultiplicative', (0, 1)),
+                                                           ('action_counit', (0, 1)),
+                                                           ('action_comultiplicative', (0, 2)),
+                                                           ('action_comultiplicative', (0, 3)),
+                                                           ('action_comultiplicative', (2, 1)),
+                                                           ('action_comultiplicative', (3, 1))],
+                                                          '8723923e408272045c2b303adaaf50d9786c0e94035327bee926a703d06c1a8a')},
+             'sweedler_t_mult_changed': {'GF7': (155,
+                                                 [('left_unit', (1,)),
+                                                  ('hom_associativity', (0, 0, 1)),
+                                                  ('hom_associativity', (0, 1, 1)),
+                                                  ('hom_associativity', (0, 1, 2)),
+                                                  ('hom_associativity', (0, 1, 3)),
+                                                  ('hom_associativity', (1, 0, 1)),
+                                                  ('hom_associativity', (1, 1, 1)),
+                                                  ('hom_associativity', (2, 0, 1)),
+                                                  ('hom_associativity', (3, 0, 1)),
+                                                  ('comult_multiplicative', (0, 1)),
+                                                  ('counit_multiplicative', (0, 1)),
+                                                  ('comult_multiplicative', (0, 2)),
+                                                  ('comult_multiplicative', (0, 3)),
+                                                  ('comult_multiplicative', (2, 1)),
+                                                  ('comult_multiplicative', (3, 1))],
+                                                 'eac9bccd59de005b5d1e86b13f4207923271f1d9ddfb60bb5de64772069b887c'),
+                                         'Q': (155,
+                                               [('left_unit', (1,)),
+                                                ('hom_associativity', (0, 0, 1)),
+                                                ('hom_associativity', (0, 1, 1)),
+                                                ('hom_associativity', (0, 1, 2)),
+                                                ('hom_associativity', (0, 1, 3)),
+                                                ('hom_associativity', (1, 0, 1)),
+                                                ('hom_associativity', (1, 1, 1)),
+                                                ('hom_associativity', (2, 0, 1)),
+                                                ('hom_associativity', (3, 0, 1)),
+                                                ('comult_multiplicative', (0, 1)),
+                                                ('counit_multiplicative', (0, 1)),
+                                                ('comult_multiplicative', (0, 2)),
+                                                ('comult_multiplicative', (0, 3)),
+                                                ('comult_multiplicative', (2, 1)),
+                                                ('comult_multiplicative', (3, 1))],
+                                               '6ab334bd49adfdd3211b03d5bebf1da61fb98110daef624aef4a95bf3c525467')},
+             'yd_trivial_sweedler_t_action_changed': {'GF7': (4,
+                                                              [('yd_compatibility', (0, 2)),
+                                                               ('yd_compatibility', (0, 3))],
+                                                              'cf43938a4d360a580157267e9c95fdab65825a919d7eca25ea5e5b526d1204bc'),
+                                                      'Q': (4,
+                                                            [('yd_compatibility', (0, 2)),
+                                                             ('yd_compatibility', (0, 3))],
+                                                            'c048ed485efbd145e29515bfd7a17662cf9daf81693577d90ded02ef35ded977')}})
 
 
 @pytest.mark.parametrize("fname", sorted(FIELDS))
