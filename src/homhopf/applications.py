@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 from .core import (HomComodule, HomHopfAlgebra, check_hom_comodule,
                    check_hom_module, leg_products, opposite_tensor)
-from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
-                  check_comodule_algebra, check_doi_datum,
-                  check_module_coalgebra)
+from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra, _require_over,
+                  check_comodule_algebra, check_doi_datum, check_module_coalgebra)
 from .integrals import IntegralCandidate, verify_integral
 from .linalg import (Field, Matrix, Tensor3, require_same_field, solve_affine,
                      vec_add_scaled, vec_dense, vec_dot, vec_sub, vec_tensor)
@@ -133,6 +132,7 @@ def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
 def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     """Residuals of the braided compatibility on every basis pair."""
     require_same_field(h, m)
+    _require_over(h.dim, h.dim, m)
     field = m.field
     one = field.one()
     dm, dh = m.dim, h.dim
@@ -153,6 +153,7 @@ def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
 def coaction_of_action_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     """Residuals of the closed formula for rho(m.h) on every basis pair."""
     require_same_field(h, m)
+    _require_over(h.dim, h.dim, m)
     field = m.field
     one = field.one()
     dm, dh = m.dim, h.dim

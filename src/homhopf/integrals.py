@@ -33,8 +33,9 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .doi import DoiDatum
-from .linalg import (Field, Matrix, Tensor3, _rref_rows, canonical, require_same_field,
-                     vec_add_scaled, vec_dense, vec_scale, vec_sparse, vec_sub, vec_tensor)
+from .linalg import (Field, Matrix, Tensor3, _rref_rows, _transform_row, canonical,
+                     require_same_field, vec_add_scaled, vec_dense, vec_scale, vec_sparse,
+                     vec_sub, vec_tensor)
 from .report import AxiomReport, residual_report
 
 
@@ -295,10 +296,10 @@ def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
     aug = list(system.homogeneous._fibres)
     aug.extend(fibre + ((nunk, b),) if b else fibre
                for fibre, b in zip(system.affine_lhs._fibres, system.affine_rhs))
-    red, pivots, transform = _rref_rows(aug, field)
+    red, pivots, steps = _rref_rows(aug, field)
     if nunk in pivots:
         ri = pivots.index(nunk)
-        y = transform[ri]
+        y = _transform_row(steps, ri, field)
         _assert_certificate(aug, y, nunk, field)
         combo = [(labels[j], canonical(y[j])) for j in sorted(y)]
         return Infeasible(ri, canonical(red[ri][nunk]), tuple(combo))

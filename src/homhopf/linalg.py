@@ -17,8 +17,8 @@ and elimination read the fibres, so they cost the nonzeros, not the shape.
 Both are treated as immutable; every operation returns a fresh object.
 
 Elimination is sparse: :func:`_rref_rows` works on rows held as
-``{column: nonzero scalar}`` dicts (or matrix fibres) and carries the
-row-operation transform as sparse rows too.
+``{column: nonzero scalar}`` dicts (or matrix fibres), visits only the rows
+holding each pivot column and logs its row operations, not the transform.
 
 All solving is deterministic so that serialized results are reproducible:
 reduced row echelon form picks the leftmost pivot column and the first
@@ -614,13 +614,16 @@ class Matrix(_FibreStore):
         return len(self.rref()[1])
 
     def inverse(self) -> "Matrix | None":
-        """The transform T with T @ self == I, when self reduces to I."""
-        if self.rows != self.cols:
+        """T with T @ self == I, read off the reduced ``[self | I]``."""
+        n, one = self.rows, self.field.one()
+        if n != self.cols:
             return None
-        _, pivots, transform = _rref_rows(self._fibres, self.field)
-        if len(pivots) != self.rows:
+        red, pivots, _ = _rref_rows([f + ((n + r, one),) for r, f in enumerate(self._fibres)],
+                                    self.field)
+        if pivots != list(range(n)):
             return None
-        return Matrix._of_rows(self.field, self.rows, transform)
+        return Matrix._from_fibres([sorted([(c - n, x) for c, x in row.items() if c >= n])
+                                    for row in red], n, field=self.field, rows=n, cols=n)
 
 
 def _rref_rows(rows: Sequence[dict], field: Field) -> tuple[list, list, list]:
@@ -628,65 +631,79 @@ def _rref_rows(rows: Sequence[dict], field: Field) -> tuple[list, list, list]:
 
     ``rows`` holds each row as a ``{column: nonzero scalar}`` dict or as a
     matrix fibre of ``(column, nonzero scalar)`` pairs and is not modified.
-    Returns (reduced rows, pivot columns, transform), all rows sparse
-    ``{column: nonzero scalar}`` dicts.  The
-    transform T starts as the rows ``{r: one}`` and records the row
-    operations: T @ original == reduced.
+    Returns (reduced rows as sparse dicts, pivot columns, steps), where
+    ``steps`` logs one ``(p, sel, inv, [(r, f), ...])`` per pivot: swap rows
+    p and sel, scale row p by inv, subtract f * row p from each row r.  No
+    transform T (T @ original == reduced) is carried: :func:`_transform_row`
+    replays the log for one of its rows, and ``Matrix.inverse`` reduces [A | I].
 
-    The pivot rule is fixed, so every row operation and hence every reduced
-    row, particular solution and certificate is deterministic: take the
-    leftmost column with a nonzero at or below the current pivot row, pick
-    the first such row and swap it up, scale it only when the pivot is not
-    one, and eliminate the column from every other row.
+    The pivot rule is fixed: the leftmost column with a nonzero at or below
+    the current pivot row, the first such row, swapped up and scaled unless
+    the pivot is one.  ``where`` maps each column to a superset of the rows
+    holding it (a row joins on fill-in and on a swap; entries are checked
+    when used), so a step visits only those rows; yet each row gets the
+    operations of a sweep over all rows in the same order, so reduced rows,
+    pivots, dict orders, solutions and certificates are those of the sweep.
     """
     rows = [dict(row) for row in rows]
-    nrows = len(rows)
     one = field.one()
-    transform = [{r: one} for r in range(nrows)]
+    where = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            where.setdefault(c, []).append(r)
     piv_row = 0
-    pivots = []
-    for col in sorted(set().union(*rows)):
-        sel = None
-        for r in range(piv_row, nrows):
-            if col in rows[r]:
-                sel = r
-                break
+    pivots, steps = [], []
+    for col in sorted(where):
+        held = where[col]
+        sel = min((r for r in held if r >= piv_row and col in rows[r]), default=None)
         if sel is None:
             continue
         if sel != piv_row:
             rows[piv_row], rows[sel] = rows[sel], rows[piv_row]
-            transform[piv_row], transform[sel] = transform[sel], transform[piv_row]
+            for r in (piv_row, sel):
+                for c in rows[r]:
+                    where[c].append(r)
         inv = field.div(one, rows[piv_row][col])
         if inv != one:
             rows[piv_row] = {c: inv * x for c, x in rows[piv_row].items()}
-            transform[piv_row] = {c: inv * x for c, x in transform[piv_row].items()}
-        pivot, pivot_t = rows[piv_row], transform[piv_row]
-        for r in range(nrows):
-            if r == piv_row:
-                continue
-            f = rows[r].get(col)
-            if f is not None:
-                _sub_scaled(rows[r], f, pivot)
-                _sub_scaled(transform[r], f, pivot_t)
+        pivot = rows[piv_row]
+        elim = [(r, rows[r][col]) for r in dict.fromkeys(held) if r != piv_row and col in rows[r]]
+        for r, f in elim:
+            _sub_scaled(rows[r], f, pivot, r, where)
+        steps.append((piv_row, sel, inv, elim))
         pivots.append(col)
         piv_row += 1
-        if piv_row == nrows:
+        if piv_row == len(rows):
             break
-    return rows, pivots, transform
+    return rows, pivots, steps
 
 
-def _sub_scaled(row: dict, f, pivot: dict) -> None:
-    """row -= f * pivot on sparse rows, dropping entries that cancel."""
+def _sub_scaled(row: dict, f, pivot: dict, r: int, where: dict) -> None:
+    """Row r -= f * pivot, dropping entries that cancel; r joins ``where``."""
     for c, b in pivot.items():
         x = row.get(c)
         if x is None:
             row[c] = -(f * b)
+            where[c].append(r)
         else:
             x = x - f * b
             if x:
                 row[c] = x
             else:
                 del row[c]
+
+
+def _transform_row(steps: list, i: int, field: Field) -> dict:
+    """Row i of T, e_i . E_k ... E_1, replayed from the steps last first."""
+    zero = field.zero()
+    y = {i: field.one()}
+    for p, sel, inv, elim in reversed(steps):
+        x = y.pop(p, zero) - sum((f * y[r] for r, f in elim if r in y), zero)
+        if sel in y:
+            y[p] = y.pop(sel)
+        if x:
+            y[sel] = x * inv
+    return y
 
 
 @dataclass(frozen=True)

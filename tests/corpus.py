@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from homhopf.core import HomComodule, HomHopfAlgebra, HomModule
 from homhopf.doi import DoiModule
 from homhopf.linalg import Field, GFElement, Matrix, Tensor3
+from homhopf.zoo import twisted_group_algebra, twisted_sweedler
 
 
 def is_canonical(x, field: Field) -> bool:
@@ -61,6 +63,16 @@ def commuting_twist(field: Field, g: Matrix, rng: random.Random) -> Matrix:
             power = power @ g
         if mu.inverse() is not None:
             return mu
+
+
+def seeded_twist(base, field: Field, rng: random.Random) -> HomHopfAlgebra:
+    """A seeded Yau twist of kZn (``base`` = n >= 2) by g -> g^k for a unit
+    k mod n, or of Sweedler's H4 (``base`` = "H4") by the scaling with a
+    seeded lam; k = 1 and lam = 1 leave the algebra untwisted."""
+    if base == "H4":
+        return twisted_sweedler(field, rng.choice([1, 2, 3, -2]))
+    return twisted_group_algebra(base, rng.choice([k for k in range(1, base)
+                                                   if gcd(k, base) == 1]), field)
 
 
 def random_module_over_group_algebra(h: HomHopfAlgebra, dim: int,

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import sys
@@ -12,6 +13,7 @@ from corpus import (random_graded_comodule, yd_both_regular,
 from homhopf.applications import (DualIntegral,
                                   check_compatibility_equivalence,
                                   check_k_integral_conditions, check_yd_module,
+                                  coaction_of_action_residuals,
                                   check_yd_substructures, comodule_to_doi,
                                   dual_right_integrals, integral_from_dual,
                                   regular_comodule_algebra, relative_datum,
@@ -226,6 +228,20 @@ class TestYdModules:
         rep = check_yd_module(m, h)
         assert not rep.passed
         assert rep.violations[0].axiom == "yd_compatibility"
+
+    def test_module_over_another_hopf_algebra_rejected(self):
+        # a ValueError naming both dimensions, not an IndexError from inside
+        m, h = trivial_yd_module(group_algebra(2, Q)), group_algebra(3, Q)
+        for residuals in (check_yd_module, coaction_of_action_residuals,
+                          check_compatibility_equivalence):
+            with pytest.raises(ValueError, match="by a 2-dimensional algebra but the algebra "
+                                                 "has dimension 3"):
+                residuals(m, h)
+        coacted = dataclasses.replace(trivial_yd_module(h), coaction=m.coaction)
+        for residuals in (check_yd_module, coaction_of_action_residuals):
+            with pytest.raises(ValueError, match="into a 2-dimensional coalgebra but the "
+                                                 "coalgebra has dimension 3"):
+                residuals(coacted, h)
 
     def test_equivalence_of_the_two_compatibility_forms(self):
         # the braided law and the closed coaction-of-action formula must

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homhopf.core import opposite_tensor
-from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows,
+from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows, _transform_row,
                             solve_affine, vec_add_scaled, vec_dense, vec_dot,
                             vec_scale, vec_sparse, vec_sub, vec_tensor)
 from homhopf.zoo import group_algebra
@@ -195,6 +195,32 @@ def needs_swap(draw):
     return rows
 
 
+nonzero_ints = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def sparse_with_fill_in(draw):
+    # up to 20x15 and mostly zeros, with an empty row and an empty column;
+    # the first pivot (column c, row p) fills column d into row q
+    nrows, ncols = draw(st.integers(3, 20)), draw(st.integers(3, 15))
+    rows = [[0] * ncols for _ in range(nrows)]
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), nonzero_ints)
+    for r, c, x in draw(st.lists(cells, max_size=nrows * ncols // 6)):
+        rows[r][c] = x
+    p, q, empty_row = draw(st.lists(st.integers(0, nrows - 1), min_size=3, max_size=3,
+                                    unique=True))
+    c, d, empty_col = draw(st.lists(st.integers(0, ncols - 1), min_size=3, max_size=3,
+                                    unique=True))
+    (p, q), (c, d) = sorted((p, q)), sorted((c, d))
+    for r, row in enumerate(rows):
+        row[empty_col] = 0
+        row[:c + (r < p)] = [0] * (c + (r < p))
+    rows[empty_row] = [0] * ncols
+    rows[p][c], rows[p][d], rows[q][c] = draw(nonzero_ints), draw(nonzero_ints), draw(nonzero_ints)
+    rows[q][d] = 0
+    return rows
+
+
 SHAPES = {
     "no_rows": st.just([]),
     "all_zero": st.integers(1, 4).flatmap(
@@ -205,6 +231,7 @@ SHAPES = {
     "wide": st.integers(1, 3).flatmap(
         lambda r: st.integers(r + 1, 7).flatmap(lambda c: int_rows(r, c))),
     "needs_swap": needs_swap(),
+    "sparse": sparse_with_fill_in(),
 }
 
 
@@ -222,7 +249,9 @@ class TestSparseKernelOracle:
         a = [[field.of(x) for x in row] for row in ints]
         nrows, ncols = len(a), len(a[0]) if a else 0
         sparse_a = [{c: x for c, x in enumerate(row) if x} for row in a]
-        red, pivots, transform = _rref_rows(sparse_a, field)
+        red, pivots, steps = _rref_rows(sparse_a, field)
+        # T is not carried; each of its rows is replayed from the logged steps
+        transform = [_transform_row(steps, i, field) for i in range(nrows)]
         want_red, want_pivots, want_transform = dense_gauss_jordan(a, field)
         assert densify(red, ncols, field) == want_red
         assert pivots == want_pivots
@@ -237,6 +266,26 @@ class TestSparseKernelOracle:
                 for k, t in transform[i].items():
                     acc = acc + t * a[k][j]
                 assert acc == red[i].get(j, field.zero())
+
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_inverse_is_the_dense_transform(self, field, data):
+        # an invertible P L U: P a permutation, L unit lower triangular, U
+        # upper triangular with a nonzero diagonal
+        n = data.draw(st.integers(1, 7))
+        perm = data.draw(st.permutations(range(n)))
+        below = iter(data.draw(st.lists(small_ints, min_size=n * n, max_size=n * n)))
+        above = iter(data.draw(st.lists(small_ints, min_size=n * n, max_size=n * n)))
+        diag = data.draw(st.lists(nonzero_ints, min_size=n, max_size=n))
+        p = [[int(c == perm[r]) for c in range(n)] for r in range(n)]
+        lower = [[next(below) if c < r else int(c == r) for c in range(n)] for r in range(n)]
+        upper = [[next(above) if c > r else diag[r] if c == r else 0 for c in range(n)]
+                 for r in range(n)]
+        m = mat(p, field) @ mat(lower, field) @ mat(upper, field)
+        _, pivots, transform = dense_gauss_jordan(m.to_rows(), field)
+        assert pivots == list(range(n))
+        assert m.inverse() == Matrix.from_rows(field, transform)
 
 
 class TestSolveAffine:

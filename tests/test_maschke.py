@@ -3,12 +3,14 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import random_module_over_group_algebra, random_module_over_scalars
+from corpus import random_module_over_group_algebra, random_module_over_scalars, seeded_twist
 from homhopf.applications import (comodule_to_doi, regular_comodule_algebra,
                                   relative_datum, trivial_datum)
 from homhopf.doi import direct_sum_doi, doi_morphism_report, induce
-from homhopf.integrals import Infeasible, solve_normalized_integral
+from homhopf.integrals import Infeasible, IntegralCandidate, solve_normalized_integral
 from homhopf.linalg import Field, Matrix, Tensor3
 from homhopf.maschke import (SeparabilityCertificate, _search_section,
                              _twist_power_candidates,
@@ -110,6 +112,23 @@ class TestRetractionReport:
             6, [("a_linear", (0,)), ("a_linear", (1,)), ("a_linear", (2,)),
                 ("c_colinear", ()), ("twist_commutes", ())],
             "215a1a79e009f23d9c7aada81c2a2c25243878326a67acc7d28fff01fc70d0f0")
+
+
+class TestRetractionOfSolvedIntegral:
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(base=st.sampled_from([2, 3, 4, 5, "H4"]), relative=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_solved_integral_retracts_the_canonical_module(self, field, base, relative, seed):
+        # whenever the solver returns an integral, its retraction on A (x) C
+        # passes the report; trivial data over H4 are infeasible
+        h = seeded_twist(base, field, random.Random(seed))
+        d = relative_datum(h, regular_comodule_algebra(h)) if relative else trivial_datum(h)
+        theta = solve_normalized_integral(d)
+        assert isinstance(theta, IntegralCandidate) or (base == "H4" and not relative)
+        if isinstance(theta, IntegralCandidate):
+            m = canonical_module(d)
+            assert retraction_report(build_retraction(theta, m, d), m, d).passed
 
 
 class TestExtraction:
