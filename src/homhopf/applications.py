@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (HomComodule, HomHopfAlgebra, check_hom_comodule,
-                   check_hom_module, leg_products, opposite_tensor)
+                   check_hom_module, leg_products, opposite_tensor, product_table)
 from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra, _require_over,
                   check_comodule_algebra, check_doi_datum, check_module_coalgebra)
 from .integrals import IntegralCandidate, verify_integral
@@ -139,7 +139,8 @@ def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     mu_col = [m.mu.column(i) for i in range(dm)]
     mu_inv_col = [m.mu_inv.column(i) for i in range(dm)]
     out = {}
-    for i, j, lhs in leg_products(m.coaction, h.comult, m.action, h.mult):
+    for i, j, lhs in leg_products(m.coaction, h.comult, product_table(m.action),
+                                  product_table(h.mult), dh):
         rhs = {}
         for h1, h2, cd in h.comult.nonzero_of(j):
             v = m.action.apply(mu_inv_col[i], {h2: one})

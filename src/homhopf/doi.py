@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
-                   HomModule, _view, check_hom_comodule, check_hom_hopf,
-                   check_hom_module, leg_products)
-from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_dot, vec_sparse,
-                     vec_tensor)
+                   HomModule, _module_report, _view, check_hom_comodule, check_hom_hopf,
+                   check_hom_module, leg_products, product_table)
+from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
+                     vec_combine, vec_dot, vec_sparse, vec_tensor)
 from .report import AxiomReport, ReportBuilder, require
 from .zoo import block_diag
 
@@ -135,22 +135,24 @@ def check_comodule_algebra(a: ComoduleAlgebra, h: HomHopfAlgebra) -> AxiomReport
     unit = vec_sparse(a.algebra.unit)
     b.check_vec("coaction_unit", (), a.coaction.apply_left(unit),
                 vec_tensor(unit, vec_sparse(h.unit), dh), da * dh)
-    for i, j, rhs in leg_products(a.coaction, a.coaction, a.algebra.mult, h.mult):
+    prod = product_table(a.algebra.mult)
+    for i, j, rhs in leg_products(a.coaction, a.coaction, prod, product_table(h.mult), dh):
         b.check_vec("coaction_multiplicative", (i, j),
-                    a.coaction.apply_left(a.algebra.mult.at_pair(i, j)), rhs, da * dh)
+                    a.coaction.apply_left(prod[i][j]), rhs, da * dh)
     return rep.merged(b.report())
 
 
 def check_module_coalgebra(c: ModuleCoalgebra, h: HomHopfAlgebra) -> AxiomReport:
     """Module axioms plus compatibility of the action with Delta and eps."""
-    rep = check_hom_module(c.as_module(), h.as_algebra())
+    acted = product_table(c.action)
+    rep = _module_report(c.as_module(), h.as_algebra(), acted, product_table(h.mult))
     b = ReportBuilder()
     dc, comult, counit = c.dim, c.coalgebra.comult, c.coalgebra.counit
-    for i, j, rhs in leg_products(comult, h.comult, c.action, c.action):
-        acted = c.action.at_pair(i, j)
-        b.check_vec("action_comultiplicative", (i, j), comult.apply_left(acted), rhs, dc * dc)
+    for i, j, rhs in leg_products(comult, h.comult, acted, acted, dc):
+        b.check_vec("action_comultiplicative", (i, j), comult.apply_left(acted[i][j]), rhs,
+                    dc * dc)
         b.check_scalar("action_counit", (i, j),
-                       vec_dot(c.coalgebra.field, acted, counit), counit[i] * h.counit[j])
+                       vec_dot(c.coalgebra.field, acted[i][j], counit), counit[i] * h.counit[j])
     return rep.merged(b.report())
 
 
@@ -162,12 +164,14 @@ def check_doi_datum(d: DoiDatum) -> AxiomReport:
 
 def check_doi_module(m: DoiModule, d: DoiDatum) -> AxiomReport:
     """Module and comodule axioms plus the mixed compatibility law."""
-    rep = check_hom_module(m, d.algebra.algebra)
+    acted = product_table(m.action)
+    rep = _module_report(m, d.algebra.algebra, acted, product_table(d.algebra.algebra.mult))
     rep = rep.merged(check_hom_comodule(m, d.coalgebra.coalgebra))
-    b = ReportBuilder()
-    for i, a, rhs in leg_products(m.coaction, d.algebra.coaction, m.action, d.coalgebra.action):
-        b.check_vec("doi_compatibility", (i, a), m.coaction.apply_left(m.action.at_pair(i, a)),
-                    rhs, m.dim * d.coalgebra.dim)
+    b, dc = ReportBuilder(), d.coalgebra.dim
+    for i, a, rhs in leg_products(m.coaction, d.algebra.coaction, acted,
+                                  product_table(d.coalgebra.action), dc):
+        b.check_vec("doi_compatibility", (i, a), m.coaction.apply_left(acted[i][a]),
+                    rhs, m.dim * dc)
     return rep.merged(b.report())
 
 
@@ -224,35 +228,42 @@ def _require_over(a_dim: int, c_dim: int | None, *modules) -> None:
 
 def module_morphism_report(f: Matrix, src: HomModule, dst: HomModule,
                            a: HomAlgebra) -> AxiomReport:
-    """Is f an A-linear morphism of Hom-modules (action- and twist-compatible)?"""
-    _require_over(a.dim, None, src, dst)
-    b = ReportBuilder()
-    for j in range(a.dim):
-        b.check_matrix("a_linear", (j,),
-                       f @ _action_matrix(src, j), _action_matrix(dst, j) @ f)
-    b.check_matrix("twist_commutes", (), f @ src.mu, dst.mu @ f)
-    return b.report()
+    """Is f an A-linear morphism of Hom-modules (action- and twist-compatible)?
+    Compares images of basis vectors: f(m.a_j) with f(m).a_j, f(mu(m)) with mu(f(m))."""
+    return _morphism_report(f, src, dst, a, a.dim, None)
 
 
 def doi_morphism_report(f: Matrix, src: DoiModule, dst: DoiModule,
                         d: DoiDatum) -> AxiomReport:
-    """A-linearity, C-colinearity and twist-compatibility of a matrix."""
-    _require_over(d.algebra.dim, d.coalgebra.dim, src, dst)
-    b = ReportBuilder()
-    for j in range(d.algebra.dim):
-        b.check_matrix("a_linear", (j,),
-                       f @ _action_matrix(src, j), _action_matrix(dst, j) @ f)
-    eye_c = Matrix.identity(d.field, d.coalgebra.dim)
-    b.check_matrix("c_colinear", (),
-                   dst.coaction.as_map_to_pair() @ f,
-                   f.kron(eye_c) @ src.coaction.as_map_to_pair())
-    b.check_matrix("twist_commutes", (), f @ src.mu, dst.mu @ f)
+    """A-linearity, C-colinearity (rho(f(m)) against the sum of f(m0) (x) m1)
+    and twist-compatibility of a matrix, on images of basis vectors."""
+    return _morphism_report(f, src, dst, d, d.algebra.dim, d.coalgebra.dim)
+
+
+def _morphism_report(f: Matrix, src: HomModule, dst: HomModule, over, a_dim: int,
+                     c_dim: int | None) -> AxiomReport:
+    _require_over(a_dim, c_dim, src, dst)
+    require_same_field(f, src, dst, over)
+    if f.shape != (dst.dim, src.dim):
+        raise ValueError(f"the map is a {f.rows}x{f.cols} matrix but needs {dst.dim}x{src.dim}")
+    b, f_col = ReportBuilder(), [f.column(c) for c in range(src.dim)]
+    for j in range(a_dim):
+        dst_acted = [dst.action.at_pair(r, j) for r in range(dst.dim)]
+        b.check_columns("a_linear", (j,),
+                        [vec_combine(src.action.at_pair(k, j), f_col) for k in range(src.dim)],
+                        [vec_combine(v, dst_acted) for v in f_col], f.field, dst.dim)
+    if c_dim is not None:
+        rho_dst = [dst.coaction.left_slice(r) for r in range(dst.dim)]
+        rhs = [{} for _ in range(src.dim)]
+        for k, m0, m1, x in src.coaction.nonzero():
+            vec_add_scaled(rhs[k], x, {r * c_dim + m1: e for r, e in f_col[m0].items()})
+        b.check_columns("c_colinear", (), [vec_combine(v, rho_dst) for v in f_col], rhs,
+                        f.field, dst.dim * c_dim)
+    mu_dst = [dst.mu.column(r) for r in range(dst.dim)]
+    b.check_columns("twist_commutes", (),
+                    [vec_combine(src.mu.column(k), f_col) for k in range(src.dim)],
+                    [vec_combine(v, mu_dst) for v in f_col], f.field, dst.dim)
     return b.report()
-
-
-def _action_matrix(m: HomModule, a_index: int) -> Matrix:
-    return Matrix.from_nonzeros(m.field, m.dim, m.dim, {
-        (r, c): e for c in range(m.dim) for r, e in m.action.at_pair(c, a_index).items()})
 
 
 def unit_map(m: DoiModule, d: DoiDatum) -> Matrix:

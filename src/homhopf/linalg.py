@@ -273,6 +273,17 @@ def vec_add_scaled(acc: dict, coeff: Scalar, v: dict) -> None:
                 del acc[i]
 
 
+def vec_combine(coeffs: dict, table: Sequence) -> dict:
+    """sum of coeffs[l] * table[l], a map applied through its images of basis
+    vectors; a lone coefficient one returns ``table[l]`` itself, to be only read."""
+    if len(coeffs) == 1 and 1 in coeffs.values():
+        return table[next(iter(coeffs))]
+    out = {}
+    for l, x in coeffs.items():
+        vec_add_scaled(out, x, table[l])
+    return out
+
+
 def vec_tensor(u: dict, v: dict, n: int) -> dict:
     """Kronecker product of coordinate vectors, ``v`` of length ``n``:
     index (i, j) -> i*n + j.  Only products of two nonzeros are formed."""
@@ -507,12 +518,7 @@ class Matrix(_FibreStore):
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         right = [dict(fibre) for fibre in other._fibres]
-        out = []
-        for fibre in self._fibres:
-            acc = {}
-            for k, a in fibre:
-                vec_add_scaled(acc, a, right[k])
-            out.append(acc)
+        out = [vec_combine(dict(fibre), right) for fibre in self._fibres]
         return Matrix._of_rows(self.field, other.cols, out)
 
     def add(self, other: "Matrix") -> "Matrix":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import canonical, vec_dense, vec_sub
+from .linalg import Matrix, canonical, vec_dense, vec_sub
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,16 @@ class ReportBuilder:
             return
         residual = lhs.sub(rhs)
         if not residual.is_zero():
+            self.violations.append(Violation(axiom, index, tuple(residual.entries)))
+
+    def check_columns(self, axiom: str, index: tuple, lhs: list, rhs: list, field,
+                      rows: int) -> None:
+        """``check_matrix`` on matrices of ``rows`` rows given by sparse columns."""
+        self.checked += 1
+        if lhs != rhs:  # the residual is built only when they differ
+            residual = Matrix.from_nonzeros(field, rows, len(lhs), {
+                (r, c): x for c, (u, v) in enumerate(zip(lhs, rhs))
+                for r, x in vec_sub(u, v).items()})
             self.violations.append(Violation(axiom, index, tuple(residual.entries)))
 
     def fail(self, axiom: str, index: tuple, residual=()) -> None:

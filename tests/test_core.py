@@ -179,6 +179,17 @@ class TestConstructionValidation:
         assert calls == []
 
 
+    def test_identity_twist_is_not_inverted(self, monkeypatch):
+        # kZ3 carries the identity twist, which is its own inverse; the one
+        # inverse computed is the antipode's
+        calls = []
+        inverse = Matrix.inverse
+        monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
+        h = group_algebra(3, Q)
+        assert calls == [h.antipode]
+        assert h.alpha_inv is h.alpha
+
+
 class TestYauTwist:
     def test_identity_automorphism_is_noop(self):
         h = group_algebra(4, Q)

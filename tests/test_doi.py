@@ -11,7 +11,8 @@ from homhopf.applications import (check_k_integral_conditions, check_yd_module,
                                   regular_comodule_algebra, relative_datum,
                                   trivial_datum, trivial_yd_module, yd_datum,
                                   yd_residuals)
-from homhopf.core import check_hom_comodule, check_hom_module, hopf_automorphism_report
+from homhopf.core import (check_hom_comodule, check_hom_hopf, check_hom_module,
+                          hopf_automorphism_report)
 from homhopf.doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                          check_comodule_algebra,
                          check_doi_datum, check_doi_module,
@@ -149,6 +150,24 @@ class TestComponentChecks:
 
     def test_datum_check_merges_components(self, rel_kz2):
         assert check_doi_datum(rel_kz2).passed
+
+    @pytest.mark.parametrize("case", ["hopf", "module_coalgebra"])
+    def test_each_product_table_is_built_once(self, monkeypatch, case):
+        # the Hom-associativity checks and leg_products share one table of
+        # products of basis vectors: each pair is read off the tensor once
+        d = yd_datum(group_algebra(2, Q))
+        tensor, check = {
+            "hopf": (d.hopf.mult, lambda: check_hom_hopf(d.hopf)),
+            "module_coalgebra": (d.coalgebra.action,
+                                 lambda: check_module_coalgebra(d.coalgebra, d.hopf)),
+        }[case]
+        calls = []
+        at_pair = Tensor3.at_pair
+        monkeypatch.setattr(Tensor3, "at_pair",
+                            lambda t, i, j: (calls.append((i, j)) if t is tensor else None)
+                            or at_pair(t, i, j))
+        assert check().passed
+        assert sorted(calls) == [(i, j) for i in range(tensor.d1) for j in range(tensor.d2)]
 
 
 class TestDoiModules:
@@ -395,6 +414,15 @@ class TestMorphisms:
         with pytest.raises(ValueError, match=r"coaction is into a 2-dimensional coalgebra "
                                              r"but the coalgebra has dimension 3"):
             doi_morphism_report(eye, m, m, trivial_datum(group_algebra(3, Q)))
+
+    def test_map_of_the_wrong_shape_rejected(self, triv_kz2):
+        m = comodule_to_doi(regular_comodule(group_algebra(2, Q).as_coalgebra()), triv_kz2)
+        for shape in [(3, 2), (2, 3)]:
+            f = Matrix.zeros(Q, *shape)
+            with pytest.raises(ValueError, match=rf"{shape[0]}x{shape[1]} matrix but needs 2x2"):
+                doi_morphism_report(f, m, m, triv_kz2)
+            with pytest.raises(ValueError, match=rf"{shape[0]}x{shape[1]} matrix but needs 2x2"):
+                module_morphism_report(f, m, m, triv_kz2.algebra.algebra)
 
     def test_compatibility_fails_alone_for_mismatched_grading(self, rel_kz2):
         # a valid comodule structure that is incompatible with the action:
