@@ -77,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("f", help="name of the epimorphism")
     p.add_argument("g", help="name of its A-linear section")
     p.add_argument("--out", help="write the section as a structure file")
-    p.add_argument("--max-twist-power", type=_twist_window, default=2,
-                   help="twist-power search window (default 2)")
     p.set_defaults(fn=cmd_split)
 
     p = sub.add_parser("twist", help="twist a classical Hopf algebra along an automorphism")
@@ -94,16 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(fn=cmd_examples)
     return parser
-
-
-def _twist_window(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
-    return value
 
 
 def _load(path: str) -> StructureFile:
@@ -253,8 +241,7 @@ def cmd_split(args) -> int:
     if isinstance(theta, Infeasible):
         print(theta.message())
         return INFEASIBLE
-    section = split_epimorphism(f, g, src, dst, theta, datum,
-                                max_twist_power=args.max_twist_power)
+    section = split_epimorphism(f, g, src, dst, theta, datum)
     print(f"verified section of {args.f} found")
     if args.out:
         out = StructureFile(sf.field, dict(sf.raw))

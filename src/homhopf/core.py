@@ -28,9 +28,14 @@ from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
 from .report import AxiomReport, ReportBuilder, require
 
 
-def _require_invertible(m: Matrix, what: str) -> Matrix:
+def _inverse(m: Matrix) -> Matrix | None:
+    """The inverse of ``m``, or None if it is singular."""
     # matrices are immutable, so the identity is shared as its own inverse
-    inv = m if m.is_identity() else m.inverse()
+    return m if m.is_identity() else m.inverse()
+
+
+def _require_invertible(m: Matrix, what: str) -> Matrix:
+    inv = _inverse(m)
     if inv is None:
         raise ValueError(f"{what} is not invertible")
     return inv
@@ -119,7 +124,7 @@ class HomHopfAlgebra:
         self.alpha_inv = _require_invertible(self.alpha, "twist")
         # bijectivity of the antipode is recorded eagerly: several
         # constructions (opposite tensor squares, dual integrals) require it
-        self.antipode_inv = self.antipode.inverse()
+        self.antipode_inv = _inverse(self.antipode)
 
     @property
     def antipode_invertible(self) -> bool:

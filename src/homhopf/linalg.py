@@ -585,21 +585,6 @@ class Matrix(_FibreStore):
                 out[r] = canonical(s)
         return out
 
-    def power(self, k: int) -> "Matrix":
-        """Integer power; negative powers use the inverse (must exist)."""
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        base = self
-        if k < 0:
-            inv = self.inverse()
-            if inv is None:
-                raise ValueError("negative power of a singular matrix")
-            base, k = inv, -k
-        out = Matrix.identity(self.field, self.rows)
-        for _ in range(k):
-            out = out @ base
-        return out
-
     # -- predicates -----------------------------------------------------
     def is_zero(self) -> bool:
         return not any(self._fibres)

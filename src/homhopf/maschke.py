@@ -12,9 +12,9 @@ canonical module A (x) C yields an integral by
     theta(c (x) d) = beta((id (x) eps) nu((1_A (x) gamma^-1(c)) (x) d)),
 
 and the two directions are mutually inverse on that object.  Splittings of
-epimorphisms (and monomorphisms) that split A-linearly are produced by the
-standard candidate nu_M . (g (x) id_C) . rho_N, adjusted by twist powers if
-necessary; every returned section is verified exactly.
+epimorphisms (and monomorphisms) that split A-linearly are the theorem's one
+candidate nu_M . (g (x) id_C) . rho_N, a composite of three Doi morphisms;
+every returned section is verified exactly.
 """
 
 from __future__ import annotations
@@ -105,85 +105,52 @@ def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
 # ---------------------------------------------------------------------------
 # Maschke splittings
 
-def _twist_power_candidates(window: int):
-    """Yield every (j, k) in [-window, window]^2 in increasing |j| + |k|,
-    ties in increasing (j, k), one at a time."""
-    for total in range(2 * window + 1):
-        for j in range(max(-window, -total), min(window, total) + 1):
-            r = total - abs(j)
-            if r <= window:
-                yield from ((j, -r), (j, r)) if r else ((j, 0),)
-
-
-def _search_section(base: Matrix, identity_check, src: DoiModule, dst: DoiModule,
-                    d: DoiDatum, window: int) -> Matrix:
-    """Try mu_dst^j . base . mu_src^k until the section verifies; otherwise
-    raise with the report of the first candidate tried."""
-    first = None
-    for j, k in _twist_power_candidates(window):
-        cand = dst.mu.power(j) @ base @ src.mu.power(k)
-        rep = identity_check(cand)
-        if rep.passed:
-            rep = doi_morphism_report(cand, src, dst, d)
-            if rep.passed:
-                return cand
-        if first is None:
-            first = rep
-    raise ConstructionError(
-        f"no twist-power adjustment in [-{window}, {window}] yields a verified section",
-        first)
-
-
 def split_epimorphism(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
-                      theta: IntegralCandidate, d: DoiDatum,
-                      max_twist_power: int = 2) -> Matrix:
+                      theta: IntegralCandidate, d: DoiDatum) -> Matrix:
     """Upgrade an A-linear section of an epimorphism of Doi modules to a
     section in the Doi category.
 
     Preconditions (all verified): f: M -> N is a Doi morphism, g: N -> M is
-    A-linear and twist-compatible, f . g = id_N.  The returned map satisfies
-    f . section = id_N and is A-linear, C-colinear and twist-compatible.
+    A-linear and twist-compatible, f . g = id_N.  The returned section
+    nu_M . (g (x) id_C) . rho_N satisfies f . section = id_N and is A-linear,
+    C-colinear and twist-compatible, all verified.
     """
-    return _split(f, g, m, n, theta, d, max_twist_power, epi=True)
+    return _split(f, g, m, n, theta, d, epi=True)
 
 
 def split_monomorphism(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
-                       theta: IntegralCandidate, d: DoiDatum,
-                       max_twist_power: int = 2) -> Matrix:
+                       theta: IntegralCandidate, d: DoiDatum) -> Matrix:
     """Symmetric variant: f: M -> N a Doi monomorphism with an A-linear
-    retraction g (g . f = id_M); returns a Doi retraction."""
-    return _split(f, g, m, n, theta, d, max_twist_power, epi=False)
+    retraction g (g . f = id_M); returns the Doi retraction
+    nu_M . (g (x) id_C) . rho_N, verified the same way."""
+    return _split(f, g, m, n, theta, d, epi=False)
 
 
 def _split(f: Matrix, g: Matrix, m: DoiModule, n: DoiModule,
-           theta: IntegralCandidate, d: DoiDatum, max_twist_power: int,
-           epi: bool) -> Matrix:
+           theta: IntegralCandidate, d: DoiDatum, epi: bool) -> Matrix:
     """f: M -> N a Doi morphism and g: N -> M an A-linear map with f . g = id
-    (epi) or g . f = id; returns nu_M . (g (x) id_C) . rho_N, twist-adjusted,
-    with the same identity and the Doi morphism property verified."""
-    if max_twist_power < 0:
-        raise ValueError(f"max_twist_power must be 0 or more, got {max_twist_power}")
+    (epi) or g . f = id; returns sigma = nu_M . (g (x) id_C) . rho_N, verified.
+
+    No twist correction is needed: rho_N, g (x) id_C and nu_M are Doi
+    morphisms, naturality of nu gives f . sigma = nu_N . ((f . g) (x) id_C)
+    . rho_N = id_N, and colinearity of f gives sigma . f = nu_M . ((g . f)
+    (x) id_C) . rho_M = id_M.
+    """
     require(doi_morphism_report(f, m, n, d), "f is not a morphism of Doi modules")
     require(module_morphism_report(g, n, m, d.algebra.algebra),
             "g is not an A-linear twist-compatible map")
     given, found, dim = (("f_after_g", "splits_epimorphism", n.dim) if epi
                          else ("g_after_f", "splits_monomorphism", m.dim))
     identity = Matrix.identity(d.field, dim)
-
-    def composite(x: Matrix) -> Matrix:
-        return f @ x if epi else x @ f
-
     b = ReportBuilder()
-    b.check_matrix(given, (), composite(g), identity)
+    b.check_matrix(given, (), f @ g if epi else g @ f, identity)
     require(b.report(), "g does not split f on the module level")
-    base = _section_candidate(g, m, n, theta, d)
-
-    def identity_check(cand: Matrix) -> AxiomReport:
-        b = ReportBuilder()
-        b.check_matrix(found, (), composite(cand), identity)
-        return b.report()
-
-    return _search_section(base, identity_check, n, m, d, max_twist_power)
+    section = _section_candidate(g, m, n, theta, d)
+    b = ReportBuilder()
+    b.check_matrix(found, (), f @ section if epi else section @ f, identity)
+    require(b.report().merged(doi_morphism_report(section, n, m, d)),
+            "the section nu_M . (g (x) id_C) . rho_N does not verify")
+    return section
 
 
 def _section_candidate(g: Matrix, m: DoiModule, n: DoiModule,

@@ -82,7 +82,7 @@ class TestModuleLevel:
         from homhopf.core import HomModule
         g = Matrix.from_rows(Q, [[0, 1], [1, 0]])
         action = Tensor3.build(Q, 2, 2, 2,
-                               lambda m, a, mm: (g.power(a)).at(mm, m))
+                               lambda m, a, mm: (g if a else Matrix.identity(Q, 2)).at(mm, m))
         candidates.append(HomModule(Q, 2, Matrix.identity(Q, 2), action))
         bad = HomModule(Q, 2, Matrix.identity(Q, 2), Tensor3.zeros(Q, 2, 2, 2))
         candidates.append(bad)
@@ -139,7 +139,8 @@ class TestDoiLevel:
         candidates = []
         from homhopf.core import HomModule
         g = Matrix.from_rows(Q, [[0, 1], [1, 0]])
-        action = Tensor3.build(Q, 2, 2, 2, lambda m, a, mm: (g.power(a)).at(mm, m))
+        action = Tensor3.build(Q, 2, 2, 2,
+                               lambda m, a, mm: (g if a else Matrix.identity(Q, 2)).at(mm, m))
         n = HomModule(Q, 2, Matrix.identity(Q, 2), action)
         candidates.append(induce(n, d))
         good = candidates[0]

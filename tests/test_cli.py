@@ -180,12 +180,6 @@ class TestKindErrors:
         self.assert_usage_error(["split", split_file, "D", "g", "g"],
                                 "g 'g' maps 'N' to 'M'", "must map 'M' to 'N'")
 
-    @pytest.mark.parametrize("window", ["-1", "x"])
-    def test_split_with_bad_twist_window(self, split_file, window):
-        self.assert_usage_error(["split", split_file, "D", "f", "g",
-                                 "--max-twist-power", window],
-                                "argument --max-twist-power")
-
     def test_twist_of_non_hopf_object(self, split_file):
         self.assert_usage_error(["twist", split_file, "D", "f"],
                                 "'D'", "expected a hom_hopf_algebra")

@@ -189,6 +189,17 @@ class TestConstructionValidation:
         assert calls == [h.antipode]
         assert h.alpha_inv is h.alpha
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_identity_antipode_is_not_inverted(self, monkeypatch, field, n):
+        # kZ1 and kZ2 have S = id, which is its own inverse like an identity twist
+        calls = []
+        inverse = Matrix.inverse
+        monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
+        h = group_algebra(n, field)
+        assert calls == []
+        assert h.antipode_inv is h.antipode
+        assert h.antipode_invertible
+
 
 class TestYauTwist:
     def test_identity_automorphism_is_noop(self):

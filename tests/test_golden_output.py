@@ -72,10 +72,8 @@ def _sweep(tmp: str):
             if name != "maschke_split_kZ2":
                 continue
             for f, g in (("f", "g"), ("g", "f"), ("f", "f"), ("g", "g")):
-                for power in ("0", "2"):
-                    yield (f"{flag} split {name} D {f} {g} --max-twist-power {power}",
-                           ["split", path, "D", f, g, "--max-twist-power", power,
-                            "--out", out], out)
+                yield (f"{flag} split {name} D {f} {g}",
+                       ["split", path, "D", f, g, "--out", out], out)
 
 
 def digests() -> dict:

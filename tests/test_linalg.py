@@ -686,11 +686,6 @@ def test_singular_has_no_inverse(field):
     assert m.inverse() is None
 
 
-def test_matrix_power_negative(field):
-    m = Matrix.from_rows(field, [[1, 1], [0, 1]])
-    assert (m.power(-2) @ m.power(2)).is_identity()
-
-
 def dense_matmul(a, b, field):
     """Reference product of dense row lists."""
     inner = len(b)

@@ -10,8 +10,7 @@ import pytest
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
 
 
-@pytest.mark.parametrize("script", ["bench_pairs.py", "integral_survey.py",
-                                    "regen_golden.py", "retained_memory.py"])
+@pytest.mark.parametrize("script", sorted(n for n in os.listdir(SCRIPTS) if n.endswith(".py")))
 def test_help_runs_without_pythonpath(script, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), "--help"],
