@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Time the normalized-integral solve layer by layer on a fixed ladder of Doi data.
+
+    python3 scripts/ladder.py [--rungs yd-kZ8-Q,trivial-H4t-GF7] [--repeat 3] [--t4]
+
+Run from anywhere: the checkout's ``src`` is put on ``sys.path``, and only
+the package is imported.  A rung is one Doi datum, named
+``<kind>-<base>-<field>``:
+
+* kind: ``trivial``, ``relative`` (over the regular comodule algebra) or ``yd``;
+* base: ``kZ<n>`` for n = 2..8, ``kZ<n>t`` (twisted along g -> g^k, k the
+  least unit of Z_n above 1), ``H4``, ``H4t`` (twisted along x -> 2x),
+  ``T3`` (the Taft algebra T_3 at zeta = 2) or ``T4`` (T_4 at zeta = 2);
+* field: ``Q`` or ``GF7``; T3 is over GF7 only and T4 over GF5 only.
+
+The T4 rungs are left out unless ``--t4`` is given: their yd system has
+135,424 rows and one solve takes seconds to minutes.
+
+For each rung, each layer's time is the least of ``--repeat`` in-process
+runs: ``assemble_integral_system``; elimination of the assembled rows, with
+the normalization right-hand side as the last column, by the solver's own
+``_rref_rows``; ``solve_normalized_integral``; and ``verify_integral`` on the
+answer when an integral exists.  Sizes come with the times: rows, empty rows
+(no nonzero left of the right-hand side), unknowns, nonzeros, the rank of
+the augmented system and the answer kind.  Sizes are deterministic; times
+are not.  One line per rung, and the last line of stdout is one JSON object.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from math import gcd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+KINDS = ("trivial", "relative", "yd")
+
+
+def catalogue(t4: bool) -> dict:
+    """rung name -> (kind, base builder, field name)."""
+    from homhopf.zoo import (group_algebra, sweedler_h4, taft_algebra,
+                             twisted_group_algebra, twisted_sweedler)
+
+    bases = {}
+    for n in range(2, 9):
+        bases[f"kZ{n}"] = (("Q", "GF7"), lambda f, n=n: group_algebra(n, f))
+        units = [k for k in range(2, n) if gcd(k, n) == 1]
+        if units:
+            bases[f"kZ{n}t"] = (("Q", "GF7"),
+                                lambda f, n=n, k=units[0]: twisted_group_algebra(n, k, f))
+    bases["H4"] = (("Q", "GF7"), sweedler_h4)
+    bases["H4t"] = (("Q", "GF7"), lambda f: twisted_sweedler(f, 2))
+    bases["T3"] = (("GF7",), lambda f: taft_algebra(3, 2, f))
+    if t4:
+        bases["T4"] = (("GF5",), lambda f: taft_algebra(4, 2, f))
+    return {f"{kind}-{base}-{fname}": (kind, build, fname)
+            for base, (fnames, build) in bases.items() for fname in fnames for kind in KINDS}
+
+
+def datum(kind: str, build, fname: str):
+    from homhopf.applications import (regular_comodule_algebra, relative_datum,
+                                      trivial_datum, yd_datum)
+    from homhopf.linalg import Field
+
+    h = build(Field.rationals() if fname == "Q" else Field.prime(int(fname[2:])))
+    if kind == "yd":
+        return yd_datum(h)
+    if kind == "relative":
+        return relative_datum(h, regular_comodule_algebra(h))
+    return trivial_datum(h)
+
+
+def best(fn, repeat: int) -> tuple:
+    """(least seconds over ``repeat`` calls of ``fn``, the last call's result)."""
+    least = None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        out = fn()
+        took = time.perf_counter() - start
+        least = took if least is None else min(least, took)
+    return least, out
+
+
+def measure(d, repeat: int) -> dict:
+    from homhopf.integrals import (IntegralCandidate, assemble_integral_system,
+                                   solve_normalized_integral, verify_integral)
+    from homhopf.linalg import _rref_rows
+
+    assemble_s, system = best(lambda: assemble_integral_system(d), repeat)
+    nunk = system.unknown_count
+    rows = [{} for _ in range(system.homogeneous.rows + system.affine_lhs.rows)]
+    for offset, m in ((0, system.homogeneous), (system.homogeneous.rows, system.affine_lhs)):
+        for r, c, e in m.nonzero():
+            rows[offset + r][c] = e
+    sizes = {"rows": len(rows), "empty_rows": sum(not row for row in rows),
+             "unknowns": nunk, "nnz": sum(map(len, rows))}
+    for row, b in zip(rows[system.homogeneous.rows:], system.affine_rhs):
+        if b:
+            row[nunk] = b
+    elim_s, (_, pivots, _) = best(lambda: _rref_rows(rows, d.field), repeat)
+    del rows, system  # the T4 rungs hold one system at a time
+    solve_s, answer = best(lambda: solve_normalized_integral(d), repeat)
+    feasible = isinstance(answer, IntegralCandidate)
+    verify_s = best(lambda: verify_integral(answer, d), repeat)[0] if feasible else None
+    times = {"assemble_s": assemble_s, "elim_s": elim_s, "solve_s": solve_s, "verify_s": verify_s}
+    return {**sizes, "rank": len(pivots), "answer": "feasible" if feasible else "infeasible",
+            **{k: None if t is None else round(t, 6) for k, t in times.items()}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rungs", help="comma-separated rung names (default: every rung)")
+    parser.add_argument("--repeat", type=int, default=3, help="runs per layer; the least counts")
+    parser.add_argument("--t4", action="store_true", help="include the T4 rungs over GF5")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    rungs = catalogue(args.t4)
+    names = args.rungs.split(",") if args.rungs else list(rungs)
+    unknown = [n for n in names if n not in rungs]
+    if unknown:
+        hint = " (T4 rungs need --t4)" if any("-T4-" in n for n in unknown) else ""
+        parser.error(f"unknown rungs {', '.join(unknown)}{hint}")
+
+    results = {}
+    for name in names:
+        r = results[name] = measure(datum(*rungs[name]), args.repeat)
+        verify = "-" if r["verify_s"] is None else f"{r['verify_s']:.4f} s"
+        print(f"{name}: {r['rows']} rows ({r['empty_rows']} empty), {r['unknowns']} unknowns, "
+              f"{r['nnz']} nonzeros, rank {r['rank']}, {r['answer']}; assemble "
+              f"{r['assemble_s']:.4f} s, elimination {r['elim_s']:.4f} s, solve "
+              f"{r['solve_s']:.4f} s, verify {verify}", flush=True)
+    print(json.dumps({"repeat": args.repeat, "rungs": results}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

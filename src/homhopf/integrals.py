@@ -16,15 +16,16 @@ families hold with zero residual:
 is the H-action.)  All four are linear or affine in theta, so existence is a
 linear feasibility problem.
 
-Two independent routes are kept deliberately separate.
-``assemble_integral_system`` writes each side of a condition as the map it
-is, Post o (theta (x) id_X) o Pre, where Pre sends an instance to
-C (x) C (x) X and Post sends A (x) X to the output, and one contraction turns
-every such term into coefficient rows; the row and column layout lives in
-that one helper.  ``integral_residuals`` evaluates the conditions directly
-on vectors for a given theta and shares no term with the assembler, so a
-wrong term on either side shows as a disagreement: tests compare the two
-entry for entry, and every solution is certified by the direct route.
+Two independent routes are kept deliberately separate.  One row builder
+writes each side of a condition as the map it is, Post o (theta (x) id_X)
+o Pre, where Pre sends an instance to C (x) C (x) X and Post sends A (x) X
+to the output, and one contraction turns every such term into sparse rows;
+the row and column layout lives in that one helper.  The solver eliminates
+those rows as they are; ``assemble_integral_system`` wraps them as matrices.
+``integral_residuals`` evaluates the conditions directly on vectors for a
+given theta and shares no term or table with the assembler, so a wrong term
+on either side shows as a disagreement: tests compare the two entry for
+entry, and every solution is certified by the direct route.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
     beta_col = [alg.alpha.column(i) for i in range(da)]
     gam_col = [coalg.gamma.column(i) for i in range(dc)]
     gam_inv_col = [coalg.gamma_inv.column(i) for i in range(dc)]
-    alpha_h_inv = d.hopf.alpha_inv
+    delta = [list(coalg.comult.nonzero_of(i)) for i in range(dc)]
+    legs = [list(rho_a.nonzero_of(i)) for i in range(da)]
     out = {}
 
     def residual(lhs, rhs, n):
@@ -139,16 +141,18 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
             rhs = alg.alpha.apply(theta.at_pair(p, q))
             out[("twist_compatibility", (p, q))] = residual(lhs, rhs, da)
 
+    # theta(gamma^-1(e_p) (x) e_c) and rho_A(theta(e_c (x) gamma^-1(e_q))), each formed once
+    th_left = [[theta.apply(g, {c: one}) for c in range(dc)] for g in gam_inv_col]
+    rho_th = [[rho_a.apply_left(theta.apply({c: one}, g)) for g in gam_inv_col]
+              for c in range(dc)]
     for p in range(dc):          # d = e_p
         for q in range(dc):      # c = e_q
             lhs = {}
-            for c1, c2, co in coalg.comult.nonzero_of(q):
-                t1 = theta.apply(gam_inv_col[p], {c1: one})
-                vec_add_scaled(lhs, co, vec_tensor(t1, gam_col[c2], dc))
+            for c1, c2, co in delta[q]:
+                vec_add_scaled(lhs, co, vec_tensor(th_left[p][c1], gam_col[c2], dc))
             rhs = {}
-            for d1, d2, co in coalg.comult.nonzero_of(p):
-                t = theta.apply({d2: one}, gam_inv_col[q])
-                for leg, s in rho_a.apply_left(t).items():  # in A (x) H
+            for d1, d2, co in delta[p]:
+                for leg, s in rho_th[d2][q].items():  # in A (x) H
                     u, hh = divmod(leg, dh)
                     vec_add_scaled(rhs, co * s, vec_tensor(beta_col[u], phi.at_pair(d1, hh), dc))
             out[("colinearity", (p, q))] = residual(lhs, rhs, da * dc)
@@ -156,21 +160,21 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
     unit_a = vec_sparse(alg.unit)
     for p in range(dc):
         acc = {}
-        for c1, c2, co in coalg.comult.nonzero_of(p):
+        for c1, c2, co in delta[p]:
             vec_add_scaled(acc, co, theta.at_pair(c1, c2))
         out[("normalization", (p,))] = residual(acc, vec_scale(coalg.counit[p], unit_a), da)
 
     beta2_col = [alg.alpha.apply(beta_col[i]) for i in range(da)]
-    alpha_inv_col = [alpha_h_inv.column(i) for i in range(dh)]
+    # gamma^-1(e_p).e_h and gamma^-1(e_q).alpha^-1(e_h)
+    act = [[phi.apply(g, {h: one}) for h in range(dh)] for g in gam_inv_col]
+    act_inv = [[phi.apply(g, d.hopf.alpha_inv.column(h)) for h in range(dh)] for g in gam_inv_col]
     for t_idx in range(da):      # a = e_t
         for p in range(dc):      # d = e_p
             for q in range(dc):  # c = e_q
                 lhs = {}
-                for u, hh, c1 in rho_a.nonzero_of(t_idx):
-                    for u2, h2, c2 in rho_a.nonzero_of(u):
-                        arg1 = phi.apply(gam_inv_col[p], {h2: one})
-                        arg2 = phi.apply(gam_inv_col[q], alpha_inv_col[hh])
-                        tt = theta.apply(arg1, arg2)
+                for u, hh, c1 in legs[t_idx]:
+                    for u2, h2, c2 in legs[u]:
+                        tt = theta.apply(act[p][h2], act_inv[q][hh])
                         vec_add_scaled(lhs, c1 * c2, alg.mult.apply(beta2_col[u2], tt))
                 rhs = alg.mult.apply(theta.at_pair(p, q), {t_idx: one})
                 out[("module_linearity", (t_idx, p, q))] = residual(lhs, rhs, da)
@@ -186,68 +190,80 @@ def verify_integral(cand: IntegralCandidate, d: DoiDatum) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # route 2: row assembly, one contraction per condition term
 
-def _contract(family: str, instances, shape: tuple, terms, dc: int, da: int) -> tuple:
-    """Rows and labels of ``family``: each instance gets one row per output
+def _contract(rows: list, labels: list, family: str, instances, shape: tuple, terms) -> None:
+    """Append the rows and labels of ``family``: each instance gets one row per output
     coordinate (row-major over ``shape``) of the sum over ``terms`` of
-    Post o (theta (x) id_X) o Pre.  ``pre(*instance)`` maps ((i, j), x) to
-    the coefficient of e_i (x) e_j (x) e_x, and ``post[x]`` lists the
-    (o, k, e) with e the coefficient of e_o in Post(e_k (x) e_x)."""
+    Post o (theta (x) id_X) o Pre.  ``pre(*instance)`` maps (b, x) to the
+    coefficient of e_i (x) e_j (x) e_x, where b is the unknown of (i, j, 0),
+    and ``post[x]`` lists the (o, k, e) with e the coefficient of e_o in
+    Post(e_k (x) e_x), whose unknown is b + k.  Each row is a sparse vector:
+    sums that cancel are deleted."""
     coords = list(product(*map(range, shape)))
-    rows, labels = [], []
     for inst in instances:
         block = [{} for _ in coords]
         for pre, post in terms:
-            for ((i, j), x), c in pre(*inst).items():
+            for (b, x), c in pre(*inst).items():
                 for o, k, e in post[x]:
-                    row, col = block[o], theta_index(i, j, k, dc, da)
+                    row, col = block[o], b + k
                     s = row.get(col)
-                    row[col] = c * e if s is None else s + c * e
+                    if s is None:
+                        row[col] = c * e
+                    elif s := s + c * e:
+                        row[col] = s
+                    else:
+                        del row[col]
         rows.extend(block)
         labels.extend((family, inst, coord) for coord in coords)
-    return rows, labels
 
 
-def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
-    """Homogeneous rows for the three linear families and affine rows for
-    normalization, over the unknowns laid out by ``theta_index``."""
-    field = d.field
-    one = field.one()
+def _integral_rows(d: DoiDatum) -> tuple:
+    """(homogeneous rows, their labels, affine rows, their labels, affine
+    right-hand sides): the three linear families and normalization as sparse
+    rows over the unknowns laid out by ``theta_index``."""
+    one = d.field.one()
     alg, coalg = d.algebra.algebra, d.coalgebra.coalgebra
-    phi, rho_a, comult, mult = d.coalgebra.action, d.algebra.coaction, coalg.comult, alg.mult
+    phi, rho_a, mult = d.coalgebra.action, d.algebra.coaction, alg.mult
     da, dc = alg.dim, coalg.dim
     gam = [coalg.gamma.column(i) for i in range(dc)]
     gam_inv = [coalg.gamma_inv.column(i) for i in range(dc)]
     beta = [alg.alpha.column(k) for k in range(da)]
-    alpha_inv = [d.hopf.alpha_inv.column(h) for h in range(d.hopf.dim)]
+    delta = [list(coalg.comult.nonzero_of(i)) for i in range(dc)]
+    legs = [list(rho_a.nonzero_of(k)) for k in range(da)]
+    base = [[theta_index(i, j, 0, dc, da) for j in range(dc)] for i in range(dc)]
     pairs = list(product(range(dc), repeat=2))
     ident = [[(r, r, one) for r in range(da)]]  # id_A, X trivial
 
     # twist compatibility: (gamma (x) gamma, id_A) and (id, -beta)
-    twist = [(lambda p, q: {((i, j), 0): a * b for i, a in gam[p].items()
+    twist = [(lambda p, q: {(base[i][j], 0): a * b for i, a in gam[p].items()
                             for j, b in gam[q].items()}, ident),
-             (lambda p, q: {((p, q), 0): one},
+             (lambda p, q: {(base[p][q], 0): one},
               [[(r, k, -b) for k in range(da) for r, b in beta[k].items()]])]
     # colinearity, X = C: (gamma^-1 (x) Delta, id_A (x) gamma) and
     # (d (x) c -> d2 (x) gamma^-1(c) (x) d1, -(beta (x) phi) o (rho_A (x) id))
-    colin = [(lambda p, q: {((i, j), x): a * b for i, a in gam_inv[p].items()
-                            for j, x, b in comult.nonzero_of(q)},
+    colin = [(lambda p, q: {(base[i][j], x): a * b for i, a in gam_inv[p].items()
+                            for j, x, b in delta[q]},
               [[(r * dc + s, r, g) for r in range(da) for s, g in gam[x].items()]
                for x in range(dc)]),
-             (lambda p, q: {((d2, j), d1): b * a for d1, d2, b in comult.nonzero_of(p)
+             (lambda p, q: {(base[d2][j], d1): b * a for d1, d2, b in delta[p]
                             for j, a in gam_inv[q].items()},
               [[(r * dc + s, k, -(c * b * f)) for k in range(da)
-                for k2, h, c in rho_a.nonzero_of(k) for r, b in beta[k2].items()
+                for k2, h, c in legs[k] for r, b in beta[k2].items()
                 for s, f in phi.at_pair(x, h).items()] for x in range(dc)])]
 
     # module linearity, X = A: (a (x) d (x) c -> gamma^-1(d).a[0][1]
-    # (x) gamma^-1(c).alpha^-1(a[1]) (x) a[0][0], m o (beta^2 (x) id)), and (id, -m)
+    # (x) gamma^-1(c).alpha^-1(a[1]) (x) a[0][0], m o (beta^2 (x) id)), and (id, -m);
+    # the actions gamma^-1(e_p).e_h and gamma^-1(e_q).alpha^-1(e_h) are formed once
+    act = [[phi.apply(g, {h: one}) for h in range(d.hopf.dim)] for g in gam_inv]
+    act_inv = [[phi.apply(g, d.hopf.alpha_inv.column(h)) for h in range(d.hopf.dim)]
+               for g in gam_inv]
+
     def double_coaction(t, p, q):
         out = {}
-        for u, h, c1 in rho_a.nonzero_of(t):
-            arg2 = phi.apply(gam_inv[q], alpha_inv[h])
-            for x, h2, c2 in rho_a.nonzero_of(u):
-                arg1 = phi.apply(gam_inv[p], {h2: one})
-                vec_add_scaled(out, c1 * c2, {((i, j), x): a * b for i, a in arg1.items()
+        for u, h, c1 in legs[t]:
+            arg2 = act_inv[q][h]
+            for x, h2, c2 in legs[u]:
+                vec_add_scaled(out, c1 * c2, {(base[i][j], x): a * b
+                                              for i, a in act[p][h2].items()
                                               for j, b in arg2.items()})
         return out
 
@@ -255,30 +271,32 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
     module = [(double_coaction, [[(r, k, e) for k in range(da)
                                   for r, e in mult.apply(beta2[x], {k: one}).items()]
                                  for x in range(da)]),
-              (lambda t, p, q: {((p, q), t): one},
+              (lambda t, p, q: {(base[p][q], t): one},
                [[(r, k, -e) for k in range(da) for r, e in mult.at_pair(k, x).items()]
                 for x in range(da)])]
 
-    hom_rows, hom_labels = [], []
+    hom_rows, hom_labels, aff_rows, aff_labels = [], [], [], []
     for family, instances, shape, terms in (
             ("twist_compatibility", pairs, (da,), twist),
             ("colinearity", pairs, (da, dc), colin),
             ("module_linearity", list(product(range(da), range(dc), range(dc))), (da,), module)):
-        rows, labels = _contract(family, instances, shape, terms, dc, da)
-        hom_rows += rows
-        hom_labels += labels
+        _contract(hom_rows, hom_labels, family, instances, shape, terms)
     # normalization (affine), X trivial: (Delta, id_A) = eps(c) 1_A
-    aff_rows, aff_labels = _contract(
-        "normalization", [(p,) for p in range(dc)], (da,),
-        [(lambda p: {((i, j), 0): c for i, j, c in comult.nonzero_of(p)}, ident)], dc, da)
+    _contract(aff_rows, aff_labels, "normalization", [(p,) for p in range(dc)], (da,),
+              [(lambda p: {(base[i][j], 0): c for i, j, c in delta[p]}, ident)])
     aff_rhs = tuple(coalg.counit[p] * alg.unit[r] for p in range(dc) for r in range(da))
+    return hom_rows, hom_labels, aff_rows, aff_labels, aff_rhs
 
-    def matrix(rows):
-        return Matrix.from_nonzeros(field, len(rows), da * dc * dc, {
-            (r, c): x for r, row in enumerate(rows) for c, x in row.items()})
 
-    return IntegralSystem(field, dc, da, matrix(hom_rows), tuple(hom_labels),
-                          matrix(aff_rows), aff_rhs, tuple(aff_labels))
+def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
+    """Homogeneous rows for the three linear families and affine rows for
+    normalization, over the unknowns laid out by ``theta_index``: the rows
+    the solver eliminates, as matrices."""
+    hom_rows, hom_labels, aff_rows, aff_labels, aff_rhs = _integral_rows(d)
+    da, dc = d.algebra.algebra.dim, d.coalgebra.coalgebra.dim
+    return IntegralSystem(d.field, dc, da, Matrix._of_rows(d.field, da * dc * dc, hom_rows),
+                          tuple(hom_labels), Matrix._of_rows(d.field, da * dc * dc, aff_rows),
+                          aff_rhs, tuple(aff_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +305,19 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
 def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
     """Deterministic particular solution (free coefficients zero) of the
     combined system, certified by the direct evaluator; or an Infeasible
-    answer carrying an exact inconsistency witness."""
-    system = assemble_integral_system(d)
-    field = system.field
-    zero = field.zero()
-    nunk = system.unknown_count
-    labels = list(system.homogeneous_labels) + list(system.affine_labels)
-    aug = list(system.homogeneous._fibres)
-    aug.extend(fibre + ((nunk, b),) if b else fibre
-               for fibre, b in zip(system.affine_lhs._fibres, system.affine_rhs))
+    answer carrying an exact inconsistency witness.  The rows eliminated are
+    ``assemble_integral_system``'s, from the same builder with no matrices, each
+    normalization row holding its right-hand side at column ``unknown_count``;
+    an integral ``Fraction`` may stand for an int there, never in the answer."""
+    field, zero = d.field, d.field.zero()
+    dc, da = d.coalgebra.coalgebra.dim, d.algebra.algebra.dim
+    nunk = da * dc * dc
+    aug, labels, aff_rows, aff_labels, aff_rhs = _integral_rows(d)
+    for row, b in zip(aff_rows, aff_rhs):
+        if b:
+            row[nunk] = b
+    aug += aff_rows
+    labels += aff_labels
     red, pivots, steps = _rref_rows(aug, field)
     if nunk in pivots:
         ri = pivots.index(nunk)
@@ -306,7 +328,7 @@ def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
     particular = [zero] * nunk
     for r, col in enumerate(pivots):
         particular[col] = red[r].get(nunk, zero)
-    cand = IntegralCandidate.from_vector(field, system.dim_c, system.dim_a, particular)
+    cand = IntegralCandidate.from_vector(field, dc, da, particular)
     rep = verify_integral(cand, d)
     if not rep.passed:
         raise RuntimeError("solver produced a solution the direct evaluator rejects; "
@@ -319,7 +341,7 @@ def _assert_certificate(aug, y, nunk, field) -> None:
     """y . [A | b] must be zero on A's columns and nonzero at b (column nunk)."""
     comb = {}
     for r, coeff in y.items():
-        for c, x in aug[r]:
+        for c, x in aug[r].items():
             comb[c] = comb.get(c, field.zero()) + coeff * x
     if any(x for c, x in comb.items() if c != nunk) or not comb.get(nunk):
         raise RuntimeError("inconsistency witness failed exact validation")

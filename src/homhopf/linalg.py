@@ -276,8 +276,12 @@ def vec_add_scaled(acc: dict, coeff: Scalar, v: dict) -> None:
 def vec_combine(coeffs: dict, table: Sequence) -> dict:
     """sum of coeffs[l] * table[l], a map applied through its images of basis
     vectors; a lone coefficient one returns ``table[l]`` itself, to be only read."""
-    if len(coeffs) == 1 and 1 in coeffs.values():
-        return table[next(iter(coeffs))]
+    if len(coeffs) == 1:
+        for l in coeffs:
+            x = coeffs[l]
+            # an element of GF(p) is read as its int: no Python-level __eq__
+            if (x.value if x.__class__ is GFElement else x) == 1:
+                return table[l]
     out = {}
     for l, x in coeffs.items():
         vec_add_scaled(out, x, table[l])

@@ -6,12 +6,13 @@ import pytest
 from corpus import is_canonical
 from homhopf.applications import (regular_comodule_algebra, relative_datum,
                                   trivial_datum, yd_datum)
+from homhopf import integrals
 from homhopf.golden import golden_file
 from homhopf.integrals import (Infeasible, IntegralCandidate,
                                assemble_integral_system, integral_residuals,
                                solve_normalized_integral, theta_index,
                                verify_integral)
-from homhopf.linalg import Field, Tensor3
+from homhopf.linalg import Field, Tensor3, _rref_rows
 from homhopf.zoo import (group_algebra, one_dimensional_hopf, sweedler_h4,
                          twisted_group_algebra, twisted_sweedler)
 
@@ -235,24 +236,32 @@ PINNED_CERTIFICATES = {
 
 class TestWitness:
     def test_witness_is_exact_certificate(self):
-        d = trivial_datum(sweedler_h4(Q))
-        r = solve_normalized_integral(d)
-        assert isinstance(r, Infeasible)
-        # rebuild the combination against the raw system and recheck by hand
-        s = assemble_integral_system(d)
-        labels = list(s.homogeneous_labels) + list(s.affine_labels)
-        rows = [s.homogeneous.row(i) for i in range(s.homogeneous.rows)]
-        rows += [s.affine_lhs.row(i) for i in range(s.affine_lhs.rows)]
-        rhs = [Q.zero()] * s.homogeneous.rows + list(s.affine_rhs)
-        acc = [Q.zero()] * s.unknown_count
-        val = Q.zero()
-        for label, coeff in r.combination:
-            i = labels.index(label)
-            for j, x in enumerate(rows[i]):
-                acc[j] = acc[j] + coeff * x
-            val = val + coeff * rhs[i]
-        assert not any(acc)
-        assert val
+        # on every pinned system, rebuilt by hand from the assembled rows: an
+        # Infeasible combination cancels every row but not the right-hand
+        # side, and a solution satisfies every row exactly
+        for key in sorted(SYSTEM_DIGESTS):
+            kind, base, flag = key
+            field = Q if flag == "Q" else Field.prime(7)
+            d = _pinned_datum(kind, base, field)
+            r = solve_normalized_integral(d)
+            s = assemble_integral_system(d)
+            labels = list(s.homogeneous_labels) + list(s.affine_labels)
+            rows = [s.homogeneous.row(i) for i in range(s.homogeneous.rows)]
+            rows += [s.affine_lhs.row(i) for i in range(s.affine_lhs.rows)]
+            rhs = [field.zero()] * s.homogeneous.rows + list(s.affine_rhs)
+            if isinstance(r, IntegralCandidate):
+                vec = r.flat()
+                assert all(_dot(row, vec, field) == b for row, b in zip(rows, rhs)), key
+                continue
+            acc = [field.zero()] * s.unknown_count
+            val = field.zero()
+            for label, coeff in r.combination:
+                i = labels.index(label)
+                for j, x in enumerate(rows[i]):
+                    acc[j] = acc[j] + coeff * x
+                val = val + coeff * rhs[i]
+            assert not any(acc), key
+            assert val and val == r.witness_value, key
 
     @pytest.mark.parametrize("name", sorted({name for name, _ in PINNED_CERTIFICATES}))
     def test_certificate_is_pinned(self, field, name):
@@ -360,3 +369,36 @@ class TestAssembledSystemPins:
         field = Field.rationals() if flag == "Q" else Field.prime(7)
         s = assemble_integral_system(_pinned_datum(kind, base, field))
         assert system_digest(s) == SYSTEM_DIGESTS[key]
+
+
+class TestEliminatedRows:
+    """The solver eliminates the rows of the one row builder as they are,
+    without forming matrices: they must be the assembled system's rows, with
+    each normalization right-hand side at column ``unknown_count``, and hold
+    no zero, since elimination takes every stored scalar for a nonzero."""
+
+    @pytest.mark.parametrize("key", sorted(SYSTEM_DIGESTS), ids="-".join)
+    def test_rows_are_the_assembled_rows_and_hold_only_nonzeros(self, key, monkeypatch):
+        kind, base, flag = key
+        field = Field.rationals() if flag == "Q" else Field.prime(7)
+        d = _pinned_datum(kind, base, field)
+        seen = []
+
+        def spy(rows, fld):
+            seen.append([dict(row) for row in rows])
+            return _rref_rows(rows, fld)
+
+        monkeypatch.setattr(integrals, "_rref_rows", spy)
+        solve_normalized_integral(d)
+        (rows,) = seen
+        s = assemble_integral_system(d)
+        n = s.unknown_count
+        want = [dict((c, x) for c, x in enumerate(s.homogeneous.row(i)) if x)
+                for i in range(s.homogeneous.rows)]
+        for i, b in enumerate(s.affine_rhs):
+            row = {c: x for c, x in enumerate(s.affine_lhs.row(i)) if x}
+            want.append({**row, n: b} if b else row)
+        assert rows == want
+        assert all(x for row in rows for x in row.values())
+        # most rows cancel to empty; those must be empty, not rows of zeros
+        assert any(not row for row in rows)

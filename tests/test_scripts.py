@@ -1,6 +1,7 @@
 """Every script under ``scripts/`` starts from a checkout where the package
 is not installed: each puts the checkout's ``src`` on ``sys.path`` itself."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,3 +18,21 @@ def test_help_runs_without_pythonpath(script, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: ")
+
+
+def _ladder(tmp_path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "ladder.py"),
+                           "--rungs", "trivial-kZ2-Q", "--repeat", "1"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_ladder_sizes_repeat_across_runs(tmp_path):
+    # the sizes of a rung are deterministic even though its times are not
+    sizes = ("rows", "empty_rows", "unknowns", "nnz", "rank", "answer")
+    first, second = (_ladder(tmp_path)["rungs"]["trivial-kZ2-Q"] for _ in range(2))
+    assert {k: first[k] for k in sizes} == {k: second[k] for k in sizes}
+    assert first["answer"] == "feasible" and first["unknowns"] == 4
+    assert all(first[k] >= 0 for k in ("assemble_s", "elim_s", "solve_s", "verify_s"))
