@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the normalized-integral solve layer by layer on a fixed ladder of Doi data.
+"""Time the construction and normalized-integral solve of Doi data on a fixed ladder.
 
     python3 scripts/ladder.py [--rungs yd-kZ8-Q,trivial-H4t-GF7] [--repeat 3] [--t4]
 
@@ -17,12 +17,14 @@ The T4 rungs are left out unless ``--t4`` is given: their yd system has
 135,424 rows and one solve takes seconds to minutes.
 
 For each rung, each layer's time is the least of ``--repeat`` in-process
-runs: ``assemble_integral_system``; elimination of the assembled rows, with
-the normalization right-hand side as the last column, by the solver's own
-``_rref_rows``; ``solve_normalized_integral``; and ``verify_integral`` on the
-answer when an integral exists.  Sizes come with the times: rows, empty rows
-(no nonzero left of the right-hand side), unknowns, nonzeros, the rank of
-the augmented system and the answer kind.  Sizes are deterministic; times
+runs: the datum's construction (``trivial_datum``, ``relative_datum`` or
+``yd_datum`` on a Hopf algebra built beforehand); ``assemble_integral_system``;
+elimination, by the solver's own ``_rref_rows``, of the rows the solver
+eliminates (from ``_integral_rows``, with the normalization right-hand side
+as the last column); ``solve_normalized_integral``; and ``verify_integral``
+on the answer when an integral exists.  Sizes come with the times: rows,
+empty rows (no nonzero left of the right-hand side), unknowns, nonzeros, the
+rank of the augmented system and the answer kind.  Sizes are deterministic; times
 are not.  One line per rung, and the last line of stdout is one JSON object.
 Standard library only.
 """
@@ -61,17 +63,19 @@ def catalogue(t4: bool) -> dict:
             for base, (fnames, build) in bases.items() for fname in fnames for kind in KINDS}
 
 
-def datum(kind: str, build, fname: str):
+def datum_thunk(kind: str, build, fname: str):
+    """A function that builds the rung's datum from its Hopf algebra, which is
+    built here, once."""
     from homhopf.applications import (regular_comodule_algebra, relative_datum,
                                       trivial_datum, yd_datum)
     from homhopf.linalg import Field
 
     h = build(Field.rationals() if fname == "Q" else Field.prime(int(fname[2:])))
     if kind == "yd":
-        return yd_datum(h)
+        return lambda: yd_datum(h)
     if kind == "relative":
-        return relative_datum(h, regular_comodule_algebra(h))
-    return trivial_datum(h)
+        return lambda: relative_datum(h, regular_comodule_algebra(h))
+    return lambda: trivial_datum(h)
 
 
 def best(fn, repeat: int) -> tuple:
@@ -85,28 +89,29 @@ def best(fn, repeat: int) -> tuple:
     return least, out
 
 
-def measure(d, repeat: int) -> dict:
-    from homhopf.integrals import (IntegralCandidate, assemble_integral_system,
+def measure(build_datum, repeat: int) -> dict:
+    from homhopf.integrals import (IntegralCandidate, _integral_rows, assemble_integral_system,
                                    solve_normalized_integral, verify_integral)
     from homhopf.linalg import _rref_rows
 
+    datum_s, d = best(build_datum, repeat)
     assemble_s, system = best(lambda: assemble_integral_system(d), repeat)
     nunk = system.unknown_count
-    rows = [{} for _ in range(system.homogeneous.rows + system.affine_lhs.rows)]
-    for offset, m in ((0, system.homogeneous), (system.homogeneous.rows, system.affine_lhs)):
-        for r, c, e in m.nonzero():
-            rows[offset + r][c] = e
+    del system  # the T4 rungs hold one system at a time
+    rows, _, aff_rows, _, aff_rhs = _integral_rows(d)
+    rows += aff_rows
     sizes = {"rows": len(rows), "empty_rows": sum(not row for row in rows),
              "unknowns": nunk, "nnz": sum(map(len, rows))}
-    for row, b in zip(rows[system.homogeneous.rows:], system.affine_rhs):
+    for row, b in zip(aff_rows, aff_rhs):
         if b:
             row[nunk] = b
     elim_s, (_, pivots, _) = best(lambda: _rref_rows(rows, d.field), repeat)
-    del rows, system  # the T4 rungs hold one system at a time
+    del rows, aff_rows
     solve_s, answer = best(lambda: solve_normalized_integral(d), repeat)
     feasible = isinstance(answer, IntegralCandidate)
     verify_s = best(lambda: verify_integral(answer, d), repeat)[0] if feasible else None
-    times = {"assemble_s": assemble_s, "elim_s": elim_s, "solve_s": solve_s, "verify_s": verify_s}
+    times = {"datum_s": datum_s, "assemble_s": assemble_s, "elim_s": elim_s,
+             "solve_s": solve_s, "verify_s": verify_s}
     return {**sizes, "rank": len(pivots), "answer": "feasible" if feasible else "infeasible",
             **{k: None if t is None else round(t, 6) for k, t in times.items()}}
 
@@ -130,12 +135,12 @@ def main(argv=None) -> int:
 
     results = {}
     for name in names:
-        r = results[name] = measure(datum(*rungs[name]), args.repeat)
+        r = results[name] = measure(datum_thunk(*rungs[name]), args.repeat)
         verify = "-" if r["verify_s"] is None else f"{r['verify_s']:.4f} s"
         print(f"{name}: {r['rows']} rows ({r['empty_rows']} empty), {r['unknowns']} unknowns, "
-              f"{r['nnz']} nonzeros, rank {r['rank']}, {r['answer']}; assemble "
-              f"{r['assemble_s']:.4f} s, elimination {r['elim_s']:.4f} s, solve "
-              f"{r['solve_s']:.4f} s, verify {verify}", flush=True)
+              f"{r['nnz']} nonzeros, rank {r['rank']}, {r['answer']}; datum "
+              f"{r['datum_s']:.4f} s, assemble {r['assemble_s']:.4f} s, elimination "
+              f"{r['elim_s']:.4f} s, solve {r['solve_s']:.4f} s, verify {verify}", flush=True)
     print(json.dumps({"repeat": args.repeat, "rungs": results}))
     return 0
 

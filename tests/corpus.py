@@ -12,7 +12,7 @@ from math import gcd
 from homhopf.core import HomComodule, HomHopfAlgebra, HomModule
 from homhopf.doi import DoiModule
 from homhopf.linalg import Field, GFElement, Matrix, Tensor3
-from homhopf.zoo import twisted_group_algebra, twisted_sweedler
+from homhopf.zoo import sweedler_h4, twisted_group_algebra, twisted_sweedler
 
 
 def is_canonical(x, field: Field) -> bool:
@@ -73,6 +73,18 @@ def seeded_twist(base, field: Field, rng: random.Random) -> HomHopfAlgebra:
         return twisted_sweedler(field, rng.choice([1, 2, 3, -2]))
     return twisted_group_algebra(base, rng.choice([k for k in range(1, base)
                                                    if gcd(k, base) == 1]), field)
+
+
+def twist_corpus(field: Field, max_n: int) -> list:
+    """kZn for n <= ``max_n`` twisted along g -> g^k for every unit k of Z_n
+    (k = 1 leaves kZn untwisted), H4, and H4 twisted by lam in {2, -1, 1/2}
+    over Q or {2, 3, 6} over GF(p).  The twists of kZ5 and kZ7 and the lam
+    with lam^2 != 1 have alpha != alpha^-1, so an alpha/alpha^-1 mix-up shows
+    on them."""
+    lams = (2, 3, 6) if field.p else (2, -1, Fraction(1, 2))
+    corpus = [twisted_group_algebra(n, k, field) for n in range(1, max_n + 1)
+              for k in range(1, n + 1) if gcd(k, n) == 1]
+    return corpus + [sweedler_h4(field)] + [twisted_sweedler(field, lam) for lam in lams]
 
 
 def random_module_over_group_algebra(h: HomHopfAlgebra, dim: int,

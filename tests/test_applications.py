@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from corpus import (random_graded_comodule, yd_both_regular,
+from corpus import (random_graded_comodule, twist_corpus, yd_both_regular,
                     yd_regular_action_trivial_coaction,
                     yd_regular_action_unit_coaction,
                     yd_trivial_action_group_coaction)
@@ -18,14 +18,16 @@ from homhopf.applications import (DualIntegral,
                                   dual_right_integrals, integral_from_dual,
                                   regular_comodule_algebra, relative_datum,
                                   trivial_datum, trivial_yd_module, yd_datum)
-from homhopf.core import check_hom_comodule, check_hom_hopf
-from homhopf.doi import (check_comodule_algebra, check_doi_module,
+from homhopf.core import (HomHopfAlgebra, check_hom_comodule, check_hom_hopf,
+                          opposite_tensor, yau_twist)
+from homhopf.doi import (check_comodule_algebra, check_doi_datum, check_doi_module,
                          check_module_coalgebra, direct_sum_doi)
 from homhopf.integrals import IntegralCandidate, solve_normalized_integral, verify_integral
 from homhopf.io import StructureFile, hopf_to_raw, yd_module_to_raw
 from homhopf.linalg import Field, Matrix, Tensor3
-from homhopf.zoo import (group_algebra, one_dimensional_hopf, sweedler_h4, taft_algebra,
-                         twisted_group_algebra, twisted_sweedler)
+from homhopf.report import ConstructionError
+from homhopf.zoo import (group_algebra, one_dimensional_hopf, sweedler_h4, sweedler_scaling,
+                         taft_algebra, twisted_group_algebra, twisted_sweedler)
 
 Q = Field.rationals()
 
@@ -66,6 +68,25 @@ class TestDataConstructors:
     def test_trivial_datum_sweedler(self):
         assert trivial_datum(sweedler_h4(Q)).coalgebra.dim == 4
 
+    def test_trivial_datum_rejects_a_broken_coalgebra(self):
+        # kZ2 with Delta(e_i) = 2 e_i (x) e_i fails both counit laws; checking
+        # the datum (k, k, H) with check_doi_datum let it through, and the
+        # solver then returned a "normalized integral" for it
+        h = group_algebra(2, Q)
+        doubled = Tensor3.from_nonzeros(Q, 2, 2, 2, {(i, i, i): 2 for i in range(2)})
+        broken = HomHopfAlgebra(Q, 2, h.alpha, h.mult, h.unit, doubled, h.counit, h.antipode)
+        with pytest.raises(ConstructionError, match="left_counit, right_counit"):
+            trivial_datum(broken)
+
+    def test_outputs_pass_exhaustive_checks_over_corpus(self, field):
+        # relative_datum checks H and A but not C = H over itself, and
+        # trivial_datum only H's coalgebra: each datum must still pass the
+        # exhaustive Doi-datum check
+        for h in twist_corpus(field, 5):
+            d = relative_datum(h, regular_comodule_algebra(h))
+            assert check_doi_datum(d).passed, (h.dim, h.alpha)
+            assert check_doi_datum(trivial_datum(h)).passed, (h.dim, h.alpha)
+
 
 class TestYdDatum:
     def test_scalar_hopf(self):
@@ -91,6 +112,14 @@ class TestYdDatum:
         assert check_comodule_algebra(d.algebra, d.hopf).passed
         assert check_module_coalgebra(d.coalgebra, d.hopf).passed
 
+    def test_outputs_pass_exhaustive_checks_over_corpus(self, field):
+        # yd_datum checks neither structure over the square: both must pass
+        # the exhaustive checkers on the corpus
+        for h in twist_corpus(field, 5):
+            d = yd_datum(h)
+            assert check_comodule_algebra(d.algebra, d.hopf).passed, (h.dim, h.alpha)
+            assert check_module_coalgebra(d.coalgebra, d.hopf).passed, (h.dim, h.alpha)
+
     def test_gf7_yd_datum(self):
         h = group_algebra(2, Field.prime(7))
         d = yd_datum(h)
@@ -99,30 +128,46 @@ class TestYdDatum:
         assert check_doi_module(m, d).passed
 
     def test_square_checked_through_its_factors(self, monkeypatch):
-        # opposite_tensor checks H and the H^op view once each and never the
-        # square; yd_datum does not check the square either
+        # each construction checks its input H once and nothing it builds:
+        # not H^op, the square or the structures over it; trivial_datum checks
+        # H's coalgebra once, and no construction checks a whole datum
         import homhopf.core
-        real = homhopf.core.check_hom_hopf
-        checked = []
+        import homhopf.doi
+        checked = {}
 
-        def counting(h):
-            checked.append(h)
-            return real(h)
+        def spy(name, real):
+            def counting(x, *rest):
+                checked.setdefault(name, []).append(x)
+                return real(x, *rest)
+            return counting
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("homhopf") and hasattr(module, "check_hom_hopf"):
-                monkeypatch.setattr(module, "check_hom_hopf", counting)
-        for h in (group_algebra(2, Q), sweedler_h4(Q)):
+        for name, owner in (("check_hom_hopf", homhopf.core),
+                            ("check_hom_coalgebra", homhopf.core),
+                            ("check_doi_datum", homhopf.doi)):
+            counting = spy(name, getattr(owner, name))
+            for modname, module in list(sys.modules.items()):
+                if modname.startswith("homhopf") and hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        for h, a in ((group_algebra(2, Q), Matrix.identity(Q, 2)),
+                     (sweedler_h4(Q), sweedler_scaling(Q, 2))):
+            builds = {"yau_twist": lambda: yau_twist(h, a),
+                      "opposite_tensor": lambda: opposite_tensor(h),
+                      "yd_datum": lambda: yd_datum(h),
+                      "relative_datum": lambda: relative_datum(h, regular_comodule_algebra(h))}
+            for what, build in builds.items():
+                checked.clear()
+                build()
+                assert list(checked) == ["check_hom_hopf", "check_hom_coalgebra"], what
+                assert len(checked["check_hom_hopf"]) == len(checked["check_hom_coalgebra"]) == 1
+                assert checked["check_hom_hopf"][0] is h, what
             checked.clear()
-            d = yd_datum(h)
-            assert not any(c is d.hopf for c in checked)
-            assert len(checked) == 2 and checked[0] is h
-            h_op, n = checked[1], h.dim
-            assert all(h_op.mult.at(i, j, k) == h.mult.at(j, i, k)
-                       for i in range(n) for j in range(n) for k in range(n))
-            assert h_op.comult is h.comult and h_op.alpha is h.alpha
-            assert h_op.alpha_inv is h.alpha_inv
-            assert h_op.antipode is h.antipode_inv and h_op.antipode_inv is h.antipode
+            trivial_datum(h)
+            assert list(checked) == ["check_hom_coalgebra"]
+            assert [c.comult for c in checked["check_hom_coalgebra"]] == [h.comult]
+            # the square keeps the factors' inverses instead of inverting itself
+            square = yd_datum(h).hopf
+            assert square.alpha_inv == h.alpha_inv.kron(h.alpha_inv)
+            assert square.antipode_inv == h.antipode_inv.kron(h.antipode)
 
     def test_retains_each_repeated_fibre_once(self, field):
         # the square's structure constants repeat whole fibres; stored once

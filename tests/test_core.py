@@ -1,12 +1,12 @@
 import gc
 import tracemalloc
-from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import twist_corpus
 from homhopf.core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra, HomModule,
                           check_hom_algebra, check_hom_coalgebra, check_hom_comodule,
                           check_hom_hopf, check_hom_module,
@@ -247,6 +247,13 @@ class TestYauTwist:
             with pytest.raises(ValueError, match=f"is a {rows}x{cols} matrix .* needs 2x2"):
                 entry(h, a)
 
+    def test_output_passes_exhaustive_check_over_corpus(self, field):
+        # yau_twist checks its input and automorphism, not what it returns:
+        # every twist must pass the exhaustive checker (the corpus is built
+        # by yau_twist)
+        for h in twist_corpus(field, 8):
+            assert check_hom_hopf(h).passed, (h.dim, h.alpha)
+
     def test_twist_inverts_the_automorphism_once(self, monkeypatch):
         h, a = group_algebra(5, Q), power_automorphism(5, 2, Q)
         calls = []
@@ -308,17 +315,15 @@ class TestOppositeTensor:
         assert t.antipode_choice == "S (x) S^-1"
 
     def test_square_passes_exhaustive_check_over_corpus(self, field):
-        # opposite_tensor checks H and H^op, not the square it returns: the
-        # square itself must pass the exhaustive checker on the whole corpus
-        lams = (2, 3, 6) if field.p else (2, -1, Fraction(1, 2))
-        # g -> g^k for every unit k of Z_n; k = 1 leaves kZn untwisted
-        corpus = [yau_twist(group_algebra(n, field), power_automorphism(n, k, field))
-                  for n in range(1, 6) for k in range(1, n + 1) if gcd(k, n) == 1]
-        corpus += [sweedler_h4(field)] + [twisted_sweedler(field, lam) for lam in lams]
-        for h in corpus:
+        # opposite_tensor checks H only, neither H^op nor the square it
+        # returns: the square must pass the exhaustive checker on the corpus,
+        # and its inverses, the factors' Kronecker products, must invert
+        for h in twist_corpus(field, 5):
             t = opposite_tensor(h)
             assert t.dim == h.dim ** 2
             assert check_hom_hopf(t).passed, (h.dim, h.alpha)
+            identity = Matrix.identity(field, t.dim)
+            assert t.alpha_inv @ t.alpha == identity == t.antipode_inv @ t.antipode
 
     def test_twisted_sweedler_square(self):
         t = opposite_tensor(twisted_sweedler(Q, 2))

@@ -35,4 +35,5 @@ def test_ladder_sizes_repeat_across_runs(tmp_path):
     first, second = (_ladder(tmp_path)["rungs"]["trivial-kZ2-Q"] for _ in range(2))
     assert {k: first[k] for k in sizes} == {k: second[k] for k in sizes}
     assert first["answer"] == "feasible" and first["unknowns"] == 4
-    assert all(first[k] >= 0 for k in ("assemble_s", "elim_s", "solve_s", "verify_s"))
+    assert all(first[k] >= 0 for k in ("datum_s", "assemble_s", "elim_s", "solve_s",
+                                       "verify_s"))
