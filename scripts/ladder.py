@@ -21,8 +21,11 @@ runs: the datum's construction (``trivial_datum``, ``relative_datum`` or
 ``yd_datum`` on a Hopf algebra built beforehand); ``assemble_integral_system``;
 elimination, by the solver's own ``_rref_rows``, of the rows the solver
 eliminates (from ``_integral_rows``, with the normalization right-hand side
-as the last column); ``solve_normalized_integral``; and ``verify_integral``
-on the answer when an integral exists.  Sizes come with the times: rows,
+as the last column); ``solve_normalized_integral``; ``verify_integral`` on
+the answer when an integral exists; then, on the canonical module A (x) C,
+``build_retraction`` followed by ``extract_integral`` when an integral
+exists (``retraction_s``), and ``check_triangle_identities`` with A's
+regular module as N (``triangle_s``).  Sizes come with the times: rows,
 empty rows (no nonzero left of the right-hand side), unknowns, nonzeros, the
 rank of the augmented system and the answer kind.  Sizes are deterministic; times
 are not.  One line per rung, and the last line of stdout is one JSON object.
@@ -90,9 +93,12 @@ def best(fn, repeat: int) -> tuple:
 
 
 def measure(build_datum, repeat: int) -> dict:
+    from homhopf.doi import check_triangle_identities
     from homhopf.integrals import (IntegralCandidate, _integral_rows, assemble_integral_system,
                                    solve_normalized_integral, verify_integral)
     from homhopf.linalg import _rref_rows
+    from homhopf.maschke import build_retraction, canonical_module, extract_integral
+    from homhopf.zoo import regular_module
 
     datum_s, d = best(build_datum, repeat)
     assemble_s, system = best(lambda: assemble_integral_system(d), repeat)
@@ -110,8 +116,14 @@ def measure(build_datum, repeat: int) -> dict:
     solve_s, answer = best(lambda: solve_normalized_integral(d), repeat)
     feasible = isinstance(answer, IntegralCandidate)
     verify_s = best(lambda: verify_integral(answer, d), repeat)[0] if feasible else None
+    n = regular_module(d.algebra.algebra)
+    m = canonical_module(d)
+    retraction_s = best(lambda: extract_integral(build_retraction(answer, m, d), d),
+                        repeat)[0] if feasible else None
+    triangle_s = best(lambda: check_triangle_identities(d, m, n), repeat)[0]
     times = {"datum_s": datum_s, "assemble_s": assemble_s, "elim_s": elim_s,
-             "solve_s": solve_s, "verify_s": verify_s}
+             "solve_s": solve_s, "verify_s": verify_s, "retraction_s": retraction_s,
+             "triangle_s": triangle_s}
     return {**sizes, "rank": len(pivots), "answer": "feasible" if feasible else "infeasible",
             **{k: None if t is None else round(t, 6) for k, t in times.items()}}
 
@@ -136,11 +148,13 @@ def main(argv=None) -> int:
     results = {}
     for name in names:
         r = results[name] = measure(datum_thunk(*rungs[name]), args.repeat)
-        verify = "-" if r["verify_s"] is None else f"{r['verify_s']:.4f} s"
+        verify, retraction = ("-" if r[k] is None else f"{r[k]:.4f} s"
+                              for k in ("verify_s", "retraction_s"))
         print(f"{name}: {r['rows']} rows ({r['empty_rows']} empty), {r['unknowns']} unknowns, "
               f"{r['nnz']} nonzeros, rank {r['rank']}, {r['answer']}; datum "
               f"{r['datum_s']:.4f} s, assemble {r['assemble_s']:.4f} s, elimination "
-              f"{r['elim_s']:.4f} s, solve {r['solve_s']:.4f} s, verify {verify}", flush=True)
+              f"{r['elim_s']:.4f} s, solve {r['solve_s']:.4f} s, verify {verify}, "
+              f"retraction {retraction}, triangles {r['triangle_s']:.4f} s", flush=True)
     print(json.dumps({"repeat": args.repeat, "rungs": results}))
     return 0
 

@@ -7,6 +7,7 @@ usage error, 3 infeasible.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .applications import check_yd_module, check_yd_substructures
@@ -28,8 +29,7 @@ INFEASIBLE = 3
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except StructureParseError as exc:
@@ -45,7 +45,9 @@ def main(argv=None) -> int:
         return USAGE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a parse leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="homhopf",
         description="Exact checks, integrals and splittings for monoidal "

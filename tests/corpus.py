@@ -9,10 +9,13 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from homhopf.applications import regular_comodule_algebra, relative_datum, trivial_datum
 from homhopf.core import HomComodule, HomHopfAlgebra, HomModule
-from homhopf.doi import DoiModule
+from homhopf.doi import DoiModule, induce
+from homhopf.integrals import Infeasible, solve_normalized_integral
 from homhopf.linalg import Field, GFElement, Matrix, Tensor3
-from homhopf.zoo import sweedler_h4, twisted_group_algebra, twisted_sweedler
+from homhopf.zoo import (regular_module, sweedler_h4, twisted_group_algebra,
+                         twisted_sweedler)
 
 
 def is_canonical(x, field: Field) -> bool:
@@ -85,6 +88,36 @@ def twist_corpus(field: Field, max_n: int) -> list:
     corpus = [twisted_group_algebra(n, k, field) for n in range(1, max_n + 1)
               for k in range(1, n + 1) if gcd(k, n) == 1]
     return corpus + [sweedler_h4(field)] + [twisted_sweedler(field, lam) for lam in lams]
+
+
+def integral_corpus(field: Field, max_n: int) -> list:
+    """(d, theta, twisted summand) for the trivial datum (k, k, H) and the
+    relative datum (H, H, H) of every H in ``twist_corpus(field, max_n)``
+    that has a normalized integral theta (the trivial data over H4 and its
+    twists have none).  The summand is an induced module to set beside the
+    canonical one: over k a module with a twist from ``random_invertible``,
+    over H the regular module, whose twist is alpha."""
+    rng, out = random.Random(2101), []
+    for h in twist_corpus(field, max_n):
+        for d in (trivial_datum(h), relative_datum(h, regular_comodule_algebra(h))):
+            theta = solve_normalized_integral(d)
+            if isinstance(theta, Infeasible):
+                continue
+            n = (random_module_over_scalars(field, rng.randint(1, 2), rng) if d.algebra.dim == 1
+                 else regular_module(d.algebra.algebra))
+            out.append((d, theta, induce(n, d)))
+    return out
+
+
+def twist_breaking_module(field: Field) -> DoiModule:
+    """A 2-dimensional module over the trivial datum of kZ2 that is not a Doi
+    module: k acts through the twist [[1, 1], [0, 1]], and the grading
+    coaction e_i -> e_i (x) g^i ignores the twist, so the comodule twist,
+    counit and coassociativity laws and the Doi law all fail."""
+    mu = Matrix.from_rows(field, [[1, 1], [0, 1]])
+    action = Tensor3.build(field, 2, 1, 2, lambda i, _, j: mu.at(j, i))
+    coaction = Tensor3.from_nested(field, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    return DoiModule(field, 2, mu, action, coaction)
 
 
 def random_module_over_group_algebra(h: HomHopfAlgebra, dim: int,

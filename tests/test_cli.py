@@ -226,6 +226,16 @@ class TestKindErrors:
 
 
 class TestCommands:
+    def test_one_parser_serves_every_call(self):
+        # a parse, a failed parse and a listing all read the process's one
+        # parser, and each still answers as a fresh parser would
+        from homhopf import cli
+        assert run_cli(["examples"])[0] == 0
+        assert run_cli(["no-such-command"])[0] == 2
+        rc, out, _ = run_cli(["examples"])
+        assert rc == 0 and "kZ2" in out.split()
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_check_golden_ok(self, tmp_path):
         p = tmp_path / "kZ2.json"
         p.write_text(serialize_structure_file(golden_file("kZ2", Q)))

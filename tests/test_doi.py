@@ -3,8 +3,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from corpus import (random_module_over_group_algebra,
-                    random_module_over_scalars)
+from corpus import (random_module_over_group_algebra, random_module_over_scalars,
+                    twist_breaking_module, twist_corpus)
 from homhopf.applications import (check_k_integral_conditions, check_yd_module,
                                   coaction_of_action_residuals, comodule_to_doi,
                                   dual_right_integrals, integral_from_dual,
@@ -21,10 +21,11 @@ from homhopf.doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                          induce, module_morphism_report, unit_map)
 from homhopf.integrals import integral_residuals, solve_normalized_integral
 from homhopf.linalg import Field, Matrix, Tensor3, vec_dense
-from homhopf.maschke import build_retraction, retraction_naturality_report, retraction_report
+from homhopf.maschke import (build_retraction, canonical_module, retraction_naturality_report,
+                             retraction_report, separability_report)
 from homhopf.report import ConstructionError
 from homhopf.zoo import (group_algebra, inclusion_matrix, projection_matrix,
-                         regular_comodule, sweedler_h4, trivial_comodule,
+                         regular_comodule, regular_module, sweedler_h4, trivial_comodule,
                          twisted_group_algebra, twisted_sweedler)
 
 Q = Field.rationals()
@@ -279,14 +280,33 @@ class TestAdjunction:
 
     def test_unit_map_rejects_corrupted_module(self, triv_kz2):
         # grading coaction not adjusted to the non-diagonal twist: the
-        # coaction twist axiom breaks, surfacing as failed A-linearity of eta
-        mu = Matrix.from_rows(Q, [[1, 1], [0, 1]])
-        action = Tensor3.build(Q, 2, 1, 2, lambda i, _, j: mu.at(j, i))
-        coaction = Tensor3.from_nested(Q, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
-        bad = DoiModule(Q, 2, mu, action, coaction)
+        # coaction twist axiom breaks, and M is checked as a Doi module
         with pytest.raises(ConstructionError) as exc:
-            unit_map(bad, triv_kz2)
-        assert "a_linear" in exc.value.report.failing_axioms()
+            unit_map(twist_breaking_module(Q), triv_kz2)
+        assert "comodule_twist" in exc.value.report.failing_axioms()
+
+    def test_triangles_report_a_corrupted_module(self, triv_kz2):
+        # M is not checked as a Doi module: the forgotten-side identity
+        # fails, since counit . rho sends e_1 to eps(g) mu(e_1) = e_0 + e_1
+        n = random_module_over_scalars(Q, 2, random.Random(3))
+        rep = check_triangle_identities(triv_kz2, twist_breaking_module(Q), n)
+        assert (rep.checked, rep.failing_axioms()) == (2, ("triangle_forgotten",))
+        assert [v.residual for v in rep.violations] == [(0, 1, 0, 0)]
+
+    @pytest.mark.parametrize("relative", [False, True], ids=["trivial", "relative"])
+    def test_unit_and_counit_pass_morphism_reports_over_corpus(self, field, relative):
+        # unit_map and counit_map check only their input module; their
+        # outputs must pass the exhaustive morphism reports
+        for h in twist_corpus(field, 5):
+            d = relative_datum(h, regular_comodule_algebra(h)) if relative else trivial_datum(h)
+            a = d.algebra.algebra
+            n = regular_module(a)
+            gn = induce(n, d)
+            ggn = induce(gn, d)
+            assert doi_morphism_report(unit_map(gn, d), gn, ggn, d).passed
+            assert module_morphism_report(counit_map(n, d), gn, n, a).passed
+            assert module_morphism_report(counit_map(gn, d), ggn, gn, a).passed
+            assert check_triangle_identities(d, gn, n).passed
 
     def test_counit_map_values(self, rel_kz2):
         # counit sends n (x) c to eps(c) mu(n); on the regular module of the
@@ -330,7 +350,7 @@ class TestAdjunction:
         assert check_triangle_identities(rel_kz2, gn, n).passed
 
     def test_triangles_induce_each_module_once(self, rel_kz2, monkeypatch):
-        # N and F(M) are induced once each, not once per unit/counit map
+        # N is induced once; M is not induced at all
         import homhopf.doi
         n = random_module_over_group_algebra(rel_kz2.hopf, 2, random.Random(7))
         gn = induce(n, rel_kz2)
@@ -343,7 +363,7 @@ class TestAdjunction:
 
         monkeypatch.setattr(homhopf.doi, "induce", counting)
         assert check_triangle_identities(rel_kz2, gn, n).passed
-        assert len(induced) == 2
+        assert len(induced) == 1 and induced[0] is n
 
     def test_triangles_with_nontrivial_coalgebra_twist(self):
         # gamma != id exercises the twist bookkeeping in unit and counit
@@ -414,6 +434,16 @@ class TestMorphisms:
         with pytest.raises(ValueError, match=r"coaction is into a 2-dimensional coalgebra "
                                              r"but the coalgebra has dimension 3"):
             doi_morphism_report(eye, m, m, trivial_datum(group_algebra(3, Q)))
+        # A (x) C over (k, k, kZ3) against (k, k, kZ2): the retraction died
+        # with "operand index out of range" on the way to certify's exit 2
+        m3 = canonical_module(trivial_datum(group_algebra(3, Q)))
+        theta = solve_normalized_integral(triv_kz2)
+        into_3 = r"coaction is into a 3-dimensional coalgebra but the coalgebra has dimension 2"
+        for entry in (lambda: unit_map(m3, triv_kz2),
+                      lambda: build_retraction(theta, m3, triv_kz2),
+                      lambda: separability_report(triv_kz2, [("x", m3)])):
+            with pytest.raises(ValueError, match=into_3):
+                entry()
 
     def test_map_of_the_wrong_shape_rejected(self, triv_kz2):
         m = comodule_to_doi(regular_comodule(group_algebra(2, Q).as_coalgebra()), triv_kz2)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_module_over_group_algebra, random_module_over_scalars, seeded_twist
+from corpus import (integral_corpus, random_module_over_group_algebra,
+                    random_module_over_scalars, seeded_twist, twist_breaking_module)
 from homhopf.applications import (comodule_to_doi, regular_comodule_algebra,
                                   relative_datum, trivial_datum)
-from homhopf.doi import direct_sum_doi, doi_morphism_report, induce
-from homhopf.integrals import Infeasible, IntegralCandidate, solve_normalized_integral
+from homhopf.doi import DoiModule, check_doi_module, direct_sum_doi, doi_morphism_report, induce
+from homhopf.integrals import (Infeasible, IntegralCandidate, solve_normalized_integral,
+                               verify_integral)
 from homhopf.linalg import Field, Matrix, Tensor3
 from homhopf.maschke import (SeparabilityCertificate, build_retraction, canonical_module,
                              extract_integral, retraction_naturality_report,
@@ -22,6 +24,15 @@ from homhopf.zoo import (group_algebra, inclusion_matrix, one_dimensional_hopf,
                          twisted_sweedler)
 
 Q = Field.rationals()
+
+
+@pytest.fixture(scope="module", params=[Q, Field.prime(7)], ids=str)
+def corpus_cases(request):
+    """(d, theta, the canonical module A (x) C, the induced summand) for
+    every case of ``integral_corpus``; the guards run the exhaustive reports
+    on what the Maschke layer builds over these."""
+    return [(d, theta, canonical_module(d), k)
+            for d, theta, k in integral_corpus(request.param, 5)]
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +72,11 @@ class TestBuildRetraction:
         for m in corpus:
             nu = build_retraction(theta, m, d)
             assert (nu @ m.coaction.as_map_to_pair()).is_identity()
+
+    def test_output_passes_retraction_report_over_corpus(self, corpus_cases):
+        for d, theta, c, k in corpus_cases:
+            for m in (c, k):
+                assert retraction_report(build_retraction(theta, m, d), m, d).passed
 
     def test_rejects_non_integral(self, kz2_setting):
         h, d, theta = kz2_setting
@@ -191,7 +207,13 @@ class TestExtraction:
     def test_extracted_integral_verifies(self, kz2_setting):
         _, d, theta = kz2_setting
         nu = build_retraction(theta, canonical_module(d), d)
-        assert extract_integral(nu, d).report.passed
+        assert verify_integral(extract_integral(nu, d), d).passed
+
+    def test_extracted_integral_verifies_over_corpus(self, corpus_cases):
+        for d, theta, c, _ in corpus_cases:
+            back = extract_integral(build_retraction(theta, c, d), d)
+            assert verify_integral(back, d).passed
+            assert back.theta == theta.theta
 
 
 class TestSplitting:
@@ -225,6 +247,53 @@ class TestSplitting:
         retr = split_monomorphism(f, g, reg, big, theta, d)
         assert (retr @ f).is_identity()
         assert doi_morphism_report(retr, big, reg, d).passed
+
+    def test_sections_pass_exhaustive_checks_over_corpus(self, corpus_cases):
+        # split off each summand of C (+) K, as an epimorphism and as a
+        # monomorphism: every section is a Doi morphism that splits
+        for d, theta, c, k in corpus_cases:
+            m = direct_sum_doi(c, k)
+            for n, start in ((c, 0), (k, c.dim)):
+                proj = projection_matrix(d.field, m.dim, start, n.dim)
+                incl = inclusion_matrix(d.field, m.dim, start, n.dim)
+                section = split_epimorphism(proj, incl, m, n, theta, d)
+                assert (proj @ section).is_identity()
+                assert doi_morphism_report(section, n, m, d).passed
+                retr = split_monomorphism(incl, proj, n, m, theta, d)
+                assert (retr @ incl).is_identity()
+                assert doi_morphism_report(retr, m, n, d).passed
+
+    def test_monomorphism_into_a_non_doi_module_rejected(self):
+        # N = reg (+) bad with f the inclusion of reg: f, g and g . f pass,
+        # so only N's own check can reject it
+        d, theta, reg, _, _ = self._setting()
+        n = direct_sum_doi(reg, twist_breaking_module(Q))
+        f, g = inclusion_matrix(Q, 4, 0, 2), projection_matrix(Q, 4, 0, 2)
+        with pytest.raises(ConstructionError, match="target is not a valid Doi module") as exc:
+            split_monomorphism(f, g, reg, n, theta, d)
+        assert exc.value.report.failing_axioms() == check_doi_module(n, d).failing_axioms()
+
+    def test_each_hypothesis_is_checked_once(self, monkeypatch):
+        import homhopf.maschke as maschke
+        d, theta, reg, _, big = self._setting()
+        calls = []
+        for name in ("verify_integral", "check_doi_module", "retraction_report"):
+            def spy(first, *rest, name=name, real=getattr(maschke, name)):
+                calls.append((name, first))
+                return real(first, *rest)
+            monkeypatch.setattr(maschke, name, spy)
+
+        build_retraction(theta, reg, d)
+        assert calls == [("verify_integral", theta), ("check_doi_module", reg)]
+        calls.clear()
+        # the epimorphism big -> reg: M = big is checked, N = reg is not
+        f, g = projection_matrix(Q, 3, 0, 2), inclusion_matrix(Q, 3, 0, 2)
+        split_epimorphism(f, g, big, reg, theta, d)
+        assert calls == [("verify_integral", theta), ("check_doi_module", big)]
+        nu = build_retraction(theta, canonical_module(d), d)
+        calls.clear()
+        extract_integral(nu, d)
+        assert calls == [("retraction_report", nu)]
 
     def test_non_section_rejected(self):
         d, theta, reg, tri, big = self._setting()
@@ -328,6 +397,16 @@ class TestSeparability:
         assert isinstance(cert, SeparabilityCertificate)
         assert cert.all_passed
         assert cert.theta.report.passed
+
+    def test_module_breaking_its_module_laws_is_flagged(self, kz2_setting):
+        # k acting through 2 mu breaks module_unit: the verdict is False,
+        # not a ConstructionError out of the report's induce
+        h, d, _ = kz2_setting
+        reg = comodule_to_doi(regular_comodule(h.as_coalgebra()), d)
+        doubled = Tensor3.build(Q, 2, 1, 2, lambda i, _, j: 2 * reg.action.at(i, 0, j))
+        bad = DoiModule(Q, 2, reg.mu, doubled, reg.coaction)
+        cert = separability_report(d, [("regular", reg), ("doubled", bad)])
+        assert cert.checked_modules == (("regular", True), ("doubled", False))
 
     def test_infeasible_for_sweedler(self):
         d = trivial_datum(sweedler_h4(Q))

@@ -23,7 +23,7 @@ def test_help_runs_without_pythonpath(script, tmp_path):
 def _ladder(tmp_path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "ladder.py"),
-                           "--rungs", "trivial-kZ2-Q", "--repeat", "1"],
+                           "--rungs", "trivial-kZ2-Q,trivial-H4-Q", "--repeat", "1"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -36,4 +36,12 @@ def test_ladder_sizes_repeat_across_runs(tmp_path):
     assert {k: first[k] for k in sizes} == {k: second[k] for k in sizes}
     assert first["answer"] == "feasible" and first["unknowns"] == 4
     assert all(first[k] >= 0 for k in ("datum_s", "assemble_s", "elim_s", "solve_s",
-                                       "verify_s"))
+                                       "verify_s", "retraction_s", "triangle_s"))
+
+
+def test_ladder_times_retractions_only_where_an_integral_exists(tmp_path):
+    rungs = _ladder(tmp_path)["rungs"]
+    assert rungs["trivial-kZ2-Q"]["retraction_s"] >= 0
+    h4 = rungs["trivial-H4-Q"]
+    assert h4["answer"] == "infeasible"
+    assert h4["verify_s"] is None and h4["retraction_s"] is None and h4["triangle_s"] >= 0
