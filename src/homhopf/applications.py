@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (HomComodule, HomHopfAlgebra, check_hom_coalgebra, check_hom_comodule,
-                   check_hom_hopf, check_hom_module, leg_products, opposite_tensor,
-                   product_table)
-from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra, _require_over,
+from .core import (HomComodule, HomHopfAlgebra, _require_over, check_hom_coalgebra,
+                   check_hom_comodule, check_hom_hopf, check_hom_module, leg_products,
+                   opposite_tensor, product_table)
+from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                   check_comodule_algebra)
 from .integrals import IntegralCandidate, verify_integral
 from .linalg import (Field, Matrix, Tensor3, require_same_field, solve_affine,

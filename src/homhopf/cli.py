@@ -22,7 +22,7 @@ from .io import (StructureFile, StructureParseError, certificate_to_raw,
                  parse_field_flag, parse_structure_file,
                  serialize_structure_file)
 from .maschke import separability_report, split_epimorphism
-from .report import AxiomReport, ConstructionError
+from .report import AxiomReport, ConstructionError, require
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
 INFEASIBLE = 3
@@ -239,6 +239,11 @@ def cmd_split(args) -> int:
     dst = sf.build(f_raw["target"])
     f = _morphism_matrix(sf, args.f, "f")
     g = _morphism_matrix(sf, args.g, "g")
+    # the section is the theorem's, not checked; the datum read from the file
+    # is one of its hypotheses (check_doi_datum leaves A's and C's own laws out)
+    require(check_doi_datum(datum).merged(check_hom_algebra(datum.algebra.algebra))
+            .merged(check_hom_coalgebra(datum.coalgebra.coalgebra)),
+            f"{args.datum!r} is not a valid Doi datum")
     theta = solve_normalized_integral(datum)
     if isinstance(theta, Infeasible):
         print(theta.message())

@@ -289,6 +289,18 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
     return rep.merged(b.report())
 
 
+def _require_over(a_dim: int | None, c_dim: int | None, *modules) -> None:
+    """Reject a module not acted on by an ``a_dim``-dimensional algebra or a
+    comodule not coacting into a ``c_dim``-dimensional coalgebra (None: no check)."""
+    for m in modules:
+        if a_dim is not None and m.action.d2 != a_dim:
+            raise ValueError(f"the module's action is by a {m.action.d2}-dimensional "
+                             f"algebra but the algebra has dimension {a_dim}")
+        if c_dim is not None and m.coaction.d3 != c_dim:
+            raise ValueError(f"the comodule's coaction is into a {m.coaction.d3}-dimensional "
+                             f"coalgebra but the coalgebra has dimension {c_dim}")
+
+
 def check_hom_module(m: HomModule, a: HomAlgebra) -> AxiomReport:
     """Right Hom-module axioms over (A, alpha) on all basis tuples; Hom-associativity
     combines tables of e_l.alpha(a_k) by e_i.a_j and of mu(e_i).a_l by a_j a_k."""
@@ -297,8 +309,7 @@ def check_hom_module(m: HomModule, a: HomAlgebra) -> AxiomReport:
 
 def _module_report(m: HomModule, a: HomAlgebra, acted: list, prod: list) -> AxiomReport:
     require_same_field(a, m)
-    if m.action.d2 != a.dim:
-        raise ValueError("action tensor does not match the algebra dimension")
+    _require_over(a.dim, None, m)
     b = ReportBuilder()
     dm, da = m.dim, a.dim
     mu_col = [m.mu.column(i) for i in range(dm)]
@@ -322,8 +333,7 @@ def _module_report(m: HomModule, a: HomAlgebra, acted: list, prod: list) -> Axio
 def check_hom_comodule(m: HomComodule, c: HomCoalgebra) -> AxiomReport:
     """Right Hom-comodule axioms over (C, gamma) on all basis elements."""
     require_same_field(c, m)
-    if m.coaction.d3 != c.dim:
-        raise ValueError("coaction tensor does not match the coalgebra dimension")
+    _require_over(None, c.dim, m)
     b = ReportBuilder()
     dm, dc = m.dim, c.dim
     one = m.field.one()

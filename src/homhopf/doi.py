@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
-                   HomModule, _module_report, _view, check_hom_comodule, check_hom_hopf,
-                   check_hom_module, leg_products, product_table)
+                   HomModule, _module_report, _require_over, _view, check_hom_comodule,
+                   check_hom_hopf, check_hom_module, leg_products, product_table)
 from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
                      vec_combine, vec_dot, vec_sparse, vec_tensor)
 from .report import AxiomReport, ReportBuilder, require
@@ -163,7 +163,8 @@ def check_doi_datum(d: DoiDatum) -> AxiomReport:
 
 
 def check_doi_module(m: DoiModule, d: DoiDatum) -> AxiomReport:
-    """Module and comodule axioms plus the mixed compatibility law."""
+    """Module and comodule axioms plus the mixed compatibility law; a module
+    over another datum is rejected with a ValueError naming both dimensions."""
     acted = product_table(m.action)
     rep = _module_report(m, d.algebra.algebra, acted, product_table(d.algebra.algebra.mult))
     rep = rep.merged(check_hom_comodule(m, d.coalgebra.coalgebra))
@@ -214,18 +215,6 @@ def induce(n: HomModule, d: DoiDatum) -> DoiModule:
                  coaction=coaction, mu_inv=n.mu_inv.kron(d.coalgebra.coalgebra.gamma_inv))
 
 
-def _require_over(a_dim: int, c_dim: int | None, *modules) -> None:
-    """Reject a module not acted on by an ``a_dim``-dimensional algebra or,
-    unless ``c_dim`` is None, not coacting into a ``c_dim``-dimensional one."""
-    for m in modules:
-        if m.action.d2 != a_dim:
-            raise ValueError(f"the module's action is by a {m.action.d2}-dimensional "
-                             f"algebra but the algebra has dimension {a_dim}")
-        if c_dim is not None and m.coaction.d3 != c_dim:
-            raise ValueError(f"the module's coaction is into a {m.coaction.d3}-dimensional "
-                             f"coalgebra but the coalgebra has dimension {c_dim}")
-
-
 def module_morphism_report(f: Matrix, src: HomModule, dst: HomModule,
                            a: HomAlgebra) -> AxiomReport:
     """Is f an A-linear morphism of Hom-modules (action- and twist-compatible)?
@@ -273,7 +262,6 @@ def unit_map(m: DoiModule, d: DoiDatum) -> Matrix:
     (Doi, J. Algebra 153 (1992); the source paper for the Hom form),
     C-colinear by coassociativity, A-linear by the Doi law and
     twist-compatible by the comodule twist law."""
-    _require_over(d.algebra.dim, d.coalgebra.dim, m)
     require(check_doi_module(m, d), "input is not a valid Doi module")
     return m.coaction.as_map_to_pair()
 
@@ -318,8 +306,7 @@ def check_triangle_identities(d: DoiDatum, m: DoiModule, n: HomModule) -> AxiomR
 
 
 def direct_sum_doi(m1: DoiModule, m2: DoiModule) -> DoiModule:
-    if m1.action.d2 != m2.action.d2 or m1.coaction.d3 != m2.coaction.d3:
-        raise ValueError("modules over different data")
+    _require_over(m1.action.d2, m1.coaction.d3, m2)
     require_same_field(m1, m2)
     field = m1.field
     d1 = m1.dim

@@ -15,14 +15,18 @@ a retraction on the canonical module A (x) C yields an integral by
 and the two directions are mutually inverse on that object.  Splittings of
 epimorphisms (and monomorphisms) that split A-linearly are the theorem's one
 candidate nu_M . (g (x) id_C) . rho_N, a composite of three Doi morphisms.
+
+The theorem takes (H, A, C) to be a Doi datum; nothing here checks the
+datum's own laws, which ``homhopf split`` checks on the datum it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .doi import (DoiDatum, DoiModule, _require_over, check_doi_module, doi_morphism_report,
-                  induce, module_morphism_report)
+from .core import _require_over
+from .doi import (DoiDatum, DoiModule, check_doi_module, doi_morphism_report, induce,
+                  module_morphism_report)
 from .integrals import (Infeasible, IntegralCandidate, solve_normalized_integral,
                         verify_integral)
 from .linalg import (Matrix, Tensor3, require_same_field, vec_add_scaled, vec_sparse,
@@ -34,21 +38,18 @@ from .zoo import regular_module
 def build_retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Matrix:
     """The retraction nu_M of the adjunction unit on M.
 
-    Checks theta as a normalized integral of d (an attached report may be
-    for another datum, so it does not count) and M as a Doi module over d;
-    the theorem (module docstring) then covers nu_M, which is not checked."""
-    nu = _retraction(theta, m, d)
+    Checks theta as a normalized integral of d (a report attached to it may
+    be for another datum) and M as a Doi module over d, first; for d a Doi
+    datum the theorem (module docstring) covers nu_M, which is unchecked."""
     require(verify_integral(theta, d).merged(check_doi_module(m, d)),
             "the integral or the module failed verification")
-    return nu
+    return _retraction(theta, m, d)
 
 
 def _retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Matrix:
-    """nu_M, with theta and M checked only for their field and dimensions."""
+    """nu_M; M is checked for its field and dimensions only, theta by the caller."""
     require_same_field(d, theta, m)
     dm, dc, da = m.dim, d.coalgebra.dim, d.algebra.dim
-    if (theta.dim_c, theta.dim_a) != (dc, da):
-        raise ValueError("integral dimensions do not match the datum")
     _require_over(da, dc, m)
     field = m.field
     gam_inv_col = [d.coalgebra.coalgebra.gamma_inv.column(i) for i in range(dc)]

@@ -429,8 +429,11 @@ class TestMorphisms:
         by_a = r"action is by a 1-dimensional algebra but the algebra has dimension 2"
         with pytest.raises(ValueError, match=by_a):
             doi_morphism_report(eye, m, m, rel_kz2)
-        with pytest.raises(ValueError, match=by_a):
-            module_morphism_report(eye, m, m, rel_kz2.algebra.algebra)
+        for entry in (lambda: module_morphism_report(eye, m, m, rel_kz2.algebra.algebra),
+                      lambda: check_hom_module(m, rel_kz2.algebra.algebra),
+                      lambda: check_doi_module(m, rel_kz2)):
+            with pytest.raises(ValueError, match=by_a):
+                entry()
         with pytest.raises(ValueError, match=r"coaction is into a 2-dimensional coalgebra "
                                              r"but the coalgebra has dimension 3"):
             doi_morphism_report(eye, m, m, trivial_datum(group_algebra(3, Q)))
@@ -440,6 +443,9 @@ class TestMorphisms:
         theta = solve_normalized_integral(triv_kz2)
         into_3 = r"coaction is into a 3-dimensional coalgebra but the coalgebra has dimension 2"
         for entry in (lambda: unit_map(m3, triv_kz2),
+                      lambda: check_doi_module(m3, triv_kz2),
+                      lambda: check_hom_comodule(m3, triv_kz2.coalgebra.coalgebra),
+                      lambda: direct_sum_doi(m, m3),
                       lambda: build_retraction(theta, m3, triv_kz2),
                       lambda: separability_report(triv_kz2, [("x", m3)])):
             with pytest.raises(ValueError, match=into_3):
