@@ -356,17 +356,6 @@ def check_hom_comodule(m: HomComodule, c: HomCoalgebra) -> AxiomReport:
     return b.report()
 
 
-def derived_antipode_properties(h: HomHopfAlgebra) -> AxiomReport:
-    """Sanity consequences of the axioms: eps(S(h)) = eps(h) and S(1) = 1."""
-    b = ReportBuilder()
-    unit = vec_sparse(h.unit)
-    b.check_vec("antipode_fixes_unit", (), h.antipode.apply(unit), unit, h.dim)
-    for i in range(h.dim):
-        b.check_scalar("counit_after_antipode", (i,),
-                       vec_dot(h.field, h.antipode.column(i), h.counit), h.counit[i])
-    return b.report()
-
-
 # ---------------------------------------------------------------------------
 # constructions
 

@@ -13,8 +13,10 @@ induction functor sends an A-module N to N (x) C with
     (n (x) c) . a = n.a0 (x) c.a1,
     rho(n (x) c) = (mu^-1(n) (x) c1) (x) gamma(c2).
 
-Its unit is the coaction itself and its counit is (n (x) c) -> eps(c) mu(n);
-both triangle identities hold as exact matrix identities.
+Its unit is the coaction, ``coaction.as_map_to_pair()``, and its counit
+``_counit`` is (n (x) c) -> eps(c) mu(n); both triangle identities hold as
+exact matrix identities.  ``tests/test_doi.py`` checks over a corpus of twists
+that the unit is a Doi morphism and the counit A-linear.
 """
 
 from __future__ import annotations
@@ -183,6 +185,11 @@ def induce(n: HomModule, d: DoiDatum) -> DoiModule:
     """N (x) C with the diagonal action through the coaction on A and the
     comultiplication-shifted coaction.  Index (i, c) sits at i*dim(C) + c."""
     require(check_hom_module(n, d.algebra.algebra), "input is not a valid module")
+    return _induce(n, d)
+
+
+def _induce(n: HomModule, d: DoiDatum) -> DoiModule:
+    """N (x) C for an N whose A-module laws the caller has checked."""
     field = n.field
     dn, dc = n.dim, d.coalgebra.dim
     da, dh = d.algebra.dim, d.hopf.dim
@@ -253,27 +260,6 @@ def _morphism_report(f: Matrix, src: HomModule, dst: HomModule, over, a_dim: int
                     [vec_combine(src.mu.column(k), f_col) for k in range(src.dim)],
                     [vec_combine(v, mu_dst) for v in f_col], f.field, dst.dim)
     return b.report()
-
-
-def unit_map(m: DoiModule, d: DoiDatum) -> Matrix:
-    """The adjunction unit M -> induce(F(M)): the coaction as a matrix.
-
-    Checks M as a Doi module, not the map: rho_M is then a Doi morphism
-    (Doi, J. Algebra 153 (1992); the source paper for the Hom form),
-    C-colinear by coassociativity, A-linear by the Doi law and
-    twist-compatible by the comodule twist law."""
-    require(check_doi_module(m, d), "input is not a valid Doi module")
-    return m.coaction.as_map_to_pair()
-
-
-def counit_map(n: HomModule, d: DoiDatum) -> Matrix:
-    """The adjunction counit induce(N) -> N: (n (x) c) -> eps(c) mu(n).
-
-    Checks N as an A-module, not the map, which is A-linear since
-    eps(c.a1) mu(n.a0) = eps(c) mu(n.beta^-1(a)) = eps(c) mu(n).a, and
-    twist-compatible since eps . gamma = eps."""
-    require(check_hom_module(n, d.algebra.algebra), "input is not a valid module")
-    return _counit(n, d)
 
 
 def _counit(n: HomModule, d: DoiDatum) -> Matrix:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .applications import (comodule_to_doi, regular_comodule_algebra,
+from .applications import (comodule_to_doi, regular_comodule_algebra, relative_datum,
                            trivial_datum, trivial_yd_module, yd_datum)
 from .doi import direct_sum_doi
 from .io import (StructureFile, comodule_algebra_to_raw, doi_datum_to_raw,
@@ -40,7 +40,6 @@ def _trivial_datum_objects(h, hopf_basis):
 
 
 def _relative_datum_objects(h, basis):
-    from .applications import relative_datum
     d = relative_datum(h, regular_comodule_algebra(h))
     return {
         "H": hopf_to_raw(h, basis),

@@ -55,9 +55,6 @@ class IntegralCandidate:
         if (self.theta.d1, self.theta.d2, self.theta.d3) != (self.dim_c, self.dim_c, self.dim_a):
             raise ValueError("theta tensor has wrong shape")
 
-    def flat(self) -> list:
-        return list(self.theta.entries)
-
     @classmethod
     def from_vector(cls, field: Field, dim_c: int, dim_a: int, vec) -> "IntegralCandidate":
         return cls(field, dim_c, dim_a, Tensor3(field, dim_c, dim_c, dim_a, tuple(vec)))
@@ -71,9 +68,6 @@ class Infeasible:
     witness_row: int
     witness_value: object
     combination: tuple  # ((family, instance, coord), coefficient) pairs
-
-    def provenance(self) -> tuple:
-        return tuple(label for label, _ in self.combination)
 
     def message(self) -> str:
         rows = ", ".join(f"{fam}{idx}@{coord}" for (fam, idx, coord), _ in self.combination[:6])

@@ -62,9 +62,6 @@ class StructureFile:
     _built: dict = dc_field(default_factory=dict)
     _scalars: dict = dc_field(default_factory=dict)  # coefficient string -> scalar
 
-    def names(self):
-        return sorted(self.raw)
-
     def kind_of(self, name: str) -> str:
         return self._raw_of(name)["kind"]
 

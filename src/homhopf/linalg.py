@@ -508,9 +508,6 @@ class Matrix(_FibreStore):
                     break
         return out
 
-    def to_rows(self) -> list:
-        return [self.row(r) for r in range(self.rows)]
-
     def nonzero(self) -> Iterator[tuple]:
         for r, fibre in enumerate(self._fibres):
             for c, e in fibre:
@@ -604,9 +601,6 @@ class Matrix(_FibreStore):
         """Reduced row echelon form and the pivot columns in increasing order."""
         R, pivots, _ = _rref_rows(self._fibres, self.field)
         return Matrix._of_rows(self.field, self.cols, R), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def inverse(self) -> "Matrix | None":
         """T with T @ self == I, read off the reduced ``[self | I]``."""
@@ -807,11 +801,6 @@ class Tensor3(_FibreStore):
                 ent.extend(field.of(x) for x in row)
         return cls(field, d1, d2, d3, tuple(ent))
 
-    def to_nested(self) -> list:
-        d2, d3, zero = self.d2, self.d3, self._zero
-        return [[vec_dense(dict(self._fibres[i * d2 + j]), d3, zero) for j in range(d2)]
-                for i in range(self.d1)]
-
     def at(self, i: int, j: int, k: int) -> Scalar:
         if not (0 <= i < self.d1 and 0 <= j < self.d2 and 0 <= k < self.d3):
             raise self._outside("index", (i, j, k))
@@ -886,12 +875,6 @@ class Tensor3(_FibreStore):
                 raise ValueError("operand index out of range")
             vec_add_scaled(out, x, self.left_slice(i))
         return out
-
-    def as_map_from_pair(self) -> Matrix:
-        """The bilinear map as a matrix V1 (x) V2 -> V3 (column index i*d2+j)."""
-        return Matrix.from_nonzeros(self.field, self.d3, self.d1 * self.d2,
-                                    {(k, q): e for q, fibre in enumerate(self._fibres)
-                                     for k, e in fibre})
 
     def as_map_to_pair(self) -> Matrix:
         """The map into a tensor square as a matrix V1 -> V2 (x) V3."""

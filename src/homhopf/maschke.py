@@ -7,8 +7,9 @@ retraction, one linear map per module:
 
 a Doi morphism M (x) C -> M with nu_M . rho_M = id_M, natural in M: the
 source paper's Maschke-type theorem, the Hom form of Doi, J. Algebra 153
-(1992), and Caenepeel, Militaru and Zhu, Trans. AMS 349 (1997).  Conversely
-a retraction on the canonical module A (x) C yields an integral by
+(1992), and Caenepeel, Militaru and Zhu, Trans. AMS 349 (1997); the tests
+check naturality with ``retraction_naturality_report`` in tests/law_oracles.py.
+Conversely a retraction on the canonical module A (x) C yields an integral by
 
     theta(c (x) d) = beta((id (x) eps) nu((1_A (x) gamma^-1(c)) (x) d)),
 
@@ -24,14 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import _require_over
-from .doi import (DoiDatum, DoiModule, check_doi_module, doi_morphism_report, induce,
-                  module_morphism_report)
+from .core import _require_over, check_hom_module
+from .doi import (DoiDatum, DoiModule, _induce, check_doi_module, doi_morphism_report,
+                  induce, module_morphism_report)
 from .integrals import (Infeasible, IntegralCandidate, solve_normalized_integral,
                         verify_integral)
 from .linalg import (Matrix, Tensor3, require_same_field, vec_add_scaled, vec_sparse,
                      vec_tensor)
-from .report import AxiomReport, ConstructionError, ReportBuilder, require
+from .report import AxiomReport, ReportBuilder, require
 from .zoo import regular_module
 
 
@@ -67,11 +68,14 @@ def _retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Matrix:
 
 
 def retraction_report(nu: Matrix, m: DoiModule, d: DoiDatum) -> AxiomReport:
-    """nu retracts the adjunction unit and is a Doi morphism M (x) C -> M."""
+    """nu retracts the adjunction unit and is a Doi morphism M (x) C -> M;
+    the caller checks M's A-module laws, which M (x) C is induced from."""
+    require_same_field(d, nu, m)
+    _require_over(d.algebra.dim, d.coalgebra.dim, m)
     b = ReportBuilder()
     eta = m.coaction.as_map_to_pair()
     b.check_matrix("retracts_unit", (), nu @ eta, Matrix.identity(m.field, m.dim))
-    return b.report().merged(doi_morphism_report(nu, induce(m, d), m, d))
+    return b.report().merged(doi_morphism_report(nu, _induce(m, d), m, d))
 
 
 def canonical_module(d: DoiDatum) -> DoiModule:
@@ -179,26 +183,13 @@ class SeparabilityCertificate:
 
 def separability_report(d: DoiDatum, test_modules) -> SeparabilityCertificate | Infeasible:
     """Solve for an integral; if one exists, build the retraction on every
-    test module and certify each one that ``retraction_report`` passes."""
+    test module and certify each whose A-module laws and ``retraction_report`` pass."""
     result = solve_normalized_integral(d)
     if isinstance(result, Infeasible):
         return result
     checked = []
     for name, module in test_modules:
         nu = _retraction(result, module, d)
-        try:
-            checked.append((name, retraction_report(nu, module, d).passed))
-        except ConstructionError:  # induce rejects a module whose A-module laws fail
-            checked.append((name, False))
+        checked.append((name, check_hom_module(module, d.algebra.algebra).passed
+                        and retraction_report(nu, module, d).passed))
     return SeparabilityCertificate(result, tuple(checked))
-
-
-def retraction_naturality_report(f: Matrix, m_src: DoiModule, m_dst: DoiModule,
-                                 theta: IntegralCandidate, d: DoiDatum) -> AxiomReport:
-    """f . nu_src = nu_dst . (f (x) id_C) for a Doi morphism f."""
-    b = ReportBuilder()
-    nu_src = build_retraction(theta, m_src, d)
-    nu_dst = build_retraction(theta, m_dst, d)
-    eye_c = Matrix.identity(d.field, d.coalgebra.dim)
-    b.check_matrix("naturality", (), f @ nu_src, nu_dst @ f.kron(eye_c))
-    return b.report()

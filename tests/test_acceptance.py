@@ -9,9 +9,7 @@ import time
 
 import classical_oracle as oracle
 from corpus import random_module_over_group_algebra, random_module_over_scalars
-from homhopf.applications import (check_compatibility_equivalence,
-                                  check_k_integral_conditions, check_yd_module,
-                                  check_yd_substructures, comodule_to_doi,
+from homhopf.applications import (check_yd_module, check_yd_substructures, comodule_to_doi,
                                   dual_right_integrals, integral_from_dual,
                                   regular_comodule_algebra, relative_datum,
                                   trivial_datum, yd_datum)
@@ -29,6 +27,7 @@ from homhopf.zoo import (group_algebra, inclusion_matrix, projection_matrix,
                          regular_comodule, regular_module, sweedler_h4,
                          trivial_comodule, twisted_group_algebra,
                          twisted_sweedler)
+from law_oracles import check_k_integral_conditions, coaction_formula_holds, nested
 
 Q = Field.rationals()
 GF7 = Field.prime(7)
@@ -172,8 +171,8 @@ def test_criterion_7_yetter_drinfeld():
         from test_applications import yd_corpus
         for name, m, _ in yd_corpus(h, random.Random(77)):
             ok &= check_yd_substructures(m, h).passed
-            ok &= check_compatibility_equivalence(m, h).passed
             yd_ok = check_yd_module(m, h).passed
+            ok &= yd_ok == coaction_formula_holds(m, h)
             doi_ok = check_doi_module(m, d).passed
             ok &= (yd_ok == doi_ok)
             corpora += 1
@@ -191,8 +190,8 @@ def test_criterion_8_classical_limit():
     ok = True
     for h in criterion_8_hopf_inputs():
         ok &= check_hom_hopf(h).passed == oracle.hopf_ok(
-            h.mult.to_nested(), list(h.unit), h.comult.to_nested(),
-            list(h.counit), h.antipode.to_rows())
+            nested(h.mult), list(h.unit), nested(h.comult),
+            list(h.counit), nested(h.antipode))
     # module/comodule/datum-level agreement runs in the dedicated suite; here
     # we assert the aggregated verdict of that suite's own checks
     rc = subprocess.run([sys.executable, "-m", "pytest", "-q",

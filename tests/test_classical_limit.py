@@ -14,12 +14,13 @@ from homhopf.doi import (DoiModule, check_comodule_algebra, check_doi_module,
                          check_module_coalgebra, induce)
 from homhopf.linalg import Field, Matrix, Tensor3
 from homhopf.zoo import group_algebra, sweedler_h4
+from law_oracles import nested
 
 Q = Field.rationals()
 
 
 def nested_mult(h):
-    return h.mult.to_nested()
+    return nested(h.mult)
 
 
 def corrupted_hopf_variants(h):
@@ -47,26 +48,26 @@ class TestHopfLevel:
     def test_valid_structures_agree(self):
         for h in [group_algebra(2, Q), group_algebra(3, Q), group_algebra(4, Q),
                   group_algebra(6, Q), sweedler_h4(Q)]:
-            classical = oracle.hopf_ok(h.mult.to_nested(), list(h.unit),
-                                       h.comult.to_nested(), list(h.counit),
-                                       h.antipode.to_rows())
+            classical = oracle.hopf_ok(nested(h.mult), list(h.unit),
+                                       nested(h.comult), list(h.counit),
+                                       nested(h.antipode))
             assert check_hom_hopf(h).passed == classical is True
 
     def test_corrupted_structures_agree(self):
         for base in [group_algebra(2, Q), sweedler_h4(Q)]:
             for name, h in corrupted_hopf_variants(base):
-                classical = oracle.hopf_ok(h.mult.to_nested(), list(h.unit),
-                                           h.comult.to_nested(), list(h.counit),
-                                           h.antipode.to_rows())
+                classical = oracle.hopf_ok(nested(h.mult), list(h.unit),
+                                           nested(h.comult), list(h.counit),
+                                           nested(h.antipode))
                 hom = check_hom_hopf(h).passed
                 assert hom == classical, f"{name}: hom={hom} classical={classical}"
 
     def test_algebra_and_coalgebra_pieces_agree(self):
         h = sweedler_h4(Q)
         assert check_hom_algebra(h.as_algebra()).passed == \
-            oracle.algebra_ok(h.mult.to_nested(), list(h.unit))
+            oracle.algebra_ok(nested(h.mult), list(h.unit))
         assert check_hom_coalgebra(h.as_coalgebra()).passed == \
-            oracle.coalgebra_ok(h.comult.to_nested(), list(h.counit))
+            oracle.coalgebra_ok(nested(h.comult), list(h.counit))
 
 
 class TestModuleLevel:
@@ -87,8 +88,8 @@ class TestModuleLevel:
         bad = HomModule(Q, 2, Matrix.identity(Q, 2), Tensor3.zeros(Q, 2, 2, 2))
         candidates.append(bad)
         for m in candidates:
-            classical = oracle.module_ok(h.mult.to_nested(), list(h.unit),
-                                         m.action.to_nested())
+            classical = oracle.module_ok(nested(h.mult), list(h.unit),
+                                         nested(m.action))
             assert check_hom_module(m, h.as_algebra()).passed == classical
 
     def test_comodules_agree(self):
@@ -103,8 +104,8 @@ class TestModuleLevel:
             candidates.append(HomComodule(Q, dim, Matrix.identity(Q, dim), coaction))
         candidates.append(HomComodule(Q, 2, Matrix.identity(Q, 2), Tensor3.zeros(Q, 2, 2, 2)))
         for m in candidates:
-            classical = oracle.comodule_ok(h.comult.to_nested(), list(h.counit),
-                                           m.coaction.to_nested())
+            classical = oracle.comodule_ok(nested(h.comult), list(h.counit),
+                                           nested(m.coaction))
             assert check_hom_comodule(m, h.as_coalgebra()).passed == classical
 
 
@@ -116,8 +117,8 @@ class TestDoiLevel:
         bad = ComoduleAlgebra(h.as_algebra(), Tensor3.zeros(Q, 2, 2, 2))
         for a in [good, bad]:
             classical = oracle.comodule_algebra_ok(
-                a.algebra.mult.to_nested(), list(a.algebra.unit), a.coaction.to_nested(),
-                h.mult.to_nested(), list(h.unit), h.comult.to_nested(), list(h.counit))
+                nested(a.algebra.mult), list(a.algebra.unit), nested(a.coaction),
+                nested(h.mult), list(h.unit), nested(h.comult), list(h.counit))
             assert check_comodule_algebra(a, h).passed == classical
 
     def test_module_coalgebra_agrees(self):
@@ -127,9 +128,9 @@ class TestDoiLevel:
         bad = ModuleCoalgebra(h.as_coalgebra(), Tensor3.zeros(Q, 2, 2, 2))
         for c in [good, bad]:
             classical = oracle.module_coalgebra_ok(
-                c.coalgebra.comult.to_nested(), list(c.coalgebra.counit),
-                c.action.to_nested(),
-                h.mult.to_nested(), list(h.unit), h.comult.to_nested(), list(h.counit))
+                nested(c.coalgebra.comult), list(c.coalgebra.counit),
+                nested(c.action),
+                nested(h.mult), list(h.unit), nested(h.comult), list(h.counit))
             assert check_module_coalgebra(c, h).passed == classical
 
     def test_doi_modules_agree(self):
@@ -153,11 +154,11 @@ class TestDoiLevel:
         candidates.append(DoiModule(Q, good.dim, good.mu, good.action, trivial_grading))
         for m in candidates:
             classical = oracle.doi_module_ok(
-                m.action.to_nested(), m.coaction.to_nested(),
-                d.algebra.algebra.mult.to_nested(), list(d.algebra.algebra.unit),
-                d.algebra.coaction.to_nested(),
-                d.coalgebra.coalgebra.comult.to_nested(),
-                list(d.coalgebra.coalgebra.counit), d.coalgebra.action.to_nested())
+                nested(m.action), nested(m.coaction),
+                nested(d.algebra.algebra.mult), list(d.algebra.algebra.unit),
+                nested(d.algebra.coaction),
+                nested(d.coalgebra.coalgebra.comult),
+                list(d.coalgebra.coalgebra.counit), nested(d.coalgebra.action))
             assert check_doi_module(m, d).passed == classical
 
     def test_trivial_datum_comodules_agree(self):
@@ -169,6 +170,6 @@ class TestDoiLevel:
             if not m.mu.is_identity():
                 continue
             doi = comodule_to_doi(m, d)
-            classical = oracle.comodule_ok(h.comult.to_nested(), list(h.counit),
-                                           m.coaction.to_nested())
+            classical = oracle.comodule_ok(nested(h.comult), list(h.counit),
+                                           nested(m.coaction))
             assert check_doi_module(doi, d).passed == classical

@@ -52,7 +52,7 @@ class TestRoundTrip:
     def test_all_objects_buildable(self):
         for name in golden_names():
             sf = golden_file(name, Q)
-            for obj in sf.names():
+            for obj in sorted(sf.raw):
                 sf.build(obj)
 
 

@@ -10,7 +10,6 @@ from corpus import twist_corpus
 from homhopf.core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra, HomModule,
                           check_hom_algebra, check_hom_coalgebra, check_hom_comodule,
                           check_hom_hopf, check_hom_module,
-                          derived_antipode_properties,
                           hopf_automorphism_report, opposite_tensor, yau_twist)
 from homhopf.doi import (ComoduleAlgebra, DoiModule, ModuleCoalgebra, check_comodule_algebra,
                          check_module_coalgebra)
@@ -20,6 +19,7 @@ from homhopf.zoo import (group_algebra, one_dimensional_hopf, power_automorphism
                          regular_comodule, regular_module, sweedler_h4,
                          sweedler_scaling, twisted_group_algebra,
                          twisted_sweedler)
+from law_oracles import derived_antipode_properties
 
 Q = Field.rationals()
 

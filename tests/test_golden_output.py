@@ -59,14 +59,14 @@ def _sweep(tmp: str):
             path = os.path.join(tmp, f"{flag.replace(':', '')}_{name}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(serialize_structure_file(sf))
-            for obj in sf.names():
+            for obj in sorted(sf.raw):
                 yield f"{flag} check --verbose {name} {obj}", \
                     ["check", path, obj, "--verbose"], None
             if sf.raw.get("D", {}).get("kind") != "doi_datum":
                 continue
             yield (f"{flag} find-integral {name} D",
                    ["find-integral", path, "D", "--out", out], out)
-            modules = [o for o in sf.names() if sf.kind_of(o) == "doi_module"] or ["D"]
+            modules = [o for o in sorted(sf.raw) if sf.kind_of(o) == "doi_module"] or ["D"]
             yield (f"{flag} certify {name} D {' '.join(modules)}",
                    ["certify", path, "D", *modules, "--out", out], out)
             if name != "maschke_split_kZ2":

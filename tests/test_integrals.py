@@ -128,7 +128,7 @@ class TestSolve:
         assert isinstance(r, Infeasible)
         assert r.witness_value
         assert r.combination
-        fams = {lbl[0] for lbl in r.provenance()}
+        fams = {lbl[0] for lbl, _ in r.combination}
         assert "normalization" in fams
 
     def test_twisted_sweedler_infeasible(self):
@@ -171,7 +171,7 @@ class TestVerify:
         d = trivial_datum(group_algebra(2, Q))
         sol = solve_normalized_integral(d)
         doubled = IntegralCandidate.from_vector(Q, 2, 1,
-                                                [x + x for x in sol.flat()])
+                                                [x + x for x in sol.theta.entries])
         rep = verify_integral(doubled, d)
         assert rep.failing_axioms() == ("normalization",)
 
@@ -179,7 +179,7 @@ class TestVerify:
         d = trivial_datum(group_algebra(3, Q))
         sol = solve_normalized_integral(d)
         tripled = IntegralCandidate.from_vector(Q, 3, 1,
-                                                [Q.of(3) * x for x in sol.flat()])
+                                                [Q.of(3) * x for x in sol.theta.entries])
         res = integral_residuals(tripled, d)
         for (fam, _), r in res.items():
             if fam != "normalization":
@@ -250,7 +250,7 @@ class TestWitness:
             rows += [s.affine_lhs.row(i) for i in range(s.affine_lhs.rows)]
             rhs = [field.zero()] * s.homogeneous.rows + list(s.affine_rhs)
             if isinstance(r, IntegralCandidate):
-                vec = r.flat()
+                vec = r.theta.entries
                 assert all(_dot(row, vec, field) == b for row, b in zip(rows, rhs)), key
                 continue
             acc = [field.zero()] * s.unknown_count

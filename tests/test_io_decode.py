@@ -75,7 +75,7 @@ def _load(field, name):
 def test_decoded_parts_equal_the_dense_constructors(field, name):
     sf = _load(field, name)
     seen = 0
-    for obj in sf.names():
+    for obj in sorted(sf.raw):
         built = sf.build(obj)
         raw = sf.raw[obj]
         for key, path in PARTS[raw["kind"]].items():
@@ -116,7 +116,7 @@ def test_each_distinct_coefficient_is_parsed_once(field, name, monkeypatch):
 
     monkeypatch.setattr(Field, "of", counting)
     sf = parse_structure_file(text)
-    for obj in sf.names():
+    for obj in sorted(sf.raw):
         sf.build(obj)
     assert parsed == {s: 1 for s in strings}
     assert sum(strings.values()) > len(strings)

@@ -9,6 +9,7 @@ from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows, _tran
                             solve_affine, vec_add_scaled, vec_dense, vec_dot,
                             vec_scale, vec_sparse, vec_sub, vec_tensor)
 from homhopf.zoo import group_algebra
+from law_oracles import nested
 
 Q = Field.rationals()
 
@@ -283,7 +284,7 @@ class TestSparseKernelOracle:
         upper = [[next(above) if c > r else diag[r] if c == r else 0 for c in range(n)]
                  for r in range(n)]
         m = mat(p, field) @ mat(lower, field) @ mat(upper, field)
-        _, pivots, transform = dense_gauss_jordan(m.to_rows(), field)
+        _, pivots, transform = dense_gauss_jordan(nested(m), field)
         assert pivots == list(range(n))
         assert m.inverse() == Matrix.from_rows(field, transform)
 
@@ -320,7 +321,7 @@ class TestSolveAffine:
         if not sol.feasible:
             # no solution may exist: rank of augmented must exceed rank of A
             aug = Matrix.from_rows(Q, [a.row(r) + [Fraction(b[r])] for r in range(a.rows)])
-            assert aug.rank() == a.rank() + 1
+            assert len(aug.rref()[1]) == len(a.rref()[1]) + 1
             return
         want = vec_sparse([Fraction(x) for x in b])
         assert a.apply(vec_sparse(sol.particular)) == want
@@ -334,7 +335,7 @@ class TestSolveAffine:
     def test_nullspace_dimension(self, rows):
         a = mat(rows)
         sol = solve_affine(a, [Fraction(0)] * a.rows)
-        assert len(sol.nullspace_basis) == a.cols - a.rank()
+        assert len(sol.nullspace_basis) == a.cols - len(a.rref()[1])
 
 
 class TestComposeTensorApply:
@@ -409,14 +410,6 @@ class TestComposeTensorApply:
 
 
 class TestTensor3Views:
-    def test_as_map_from_pair_matches_apply(self):
-        t = Tensor3.from_nested(Q, [[[1, 2], [0, 1]], [[3, 0], [1, 1]]])
-        m = t.as_map_from_pair()
-        for i in range(2):
-            for j in range(2):
-                via_matrix = m.apply({i * 2 + j: Fraction(1)})
-                assert via_matrix == t.at_pair(i, j)
-
     def test_as_map_to_pair_roundtrip(self):
         t = Tensor3.from_nested(Q, [[[1, 2], [0, 1]], [[3, 0], [1, 1]]])
         m = t.as_map_to_pair()
@@ -573,11 +566,6 @@ class DenseTensor:
                 out[s] = out[s] + v[i] * self.left_slice(i)[s]
         return out
 
-    def as_map_from_pair(self):
-        return Matrix.build(self.field, self.d3, self.d1 * self.d2,
-                            lambda k, c: self.at(c // self.d2, c % self.d2, k)
-                            if self.d2 else self.field.zero())
-
     def as_map_to_pair(self):
         return Matrix.build(self.field, self.d2 * self.d3, self.d1,
                             lambda r, i: self.at(i, r // self.d3, r % self.d3)
@@ -643,9 +631,7 @@ class TestTensor3Oracle:
                 for k in range(d3):
                     assert t.at(i, j, k) == ref.at(i, j, k)
         assert list(t.nonzero()) == ref.nonzero()
-        assert t.as_map_from_pair() == ref.as_map_from_pair()
         assert t.as_map_to_pair() == ref.as_map_to_pair()
-        assert t.to_nested() == [[ref.at_pair(i, j) for j in range(d2)] for i in range(d1)]
 
         v = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=d1, max_size=d1))]
         w = [field.of(x) for x in data.draw(st.lists(sparse_ints, min_size=d2, max_size=d2))]
@@ -917,7 +903,6 @@ class TestMatrixOracle:
             assert m.row(r) == ref.row(r)
             for c in range(cols):
                 assert m.at(r, c) == ref.at(r, c)
-        assert m.to_rows() == ref.to_rows()
         columns = [m.column(c) for c in range(cols)]
         assert columns == [vec_sparse(ref.column(c)) for c in range(cols)]
         assert all(e for fibre in m._fibres for _, e in fibre)
@@ -935,7 +920,7 @@ class TestMatrixOracle:
         assert m.kron(g.matrix()) == ref.kron(g)
         results = [m.apply(vec_sparse(v)), m.kron_apply(g.matrix(), vec_sparse(vv))]
         assert results == [vec_sparse(dense_apply(ref.to_rows(), v, field)),
-                           vec_sparse(dense_apply(ref.kron(g).to_rows(), vv, field))]
+                           vec_sparse(dense_apply(nested(ref.kron(g)), vv, field))]
         assert all(stores_no_zero(x) for x in results + columns)
         assert m.add(same.matrix()) == ref.combine(same, lambda a, b: a + b)
         assert m.sub(same.matrix()) == ref.combine(same, lambda a, b: a - b)

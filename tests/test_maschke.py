@@ -14,14 +14,14 @@ from homhopf.integrals import (Infeasible, IntegralCandidate, solve_normalized_i
                                verify_integral)
 from homhopf.linalg import Field, Matrix, Tensor3
 from homhopf.maschke import (SeparabilityCertificate, build_retraction, canonical_module,
-                             extract_integral, retraction_naturality_report,
-                             retraction_report, separability_report,
+                             extract_integral, retraction_report, separability_report,
                              split_epimorphism, split_monomorphism)
 from homhopf.report import ConstructionError
 from homhopf.zoo import (group_algebra, inclusion_matrix, one_dimensional_hopf,
                          projection_matrix, regular_comodule, regular_module, sweedler_h4,
                          trivial_comodule, twisted_group_algebra,
                          twisted_sweedler)
+from law_oracles import retraction_naturality_report
 
 Q = Field.rationals()
 
@@ -274,14 +274,16 @@ class TestSplitting:
         assert exc.value.report.failing_axioms() == check_doi_module(n, d).failing_axioms()
 
     def test_each_hypothesis_is_checked_once(self, monkeypatch):
+        import homhopf.doi as doi
         import homhopf.maschke as maschke
         d, theta, reg, _, big = self._setting()
         calls = []
-        for name in ("verify_integral", "check_doi_module", "retraction_report"):
-            def spy(first, *rest, name=name, real=getattr(maschke, name)):
+        for module, name in ((maschke, "verify_integral"), (maschke, "check_doi_module"),
+                             (maschke, "retraction_report"), (doi, "check_hom_module")):
+            def spy(first, *rest, name=name, real=getattr(module, name)):
                 calls.append((name, first))
                 return real(first, *rest)
-            monkeypatch.setattr(maschke, name, spy)
+            monkeypatch.setattr(module, name, spy)
 
         build_retraction(theta, reg, d)
         assert calls == [("verify_integral", theta), ("check_doi_module", reg)]
@@ -293,7 +295,9 @@ class TestSplitting:
         nu = build_retraction(theta, canonical_module(d), d)
         calls.clear()
         extract_integral(nu, d)
-        assert calls == [("retraction_report", nu)]
+        # A (x) C is induced once, from A's regular module, which is checked
+        assert [name for name, _ in calls] == ["check_hom_module", "retraction_report"]
+        assert calls[1] == ("retraction_report", nu)
 
     def test_non_section_rejected(self):
         d, theta, reg, tri, big = self._setting()
@@ -407,6 +411,13 @@ class TestSeparability:
         bad = DoiModule(Q, 2, reg.mu, doubled, reg.coaction)
         cert = separability_report(d, [("regular", reg), ("doubled", bad)])
         assert cert.checked_modules == (("regular", True), ("doubled", False))
+        # over (kZ2, kZ2, kZ2), k with g acting as 0 breaks the module laws,
+        # yet the retraction built on it passes retraction_report
+        rel = relative_datum(h, regular_comodule_algebra(h))
+        g_as_zero = DoiModule(Q, 1, Matrix.identity(Q, 1), Tensor3(Q, 1, 2, 1, (1, 0)),
+                              Tensor3(Q, 1, 1, 2, (1, 0)))
+        assert separability_report(rel, [("g as 0", g_as_zero)]).checked_modules == (
+            ("g as 0", False),)
 
     def test_infeasible_for_sweedler(self):
         d = trivial_datum(sweedler_h4(Q))

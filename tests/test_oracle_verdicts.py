@@ -26,6 +26,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.dirname(__file__))
 
 import classical_oracle as oracle  # noqa: E402
+from law_oracles import nested  # noqa: E402
 import test_acceptance  # noqa: E402
 import test_classical_limit  # noqa: E402
 
@@ -61,8 +62,8 @@ def _run_suite() -> None:
                 if name.startswith("test_"):
                     getattr(cls(), name)()
     for h in test_acceptance.criterion_8_hopf_inputs():
-        oracle.hopf_ok(h.mult.to_nested(), list(h.unit), h.comult.to_nested(),
-                       list(h.counit), h.antipode.to_rows())
+        oracle.hopf_ok(nested(h.mult), list(h.unit), nested(h.comult),
+                       list(h.counit), nested(h.antipode))
 
 
 def verdicts(setattr_=setattr) -> list:
