@@ -5,7 +5,7 @@ import pytest
 
 from corpus import (random_module_over_group_algebra, random_module_over_scalars,
                     twist_breaking_module, twist_corpus)
-from homhopf.applications import (check_yd_module, comodule_to_doi,
+from homhopf.applications import (check_yd_module, check_yd_substructures, comodule_to_doi,
                                   dual_right_integrals, integral_from_dual,
                                   regular_comodule_algebra, relative_datum,
                                   trivial_datum, trivial_yd_module, yd_datum,
@@ -20,12 +20,15 @@ from homhopf.doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra, 
                          module_morphism_report)
 from homhopf.integrals import integral_residuals, solve_normalized_integral
 from homhopf.linalg import Field, Matrix, Tensor3, vec_dense
-from homhopf.maschke import (build_retraction, canonical_module, retraction_report,
-                             separability_report)
+from homhopf.maschke import (build_retraction, canonical_module, extract_integral,
+                             retraction_report, separability_report, split_epimorphism,
+                             split_monomorphism)
 from homhopf.report import ConstructionError
 from homhopf.zoo import (group_algebra, inclusion_matrix, projection_matrix,
                          regular_comodule, regular_module, sweedler_h4, trivial_comodule,
                          twisted_group_algebra, twisted_sweedler)
+from law_oracles import (check_k_integral_conditions, coaction_of_action_residuals,
+                         retraction_naturality_report)
 
 Q = Field.rationals()
 
@@ -99,16 +102,30 @@ class TestDatumBoundary:
         lambda q, p: doi_morphism_report(p.f, q.m, q.m, q.d),
         lambda q, p: build_retraction(p.theta, q.m, q.d),
         lambda q, p: retraction_report(build_retraction(p.theta, p.m, p.d), q.m, q.d),
+        lambda q, p: retraction_naturality_report(p.f, q.m, q.m, q.theta, q.d),
         lambda q, p: integral_residuals(p.theta, q.d),
         lambda q, p: direct_sum_doi(q.m, p.m),
         lambda q, p: yd_residuals(trivial_yd_module(p.h), q.h),
+        lambda q, p: coaction_of_action_residuals(trivial_yd_module(p.h), q.h),
+        lambda q, p: check_k_integral_conditions(
+            integral_from_dual(dual_right_integrals(p.h)[0], p.h), q.h),
         lambda q, p: integral_from_dual(dual_right_integrals(p.h)[0], q.h),
+        lambda q, p: extract_integral(build_retraction(p.theta, canonical_module(p.d), p.d), q.d),
+        lambda q, p: split_epimorphism(q.f, q.f, q.m, q.m, p.theta, q.d),
+        lambda q, p: split_monomorphism(q.f, q.f, q.m, p.m, q.theta, q.d),
+        lambda q, p: check_yd_substructures(trivial_yd_module(p.h), q.h),
+        lambda q, p: separability_report(q.d, [("regular", p.m)]),
     ], ids=["hopf_automorphism_report", "module_morphism_report", "doi_morphism_report",
-            "build_retraction", "retraction_report", "integral_residuals",
-            "direct_sum_doi", "yd_residuals", "integral_from_dual"])
+            "build_retraction", "retraction_report", "retraction_naturality_report",
+            "integral_residuals", "direct_sum_doi", "yd_residuals",
+            "coaction_of_action_residuals", "check_k_integral_conditions",
+            "integral_from_dual", "extract_integral", "split_epimorphism",
+            "split_monomorphism", "check_yd_substructures", "separability_report"])
     def test_entry_rejects_part_over_another_field(self, entry):
         # the Q parts meet a GF(7) morphism, integral, module or functional;
-        # each probe used to die with a TypeError on mixed scalars
+        # each probe used to die with a TypeError on mixed scalars.  The
+        # second codings of tests/law_oracles.py must reject them as well,
+        # or a cross-check could compare a verdict with garbage
         with pytest.raises(ValueError, match=r"is over (Q|GF\(7\)) but the \w+ is over (Q|GF\(7\))"):
             entry(_trivial_datum_parts(Q), _trivial_datum_parts(Field.prime(7)))
 
@@ -265,7 +282,7 @@ class TestDoiModules:
 
 
 class TestAdjunction:
-    def test_unit_is_coaction(self, triv_kz2):
+    def test_unit_map_is_coaction(self, triv_kz2):
         # the unit rho_M of the regular kZ2-comodule sends g to g (x) g
         h = group_algebra(2, Q)
         m = comodule_to_doi(regular_comodule(h.as_coalgebra()), triv_kz2)
