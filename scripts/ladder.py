@@ -18,7 +18,11 @@ The T4 rungs are left out unless ``--t4`` is given: their yd system has
 
 For each rung, each layer's time is the least of ``--repeat`` in-process
 runs: the datum's construction (``trivial_datum``, ``relative_datum`` or
-``yd_datum`` on a Hopf algebra built beforehand); ``assemble_integral_system``;
+``yd_datum`` on a Hopf algebra built beforehand); reading the datum back
+(``read_s``: ``parse_structure_file`` and ``build`` of the structure file
+that ``io``'s encoders write for it, serialized once); ``check_doi_datum``
+on it (``check_s``, with the number of axiom instances it checked);
+``assemble_integral_system``;
 elimination, by the solver's own ``_rref_rows``, of the rows the solver
 eliminates (from ``_integral_rows``, with the normalization right-hand side
 as the last column); ``solve_normalized_integral``; ``verify_integral`` on
@@ -27,7 +31,7 @@ the answer when an integral exists; then, on the canonical module A (x) C,
 exists (``retraction_s``), and ``check_triangle_identities`` with A's
 regular module as N (``triangle_s``).  Sizes come with the times: rows,
 empty rows (no nonzero left of the right-hand side), unknowns, nonzeros, the
-rank of the augmented system and the answer kind.  Sizes are deterministic; times
+rank of the augmented system, the answer kind and the checked instances.  Sizes are deterministic; times
 are not.  One line per rung, and the last line of stdout is one JSON object.
 Standard library only.
 """
@@ -81,6 +85,17 @@ def datum_thunk(kind: str, build, fname: str):
     return lambda: trivial_datum(h)
 
 
+def datum_text(d) -> str:
+    """The structure file of the datum ``d``: its Hopf algebra H, comodule
+    algebra A, module coalgebra C and the datum D."""
+    from homhopf.io import (StructureFile, comodule_algebra_to_raw, doi_datum_to_raw,
+                            hopf_to_raw, module_coalgebra_to_raw, serialize_structure_file)
+
+    raw = {"H": hopf_to_raw(d.hopf), "A": comodule_algebra_to_raw(d.algebra, "H"),
+           "C": module_coalgebra_to_raw(d.coalgebra, "H"), "D": doi_datum_to_raw("H", "A", "C")}
+    return serialize_structure_file(StructureFile(d.field, raw))
+
+
 def best(fn, repeat: int) -> tuple:
     """(least seconds over ``repeat`` calls of ``fn``, the last call's result)."""
     least = None
@@ -93,14 +108,18 @@ def best(fn, repeat: int) -> tuple:
 
 
 def measure(build_datum, repeat: int) -> dict:
-    from homhopf.doi import check_triangle_identities
+    from homhopf.doi import check_doi_datum, check_triangle_identities
     from homhopf.integrals import (IntegralCandidate, _integral_rows, assemble_integral_system,
                                    solve_normalized_integral, verify_integral)
+    from homhopf.io import parse_structure_file
     from homhopf.linalg import _rref_rows
     from homhopf.maschke import build_retraction, canonical_module, extract_integral
     from homhopf.zoo import regular_module
 
     datum_s, d = best(build_datum, repeat)
+    text = datum_text(d)
+    read_s = best(lambda: parse_structure_file(text).build("D"), repeat)[0]
+    check_s, report = best(lambda: check_doi_datum(d), repeat)
     assemble_s, system = best(lambda: assemble_integral_system(d), repeat)
     nunk = system.unknown_count
     del system  # the T4 rungs hold one system at a time
@@ -121,10 +140,11 @@ def measure(build_datum, repeat: int) -> dict:
     retraction_s = best(lambda: extract_integral(build_retraction(answer, m, d), d),
                         repeat)[0] if feasible else None
     triangle_s = best(lambda: check_triangle_identities(d, m, n), repeat)[0]
-    times = {"datum_s": datum_s, "assemble_s": assemble_s, "elim_s": elim_s,
+    times = {"datum_s": datum_s, "read_s": read_s, "check_s": check_s, "assemble_s": assemble_s, "elim_s": elim_s,
              "solve_s": solve_s, "verify_s": verify_s, "retraction_s": retraction_s,
              "triangle_s": triangle_s}
     return {**sizes, "rank": len(pivots), "answer": "feasible" if feasible else "infeasible",
+            "checked": report.checked,
             **{k: None if t is None else round(t, 6) for k, t in times.items()}}
 
 
@@ -152,7 +172,8 @@ def main(argv=None) -> int:
                               for k in ("verify_s", "retraction_s"))
         print(f"{name}: {r['rows']} rows ({r['empty_rows']} empty), {r['unknowns']} unknowns, "
               f"{r['nnz']} nonzeros, rank {r['rank']}, {r['answer']}; datum "
-              f"{r['datum_s']:.4f} s, assemble {r['assemble_s']:.4f} s, elimination "
+              f"{r['datum_s']:.4f} s, read {r['read_s']:.4f} s, check {r['check_s']:.4f} s "
+              f"({r['checked']} instances), assemble {r['assemble_s']:.4f} s, elimination "
               f"{r['elim_s']:.4f} s, solve {r['solve_s']:.4f} s, verify {verify}, "
               f"retraction {retraction}, triangles {r['triangle_s']:.4f} s", flush=True)
     print(json.dumps({"repeat": args.repeat, "rungs": results}))

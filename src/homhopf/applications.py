@@ -76,6 +76,7 @@ def _twist_action(mu: Matrix) -> Tensor3:
 
 def comodule_to_doi(m: HomComodule, d: DoiDatum) -> DoiModule:
     """Over the trivial datum the only A-action is m . 1 = mu(m)."""
+    require_same_field(d, m)
     if d.algebra.dim != 1:
         raise ValueError("expected a trivial datum")
     return DoiModule(m.field, m.dim, m.mu, _twist_action(m.mu), m.coaction)
@@ -103,7 +104,7 @@ def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
     square = opposite_tensor(h)
     field, n = h.field, h.dim
     zero, one = field.zero(), field.one()
-    alpha_col = [h.alpha.column(i) for i in range(n)]
+    alpha_col = h.alpha.columns()
 
     # coaction  h -> alpha(h21) (x) (h22 (x) S(alpha^-1(h1)))
     coa = {}
@@ -136,8 +137,8 @@ def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     field = m.field
     one = field.one()
     dm, dh = m.dim, h.dim
-    mu_col = [m.mu.column(i) for i in range(dm)]
-    mu_inv_col = [m.mu_inv.column(i) for i in range(dm)]
+    mu_col = m.mu.columns()
+    mu_inv_col = m.mu_inv.columns()
     out = {}
     for i, j, lhs in leg_products(m.coaction, h.comult, product_table(m.action),
                                   product_table(h.mult), dh):

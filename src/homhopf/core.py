@@ -212,7 +212,7 @@ def check_hom_algebra(a: HomAlgebra) -> AxiomReport:
 def _algebra_report(a: HomAlgebra, prod: list) -> AxiomReport:
     b = ReportBuilder()
     n = a.dim
-    alpha_col = [a.alpha.column(i) for i in range(n)]
+    alpha_col = a.alpha.columns()
     by_right = [[prod[r][l] for r in range(n)] for l in range(n)]  # [l][r] = e_r e_l
     left = [[vec_combine(alpha_col[i], by_right[l]) for l in range(n)] for i in range(n)]
     right = [[vec_combine(alpha_col[k], prod[l]) for l in range(n)] for k in range(n)]
@@ -237,8 +237,8 @@ def check_hom_coalgebra(c: HomCoalgebra) -> AxiomReport:
     b = ReportBuilder()
     n = c.dim
     one = c.field.one()
-    gamma_col = [c.gamma.column(i) for i in range(n)]
-    gamma_inv_col = [c.gamma_inv.column(i) for i in range(n)]
+    gamma_col = c.gamma.columns()
+    gamma_inv_col = c.gamma_inv.columns()
     coprod = [c.comult.left_slice(i) for i in range(n)]
     for i in range(n):
         b.check_scalar("twist_preserves_counit", (i,),
@@ -269,7 +269,7 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
     field = h.field
     one = field.one()
     unit = vec_sparse(h.unit)
-    s_col = [h.antipode.column(i) for i in range(n)]
+    s_col = h.antipode.columns()
     b.check_vec("comult_unit", (), h.comult.apply_left(unit), vec_tensor(unit, unit, n), n * n)
     b.check_scalar("counit_unit", (), vec_dot(field, unit, h.counit), one)
     for i, j, rhs in leg_products(h.comult, h.comult, prod, prod, n):
@@ -312,8 +312,8 @@ def _module_report(m: HomModule, a: HomAlgebra, acted: list, prod: list) -> Axio
     _require_over(a.dim, None, m)
     b = ReportBuilder()
     dm, da = m.dim, a.dim
-    mu_col = [m.mu.column(i) for i in range(dm)]
-    alpha_col = [a.alpha.column(i) for i in range(da)]
+    mu_col = m.mu.columns()
+    alpha_col = a.alpha.columns()
     by_algebra = [[acted[r][l] for r in range(dm)] for l in range(da)]  # [l][r] = e_r.a_l
     twisted = [[vec_combine(mu_col[i], by_algebra[l]) for l in range(da)] for i in range(dm)]
     by_twist = [[vec_combine(alpha_col[k], acted[l]) for l in range(dm)] for k in range(da)]
@@ -337,8 +337,8 @@ def check_hom_comodule(m: HomComodule, c: HomCoalgebra) -> AxiomReport:
     b = ReportBuilder()
     dm, dc = m.dim, c.dim
     one = m.field.one()
-    mu_inv_col = [m.mu_inv.column(i) for i in range(dm)]
-    gamma_inv_col = [c.gamma_inv.column(i) for i in range(dc)]
+    mu_inv_col = m.mu_inv.columns()
+    gamma_inv_col = c.gamma_inv.columns()
     legs = [m.coaction.left_slice(i) for i in range(dm)]
     coprod = [c.comult.left_slice(i) for i in range(dc)]
     for i in range(dm):
@@ -362,15 +362,21 @@ def check_hom_comodule(m: HomComodule, c: HomCoalgebra) -> AxiomReport:
 def hopf_automorphism_report(h: HomHopfAlgebra, a: Matrix) -> AxiomReport:
     """Check that ``a`` is a Hopf automorphism of ``h``: it preserves
     multiplication, unit, comultiplication, counit, antipode and is invertible."""
+    return _automorphism_report(h, a)[0]
+
+
+def _automorphism_report(h: HomHopfAlgebra, a: Matrix) -> tuple:
+    """(the report of ``hopf_automorphism_report``, the inverse of ``a`` or None)."""
     require_same_field(h, a)
     n = h.dim
     if a.shape != (n, n):
         raise ValueError(f"the automorphism is a {a.rows}x{a.cols} matrix but the "
                          f"Hopf algebra has dimension {n}, which needs {n}x{n}")
     b = ReportBuilder()
-    if a.inverse() is None:
+    a_inv = a.inverse()
+    if a_inv is None:
         b.fail("automorphism_invertible", ())
-    a_col = [a.column(i) for i in range(n)]
+    a_col = a.columns()
     unit = vec_sparse(h.unit)
     b.check_vec("automorphism_unit", (), a.apply(unit), unit, n)
     for i in range(n):
@@ -384,7 +390,7 @@ def hopf_automorphism_report(h: HomHopfAlgebra, a: Matrix) -> AxiomReport:
         for j in range(n):
             b.check_vec("automorphism_mult", (i, j),
                         a.apply(h.mult.at_pair(i, j)), h.mult.apply(a_col[i], a_col[j]), n)
-    return b.report()
+    return b.report(), a_inv
 
 
 def yau_twist(h: HomHopfAlgebra, a: Matrix) -> HomHopfAlgebra:
@@ -399,13 +405,13 @@ def yau_twist(h: HomHopfAlgebra, a: Matrix) -> HomHopfAlgebra:
     if not h.alpha.is_identity():
         raise ValueError("input must carry the identity twist")
     require(check_hom_hopf(h), "input fails the classical checks")
-    require(hopf_automorphism_report(h, a), "map is not a Hopf automorphism")
-    a_inv = a.inverse()
+    report, a_inv = _automorphism_report(h, a)
+    require(report, "map is not a Hopf automorphism")
     n = h.dim
     mult = {(i, j, k): e for i in range(n) for j in range(n)
             for k, e in a.apply(h.mult.at_pair(i, j)).items()}
-    comult = {(i, *divmod(q, n)): e for i in range(n)
-              for q, e in h.comult.apply_left(a_inv.column(i)).items()}
+    comult = {(i, *divmod(q, n)): e for i, col in enumerate(a_inv.columns())
+              for q, e in h.comult.apply_left(col).items()}
     # the parts are built here, shaped and over h's field; a and the
     # antipode are inverted already
     return _view(HomHopfAlgebra, field=h.field, dim=n, alpha=a,

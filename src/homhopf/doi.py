@@ -208,7 +208,7 @@ def _induce(n: HomModule, d: DoiDatum) -> DoiModule:
 
     coa = {}
     gamma = d.coalgebra.coalgebra.gamma
-    mu_inv_col = [n.mu_inv.column(i) for i in range(dn)]
+    mu_inv_col = n.mu_inv.columns()
     for c in range(dc):
         for c1, c2, v in d.coalgebra.coalgebra.comult.nonzero_of(c):
             for s, g in gamma.column(c2).items():
@@ -242,7 +242,7 @@ def _morphism_report(f: Matrix, src: HomModule, dst: HomModule, over, a_dim: int
     require_same_field(f, src, dst, over)
     if f.shape != (dst.dim, src.dim):
         raise ValueError(f"the map is a {f.rows}x{f.cols} matrix but needs {dst.dim}x{src.dim}")
-    b, f_col = ReportBuilder(), [f.column(c) for c in range(src.dim)]
+    b, f_col = ReportBuilder(), f.columns()
     for j in range(a_dim):
         dst_acted = [dst.action.at_pair(r, j) for r in range(dst.dim)]
         b.check_columns("a_linear", (j,),
@@ -255,9 +255,9 @@ def _morphism_report(f: Matrix, src: HomModule, dst: HomModule, over, a_dim: int
             vec_add_scaled(rhs[k], x, {r * c_dim + m1: e for r, e in f_col[m0].items()})
         b.check_columns("c_colinear", (), [vec_combine(v, rho_dst) for v in f_col], rhs,
                         f.field, dst.dim * c_dim)
-    mu_dst = [dst.mu.column(r) for r in range(dst.dim)]
+    mu_dst = dst.mu.columns()
     b.check_columns("twist_commutes", (),
-                    [vec_combine(src.mu.column(k), f_col) for k in range(src.dim)],
+                    [vec_combine(v, f_col) for v in src.mu.columns()],
                     [vec_combine(v, mu_dst) for v in f_col], f.field, dst.dim)
     return b.report()
 

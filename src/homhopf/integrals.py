@@ -119,9 +119,9 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
     da, dc, dh = alg.dim, coalg.dim, d.hopf.dim
     if (cand.dim_c, cand.dim_a) != (dc, da):
         raise ValueError("candidate dimensions do not match the datum")
-    beta_col = [alg.alpha.column(i) for i in range(da)]
-    gam_col = [coalg.gamma.column(i) for i in range(dc)]
-    gam_inv_col = [coalg.gamma_inv.column(i) for i in range(dc)]
+    beta_col = alg.alpha.columns()
+    gam_col = coalg.gamma.columns()
+    gam_inv_col = coalg.gamma_inv.columns()
     delta = [list(coalg.comult.nonzero_of(i)) for i in range(dc)]
     legs = [list(rho_a.nonzero_of(i)) for i in range(da)]
     out = {}
@@ -218,9 +218,9 @@ def _integral_rows(d: DoiDatum) -> tuple:
     alg, coalg = d.algebra.algebra, d.coalgebra.coalgebra
     phi, rho_a, mult = d.coalgebra.action, d.algebra.coaction, alg.mult
     da, dc = alg.dim, coalg.dim
-    gam = [coalg.gamma.column(i) for i in range(dc)]
-    gam_inv = [coalg.gamma_inv.column(i) for i in range(dc)]
-    beta = [alg.alpha.column(k) for k in range(da)]
+    gam = coalg.gamma.columns()
+    gam_inv = coalg.gamma_inv.columns()
+    beta = alg.alpha.columns()
     delta = [list(coalg.comult.nonzero_of(i)) for i in range(dc)]
     legs = [list(rho_a.nonzero_of(k)) for k in range(da)]
     base = [[theta_index(i, j, 0, dc, da) for j in range(dc)] for i in range(dc)]

@@ -8,9 +8,15 @@ rationals, trailing newline) so parse . serialize is the identity on emitted
 files byte for byte.  Unknown keys are rejected; basis labels are strings.
 
 Reading is bound by coefficients: a file repeats a handful of distinct
-strings thousands of times, so each distinct coefficient string is parsed
-once per file and shared.  Matrices and tensors are decoded straight into
-their nonzero fibres, one per innermost list; no dense copy is built.
+strings thousands of times.  Each file holds one coefficient dict, and a
+coefficient is read by looking its string up there: the first lookup of a
+string validates and parses it (``_Coefficients.__missing__``) and every
+later one is a plain dict hit.  A zero, however it is spelled ("0", "-0",
+"0/5"), is stored as the field's shared ``field.zero()``, so decoding drops
+it by identity (``is not zero``) without testing any value.  One depth-first
+walk checks each list's shape and reads its coefficients in reading order,
+and decodes matrices and tensors straight into their nonzero fibres, one per
+innermost list; no dense copy is built.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
                    HomModule)
 from .doi import ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra
 from .integrals import IntegralCandidate
-from .linalg import Field, Matrix, Tensor3
+from .linalg import Field, Matrix, Tensor3, vec_dense
 
 
 class StructureParseError(ValueError):
@@ -60,7 +66,10 @@ class StructureFile:
     field: Field
     raw: dict
     _built: dict = dc_field(default_factory=dict)
-    _scalars: dict = dc_field(default_factory=dict)  # coefficient string -> scalar
+    _scalars: dict = dc_field(init=False, repr=False)  # coefficient string -> scalar
+
+    def __post_init__(self):
+        self._scalars = _Coefficients(self.field)
 
     def kind_of(self, name: str) -> str:
         return self._raw_of(name)["kind"]
@@ -180,39 +189,62 @@ class StructureFile:
         dims = "x".join(map(str, shape))
         what = (f"a vector of length {dims}", f"a {dims} matrix",
                 f"a {dims} tensor")[len(shape) - 1]
-        rows = self._rows(data, shape, what)
-        if len(shape) == 1:
-            return tuple(next(rows))
-        fibres = ([(k, x) for k, x in enumerate(row) if x] for row in rows)
+        lookup, zero, fibres = self._scalars.__getitem__, self.field.zero(), []
+
+        def walk(data, shape: tuple) -> None:
+            # depth first, so the first bad list or coefficient in reading order is reported
+            if not isinstance(data, list) or len(data) != shape[0]:
+                raise StructureParseError(f"expected {what}")
+            if len(shape) > 2:
+                for item in data:
+                    walk(item, shape[1:])
+                return
+            width = shape[1]
+            try:
+                for row in data:
+                    if not isinstance(row, list) or len(row) != width:
+                        raise StructureParseError(f"expected {what}")
+                    fibres.append([(k, x) for k, x in enumerate(map(lookup, row)) if x is not zero])
+            except TypeError:  # an unhashable entry, a list or a dict, cannot be looked up
+                raise _not_a_string(next(x for x in row if not isinstance(x, str))) from None
+
+        if len(shape) == 1:  # a vector is read as the one row of a 1 x n matrix
+            walk([data], (1, *shape))
+            return tuple(vec_dense(dict(fibres[0]), shape[0], zero))
+        walk(data, shape)
         cls, names = ((Matrix, ("rows", "cols")) if len(shape) == 2
                       else (Tensor3, ("d1", "d2", "d3")))
         return cls._from_fibres(fibres, shape[-1], field=self.field, **dict(zip(names, shape)))
 
-    def _rows(self, data, shape: tuple, what: str):
-        """The innermost lists of ``data`` as lists of scalars, in reading order."""
-        # depth first, so the first bad list or coefficient in reading order is reported
-        if not isinstance(data, list) or len(data) != shape[0]:
-            raise StructureParseError(f"expected {what}")
-        if len(shape) == 1:
-            yield [self._scalar(x) for x in data]
-        else:
-            for item in data:
-                yield from self._rows(item, shape[1:], what)
 
-    def _scalar(self, x):
-        """The field element written ``x``, parsed once per distinct string."""
+class _Coefficients(dict):
+    """Coefficient string -> its value in ``field``.  A string missing from
+    the dict is validated and parsed on its first lookup and stored, a zero
+    as the field's shared ``field.zero()``; a string that fails is not
+    stored, so every lookup of it fails alike."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: Field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, x):
         if not isinstance(x, str):
-            # bounded: the repr of a list nested near the recursion limit raises
-            raise StructureParseError(f"coefficients must be strings, got {reprlib.repr(x)}")
-        value = self._scalars.get(x)
-        if value is None:
-            try:
-                if not _COEFFICIENT(x):
-                    raise ValueError("not an integer or a fraction p/q in ASCII digits")
-                value = self._scalars[x] = self.field.of(x)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise StructureParseError(f"bad coefficient {x!r}: {exc}") from exc
+            raise _not_a_string(x)
+        try:
+            if not _COEFFICIENT(x):
+                raise ValueError("not an integer or a fraction p/q in ASCII digits")
+            value = self.field.of(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise StructureParseError(f"bad coefficient {x!r}: {exc}") from exc
+        value = self[x] = value or self.field.zero()
         return value
+
+
+def _not_a_string(x) -> StructureParseError:
+    # bounded: the repr of a list nested near the recursion limit raises
+    return StructureParseError(f"coefficients must be strings, got {reprlib.repr(x)}")
 
 
 def parse_structure_file(text: str) -> StructureFile:

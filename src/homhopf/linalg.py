@@ -14,7 +14,9 @@ modules and twists repeat whole rows, so equal fibres are stored once per
 object; values and ``(index, value)`` pairs are not shared, since that would
 cost a table lookup per nonzero.  Products, Kronecker products, evaluations
 and elimination read the fibres, so they cost the nonzeros, not the shape.
-Both are treated as immutable; every operation returns a fresh object.
+Checkers read a twist or an antipode as the images of basis vectors, all of
+which :meth:`Matrix.columns` returns in one pass over the fibres.  Both are
+treated as immutable; every operation returns a fresh object.
 
 Elimination is sparse: :func:`_rref_rows` works on rows held as
 ``{column: nonzero scalar}`` dicts (or matrix fibres), visits only the rows
@@ -425,7 +427,8 @@ class Matrix(_FibreStore):
     read the fibres.
 
     Columns are images of basis vectors: ``M.column(j)`` is ``M`` applied to
-    the j-th unit vector, a sparse vector like every result of ``apply``.
+    the j-th unit vector, a sparse vector like every result of ``apply``, and
+    ``M.columns()`` is the list of all of them.
     """
 
     field: Field
@@ -506,6 +509,15 @@ class Matrix(_FibreStore):
                     if cc == c:
                         out[r] = e
                     break
+        return out
+
+    def columns(self) -> list:
+        """Every column, ``[self.column(c) for c in range(self.cols)]``, read
+        in one pass over the fibres."""
+        out = [{} for _ in range(self.cols)]
+        for r, fibre in enumerate(self._fibres):
+            for c, e in fibre:
+                out[c][r] = e
         return out
 
     def nonzero(self) -> Iterator[tuple]:
@@ -603,11 +615,21 @@ class Matrix(_FibreStore):
         return Matrix._of_rows(self.field, self.cols, R), tuple(pivots)
 
     def inverse(self) -> "Matrix | None":
-        """T with T @ self == I, read off the reduced ``[self | I]``."""
-        n, one = self.rows, self.field.one()
+        """T with T @ self == I, read off the reduced ``[self | I]``; a
+        monomial matrix (one nonzero per row, in distinct columns, as the
+        twists and antipodes of group algebras and Taft algebras are) is
+        inverted entry by entry, as that reduction would."""
+        n, one, fibres = self.rows, self.field.one(), self._fibres
         if n != self.cols:
             return None
-        red, pivots, _ = _rref_rows([f + ((n + r, one),) for r, f in enumerate(self._fibres)],
+        if all(len(f) == 1 for f in fibres) and len({f[0][0] for f in fibres}) == n:
+            # row r holds e at column c, so row c of the inverse holds 1/e at
+            # column r; like the reduction, it keeps the field's one where e is one
+            inv = [()] * n
+            for r, ((c, e),) in enumerate(fibres):
+                inv[c] = ((r, one if e == one else self.field.div(one, e)),)
+            return Matrix._from_fibres(inv, n, field=self.field, rows=n, cols=n)
+        red, pivots, _ = _rref_rows([f + ((n + r, one),) for r, f in enumerate(fibres)],
                                     self.field)
         if pivots != list(range(n)):
             return None
@@ -818,7 +840,10 @@ class Tensor3(_FibreStore):
     def left_slice(self, i: int) -> dict:
         """The flattened slice t[i][:][:], e.g. a coproduct of a basis
         vector; entry (j, k) at j*d3 + k."""
-        return {j * self.d3 + k: e for j, k, e in self.nonzero_of(i)}
+        if not 0 <= i < self.d1:
+            raise self._outside("index", i)
+        d2, d3, fibres = self.d2, self.d3, self._fibres
+        return {j * d3 + k: e for j in range(d2) for k, e in fibres[i * d2 + j]}
 
     def nonzero(self) -> Iterator[tuple]:
         d2 = self.d2
@@ -869,11 +894,25 @@ class Tensor3(_FibreStore):
     def apply_left(self, v: dict) -> dict:
         """Evaluate a map into the tensor square: v -> sum_i v[i] t[i][:][:],
         entry (j, k) at j*d3 + k."""
+        d1, d2, d3, fibres = self.d1, self.d2, self.d3, self._fibres
         out = {}
         for i, x in v.items():
-            if not 0 <= i < self.d1:
+            if not 0 <= i < d1:
                 raise ValueError("operand index out of range")
-            vec_add_scaled(out, x, self.left_slice(i))
+            # vec_add_scaled(out, x, self.left_slice(i)), read off the fibres
+            for j in range(d2):
+                base = j * d3
+                for k, e in fibres[i * d2 + j]:
+                    q = base + k
+                    s = out.get(q)
+                    if s is None:
+                        out[q] = x * e
+                    else:
+                        s = s + x * e
+                        if s:
+                            out[q] = s
+                        else:
+                            del out[q]
         return out
 
     def as_map_to_pair(self) -> Matrix:

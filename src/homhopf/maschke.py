@@ -53,8 +53,8 @@ def _retraction(theta: IntegralCandidate, m: DoiModule, d: DoiDatum) -> Matrix:
     dm, dc, da = m.dim, d.coalgebra.dim, d.algebra.dim
     _require_over(da, dc, m)
     field = m.field
-    gam_inv_col = [d.coalgebra.coalgebra.gamma_inv.column(i) for i in range(dc)]
-    mu_col = [m.mu.column(i) for i in range(dm)]
+    gam_inv_col = d.coalgebra.coalgebra.gamma_inv.columns()
+    mu_col = m.mu.columns()
     one = field.one()
     ent = {}
     for i in range(dm):
@@ -101,7 +101,7 @@ def extract_integral(nu: Matrix, d: DoiDatum) -> IntegralCandidate:
     alg = d.algebra.algebra
     coalg = d.coalgebra.coalgebra
     da, dc = alg.dim, coalg.dim
-    gam_inv_col = [coalg.gamma_inv.column(i) for i in range(dc)]
+    gam_inv_col = coalg.gamma_inv.columns()
     unit_a = vec_sparse(alg.unit)
     eps = coalg.counit
     one = field.one()

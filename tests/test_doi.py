@@ -115,12 +115,14 @@ class TestDatumBoundary:
         lambda q, p: split_monomorphism(q.f, q.f, q.m, p.m, q.theta, q.d),
         lambda q, p: check_yd_substructures(trivial_yd_module(p.h), q.h),
         lambda q, p: separability_report(q.d, [("regular", p.m)]),
+        lambda q, p: comodule_to_doi(regular_comodule(p.h.as_coalgebra()), q.d),
     ], ids=["hopf_automorphism_report", "module_morphism_report", "doi_morphism_report",
             "build_retraction", "retraction_report", "retraction_naturality_report",
             "integral_residuals", "direct_sum_doi", "yd_residuals",
             "coaction_of_action_residuals", "check_k_integral_conditions",
             "integral_from_dual", "extract_integral", "split_epimorphism",
-            "split_monomorphism", "check_yd_substructures", "separability_report"])
+            "split_monomorphism", "check_yd_substructures", "separability_report",
+            "comodule_to_doi"])
     def test_entry_rejects_part_over_another_field(self, entry):
         # the Q parts meet a GF(7) morphism, integral, module or functional;
         # each probe used to die with a TypeError on mixed scalars.  The

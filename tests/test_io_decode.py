@@ -6,13 +6,14 @@ constructors build, over Q and GF(7), with the parser's errors unchanged."""
 import collections
 import json
 import re
+import reprlib
 from fractions import Fraction
 
 import pytest
 
 from homhopf.golden import golden_file, golden_names
 from homhopf.integrals import solve_normalized_integral
-from homhopf.io import (StructureFile, StructureParseError, integral_to_raw,
+from homhopf.io import (StructureFile, StructureParseError, field_to_raw, integral_to_raw,
                         parse_structure_file, serialize_structure_file)
 from homhopf.linalg import Field, GFElement, Matrix, Tensor3
 
@@ -174,12 +175,36 @@ def test_coefficient_spelled_other_than_digits_is_a_parse_error(field):
             sf.build("H")
 
 
-@pytest.mark.parametrize("entry", [["1"], {"a": "1"}, [], 1, None, True, 1.5])
-def test_non_string_coefficient_is_a_parse_error(entry):
-    # an unhashable entry is rejected before the memo lookup, not by a TypeError
-    sf = _kz2_with(Field.rationals(), unit=["1", entry])
-    with pytest.raises(StructureParseError, match="coefficients must be strings, got "):
+def _non_string_sites():
+    """(the parts of kZ2 holding a non-string entry, that entry): in the unit
+    vector, in an innermost list of the twist matrix and of the
+    multiplication tensor.  The unit rows keep the ids they had alone."""
+    for n, entry in enumerate([["1"], {"a": "1"}, [], 1, None, True, 1.5]):
+        name = f"entry{n}" if isinstance(entry, (list, dict)) else str(entry)
+        yield pytest.param({"unit": ["1", entry]}, entry, id=name)
+        yield pytest.param({"twist": [["1", "0"], ["0", entry]]}, entry, id=f"twist-{name}")
+        yield pytest.param({"mult": [[["1", "0"], ["0", "1"]], [["0", "1"], [entry, "0"]]]},
+                           entry, id=f"mult-{name}")
+
+
+@pytest.mark.parametrize("parts, entry", _non_string_sites())
+def test_non_string_coefficient_is_a_parse_error(parts, entry):
+    # a hashable entry fails in the coefficient dict's __missing__, an
+    # unhashable one with a TypeError at the lookup; both are this parse error
+    sf = _kz2_with(Field.rationals(), **parts)
+    message = f"coefficients must be strings, got {reprlib.repr(entry)}"
+    with pytest.raises(StructureParseError, match="^" + re.escape(message) + "$"):
         sf.build("H")
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+def test_every_zero_spelling_is_the_fields_shared_zero(field):
+    # a fibre drops zeros by identity, so each spelling must decode to field.zero()
+    text = _morphism_file(field_to_raw(field), ["0", "-0", "00", "0/5", "1"])
+    assert parse_structure_file(text).build("f")._fibres == (((4, field.one()),),)
+    h = _kz2_with(field, unit=["1", "-0"], counit=["00", "0/5"]).build("H")
+    zero = field.zero()
+    assert h.unit[1] is zero and h.counit[0] is zero and h.counit[1] is zero
 
 
 def test_shape_errors_come_in_reading_order():

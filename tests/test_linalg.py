@@ -288,6 +288,38 @@ class TestSparseKernelOracle:
         assert pivots == list(range(n))
         assert m.inverse() == Matrix.from_rows(field, transform)
 
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @pytest.mark.parametrize("shape", ["monomial", "shared_column", "empty_row"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_monomial_inverse_is_the_dense_transform(self, field, shape, data):
+        # one nonzero per row, in distinct columns, is inverted entry by
+        # entry; a row moved onto another's column or emptied makes the
+        # matrix singular, and the reduction of [A | I] says so
+        n = data.draw(st.integers(1 if shape == "monomial" else 2, 7))
+        perm = data.draw(st.permutations(range(n)))
+        values = data.draw(st.lists(nonzero_ints, min_size=n, max_size=n))
+        rows = [[values[r] if c == perm[r] else 0 for c in range(n)] for r in range(n)]
+        if shape != "monomial":
+            r, s = data.draw(st.permutations(range(n)))[:2]
+            rows[r] = ([values[r] if c == perm[s] else 0 for c in range(n)]
+                       if shape == "shared_column" else [0] * n)
+        m = mat(rows, field)
+        _, pivots, transform = dense_gauss_jordan(nested(m), field)
+        inv = m.inverse()
+        if shape != "monomial":
+            assert len(pivots) < n and inv is None
+            return
+        assert pivots == list(range(n))
+        assert inv == Matrix.from_rows(field, transform)
+        assert inv.entries == tuple(x for row in transform for x in row)
+        assert (m @ inv).is_identity() and (inv @ m).is_identity()
+        for e in inv.entries:
+            if field.is_rational:
+                assert type(e) is (int if e.denominator == 1 else Fraction)
+            else:
+                assert type(e) is GFElement and e.p == field.p
+
 
 class TestSolveAffine:
     def test_identity_system(self):
@@ -651,6 +683,26 @@ class TestTensor3Oracle:
         with pytest.raises(ValueError):
             Tensor3(field, d1, d2, d3, tuple(dense) + (field.zero(),))
 
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=str)
+    @pytest.mark.parametrize("shape", ["zero_dim", "single_nonzero", "random"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_slices_read_off_the_fibres_as_nonzero_of_gives_them(self, field, shape, data):
+        # left_slice and apply_left read the fibres directly; the reference
+        # slices through nonzero_of and adds slice by slice with
+        # vec_add_scaled, and the keys must come in its order, cancellations included
+        d1, d2, d3, ints = data.draw(tensor_ints(shape))
+        t = Tensor3(field, d1, d2, d3, tuple(field.of(x) for x in ints))
+        slices = [{j * d3 + k: e for j, k, e in t.nonzero_of(i)} for i in range(d1)]
+        for i in range(d1):
+            assert list(t.left_slice(i).items()) == list(slices[i].items())
+        v = vec_sparse([field.of(x) for x in data.draw(
+            st.lists(sparse_ints, min_size=d1, max_size=d1))])
+        want = {}
+        for i, x in v.items():
+            vec_add_scaled(want, x, slices[i])
+        assert list(t.apply_left(v).items()) == list(want.items())
+
 
 def test_vec_add_scaled_in_place(field):
     acc = {0: field.of(1), 2: field.of(2)}
@@ -905,6 +957,8 @@ class TestMatrixOracle:
                 assert m.at(r, c) == ref.at(r, c)
         columns = [m.column(c) for c in range(cols)]
         assert columns == [vec_sparse(ref.column(c)) for c in range(cols)]
+        # one pass over the fibres gives the same dicts, in the same row order
+        assert [list(col.items()) for col in m.columns()] == [list(col.items()) for col in columns]
         assert all(e for fibre in m._fibres for _, e in fibre)
 
         # operations, each against the dense reference
