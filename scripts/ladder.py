@@ -27,12 +27,14 @@ elimination, by the solver's own ``_rref_rows``, of the rows the solver
 eliminates (from ``_integral_rows``, with the normalization right-hand side
 as the last column); ``solve_normalized_integral``; ``verify_integral`` on
 the answer when an integral exists; then, on the canonical module A (x) C,
-``build_retraction`` followed by ``extract_integral`` when an integral
-exists (``retraction_s``), and ``check_triangle_identities`` with A's
-regular module as N (``triangle_s``).  Sizes come with the times: rows,
+``check_doi_module`` (``module_check_s``, with the number of axiom instances
+it checked), ``build_retraction`` followed by ``extract_integral`` when an
+integral exists (``retraction_s``), and ``check_triangle_identities`` with
+A's regular module as N (``triangle_s``).  Sizes come with the times: rows,
 empty rows (no nonzero left of the right-hand side), unknowns, nonzeros, the
-rank of the augmented system, the answer kind and the checked instances.  Sizes are deterministic; times
-are not.  One line per rung, and the last line of stdout is one JSON object.
+rank of the augmented system, the answer kind and the checked instances of
+both checks.  Sizes are deterministic; times are not.  One line per rung,
+and the last line of stdout is one JSON object.
 Standard library only.
 """
 
@@ -108,7 +110,7 @@ def best(fn, repeat: int) -> tuple:
 
 
 def measure(build_datum, repeat: int) -> dict:
-    from homhopf.doi import check_doi_datum, check_triangle_identities
+    from homhopf.doi import check_doi_datum, check_doi_module, check_triangle_identities
     from homhopf.integrals import (IntegralCandidate, _integral_rows, assemble_integral_system,
                                    solve_normalized_integral, verify_integral)
     from homhopf.io import parse_structure_file
@@ -137,14 +139,16 @@ def measure(build_datum, repeat: int) -> dict:
     verify_s = best(lambda: verify_integral(answer, d), repeat)[0] if feasible else None
     n = regular_module(d.algebra.algebra)
     m = canonical_module(d)
+    module_check_s, module_report = best(lambda: check_doi_module(m, d), repeat)
     retraction_s = best(lambda: extract_integral(build_retraction(answer, m, d), d),
                         repeat)[0] if feasible else None
     triangle_s = best(lambda: check_triangle_identities(d, m, n), repeat)[0]
-    times = {"datum_s": datum_s, "read_s": read_s, "check_s": check_s, "assemble_s": assemble_s, "elim_s": elim_s,
-             "solve_s": solve_s, "verify_s": verify_s, "retraction_s": retraction_s,
+    times = {"datum_s": datum_s, "read_s": read_s, "check_s": check_s, "assemble_s": assemble_s,
+             "elim_s": elim_s, "solve_s": solve_s, "verify_s": verify_s,
+             "module_check_s": module_check_s, "retraction_s": retraction_s,
              "triangle_s": triangle_s}
     return {**sizes, "rank": len(pivots), "answer": "feasible" if feasible else "infeasible",
-            "checked": report.checked,
+            "checked": report.checked, "module_checked": module_report.checked,
             **{k: None if t is None else round(t, 6) for k, t in times.items()}}
 
 
@@ -174,7 +178,8 @@ def main(argv=None) -> int:
               f"{r['nnz']} nonzeros, rank {r['rank']}, {r['answer']}; datum "
               f"{r['datum_s']:.4f} s, read {r['read_s']:.4f} s, check {r['check_s']:.4f} s "
               f"({r['checked']} instances), assemble {r['assemble_s']:.4f} s, elimination "
-              f"{r['elim_s']:.4f} s, solve {r['solve_s']:.4f} s, verify {verify}, "
+              f"{r['elim_s']:.4f} s, solve {r['solve_s']:.4f} s, verify {verify}, module check "
+              f"{r['module_check_s']:.4f} s ({r['module_checked']} instances), "
               f"retraction {retraction}, triangles {r['triangle_s']:.4f} s", flush=True)
     print(json.dumps({"repeat": args.repeat, "rungs": results}))
     return 0

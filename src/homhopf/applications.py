@@ -79,6 +79,7 @@ def comodule_to_doi(m: HomComodule, d: DoiDatum) -> DoiModule:
     require_same_field(d, m)
     if d.algebra.dim != 1:
         raise ValueError("expected a trivial datum")
+    _require_over(None, d.coalgebra.dim, m)
     return DoiModule(m.field, m.dim, m.mu, _twist_action(m.mu), m.coaction)
 
 
@@ -108,18 +109,17 @@ def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
 
     # coaction  h -> alpha(h21) (x) (h22 (x) S(alpha^-1(h1)))
     coa = {}
-    s_of_alpha_inv = h.antipode @ h.alpha_inv
+    s_of_alpha_inv_col = (h.antipode @ h.alpha_inv).columns()
     for i, h1, h2, c1 in h.comult.nonzero():
-        s_col = s_of_alpha_inv.column(h1)
         for h21, h22, c2 in h.comult.nonzero_of(h2):
             for w, aw in alpha_col[h21].items():
-                for z, sz in s_col.items():
+                for z, sz in s_of_alpha_inv_col[h1].items():
                     key = (i, w, h22 * n + z)
                     coa[key] = coa.get(key, zero) + c1 * c2 * aw * sz
     a = ComoduleAlgebra(h.as_algebra(), Tensor3.from_nonzeros(field, n, n, n * n, coa))
 
     # action  c <| (x (x) y) = alpha(y)(alpha^-1(c) x)
-    inner = [[h.mult.apply(h.alpha_inv.column(c), {x: one}) for x in range(n)] for c in range(n)]
+    inner = [[h.mult.apply(a, {x: one}) for x in range(n)] for a in h.alpha_inv.columns()]
     action = Tensor3.from_nonzeros(field, n, n * n, n, {
         (c, x * n + y, k): e for c in range(n) for x in range(n) for y in range(n)
         for k, e in h.mult.apply(alpha_col[y], inner[c][x]).items()})
@@ -212,10 +212,14 @@ def integral_from_dual(phi: DualIntegral, h: HomHopfAlgebra,
         raise ValueError("antipode must be invertible")
     field = h.field
     n = h.dim
+    if len(phi.phi) != n:
+        raise ValueError(f"the functional has {len(phi.phi)} coordinates but the "
+                         f"Hopf algebra has dimension {n}")
     one = field.one()
+    s_inv_col = h.antipode_inv.columns()
 
     def entry(i, j, _k):
-        return vec_dot(field, h.mult.apply({j: one}, h.antipode_inv.column(i)), phi.phi)
+        return vec_dot(field, h.mult.apply({j: one}, s_inv_col[i]), phi.phi)
 
     theta = Tensor3.build(field, n, n, 1, entry)
     cand = IntegralCandidate(field, n, 1, theta)

@@ -192,7 +192,7 @@ def _induce(n: HomModule, d: DoiDatum) -> DoiModule:
     """N (x) C for an N whose A-module laws the caller has checked."""
     field = n.field
     dn, dc = n.dim, d.coalgebra.dim
-    da, dh = d.algebra.dim, d.hopf.dim
+    da = d.algebra.dim
     dim = dn * dc
     zero = field.zero()
     act = {}
@@ -208,10 +208,10 @@ def _induce(n: HomModule, d: DoiDatum) -> DoiModule:
 
     coa = {}
     gamma = d.coalgebra.coalgebra.gamma
-    mu_inv_col = n.mu_inv.columns()
+    gamma_col, mu_inv_col = gamma.columns(), n.mu_inv.columns()
     for c in range(dc):
         for c1, c2, v in d.coalgebra.coalgebra.comult.nonzero_of(c):
-            for s, g in gamma.column(c2).items():
+            for s, g in gamma_col[c2].items():
                 for i in range(dn):
                     for ii, nu in mu_inv_col[i].items():
                         key = (i * dc + c, ii * dc + c1, s)

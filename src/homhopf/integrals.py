@@ -36,7 +36,7 @@ from itertools import product
 from .doi import DoiDatum
 from .linalg import (Field, Matrix, Tensor3, _rref_rows, _transform_row, canonical,
                      require_same_field, vec_add_scaled, vec_dense, vec_scale, vec_sparse,
-                     vec_sub, vec_tensor)
+                     vec_sub, vec_tensor, vec_tensor_combine)
 from .report import AxiomReport, residual_report
 
 
@@ -141,9 +141,7 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
               for c in range(dc)]
     for p in range(dc):          # d = e_p
         for q in range(dc):      # c = e_q
-            lhs = {}
-            for c1, c2, co in delta[q]:
-                vec_add_scaled(lhs, co, vec_tensor(th_left[p][c1], gam_col[c2], dc))
+            lhs = vec_tensor_combine(delta[q], th_left[p], gam_col, dc)
             rhs = {}
             for d1, d2, co in delta[p]:
                 for leg, s in rho_th[d2][q].items():  # in A (x) H
@@ -161,7 +159,8 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
     beta2_col = [alg.alpha.apply(beta_col[i]) for i in range(da)]
     # gamma^-1(e_p).e_h and gamma^-1(e_q).alpha^-1(e_h)
     act = [[phi.apply(g, {h: one}) for h in range(dh)] for g in gam_inv_col]
-    act_inv = [[phi.apply(g, d.hopf.alpha_inv.column(h)) for h in range(dh)] for g in gam_inv_col]
+    alpha_inv_col = d.hopf.alpha_inv.columns()
+    act_inv = [[phi.apply(g, a) for a in alpha_inv_col] for g in gam_inv_col]
     for t_idx in range(da):      # a = e_t
         for p in range(dc):      # d = e_p
             for q in range(dc):  # c = e_q
@@ -248,8 +247,8 @@ def _integral_rows(d: DoiDatum) -> tuple:
     # (x) gamma^-1(c).alpha^-1(a[1]) (x) a[0][0], m o (beta^2 (x) id)), and (id, -m);
     # the actions gamma^-1(e_p).e_h and gamma^-1(e_q).alpha^-1(e_h) are formed once
     act = [[phi.apply(g, {h: one}) for h in range(d.hopf.dim)] for g in gam_inv]
-    act_inv = [[phi.apply(g, d.hopf.alpha_inv.column(h)) for h in range(d.hopf.dim)]
-               for g in gam_inv]
+    alpha_inv_col = d.hopf.alpha_inv.columns()
+    act_inv = [[phi.apply(g, a) for a in alpha_inv_col] for g in gam_inv]
 
     def double_coaction(t, p, q):
         out = {}

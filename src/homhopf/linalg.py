@@ -14,9 +14,10 @@ modules and twists repeat whole rows, so equal fibres are stored once per
 object; values and ``(index, value)`` pairs are not shared, since that would
 cost a table lookup per nonzero.  Products, Kronecker products, evaluations
 and elimination read the fibres, so they cost the nonzeros, not the shape.
-Checkers read a twist or an antipode as the images of basis vectors, all of
-which :meth:`Matrix.columns` returns in one pass over the fibres.  Both are
-treated as immutable; every operation returns a fresh object.
+Checkers hold a map as its ``columns()`` table, the images of basis vectors
+read in one pass over the fibres, and apply it with :func:`vec_combine`, a
+tensor product of two maps with :func:`vec_tensor_combine`.  Matrices and
+tensors are treated as immutable; every operation returns a fresh object.
 
 Elimination is sparse: :func:`_rref_rows` works on rows held as
 ``{column: nonzero scalar}`` dicts (or matrix fibres), visits only the rows
@@ -296,6 +297,16 @@ def vec_tensor(u: dict, v: dict, n: int) -> dict:
     return {i * n + j: a * b for i, a in u.items() for j, b in v.items()}
 
 
+def vec_tensor_combine(legs, left: Sequence, right: Sequence, n: int) -> dict:
+    """(F (x) G)(sum of c e_j (x) e_k) for the ``(j, k, c)`` triples ``legs``
+    (a coproduct or a coaction), where ``left[j]`` = F(e_j) and ``right[k]`` =
+    G(e_k) has length ``n``; the Kronecker product F (x) G is not formed."""
+    out = {}
+    for j, k, c in legs:
+        vec_add_scaled(out, c, vec_tensor(left[j], right[k], n))
+    return out
+
+
 class _DenseEntries(Sequence):
     """Read-only row-major view of the entries of a :class:`Matrix` or a
     :class:`Tensor3`, zeros included, computed from its nonzero fibres on
@@ -426,9 +437,9 @@ class Matrix(_FibreStore):
     ``r*cols + c``.  Products, Kronecker products, ``apply`` and elimination
     read the fibres.
 
-    Columns are images of basis vectors: ``M.column(j)`` is ``M`` applied to
-    the j-th unit vector, a sparse vector like every result of ``apply``, and
-    ``M.columns()`` is the list of all of them.
+    Columns are images of basis vectors: ``M.columns()[j]`` is ``M`` applied
+    to the j-th unit vector, a sparse vector like every result of ``apply``,
+    and a checker reads every column it needs from one ``columns()`` table.
     """
 
     field: Field
@@ -499,21 +510,9 @@ class Matrix(_FibreStore):
             raise self._outside("row", r)
         return vec_dense(dict(self._fibres[r]), self.cols, self._zero)
 
-    def column(self, c: int) -> dict:
-        if not 0 <= c < self.cols:
-            raise self._outside("column", c)
-        out = {}
-        for r, fibre in enumerate(self._fibres):
-            for cc, e in fibre:
-                if cc >= c:
-                    if cc == c:
-                        out[r] = e
-                    break
-        return out
-
     def columns(self) -> list:
-        """Every column, ``[self.column(c) for c in range(self.cols)]``, read
-        in one pass over the fibres."""
+        """Every column as a sparse vector, entries in increasing row order,
+        read in one pass over the fibres."""
         out = [{} for _ in range(self.cols)]
         for r, fibre in enumerate(self._fibres):
             for c, e in fibre:
@@ -543,9 +542,6 @@ class Matrix(_FibreStore):
             vec_add_scaled(acc, self.field.one(), dict(theirs))
         return Matrix._of_rows(self.field, self.cols, out)
 
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(-other.field.one()))
-
     def scale(self, s: Scalar) -> "Matrix":
         if not s:
             return Matrix.zeros(self.field, self.rows, self.cols)
@@ -560,27 +556,6 @@ class Matrix(_FibreStore):
                   for mine in self._fibres for theirs in other._fibres]
         return Matrix._from_fibres(fibres, self.cols * oc, field=self.field,
                                    rows=self.rows * other.rows, cols=self.cols * oc)
-
-    def kron_apply(self, other: "Matrix", v: dict) -> dict:
-        """``self.kron(other).apply(v)`` leg by leg, without forming the
-        Kronecker product: each nonzero v[(j, k)] contributes
-        v[(j, k)] self(e_j) (x) other(e_k)."""
-        require_same_field(self, other)
-        cols = self.cols * other.cols
-        out, left, right = {}, {}, {}
-        for q, x in v.items():
-            if not 0 <= q < cols:
-                raise ValueError(f"vector index {q} applied to "
-                                 f"{self.rows * other.rows}x{cols} matrix")
-            j, k = divmod(q, other.cols)
-            u = left.get(j)
-            if u is None:
-                u = left[j] = self.column(j)
-            w = right.get(k)
-            if w is None:
-                w = right[k] = other.column(k)
-            vec_add_scaled(out, x, vec_tensor(u, w, other.rows))
-        return out
 
     def apply(self, v: dict) -> dict:
         # a loop over the few nonzeros costs less than calling max and min
@@ -599,9 +574,6 @@ class Matrix(_FibreStore):
         return out
 
     # -- predicates -----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not any(self._fibres)
-
     def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False

@@ -72,6 +72,9 @@ def retraction_report(nu: Matrix, m: DoiModule, d: DoiDatum) -> AxiomReport:
     the caller checks M's A-module laws, which M (x) C is induced from."""
     require_same_field(d, nu, m)
     _require_over(d.algebra.dim, d.coalgebra.dim, m)
+    dm, dc = m.dim, d.coalgebra.dim
+    if nu.shape != (dm, dm * dc):
+        raise ValueError(f"the map is a {nu.rows}x{nu.cols} matrix but needs {dm}x{dm * dc}")
     b = ReportBuilder()
     eta = m.coaction.as_map_to_pair()
     b.check_matrix("retracts_unit", (), nu @ eta, Matrix.identity(m.field, m.dim))

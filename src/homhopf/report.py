@@ -108,17 +108,16 @@ class ReportBuilder:
         if residual:
             self.violations.append(Violation(axiom, index, (canonical(residual),)))
 
-    def check_matrix(self, axiom: str, index: tuple, lhs, rhs) -> None:
-        self.checked += 1
-        if lhs == rhs:
-            return
-        residual = lhs.sub(rhs)
-        if not residual.is_zero():
-            self.violations.append(Violation(axiom, index, tuple(residual.entries)))
+    def check_matrix(self, axiom: str, index: tuple, lhs: Matrix, rhs: Matrix) -> None:
+        """``check_columns`` on two matrices of one shape."""
+        if lhs.shape != rhs.shape:
+            raise ValueError(f"cannot compare a {lhs.rows}x{lhs.cols} matrix "
+                             f"with a {rhs.rows}x{rhs.cols} one")
+        self.check_columns(axiom, index, lhs.columns(), rhs.columns(), lhs.field, lhs.rows)
 
     def check_columns(self, axiom: str, index: tuple, lhs: list, rhs: list, field,
                       rows: int) -> None:
-        """``check_matrix`` on matrices of ``rows`` rows given by sparse columns."""
+        """Compare two matrices of ``rows`` rows given by their sparse columns."""
         self.checked += 1
         if lhs != rhs:  # the residual is built only when they differ
             residual = Matrix.from_nonzeros(field, rows, len(lhs), {

@@ -39,8 +39,7 @@ def check_k_integral_conditions(cand: IntegralCandidate, h: HomHopfAlgebra) -> A
     n = h.dim
     zero, one = field.zero(), field.one()
     theta = cand.theta
-    alpha_col = [h.alpha.column(i) for i in range(n)]
-    alpha_inv_col = [h.alpha_inv.column(i) for i in range(n)]
+    alpha_col, alpha_inv_col = h.alpha.columns(), h.alpha_inv.columns()
     b = ReportBuilder()
 
     def theta_val(v, w):
@@ -78,9 +77,8 @@ def coaction_of_action_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
     field = m.field
     one = field.one()
     dm, dh = m.dim, h.dim
-    alpha_col = [h.alpha.column(i) for i in range(dh)]
-    alpha_inv_col = [h.alpha_inv.column(i) for i in range(dh)]
-    s_col = [h.antipode.column(i) for i in range(dh)]
+    alpha_col, alpha_inv_col = h.alpha.columns(), h.alpha_inv.columns()
+    s_col = h.antipode.columns()
     out = {}
     for i in range(dm):
         for j in range(dh):
@@ -105,11 +103,11 @@ def coaction_formula_holds(m: DoiModule, h: HomHopfAlgebra) -> bool:
 def derived_antipode_properties(h: HomHopfAlgebra) -> AxiomReport:
     """eps(S(h)) = eps(h) and S(1) = 1, which follow from the Hom-Hopf axioms."""
     b = ReportBuilder()
-    unit = vec_sparse(h.unit)
+    unit, s_col = vec_sparse(h.unit), h.antipode.columns()
     b.check_vec("antipode_fixes_unit", (), h.antipode.apply(unit), unit, h.dim)
     for i in range(h.dim):
         b.check_scalar("counit_after_antipode", (i,),
-                       vec_dot(h.field, h.antipode.column(i), h.counit), h.counit[i])
+                       vec_dot(h.field, s_col[i], h.counit), h.counit[i])
     return b.report()
 
 

@@ -207,7 +207,7 @@ class TestTaftAlgebra:
         assert h.mult.at_pair(x, g) == {4: f(2)}                 # xg = zeta gx
         assert h.mult.at_pair(g, x) == {4: f(1)}
         assert h.comult.left_slice(x) == {x * 9 + 0: f(1), g * 9 + x: f(1)}
-        assert h.antipode.column(x) == {5: f(-1)}                # S(x) = -g^-1 x
+        assert h.antipode.columns()[x] == {5: f(-1)}             # S(x) = -g^-1 x
         assert h.counit == tuple(f(int(q < 3)) for q in range(9))
 
     @pytest.mark.parametrize("n, zeta, p", [(1, 1, 7), (2, 6, 7), (3, 2, 7), (3, 4, 7),
@@ -370,6 +370,13 @@ class TestDualIntegrals:
         h = group_algebra(4, Q)
         cand = integral_from_dual(dual_right_integrals(h)[0], h)
         assert check_k_integral_conditions(cand, h).passed
+
+    def test_functional_of_the_wrong_length_rejected(self):
+        h = group_algebra(2, Q)
+        for phi in [(Q.one(),), (Q.one(), Q.zero(), Q.zero())]:
+            with pytest.raises(ValueError, match=rf"the functional has {len(phi)} coordinates "
+                                                 r"but the Hopf algebra has dimension 2"):
+                integral_from_dual(DualIntegral(Q, phi), h)
 
 
 class TestScalarConditions:

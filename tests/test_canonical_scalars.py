@@ -122,7 +122,7 @@ class TestMatrixScalars:
         assert_canonical(a @ b, field)
         assert_canonical(a.kron(b), field)
         assert_canonical(a.apply(v), field)
-        assert_canonical(a.sub(a.scale(field.of(data.draw(values(field))))), field)
+        assert_canonical(a.add(a.scale(-field.of(data.draw(values(field))))), field)
         inv = sq.inverse()
         if inv is not None:
             assert_canonical(inv, field)

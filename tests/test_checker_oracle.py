@@ -1,12 +1,14 @@
 """The table-reading checkers against their per-instance references.
 
 ``check_hom_algebra`` and ``check_hom_module`` read each side of an instance
-from tables built once per call, and the morphism reports compare images of
-basis vectors column by column.  The references below are the plain loops
-they replaced: one bilinear evaluation per side of each instance, and whole
-matrix products for the morphism identities.  On random structures (mostly
-failing), on zoo structures with one entry changed, and on random maps
-between induced Doi modules, the whole report must equal the reference's:
+from tables built once per call, the coalgebra, comodule and automorphism
+checks apply tensor products of maps leg by leg, and the morphism reports
+compare images of basis vectors column by column.  The references below are
+the plain loops they replaced: one bilinear evaluation per side of each
+instance, whole Kronecker products applied to the coproduct or the coaction,
+and whole matrix products for the morphism identities.  On random structures
+(mostly failing), on zoo structures with one entry changed, and on random
+maps between induced Doi modules, the whole report must equal the reference's:
 the violations in order, their residual tuples printed alike, and
 ``checked``.  Each checker must also leave its inputs' fibres as they were
 and give the same report when called again, since table entries are shared.
@@ -22,13 +24,15 @@ from hypothesis import strategies as st
 
 from corpus import random_module_over_group_algebra
 from homhopf.applications import regular_comodule_algebra, relative_datum, trivial_datum
-from homhopf.core import HomAlgebra, HomModule, check_hom_algebra, check_hom_module
+from homhopf.core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra, HomModule,
+                          check_hom_algebra, check_hom_coalgebra, check_hom_comodule,
+                          check_hom_hopf, check_hom_module, hopf_automorphism_report)
 from homhopf.doi import (DoiDatum, doi_morphism_report, induce,
                          module_morphism_report)
 from homhopf.linalg import Field, Matrix, Tensor3, vec_sparse
 from homhopf.report import AxiomReport, ReportBuilder
-from homhopf.zoo import (group_algebra, regular_module, sweedler_h4, twisted_group_algebra,
-                         twisted_sweedler)
+from homhopf.zoo import (group_algebra, power_automorphism, regular_comodule, regular_module,
+                         sweedler_h4, twisted_group_algebra, twisted_sweedler)
 
 FIELDS = st.sampled_from([Field.rationals(), Field.prime(7)])
 #: mostly zeros, so that random tensors are sparse like real ones
@@ -43,7 +47,7 @@ def reference_hom_algebra(a: HomAlgebra) -> AxiomReport:
     b = ReportBuilder()
     n = a.dim
     one = a.field.one()
-    alpha_col = [a.alpha.column(i) for i in range(n)]
+    alpha_col = a.alpha.columns()
     prod = [[a.mult.at_pair(i, j) for j in range(n)] for i in range(n)]
     unit = vec_sparse(a.unit)
     b.check_vec("twist_fixes_unit", (), a.alpha.apply(unit), unit, n)
@@ -68,8 +72,8 @@ def reference_hom_module(m: HomModule, a: HomAlgebra) -> AxiomReport:
     b = ReportBuilder()
     dm = m.dim
     one = m.field.one()
-    mu_col = [m.mu.column(i) for i in range(dm)]
-    alpha_col = [a.alpha.column(i) for i in range(a.dim)]
+    mu_col = m.mu.columns()
+    alpha_col = a.alpha.columns()
     prod = [[a.mult.at_pair(j, k) for k in range(a.dim)] for j in range(a.dim)]
     unit = vec_sparse(a.unit)
     for i in range(dm):
@@ -83,6 +87,98 @@ def reference_hom_module(m: HomModule, a: HomAlgebra) -> AxiomReport:
                             m.action.apply(acted, alpha_col[k]),
                             m.action.apply(mu_col[i], prod[j][k]), dm)
     return b.report()
+
+
+def _counit_row(c) -> Matrix:
+    """The counit of ``c`` as a 1 x dim matrix."""
+    return Matrix.from_rows(c.field, [list(c.counit)])
+
+
+def _scalar(field, v: dict):
+    """The one coordinate of a vector of length 1."""
+    return v.get(0, field.zero())
+
+
+def reference_hom_coalgebra(c: HomCoalgebra) -> AxiomReport:
+    b = ReportBuilder()
+    n = c.dim
+    one = c.field.one()
+    delta, eps = c.comult.as_map_to_pair(), _counit_row(c)
+    eye = Matrix.identity(c.field, n)
+    gamma2 = c.gamma.kron(c.gamma)
+    coassoc_left, coassoc_right = c.gamma_inv.kron(delta), delta.kron(c.gamma_inv)
+    counit_left, counit_right = eps.kron(eye), eye.kron(eps)
+    for i in range(n):
+        e_i = {i: one}
+        coprod = delta.apply(e_i)
+        b.check_scalar("twist_preserves_counit", (i,),
+                       _scalar(c.field, eps.apply(c.gamma.apply(e_i))), c.counit[i])
+        b.check_vec("twist_comultiplicative", (i,),
+                    delta.apply(c.gamma.apply(e_i)), gamma2.apply(coprod), n * n)
+        b.check_vec("hom_coassociativity", (i,),
+                    coassoc_left.apply(coprod), coassoc_right.apply(coprod), n ** 3)
+        b.check_vec("left_counit", (i,), counit_left.apply(coprod), c.gamma_inv.apply(e_i), n)
+        b.check_vec("right_counit", (i,), counit_right.apply(coprod), c.gamma_inv.apply(e_i), n)
+    return b.report()
+
+
+def reference_hom_comodule(m: HomComodule, c: HomCoalgebra) -> AxiomReport:
+    b = ReportBuilder()
+    dm, dc = m.dim, c.dim
+    one = m.field.one()
+    rho, delta = m.coaction.as_map_to_pair(), c.comult.as_map_to_pair()
+    counit_side = Matrix.identity(m.field, dm).kron(_counit_row(c))
+    coassoc_left, coassoc_right = rho.kron(c.gamma_inv), m.mu_inv.kron(delta)
+    twisted = m.mu.kron(c.gamma)
+    for i in range(dm):
+        e_i = {i: one}
+        coacted = rho.apply(e_i)
+        b.check_vec("comodule_counit", (i,), counit_side.apply(coacted), m.mu_inv.apply(e_i), dm)
+        b.check_vec("comodule_coassociativity", (i,),
+                    coassoc_left.apply(coacted), coassoc_right.apply(coacted), dm * dc * dc)
+        b.check_vec("comodule_twist", (i,),
+                    rho.apply(m.mu.apply(e_i)), twisted.apply(coacted), dm * dc)
+    return b.report()
+
+
+def reference_automorphism(h: HomHopfAlgebra, a: Matrix) -> AxiomReport:
+    b = ReportBuilder()
+    n = h.dim
+    one = h.field.one()
+    if a.inverse() is None:
+        b.fail("automorphism_invertible", ())
+    delta, eps, a2 = h.comult.as_map_to_pair(), _counit_row(h), a.kron(a)
+    unit = vec_sparse(h.unit)
+    b.check_vec("automorphism_unit", (), a.apply(unit), unit, n)
+    for i in range(n):
+        e_i = {i: one}
+        a_i = a.apply(e_i)
+        b.check_scalar("automorphism_counit", (i,), _scalar(h.field, eps.apply(a_i)),
+                       h.counit[i])
+        b.check_vec("automorphism_comult", (i,), delta.apply(a_i), a2.apply(delta.apply(e_i)),
+                    n * n)
+        b.check_vec("automorphism_antipode", (i,),
+                    (a @ h.antipode).apply(e_i), (h.antipode @ a).apply(e_i), n)
+        for j in range(n):
+            b.check_vec("automorphism_mult", (i, j), a.apply(h.mult.at_pair(i, j)),
+                        h.mult.apply(a_i, a.apply({j: one})), n)
+    return b.report()
+
+
+def reference_antipode_twist(h: HomHopfAlgebra) -> AxiomReport:
+    b = ReportBuilder()
+    one = h.field.one()
+    left, right = h.antipode @ h.alpha, h.alpha @ h.antipode
+    for i in range(h.dim):
+        b.check_vec("antipode_twist", (i,), left.apply({i: one}), right.apply({i: one}), h.dim)
+    return b.report()
+
+
+def antipode_twist_report(h: HomHopfAlgebra) -> AxiomReport:
+    """The antipode_twist violations of ``check_hom_hopf``'s report, with the
+    family's one instance per basis element as ``checked``."""
+    rep = check_hom_hopf(h)
+    return AxiomReport(tuple(v for v in rep.violations if v.axiom == "antipode_twist"), h.dim)
 
 
 def _action_matrix(m: HomModule, a_index: int) -> Matrix:
@@ -170,6 +266,42 @@ def random_modules(draw):
     return HomModule(a.field, dm, _invertible(draw, a.field, dm), action), a
 
 
+@st.composite
+def random_coalgebras(draw):
+    field = draw(FIELDS)
+    n = draw(st.integers(1, 4))
+    return HomCoalgebra(field, n, _invertible(draw, field, n),
+                        Tensor3(field, n, n, n, _entries(draw, n ** 3)), _entries(draw, n))
+
+
+@st.composite
+def random_comodules(draw):
+    c = draw(random_coalgebras())
+    dm = draw(st.integers(1, 4))
+    coaction = Tensor3(c.field, dm, dm, c.dim, _entries(draw, dm * dm * c.dim))
+    return HomComodule(c.field, dm, _invertible(draw, c.field, dm), coaction), c
+
+
+@st.composite
+def random_hopf_algebras(draw):
+    field = draw(FIELDS)
+    n = draw(st.integers(1, 4))
+    return HomHopfAlgebra(field, n, _invertible(draw, field, n),
+                          Tensor3(field, n, n, n, _entries(draw, n ** 3)), _entries(draw, n),
+                          Tensor3(field, n, n, n, _entries(draw, n ** 3)), _entries(draw, n),
+                          Matrix(field, n, n, _entries(draw, n * n)))
+
+
+@st.composite
+def random_automorphisms(draw):
+    """A random Hopf structure and a random map on it, invertible or not."""
+    h = draw(random_hopf_algebras())
+    n = h.dim
+    a = (_invertible(draw, h.field, n) if draw(st.booleans())
+         else Matrix(h.field, n, n, _entries(draw, n * n)))
+    return h, a
+
+
 ZOO = [lambda f: group_algebra(1, f), lambda f: group_algebra(2, f),
        lambda f: group_algebra(3, f), lambda f: group_algebra(4, f),
        lambda f: twisted_group_algebra(3, 2, f), lambda f: twisted_group_algebra(4, 3, f),
@@ -196,6 +328,46 @@ def zoo_modules(draw):
     a = h.as_algebra()
     m = regular_module(a)
     return HomModule(m.field, m.dim, m.mu, _changed(draw, m.action)), a
+
+
+def _changed_matrix(draw, m: Matrix) -> Matrix:
+    """``m`` with one entry moved by a drawn amount (possibly zero)."""
+    ent = list(m.entries)
+    idx = draw(st.integers(0, len(ent) - 1))
+    ent[idx] = ent[idx] + m.field.of(draw(SCALARS))
+    return Matrix(m.field, m.rows, m.cols, tuple(ent))
+
+
+@st.composite
+def zoo_coalgebras(draw):
+    c = draw(st.sampled_from(ZOO))(draw(FIELDS)).as_coalgebra()
+    return HomCoalgebra(c.field, c.dim, c.gamma, _changed(draw, c.comult), c.counit)
+
+
+@st.composite
+def zoo_comodules(draw):
+    c = draw(st.sampled_from(ZOO))(draw(FIELDS)).as_coalgebra()
+    m = regular_comodule(c)
+    return HomComodule(m.field, m.dim, m.mu, _changed(draw, m.coaction)), c
+
+
+@st.composite
+def zoo_automorphisms(draw):
+    """A zoo Hopf algebra and its twist, the identity or the basis
+    permutation of g -> g^-1 (an automorphism of the group algebras only),
+    with one entry changed."""
+    h = draw(st.sampled_from(ZOO))(draw(FIELDS))
+    candidates = [h.alpha, Matrix.identity(h.field, h.dim)]
+    if h.dim > 1:
+        candidates.append(power_automorphism(h.dim, h.dim - 1, h.field))
+    return h, _changed_matrix(draw, draw(st.sampled_from(candidates)))
+
+
+@st.composite
+def zoo_antipodes(draw):
+    h = draw(st.sampled_from(ZOO))(draw(FIELDS))
+    return HomHopfAlgebra(h.field, h.dim, h.alpha, h.mult, h.unit, h.comult, h.counit,
+                          _changed_matrix(draw, h.antipode))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +404,83 @@ class TestHomModule:
         m, a = case
         assert_same(check_hom_module, reference_hom_module, m, a,
                     parts=(m.mu, m.action, a.alpha, a.mult))
+
+
+class TestHomCoalgebra:
+    @settings(max_examples=60, deadline=None)
+    @given(random_coalgebras())
+    def test_random_structures(self, c):
+        assert_same(check_hom_coalgebra, reference_hom_coalgebra, c,
+                    parts=(c.gamma, c.gamma_inv, c.comult))
+
+    @settings(max_examples=40, deadline=None)
+    @given(zoo_coalgebras())
+    def test_zoo_structures_with_one_entry_changed(self, c):
+        assert_same(check_hom_coalgebra, reference_hom_coalgebra, c,
+                    parts=(c.gamma, c.gamma_inv, c.comult))
+
+    def test_the_zoo_passes(self):
+        for build in ZOO:
+            c = build(Field.prime(7)).as_coalgebra()
+            assert assert_same(check_hom_coalgebra, reference_hom_coalgebra, c).passed
+
+
+class TestHomComodule:
+    @settings(max_examples=60, deadline=None)
+    @given(random_comodules())
+    def test_random_structures(self, case):
+        m, c = case
+        assert_same(check_hom_comodule, reference_hom_comodule, m, c,
+                    parts=(m.mu, m.mu_inv, m.coaction, c.gamma, c.gamma_inv, c.comult))
+
+    @settings(max_examples=40, deadline=None)
+    @given(zoo_comodules())
+    def test_zoo_comodules_with_one_entry_changed(self, case):
+        m, c = case
+        assert_same(check_hom_comodule, reference_hom_comodule, m, c,
+                    parts=(m.mu, m.mu_inv, m.coaction, c.gamma, c.gamma_inv, c.comult))
+
+    def test_the_zoo_passes(self):
+        for build in ZOO:
+            c = build(Field.prime(7)).as_coalgebra()
+            assert assert_same(check_hom_comodule, reference_hom_comodule,
+                               regular_comodule(c), c).passed
+
+
+class TestHopfAutomorphism:
+    @settings(max_examples=60, deadline=None)
+    @given(random_automorphisms())
+    def test_random_structures(self, case):
+        h, a = case
+        assert_same(hopf_automorphism_report, reference_automorphism, h, a,
+                    parts=(a, h.mult, h.comult, h.antipode))
+
+    @settings(max_examples=40, deadline=None)
+    @given(zoo_automorphisms())
+    def test_zoo_maps_with_one_entry_changed(self, case):
+        h, a = case
+        assert_same(hopf_automorphism_report, reference_automorphism, h, a,
+                    parts=(a, h.mult, h.comult, h.antipode))
+
+    def test_twists_of_the_zoo_pass(self):
+        for build in ZOO:
+            h = build(Field.prime(7))
+            assert assert_same(hopf_automorphism_report, reference_automorphism,
+                               h, h.alpha).passed
+
+
+class TestAntipodeTwist:
+    @settings(max_examples=40, deadline=None)
+    @given(random_hopf_algebras())
+    def test_random_structures(self, h):
+        assert_same(antipode_twist_report, reference_antipode_twist, h,
+                    parts=(h.alpha, h.antipode))
+
+    @settings(max_examples=40, deadline=None)
+    @given(zoo_antipodes())
+    def test_zoo_antipodes_with_one_entry_changed(self, h):
+        assert_same(antipode_twist_report, reference_antipode_twist, h,
+                    parts=(h.alpha, h.antipode))
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,8 @@ class TestMorphisms:
         for entry in (lambda: check_doi_module(m3, triv_kz2),
                       lambda: check_hom_comodule(m3, triv_kz2.coalgebra.coalgebra),
                       lambda: direct_sum_doi(m, m3),
+                      lambda: comodule_to_doi(regular_comodule(group_algebra(3, Q)
+                                                               .as_coalgebra()), triv_kz2),
                       lambda: build_retraction(theta, m3, triv_kz2),
                       lambda: separability_report(triv_kz2, [("x", m3)])):
             with pytest.raises(ValueError, match=into_3):
@@ -467,6 +469,13 @@ class TestMorphisms:
                 doi_morphism_report(f, m, m, triv_kz2)
             with pytest.raises(ValueError, match=rf"{shape[0]}x{shape[1]} matrix but needs 2x2"):
                 module_morphism_report(f, m, m, triv_kz2.algebra.algebra)
+            # a retraction of M goes M (x) C -> M, here 2x4
+            for entry in (lambda: retraction_report(f, m, triv_kz2),
+                          lambda: extract_integral(f, triv_kz2)):
+                with pytest.raises(ValueError,
+                                   match=rf"the map is a {shape[0]}x{shape[1]} matrix "
+                                         r"but needs 2x4$"):
+                    entry()
 
     def test_compatibility_fails_alone_for_mismatched_grading(self, rel_kz2):
         # a valid comodule structure that is incompatible with the action:

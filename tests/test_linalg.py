@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from homhopf.core import opposite_tensor
 from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows, _transform_row,
                             solve_affine, vec_add_scaled, vec_dense, vec_dot,
-                            vec_scale, vec_sparse, vec_sub, vec_tensor)
+                            vec_scale, vec_sparse, vec_sub, vec_tensor, vec_tensor_combine)
 from homhopf.zoo import group_algebra
 from law_oracles import nested
 
@@ -64,9 +64,8 @@ class TestScalars:
 
 
     @pytest.mark.parametrize("op", [
-        lambda a, b: a @ b, lambda a, b: a.add(b), lambda a, b: a.sub(b),
-        lambda a, b: a.kron(b), lambda a, b: a.kron_apply(b, {0: a.field.one()}),
-    ], ids=["matmul", "add", "sub", "kron", "kron_apply"])
+        lambda a, b: a @ b, lambda a, b: a.add(b), lambda a, b: a.kron(b),
+    ], ids=["matmul", "add", "kron"])
     def test_matrices_over_different_fields_rejected(self, op):
         # an int over Q would pass for an element of GF(7); this used to be
         # a TypeError on Fraction * GFElement
@@ -132,7 +131,7 @@ class TestRrefProperties:
         r, pivots = mat(rows).rref()
         assert list(pivots) == sorted(pivots)
         for row_idx, col in enumerate(pivots):
-            assert r.column(col) == {row_idx: Fraction(1)}
+            assert r.columns()[col] == {row_idx: Fraction(1)}
 
 
 def dense_gauss_jordan(rows, field):
@@ -433,13 +432,6 @@ class TestComposeTensorApply:
         with pytest.raises(ValueError, match="vector index 2 applied to 2x2 matrix"):
             m.apply({2: 1})
 
-    def test_kron_apply_rejects_negative_index(self):
-        m = Matrix.identity(Q, 2)
-        with pytest.raises(ValueError, match="vector index -1 applied to 4x4 matrix"):
-            m.kron_apply(m, {-1: 1})
-        with pytest.raises(ValueError, match="vector index 4 applied to 4x4 matrix"):
-            m.kron_apply(m, {4: 1})
-
 
 class TestTensor3Views:
     def test_as_map_to_pair_roundtrip(self):
@@ -545,9 +537,7 @@ class TestFibreStore:
         for read, index in [(lambda: m.at(-1, 0), r"\(-1, 0\)"),
                             (lambda: m.at(0, 5), r"\(0, 5\)"),
                             (lambda: m.row(-1), "row -1"),
-                            (lambda: m.row(2), "row 2"),
-                            (lambda: m.column(5), "column 5"),
-                            (lambda: m.column(-1), "column -1")]:
+                            (lambda: m.row(2), "row 2")]:
             with pytest.raises(IndexError, match=index + " outside a 2x2 "):
                 read()
         for read, index in [(lambda: t.at(0, 2, 0), r"\(0, 2, 0\)"),
@@ -557,7 +547,7 @@ class TestFibreStore:
                             (lambda: t.left_slice(2), "index 2")]:
             with pytest.raises(IndexError, match=index + " outside a 2x2x2 "):
                 read()
-        assert m.at(1, 0) == 3 and m.row(1) == [3, 4] and m.column(1) == {0: 2, 1: 4}
+        assert m.at(1, 0) == 3 and m.row(1) == [3, 4] and m.columns()[1] == {0: 2, 1: 4}
         assert t.at_pair(1, 0) == {1: 1} and t.at(1, 1, 0) == 1
 
 
@@ -744,6 +734,12 @@ def stores_no_zero(v):
     return all(v.values())
 
 
+def legs(v: dict, n: int) -> list:
+    """The ``(j, k, c)`` triples of a sparse vector on a tensor product whose
+    right factor has dimension ``n``."""
+    return [(*divmod(q, n), c) for q, c in v.items()]
+
+
 @st.composite
 def int_matrix(draw, rows, cols):
     return [draw(st.lists(sparse_ints, min_size=cols, max_size=cols)) for _ in range(rows)]
@@ -834,10 +830,11 @@ class TestSparseVectorOracle:
         assert ma.kron(mg) == Matrix.from_rows(field, dense_kron(a, g))
         assert list(ma.nonzero()) == [(i, j, x) for i, row in enumerate(a)
                                       for j, x in enumerate(row) if x]
-        results = [ma.apply(vec_sparse(v)), ma.kron_apply(mg, vec_sparse(vv))]
+        columns = ma.columns()
+        results = [ma.apply(vec_sparse(v)),
+                   vec_tensor_combine(legs(vec_sparse(vv), q), columns, mg.columns(), p)]
         assert results == [vec_sparse(dense_apply(a, v, field)),
                            vec_sparse(dense_apply(dense_kron(a, g), vv, field))]
-        columns = [ma.column(j) for j in range(c)]
         assert columns == [vec_sparse([row[j] for row in a]) for j in range(c)]
         assert all(stores_no_zero(x) for x in results + columns)
 
@@ -849,8 +846,9 @@ class TestSparseVectorOracle:
         t = Tensor3.from_nested(field, [[[1], [1]], [[0], [0]]])
         assert t.apply({0: one}, {0: one, 1: -one}) == {}
         assert t.apply_left({0: one, 1: -one}) == {0: one, 1: one}
-        flip = Matrix.from_rows(field, [[1, 1], [1, -1]])
-        assert flip.kron_apply(flip, {0: one, 3: -one}) == {1: one + one, 2: one + one}
+        flip = Matrix.from_rows(field, [[1, 1], [1, -1]]).columns()
+        assert vec_tensor_combine([(0, 0, one), (1, 1, -one)], flip, flip, 2) == \
+            {1: one + one, 2: one + one}
 
 
 class DenseMatrix:
@@ -955,10 +953,10 @@ class TestMatrixOracle:
             assert m.row(r) == ref.row(r)
             for c in range(cols):
                 assert m.at(r, c) == ref.at(r, c)
-        columns = [m.column(c) for c in range(cols)]
-        assert columns == [vec_sparse(ref.column(c)) for c in range(cols)]
-        # one pass over the fibres gives the same dicts, in the same row order
-        assert [list(col.items()) for col in m.columns()] == [list(col.items()) for col in columns]
+        columns = m.columns()
+        # one pass over the fibres gives each column's entries in row order
+        assert [list(col.items()) for col in columns] == \
+            [list(vec_sparse(ref.column(c)).items()) for c in range(cols)]
         assert all(e for fibre in m._fibres for _, e in fibre)
 
         # operations, each against the dense reference
@@ -972,15 +970,13 @@ class TestMatrixOracle:
         scalar = field.of(data.draw(sparse_ints))
         assert m @ other.matrix() == ref.matmul(other)
         assert m.kron(g.matrix()) == ref.kron(g)
-        results = [m.apply(vec_sparse(v)), m.kron_apply(g.matrix(), vec_sparse(vv))]
+        results = [m.apply(vec_sparse(v)),
+                   vec_tensor_combine(legs(vec_sparse(vv), q), columns, g.matrix().columns(), p)]
         assert results == [vec_sparse(dense_apply(ref.to_rows(), v, field)),
                            vec_sparse(dense_apply(nested(ref.kron(g)), vv, field))]
         assert all(stores_no_zero(x) for x in results + columns)
         assert m.add(same.matrix()) == ref.combine(same, lambda a, b: a + b)
-        assert m.sub(same.matrix()) == ref.combine(same, lambda a, b: a - b)
-        assert m.sub(m).is_zero() and m.sub(m) == Matrix.zeros(field, rows, cols)
         assert m.scale(scalar) == ref.combine(ref, lambda a, _: scalar * a)
-        assert m.is_zero() == (not any(dense))
         assert m.is_identity() == ref.is_identity()
         assert m.inverse() == ref.inverse()
         red, pivots, _ = dense_gauss_jordan(ref.to_rows(), field)
@@ -1017,7 +1013,7 @@ class TestMatrixOracle:
             eye = Matrix.identity(field, k)
             assert eye.is_identity() and eye == Matrix.build(
                 field, k, k, lambda r, c: field.one() if r == c else field.zero())
-            assert Matrix.zeros(field, k, k + 1).is_zero()
+            assert not any(Matrix.zeros(field, k, k + 1).entries)
         assert not Matrix.from_rows(field, [[1, 0], [0, 2]]).is_identity()
         assert not Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0]]).is_identity()
         assert not Matrix.from_rows(field, [[1, 1], [0, 1]]).is_identity()

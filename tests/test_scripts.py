@@ -31,12 +31,15 @@ def _ladder(tmp_path) -> dict:
 
 def test_ladder_sizes_repeat_across_runs(tmp_path):
     # the sizes of a rung are deterministic even though its times are not
-    sizes = ("rows", "empty_rows", "unknowns", "nnz", "rank", "answer", "checked")
+    sizes = ("rows", "empty_rows", "unknowns", "nnz", "rank", "answer", "checked",
+             "module_checked")
     first, second = (_ladder(tmp_path)["rungs"]["trivial-kZ2-Q"] for _ in range(2))
     assert {k: first[k] for k in sizes} == {k: second[k] for k in sizes}
     assert first["answer"] == "feasible" and first["unknowns"] == 4 and first["checked"] > 0
+    assert first["module_checked"] > 0
     assert all(first[k] >= 0 for k in ("datum_s", "read_s", "check_s", "assemble_s", "elim_s", "solve_s",
-                                       "verify_s", "retraction_s", "triangle_s"))
+                                       "verify_s", "module_check_s", "retraction_s",
+                                       "triangle_s"))
 
 
 def test_ladder_times_retractions_only_where_an_integral_exists(tmp_path):
