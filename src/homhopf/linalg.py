@@ -3,16 +3,20 @@
 Every scalar has one canonical form: over Q an integral value is an
 ``int`` and any other a ``fractions.Fraction`` (the two compare equal, hash
 alike and print the same), over GF(p) a :class:`GFElement` in ``[0, p)``.
-Each field hands out one shared zero and one; :meth:`Field.div` is the one
-way to divide.  Stored entries, ``Matrix.apply``, solutions and residuals
-are made canonical, not every intermediate sum.  Vectors are sparse: a dict
-``{index: nonzero scalar}`` that never holds a zero.  Matrices and order-3
+GF(p) has one shared object per value: elements are read from the field's
+table, which keeps at most 2**16 of them (past that a result is a new
+object), and arithmetic on two elements looks its result up there instead
+of building it.  Each field hands out one shared zero and one;
+:meth:`Field.div` is the one way to divide.  Stored entries,
+``Matrix.apply``, solutions and residuals are made canonical, not every
+intermediate sum.  Vectors are sparse: a dict ``{index: nonzero scalar}``
+that never holds a zero.  Matrices and order-3
 tensors (structure constants, which are mostly zero) share one store that
 keeps only their nonzeros: one fibre of ``(index, value)`` pairs per matrix
 row, or per index pair (i, j) of a tensor.  Kronecker products, induced
 modules and twists repeat whole rows, so equal fibres are stored once per
-object; values and ``(index, value)`` pairs are not shared, since that would
-cost a table lookup per nonzero.  Products, Kronecker products, evaluations
+object; the store looks up no value or ``(index, value)`` pair, since that
+would cost a lookup per nonzero.  Products, Kronecker products, evaluations
 and elimination read the fibres, so they cost the nonzeros, not the shape.
 Checkers hold a map as its ``columns()`` table, the images of basis vectors
 read in one pass over the fibres, and apply it with :func:`vec_combine`, a
@@ -32,7 +36,7 @@ entry ``-1`` at the free coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from collections.abc import Callable, Iterator, Sequence
 
@@ -50,67 +54,122 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class GFElement:
-    """An element of the prime field GF(p), stored as an int in ``[0, p)``."""
+_TABLE_SIZE = 2**16  # the most elements one field's table keeps
 
-    __slots__ = ("value", "p")
 
-    def __init__(self, value: int, p: int):
-        self.value = value % p
+class _Elements(dict):
+    """The shared elements of one GF(p), value in ``[0, p)`` -> element, each
+    made on its first lookup.  Past ``_TABLE_SIZE`` entries an element is
+    made and not kept, so a modulus near 2**31 cannot grow memory without
+    bound; such an element still equals and hashes like any other."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        super().__init__()
         self.p = p
 
+    def __missing__(self, value: int) -> "GFElement":
+        x = object.__new__(GFElement)
+        x.value, x.p, x._elements = value, self.p, self
+        if len(self) < _TABLE_SIZE:
+            self[value] = x
+        return x
+
+
+_ELEMENTS: dict = {}  # p -> the _Elements of GF(p)
+
+
+class GFElement:
+    """An element of the prime field GF(p), stored as an int in ``[0, p)``.
+
+    There is one shared object per value and field: ``GFElement(v, p)`` is
+    the entry ``v % p`` of the field's table, so ``GFElement(a, p) is
+    GFElement(a + p, p)``, and ``+``, ``-``, ``*``, ``/`` and unary ``-`` on
+    elements of one field look their result up in that table instead of
+    building it.  Equality still compares values, identity being only its
+    fast exit, so no result rests on the sharing.  A table keeps at most
+    2**16 elements; past that a result is made as a new object."""
+
+    __slots__ = ("value", "p", "_elements")
+
+    def __new__(cls, value: int, p: int):
+        elements = _ELEMENTS.get(p)
+        if elements is None:
+            elements = _ELEMENTS.setdefault(p, _Elements(p))
+        return elements[value % p]
+
+    def __reduce__(self):
+        # copy and pickle hand back the shared element
+        return GFElement, (self.value, self.p)
+
     def _coerce(self, other):
+        """``other`` as an element of this field: an int is reduced mod p, an
+        element of another modulus is a ValueError."""
         if isinstance(other, GFElement):
             if other.p != self.p:
                 raise ValueError(f"mixed moduli {self.p} and {other.p}")
             return other
         if isinstance(other, int):
-            return GFElement(other, self.p)
+            return self._elements[other % self.p]
         return NotImplemented
 
+    # Each operator reads an element of its own field with one class check
+    # and one table lookup; an int or an element of another field coerces.
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value + other.value, self.p)
+        elements = self._elements
+        if other.__class__ is not GFElement or other._elements is not elements:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return elements[(self.value + other.value) % self.p]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value - other.value, self.p)
+        elements = self._elements
+        if other.__class__ is not GFElement or other._elements is not elements:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return elements[(self.value - other.value) % self.p]
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GFElement(other.value - self.value, self.p)
+        return self._elements[(other.value - self.value) % self.p]
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GFElement(self.value * other.value, self.p)
+        elements = self._elements
+        if other.__class__ is not GFElement or other._elements is not elements:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return elements[self.value * other.value % self.p]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        elements = self._elements
+        if other.__class__ is not GFElement or other._elements is not elements:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if other.value == 0:
             raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return GFElement(self.value * pow(other.value, self.p - 2, self.p), self.p)
+        p = self.p
+        return elements[self.value * pow(other.value, p - 2, p) % p]
 
     def __neg__(self):
-        return GFElement(-self.value, self.p)
+        return self._elements[-self.value % self.p]
 
     def __bool__(self):
         return self.value != 0
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if isinstance(other, GFElement):
             return self.p == other.p and self.value == other.value
         if isinstance(other, int):
@@ -140,9 +199,6 @@ def canonical(x):
     return x
 
 
-_UNITS: dict = {}  # p (None for Q) -> (zero, one)
-
-
 @dataclass(frozen=True)
 class Field:
     """Coefficient field descriptor: the rationals (``p is None``) or GF(p)."""
@@ -153,15 +209,12 @@ class Field:
         if self.p is not None:
             if not (self.p < 2**31 and _is_prime(self.p)):
                 raise ValueError(f"modulus {self.p} is not a prime below 2**31")
-        # one zero and one one per field, shared by every Field(p): scalars
-        # are never mutated, and comparing mostly-zero vectors then stops at
+        # one zero and one one per field, shared by every Field(p) as every
+        # element of GF(p) is: comparing mostly-zero vectors then stops at
         # identity instead of calling __eq__ on each pair of zeros
-        units = _UNITS.get(self.p)
-        if units is None:
-            make = int if self.p is None else (lambda x: GFElement(x, self.p))
-            units = _UNITS.setdefault(self.p, (make(0), make(1)))
-        object.__setattr__(self, "_zero", units[0])
-        object.__setattr__(self, "_one", units[1])
+        p = self.p
+        object.__setattr__(self, "_zero", 0 if p is None else GFElement(0, p))
+        object.__setattr__(self, "_one", 1 if p is None else GFElement(1, p))
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -372,8 +425,9 @@ class _FibreStore:
         # Kronecker products, induced modules and twists repeat whole rows:
         # each nonempty fibre is swapped for the equal one already seen in
         # this call, so equal fibres are stored once per object.  Values and
-        # pairs are not shared; a lookup per nonzero cost more time than the
-        # memory it saved.  Values are stored in the field's canonical form:
+        # pairs are not looked up; a lookup per nonzero cost more time than
+        # the memory it saved (GF(p) values are shared by the arithmetic).
+        # Values are stored in the field's canonical form:
         # the field's own scalars, an int over Q and an element of GF(p) over
         # GF(p), nearly every value, are kept without a call; anything else
         # goes through ``Field.of`` (a Fraction to its canonical form, an
@@ -413,6 +467,12 @@ class _FibreStore:
         obj._store(fibres, width)
         return obj
 
+    def __reduce__(self):
+        # the slots dataclass would copy and pickle its declared fields only,
+        # without the fibres
+        shape = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "entries"}
+        return _rebuilt, (type(self), self._fibres, self.shape[-1], shape)
+
     def _outside(self, what: str, index) -> IndexError:
         """The error for ``index`` (a ``what``) outside this object's shape."""
         shape = "x".join(map(str, self.shape))
@@ -428,6 +488,11 @@ class _FibreStore:
 
     def __hash__(self):
         return hash(self._key())
+
+
+def _rebuilt(cls, fibres, width: int, shape: dict):
+    """The copied or unpickled :class:`_FibreStore` object."""
+    return cls._from_fibres(fibres, width, **shape)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

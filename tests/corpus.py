@@ -21,9 +21,10 @@ from homhopf.zoo import (regular_module, sweedler_h4, twisted_group_algebra,
 def is_canonical(x, field: Field) -> bool:
     """Is ``x`` a scalar of ``field`` in its one canonical form?  Over Q an
     integral value is an ``int`` (never a ``bool``) and any other value a
-    ``Fraction``; over GF(p) every value is a ``GFElement`` of p."""
+    ``Fraction``; over GF(p) every value is the field's shared
+    ``GFElement`` of its residue."""
     if field.p is not None:
-        return type(x) is GFElement and x.p == field.p
+        return type(x) is GFElement and x.p == field.p and x is GFElement(x.value, field.p)
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 

@@ -1,11 +1,12 @@
 """Every scalar the package hands out is in canonical form.
 
 Over Q an integral value is an ``int`` and any other value a ``Fraction``;
-over GF(p) a value is a ``GFElement``.  Arithmetic that mixes the two Q forms
-can produce an integral ``Fraction`` (1/2 * 2), so these properties draw
-non-integer entries over Q and check that no ``float``, no ``bool`` and no
-non-canonical value reaches a matrix, a tensor, a solution, a certificate or
-a report.  GF(7) runs the same properties.
+over GF(p) a value is the field's one shared ``GFElement`` of its residue.
+Arithmetic that mixes the two Q forms can produce an integral ``Fraction``
+(1/2 * 2), so these properties draw non-integer entries over Q and check
+that no ``float``, no ``bool`` and no non-canonical value reaches a matrix,
+a tensor, a solution, a certificate or a report.  GF(7) runs the same
+properties.
 """
 
 from fractions import Fraction

@@ -363,6 +363,26 @@ class TestOppositeTensor:
         assert t.dim == 25
         assert peak < 640 * 1024
 
+    def test_square_over_gf7_retains_no_more_than_over_q(self):
+        # the Kronecker products hold the field's shared elements, not a new
+        # object per product: with one per product the GF(7) square retained
+        # 37.2 KiB against 27.8 KiB over Q
+        retained = {}
+        for field in (Q, Field.prime(7)):
+            h = group_algebra(5, field)
+            opposite_tensor(h)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                t = opposite_tensor(h)
+                gc.collect()
+                retained[field.p] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert t.dim == 25
+        assert retained[7] <= retained[None]
+
     def test_square_satisfies_derived_consequences(self):
         t = opposite_tensor(group_algebra(2, Q))
         assert derived_antipode_properties(t).passed

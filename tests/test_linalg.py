@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows, _tran
                             solve_affine, vec_add_scaled, vec_dense, vec_dot,
                             vec_scale, vec_sparse, vec_sub, vec_tensor, vec_tensor_combine)
 from homhopf.zoo import group_algebra
+from corpus import is_canonical
 from law_oracles import nested
 
 Q = Field.rationals()
@@ -51,6 +54,54 @@ class TestScalars:
             if x == v:
                 assert hash(x) == hash(v)
         assert len({x, x.value}) == 1
+
+    @given(a=st.integers(-100, 100), b=st.integers(-100, 100),
+           p=st.sampled_from([2, 3, 7, 31]))
+    def test_gf_arithmetic_is_int_arithmetic_on_shared_elements(self, a, b, p):
+        # one object per value and field, and results read from it agree
+        # with int arithmetic mod p, for element and int operands alike
+        x, y = GFElement(a, p), GFElement(b, p)
+        assert x is GFElement(a + p, p) and x is GFElement(a % p, p)
+        results = [(x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a),
+                   (x + b, a + b), (b + x, a + b), (x - b, a - b), (b - x, b - a),
+                   (x * b, a * b), (b * x, a * b)]
+        if b % p:
+            inverse = pow(b, p - 2, p)
+            results += [(x / y, a * inverse), (x / b, a * inverse)]
+        for got, want in results:
+            assert type(got) is GFElement and got.p == p
+            assert got.value == want % p and got is GFElement(want, p)
+        # a bool coerces as the int it equals
+        for flag in (False, True):
+            assert x + flag is GFElement(a + flag, p) and flag * x is GFElement(a * flag, p)
+            assert flag - x is GFElement(flag - a, p)
+            assert Field.prime(p).of(flag) is GFElement(flag, p)
+
+    def test_gf_errors_on_every_operator(self):
+        x = GFElement(3, 7)
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+                   lambda a, b: a / b):
+            with pytest.raises(ValueError, match="mixed moduli 7 and 5"):
+                op(x, GFElement(3, 5))
+            with pytest.raises(TypeError):
+                op(x, 1.5)
+        for zero in (GFElement(0, 7), GFElement(7, 7), 0, 14, False):
+            with pytest.raises(ZeroDivisionError, match=r"division by zero in GF\(7\)"):
+                x / zero
+
+    def test_gf_large_modulus_keeps_a_bounded_table(self):
+        # 140,000 distinct values of GF(2**31 - 1): past 2**16 a result is
+        # made and not kept, and every answer is still int arithmetic mod p
+        p, g, n = 2**31 - 1, 16807, 70_000
+        x, total, x_int, total_int = GFElement(1, p), GFElement(0, p), 1, 0
+        for _ in range(n):
+            x, x_int = x * g, x_int * g % p
+            total, total_int = total + x, (total_int + x_int) % p
+        assert x.value == x_int == pow(g, n, p) and total.value == total_int
+        assert len(GFElement(0, p)._elements) == 2**16
+        again = GFElement(x.value, p)
+        assert again == x and hash(again) == hash(x) and again + x == 2 * x.value % p
+        assert Matrix.from_rows(Field.prime(p), [[x.value, 1], [0, 1]]).inverse().at(0, 0) * x == 1
 
     @given(a=st.integers(-50, 50), b=st.integers(-50, 50), c=st.integers(-50, 50))
     def test_gf_field_laws(self, a, b, c):
@@ -496,6 +547,23 @@ class TestFibreStore:
                           lambda: Tensor3.from_nonzeros(field, 1, 1, 1, {(0, 0, 0): other})):
                 with pytest.raises(error, match=message):
                     build()
+
+    def test_copies_and_pickles_keep_the_fibres(self, field):
+        # a slots dataclass copies and pickles its declared fields alone, so
+        # these came back without their fibres
+        m = Matrix.from_rows(field, [[1, 0, 2], [0, 3, 0]])
+        t = opposite_tensor(group_algebra(2, field)).mult
+        for obj in (m, t):
+            for copied in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert type(copied) is type(obj) and copied == obj and hash(copied) == hash(obj)
+                assert copied.field == obj.field and copied.shape == obj.shape
+                assert copied.entries == obj.entries
+                assert all(is_canonical(e, field) for *_, e in copied.nonzero())
+        assert pickle.loads(pickle.dumps(m)).apply({0: field.one()}) == m.apply({0: field.one()})
+        assert copy.deepcopy(m) @ Matrix.identity(field, 3) == m
+        for x in (field.one(), field.of(5)):
+            for copied in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert copied == x and is_canonical(copied, field)
 
     def test_q_entries_coerced_into_the_field(self):
         # a string is parsed and a bool is the int it equals; "0" is dropped

@@ -48,3 +48,19 @@ def test_ladder_times_retractions_only_where_an_integral_exists(tmp_path):
     h4 = rungs["trivial-H4-Q"]
     assert h4["answer"] == "infeasible"
     assert h4["verify_s"] is None and h4["retraction_s"] is None and h4["triangle_s"] >= 0
+
+
+def test_setup_pairs_times_each_side_in_fresh_processes(tmp_path):
+    # the checkout against itself: a base given as a directory needs no git
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "setup_pairs.py"),
+                           "--base", os.path.dirname(os.path.abspath(SCRIPTS)),
+                           "--workload", "solve", "--processes", "2", "--calls", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["first"] == ["base", "change"]
+    for side in ("base", "change"):
+        bests = result["bests_s"][side]
+        assert len(bests) == 2 and bests == sorted(bests) and bests[0] > 0
+    assert 0 <= result["change_lower"] <= 2
