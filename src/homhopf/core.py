@@ -18,6 +18,10 @@ Checkers evaluate every axiom on every basis tuple and report exact
 residuals; nothing is sampled.  Each side of an instance combines entries of
 tables built once per check and only read: products, and maps as ``columns()``
 tables (``vec_combine``; ``vec_tensor_combine`` for a tensor product of maps).
+Products of basis vectors repeat (group-like and monomial bases, their
+twists and tensor squares), so a side that a product determines is evaluated
+once per distinct product and read for each instance; every instance is
+still compared.
 """
 
 from __future__ import annotations
@@ -181,8 +185,32 @@ class HomComodule:
 # checkers
 
 def product_table(t: Tensor3) -> list:
-    """``table[i][j]`` = t[i][j][:], e.g. the product of basis vectors i and j."""
-    return [[t.at_pair(i, j) for j in range(t.d2)] for i in range(t.d1)]
+    """``table[i][j]`` = t[i][j][:], e.g. the product of basis vectors i and j.
+
+    Equal products are one shared dict, to be only read: the store keeps
+    equal fibres once, and each fibre becomes one dict.  A checker applies a
+    map to each distinct product once (``_distinct``, ``_evaluated``) and
+    reads the result for every instance with that product."""
+    d2, fibres = t.d2, t._fibres
+    dicts = {key: dict(f) for key, f in {id(f): f for f in fibres}.items()}
+    return [[dicts[id(f)] for f in fibres[i * d2:(i + 1) * d2]] for i in range(t.d1)]
+
+
+def _distinct(table: list) -> tuple:
+    """(the distinct dicts of ``table``, each once, and the table of their
+    positions in that list), distinct by identity as ``product_table``
+    shares them."""
+    first = {}
+    where = [[first.setdefault(id(p), (len(first), p))[0] for p in row] for row in table]
+    return [p for _, p in first.values()], where
+
+
+def _evaluated(table: list, *maps) -> list:
+    """For each map f of ``maps``, the table of ``f(table[i][j])``, with f
+    called once per distinct product."""
+    products, where = _distinct(table)
+    return [[[values[q] for q in row] for row in where]
+            for values in ([f(p) for p in products] for f in maps)]
 
 
 def leg_products(left: Tensor3, right: Tensor3, prod1: list, prod2: list, n2: int):
@@ -193,14 +221,23 @@ def leg_products(left: Tensor3, right: Tensor3, prod1: list, prod2: list, n2: in
     cases: the bialgebra law Delta(ab) = a1b1 (x) a2b2, the comodule-algebra
     law rho(ab) = a0b0 (x) a1b1, the module-coalgebra law
     Delta(c.h) = c1.h1 (x) c2.h2, and the side m0.h1 (x) m1h2 of the
-    Yetter-Drinfeld law."""
+    Yetter-Drinfeld law.  Each x0y0 (x) x1y1 is formed once per pair of
+    distinct products of the shared tables."""
     legs_l, legs_r = ([list(t.nonzero_of(i)) for i in range(t.d1)] for t in (left, right))
+    (products1, at1), (products2, at2) = _distinct(prod1), _distinct(prod2)
+    width, tensors = len(products2), {}  # q1 * width + q2 -> x0y0 (x) x1y1
     for i, xs in enumerate(legs_l):
         for j, ys in enumerate(legs_r):
             out = {}
             for x0, x1, cx in xs:
+                row1, row2 = at1[x0], at2[x1]
                 for y0, y1, cy in ys:
-                    vec_add_scaled(out, cx * cy, vec_tensor(prod1[x0][y0], prod2[x1][y1], n2))
+                    q1, q2 = row1[y0], row2[y1]
+                    uv = tensors.get(q1 * width + q2)
+                    if uv is None:
+                        uv = tensors[q1 * width + q2] = vec_tensor(products1[q1],
+                                                                   products2[q2], n2)
+                    vec_add_scaled(out, cx * cy, uv)
             yield i, j, out
 
 
@@ -217,19 +254,24 @@ def _algebra_report(a: HomAlgebra, prod: list) -> AxiomReport:
     by_right = [[prod[r][l] for r in range(n)] for l in range(n)]  # [l][r] = e_r e_l
     left = [[vec_combine(alpha_col[i], by_right[l]) for l in range(n)] for i in range(n)]
     right = [[vec_combine(alpha_col[k], prod[l]) for l in range(n)] for k in range(n)]
+    products, where = _distinct(prod)
+    twisted = [vec_combine(p, alpha_col) for p in products]  # alpha(e_i e_j)
     unit = vec_sparse(a.unit)
     b.check_vec("twist_fixes_unit", (), vec_combine(unit, alpha_col), unit, n)
     for i in range(n):
         b.check_vec("right_unit", (i,), vec_combine(unit, prod[i]), alpha_col[i], n)
         b.check_vec("left_unit", (i,), vec_combine(unit, by_right[i]), alpha_col[i], n)
         for j in range(n):
-            b.check_vec("twist_multiplicative", (i, j), vec_combine(prod[i][j], alpha_col),
+            b.check_vec("twist_multiplicative", (i, j), twisted[where[i][j]],
                         vec_combine(alpha_col[j], left[i]), n)
+    # alpha(e_i)(e_j e_k) = (e_i e_j) alpha(e_k), each side evaluated once per
+    # distinct product: the left side for each i, the right side for each k
+    flat = [q for row in where for q in row]
+    rhs_of = [[vec_combine(p, right[k]) for k in range(n)] for p in products]
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                b.check_vec("hom_associativity", (i, j, k), vec_combine(prod[j][k], left[i]),
-                            vec_combine(prod[i][j], right[k]), n)
+        lhs_of = [vec_combine(p, left[i]) for p in products]
+        b.check_block([lhs_of[q] for q in flat], [x for q in where[i] for x in rhs_of[q]], n,
+                      (("hom_associativity", (i, j, k)) for j in range(n) for k in range(n)))
     return b.report()
 
 
@@ -273,10 +315,12 @@ def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
     alpha_col, s_col = h.alpha.columns(), h.antipode.columns()
     b.check_vec("comult_unit", (), h.comult.apply_left(unit), vec_tensor(unit, unit, n), n * n)
     b.check_scalar("counit_unit", (), vec_dot(field, unit, h.counit), one)
+    coproduct, counit = _evaluated(prod, h.comult.apply_left,
+                                   lambda p: vec_dot(field, p, h.counit))
     for i, j, rhs in leg_products(h.comult, h.comult, prod, prod, n):
-        b.check_vec("comult_multiplicative", (i, j), h.comult.apply_left(prod[i][j]), rhs, n * n)
+        b.check_vec("comult_multiplicative", (i, j), coproduct[i][j], rhs, n * n)
         b.check_scalar("counit_multiplicative", (i, j),
-                       vec_dot(field, prod[i][j], h.counit), h.counit[i] * h.counit[j])
+                       counit[i][j], h.counit[i] * h.counit[j])
     for i in range(n):
         conv_left, conv_right = {}, {}
         for j, k, coeff in h.comult.nonzero_of(i):
@@ -318,16 +362,25 @@ def _module_report(m: HomModule, a: HomAlgebra, acted: list, prod: list) -> Axio
     by_algebra = [[acted[r][l] for r in range(dm)] for l in range(da)]  # [l][r] = e_r.a_l
     twisted = [[vec_combine(mu_col[i], by_algebra[l]) for l in range(da)] for i in range(dm)]
     by_twist = [[vec_combine(alpha_col[k], acted[l]) for l in range(dm)] for k in range(da)]
+    # per distinct e_i.a_j: mu(e_i.a_j), then (e_i.a_j).alpha(a_k) for each k
+    actions, acted_at = _distinct(acted)
+    lhs_of = [[vec_combine(v, mu_col), *(vec_combine(v, twist) for twist in by_twist)]
+              for v in actions]
+    products, prod_at = _distinct(prod)
     unit = vec_sparse(a.unit)
     for i in range(dm):
         b.check_vec("module_unit", (i,), vec_combine(unit, acted[i]), mu_col[i], dm)
+        # mu(e_i).(a_j a_k), once per distinct product
+        rhs_of = [vec_combine(p, twisted[i]) for p in products]
+        lhs, rhs = [], []
         for j in range(da):
-            b.check_vec("module_twist", (i, j), vec_combine(acted[i][j], mu_col),
-                        vec_combine(alpha_col[j], twisted[i]), dm)
-            for k in range(da):
-                b.check_vec("module_hom_associativity", (i, j, k),
-                            vec_combine(acted[i][j], by_twist[k]),
-                            vec_combine(prod[j][k], twisted[i]), dm)
+            lhs += lhs_of[acted_at[i][j]]
+            rhs.append(vec_combine(alpha_col[j], twisted[i]))
+            rhs += [rhs_of[q] for q in prod_at[j]]
+        # module_twist (i, j) before module_hom_associativity (i, j, k)
+        b.check_block(lhs, rhs, dm, (inst for j in range(da) for inst in (
+            ("module_twist", (i, j)),
+            *(("module_hom_associativity", (i, j, k)) for k in range(da)))))
     return b.report()
 
 

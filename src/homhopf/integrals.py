@@ -22,10 +22,10 @@ o Pre, where Pre sends an instance to C (x) C (x) X and Post sends A (x) X
 to the output, and one contraction turns every such term into sparse rows;
 the row and column layout lives in that one helper.  The solver eliminates
 those rows as they are; ``assemble_integral_system`` wraps them as matrices.
-``integral_residuals`` evaluates the conditions directly on vectors for a
-given theta and shares no term or table with the assembler, so a wrong term
-on either side shows as a disagreement: tests compare the two entry for
-entry, and every solution is certified by the direct route.
+``integral_sides`` evaluates both sides of every condition directly on
+vectors for a given theta and shares no term or table with the assembler, so
+a wrong term on either side shows as a disagreement: tests compare the two
+entry for entry, and every solution is certified by the direct route.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from itertools import product
 
 from .doi import DoiDatum
 from .linalg import (Field, Matrix, Tensor3, _rref_rows, _transform_row, canonical,
-                     require_same_field, vec_add_scaled, vec_dense, vec_scale, vec_sparse,
-                     vec_sub, vec_tensor, vec_tensor_combine)
-from .report import AxiomReport, residual_report
+                     require_same_field, vec_add_scaled, vec_scale, vec_sparse, vec_tensor,
+                     vec_tensor_combine)
+from .report import AxiomReport, ReportBuilder
 
 
 @dataclass
@@ -105,12 +105,12 @@ def theta_index(i: int, j: int, k: int, dim_c: int, dim_a: int) -> int:
 # ---------------------------------------------------------------------------
 # route 1: direct evaluation
 
-def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
-    """Evaluate every condition instance directly; maps (family, instance) to
-    the exact residual vector, dense."""
+def integral_sides(cand: IntegralCandidate, d: DoiDatum):
+    """Evaluate every condition instance directly: yield ``(family, instance,
+    lhs, rhs, length)`` with both sides as sparse vectors of that length."""
     require_same_field(d, cand)
     field = d.field
-    zero, one = field.zero(), field.one()
+    one = field.one()
     theta = cand.theta
     alg = d.algebra.algebra
     coalg = d.coalgebra.coalgebra
@@ -124,16 +124,11 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
     gam_inv_col = coalg.gamma_inv.columns()
     delta = [list(coalg.comult.nonzero_of(i)) for i in range(dc)]
     legs = [list(rho_a.nonzero_of(i)) for i in range(da)]
-    out = {}
-
-    def residual(lhs, rhs, n):
-        return vec_dense(vec_sub(lhs, rhs), n, zero)
-
     for p in range(dc):
         for q in range(dc):
             lhs = theta.apply(gam_col[p], gam_col[q])
             rhs = alg.alpha.apply(theta.at_pair(p, q))
-            out[("twist_compatibility", (p, q))] = residual(lhs, rhs, da)
+            yield "twist_compatibility", (p, q), lhs, rhs, da
 
     # theta(gamma^-1(e_p) (x) e_c) and rho_A(theta(e_c (x) gamma^-1(e_q))), each formed once
     th_left = [[theta.apply(g, {c: one}) for c in range(dc)] for g in gam_inv_col]
@@ -147,14 +142,14 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
                 for leg, s in rho_th[d2][q].items():  # in A (x) H
                     u, hh = divmod(leg, dh)
                     vec_add_scaled(rhs, co * s, vec_tensor(beta_col[u], phi.at_pair(d1, hh), dc))
-            out[("colinearity", (p, q))] = residual(lhs, rhs, da * dc)
+            yield "colinearity", (p, q), lhs, rhs, da * dc
 
     unit_a = vec_sparse(alg.unit)
     for p in range(dc):
         acc = {}
         for c1, c2, co in delta[p]:
             vec_add_scaled(acc, co, theta.at_pair(c1, c2))
-        out[("normalization", (p,))] = residual(acc, vec_scale(coalg.counit[p], unit_a), da)
+        yield "normalization", (p,), acc, vec_scale(coalg.counit[p], unit_a), da
 
     beta2_col = [alg.alpha.apply(beta_col[i]) for i in range(da)]
     # gamma^-1(e_p).e_h and gamma^-1(e_q).alpha^-1(e_h)
@@ -170,14 +165,16 @@ def integral_residuals(cand: IntegralCandidate, d: DoiDatum) -> dict:
                         tt = theta.apply(act[p][h2], act_inv[q][hh])
                         vec_add_scaled(lhs, c1 * c2, alg.mult.apply(beta2_col[u2], tt))
                 rhs = alg.mult.apply(theta.at_pair(p, q), {t_idx: one})
-                out[("module_linearity", (t_idx, p, q))] = residual(lhs, rhs, da)
-    return out
+                yield "module_linearity", (t_idx, p, q), lhs, rhs, da
 
 
 def verify_integral(cand: IntegralCandidate, d: DoiDatum) -> AxiomReport:
     """Direct exhaustive evaluation of all four condition families; the
     independent oracle for the assembled system."""
-    return residual_report(integral_residuals(cand, d))
+    b = ReportBuilder()
+    for family, instance, lhs, rhs, n in integral_sides(cand, d):
+        b.check_vec(family, instance, lhs, rhs, n)
+    return b.report()
 
 
 # ---------------------------------------------------------------------------

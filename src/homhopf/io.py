@@ -16,7 +16,10 @@ later one is a plain dict hit.  A zero, however it is spelled ("0", "-0",
 it by identity (``is not zero``) without testing any value.  One depth-first
 walk checks each list's shape and reads its coefficients in reading order,
 and decodes matrices and tensors straight into their nonzero fibres, one per
-innermost list; no dense copy is built.
+innermost list; no dense copy is built.  Rows repeat as well, so each file
+also holds a table from a row of strings (as a tuple) to its fibre, and each
+distinct row is parsed once; a row that cannot be hashed, or fails, is read
+entry by entry, so the first error in reading order is the one reported.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import re
 import reprlib
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
                    HomModule)
@@ -67,9 +71,11 @@ class StructureFile:
     raw: dict
     _built: dict = dc_field(default_factory=dict)
     _scalars: dict = dc_field(init=False, repr=False)  # coefficient string -> scalar
+    _rows: dict = dc_field(init=False, repr=False)  # row of strings, as a tuple -> fibre
 
     def __post_init__(self):
         self._scalars = _Coefficients(self.field)
+        self._rows = {}
 
     def kind_of(self, name: str) -> str:
         return self._raw_of(name)["kind"]
@@ -189,7 +195,10 @@ class StructureFile:
         dims = "x".join(map(str, shape))
         what = (f"a vector of length {dims}", f"a {dims} matrix",
                 f"a {dims} tensor")[len(shape) - 1]
-        lookup, zero, fibres = self._scalars.__getitem__, self.field.zero(), []
+        lookup, zero, fibres, rows = self._scalars.__getitem__, self.field.zero(), [], self._rows
+
+        def parsed(row: list) -> tuple:
+            return tuple([(k, x) for k, x in enumerate(map(lookup, row)) if x is not zero])
 
         def walk(data, shape: tuple) -> None:
             # depth first, so the first bad list or coefficient in reading order is reported
@@ -204,7 +213,13 @@ class StructureFile:
                 for row in data:
                     if not isinstance(row, list) or len(row) != width:
                         raise StructureParseError(f"expected {what}")
-                    fibres.append([(k, x) for k, x in enumerate(map(lookup, row)) if x is not zero])
+                    try:  # each distinct row is parsed once per file
+                        fibre = rows[tuple(row)]
+                    except KeyError:  # a row that fails to parse is not stored
+                        fibre = rows[tuple(row)] = parsed(row)
+                    except TypeError:  # an unhashable entry: read entry by entry, in order
+                        fibre = parsed(row)
+                    fibres.append(fibre)
             except TypeError:  # an unhashable entry, a list or a dict, cannot be looked up
                 raise _not_a_string(next(x for x in row if not isinstance(x, str))) from None
 
@@ -323,21 +338,69 @@ def parse_field_flag(text: str) -> Field:
 
 
 def serialize_structure_file(sf: StructureFile) -> str:
-    payload = {"field": field_to_raw(sf.field), "objects": sf.raw}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2)`` and a
+    newline, written by ``_write_json``."""
+    out = []
+    _write_json({"field": field_to_raw(sf.field), "objects": sf.raw}, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _write_json(x, indent: str, out: list) -> None:
+    """Append to ``out`` the pieces of ``json.dumps(x, sort_keys=True,
+    indent=2)`` nested at ``indent``.  With an indent json runs its
+    pure-Python encoder; this writer quotes with json's C quoting and joins
+    a list of strings, such as a row of coefficients, in one call.  Keys are
+    strings, as in any JSON object; a value of another type (a number,
+    true, false or null, or an empty list or dict) is left to json itself."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if type(x) is str:
+        out.append(_quoted(x))
+    elif type(x) is list and x and all(type(y) is str for y in x):
+        out.append("[\n" + inner + sep.join(map(_quoted, x)) + "\n" + indent + "]")
+    elif type(x) is list and x:
+        for n, y in enumerate(x):
+            out.append(sep if n else "[\n" + inner)
+            _write_json(y, inner, out)
+        out.append("\n" + indent + "]")
+    elif type(x) is dict and x:
+        for n, (key, y) in enumerate(sorted(x.items())):
+            out.append((sep if n else "{\n" + inner) + _quoted(key) + ": ")
+            _write_json(y, inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        out.append(json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent))
 
 
 # ---------------------------------------------------------------------------
 # raw-dict encoders for in-memory objects
 
 def _encode(part) -> list:
-    """A vector, matrix or tensor as nested lists of coefficient strings."""
+    """A vector, matrix or tensor as nested lists of coefficient strings;
+    a matrix or tensor is read off its nonzero fibres, each distinct fibre
+    written once."""
+    if not isinstance(part, (Matrix, Tensor3)):
+        return [str(x) for x in part]
+    *dims, width = part.shape
+    fibres = getattr(part, "_fibres", None)
+    if fibres is None:  # a subclass that holds its entries otherwise is read through ``at``
+        fibres = [[(k, part.at(*q, k)) for k in range(width)] for q in product(*map(range, dims))]
+    zero, dense, rows = str(part.field.zero()), {}, []
+    for fibre in fibres:
+        row = dense.get(id(fibre))
+        if row is None:
+            row = dense[id(fibre)] = [zero] * width
+            for k, e in fibre:
+                row[k] = str(e)
+        rows.append(list(row))
     if isinstance(part, Matrix):
-        return [_encode(part.row(r)) for r in range(part.rows)]
-    if isinstance(part, Tensor3):
-        return [[[str(part.at(i, j, k)) for k in range(part.d3)]
-                 for j in range(part.d2)] for i in range(part.d1)]
-    return [str(x) for x in part]
+        return rows
+    d2 = part.d2
+    return [rows[i * d2:(i + 1) * d2] for i in range(part.d1)]
 
 
 def _raw(kind: str, dim: int, basis, prefix: str, refs: dict, **parts) -> dict:

@@ -100,6 +100,17 @@ class ReportBuilder:
         zero = canonical(some - some)
         self.violations.append(Violation(axiom, index, tuple(vec_dense(residual, n, zero))))
 
+    def check_block(self, lhs: list, rhs: list, n: int, instances) -> None:
+        """``check_vec`` on each ``(axiom, index)`` of the iterable
+        ``instances`` with the sides at its place in ``lhs`` and ``rhs``.  The
+        two lists are compared once; only a block that differs is walked
+        instance by instance, so the report is the one ``check_vec`` makes."""
+        if lhs == rhs:
+            self.checked += len(lhs)
+            return
+        for (axiom, index), l, r in zip(instances, lhs, rhs):
+            self.check_vec(axiom, index, l, r, n)
+
     def check_scalar(self, axiom: str, index: tuple, lhs, rhs) -> None:
         self.checked += 1
         if lhs == rhs:

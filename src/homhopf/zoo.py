@@ -16,14 +16,12 @@ def group_algebra(n: int, field: Field) -> HomHopfAlgebra:
     Basis g^0 .. g^(n-1); grouplike comultiplication, antipode g -> g^-1.
     """
     one, zero = field.one(), field.zero()
-    mult = Tensor3.build(field, n, n, n,
-                         lambda i, j, k: one if k == (i + j) % n else zero)
-    comult = Tensor3.build(field, n, n, n,
-                           lambda i, j, k: one if i == j == k else zero)
+    mult = Tensor3.from_nonzeros(field, n, n, n,
+                                 {(i, j, (i + j) % n): one for i in range(n) for j in range(n)})
+    comult = Tensor3.from_nonzeros(field, n, n, n, {(i, i, i): one for i in range(n)})
     unit = tuple(one if i == 0 else zero for i in range(n))
     counit = (one,) * n
-    antipode = Matrix.build(field, n, n,
-                            lambda r, c: one if r == (-c) % n else zero)
+    antipode = Matrix.from_nonzeros(field, n, n, {(-c % n, c): one for c in range(n)})
     return HomHopfAlgebra(field, n, Matrix.identity(field, n), mult, unit,
                           comult, counit, antipode)
 
@@ -32,8 +30,7 @@ def power_automorphism(n: int, k: int, field: Field) -> Matrix:
     """The Hopf automorphism of k[Z_n] induced by g -> g^k (gcd(k, n) = 1)."""
     if gcd(k, n) != 1:
         raise ValueError(f"g -> g^{k} is not invertible on Z_{n}")
-    one, zero = field.one(), field.zero()
-    return Matrix.build(field, n, n, lambda r, c: one if r == (k * c) % n else zero)
+    return Matrix.from_nonzeros(field, n, n, {(k * c % n, c): field.one() for c in range(n)})
 
 
 def twisted_group_algebra(n: int, k: int, field: Field) -> HomHopfAlgebra:

@@ -1,3 +1,4 @@
+import collections
 import random
 from types import SimpleNamespace
 
@@ -5,6 +6,7 @@ import pytest
 
 from corpus import (random_module_over_group_algebra, random_module_over_scalars,
                     twist_breaking_module, twist_corpus)
+from homhopf import core, doi
 from homhopf.applications import (check_yd_module, check_yd_substructures, comodule_to_doi,
                                   dual_right_integrals, integral_from_dual,
                                   regular_comodule_algebra, relative_datum,
@@ -18,7 +20,7 @@ from homhopf.doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra, 
                          check_module_coalgebra, check_triangle_identities,
                          direct_sum_doi, doi_morphism_report, induce,
                          module_morphism_report)
-from homhopf.integrals import integral_residuals, solve_normalized_integral
+from homhopf.integrals import integral_sides, solve_normalized_integral
 from homhopf.linalg import Field, Matrix, Tensor3, vec_dense
 from homhopf.maschke import (build_retraction, canonical_module, extract_integral,
                              retraction_report, separability_report, split_epimorphism,
@@ -103,7 +105,7 @@ class TestDatumBoundary:
         lambda q, p: build_retraction(p.theta, q.m, q.d),
         lambda q, p: retraction_report(build_retraction(p.theta, p.m, p.d), q.m, q.d),
         lambda q, p: retraction_naturality_report(p.f, q.m, q.m, q.theta, q.d),
-        lambda q, p: integral_residuals(p.theta, q.d),
+        lambda q, p: list(integral_sides(p.theta, q.d)),
         lambda q, p: direct_sum_doi(q.m, p.m),
         lambda q, p: yd_residuals(trivial_yd_module(p.h), q.h),
         lambda q, p: coaction_of_action_residuals(trivial_yd_module(p.h), q.h),
@@ -118,7 +120,7 @@ class TestDatumBoundary:
         lambda q, p: comodule_to_doi(regular_comodule(p.h.as_coalgebra()), q.d),
     ], ids=["hopf_automorphism_report", "module_morphism_report", "doi_morphism_report",
             "build_retraction", "retraction_report", "retraction_naturality_report",
-            "integral_residuals", "direct_sum_doi", "yd_residuals",
+            "integral_sides", "direct_sum_doi", "yd_residuals",
             "coaction_of_action_residuals", "check_k_integral_conditions",
             "integral_from_dual", "extract_integral", "split_epimorphism",
             "split_monomorphism", "check_yd_substructures", "separability_report",
@@ -164,23 +166,56 @@ class TestComponentChecks:
     def test_datum_check_merges_components(self, rel_kz2):
         assert check_doi_datum(rel_kz2).passed
 
-    @pytest.mark.parametrize("case", ["hopf", "module_coalgebra"])
+    @pytest.mark.parametrize("case", ["hopf", "module_coalgebra", "comodule_algebra",
+                                      "doi_module"])
     def test_each_product_table_is_built_once(self, monkeypatch, case):
-        # the Hom-associativity checks and leg_products share one table of
-        # products of basis vectors: each pair is read off the tensor once
-        d = yd_datum(group_algebra(2, Q))
-        tensor, check = {
-            "hopf": (d.hopf.mult, lambda: check_hom_hopf(d.hopf)),
-            "module_coalgebra": (d.coalgebra.action,
-                                 lambda: check_module_coalgebra(d.coalgebra, d.hopf)),
+        # each tensor's table of products of basis vectors is built once, as
+        # one shared dict per distinct product, and every map the checker
+        # applies to products (each side of a law, and x0y0 (x) x1y1 in
+        # leg_products) is applied once per distinct product
+        d = yd_datum(twisted_sweedler(Q))
+        m = canonical_module(d)
+        check = {
+            "hopf": lambda: check_hom_hopf(d.hopf),
+            "module_coalgebra": lambda: check_module_coalgebra(d.coalgebra, d.hopf),
+            "comodule_algebra": lambda: check_comodule_algebra(d.algebra, d.hopf),
+            "doi_module": lambda: check_doi_module(m, d),
         }[case]
-        calls = []
-        at_pair = Tensor3.at_pair
-        monkeypatch.setattr(Tensor3, "at_pair",
-                            lambda t, i, j: (calls.append((i, j)) if t is tensor else None)
-                            or at_pair(t, i, j))
+        tables, products, calls = [], set(), []
+        real_table, real_tensor, real_dot = core.product_table, core.vec_tensor, core.vec_dot
+
+        def table_spy(t):
+            table = real_table(t)
+            tables.append((t, table))
+            products.update(id(p) for row in table for p in row)
+            return table
+
+        def spy(name, real, at, of):
+            # record (name, the product args[at], the map args[of]) for a call
+            # on a product; the records keep both alive, so no id is reused
+            def call(*args):
+                if id(args[at]) in products:
+                    calls.append((name, args[at], args[of]))
+                return real(*args)
+            return call
+
+        for module in (core, doi):
+            monkeypatch.setattr(module, "product_table", table_spy)
+            monkeypatch.setattr(module, "vec_dot", spy("dot", real_dot, 1, 2))
+        monkeypatch.setattr(core, "vec_combine", spy("combine", core.vec_combine, 0, 1))
+        monkeypatch.setattr(core, "vec_tensor", lambda u, v, n: calls.append(("tensor", u, v))
+                            or real_tensor(u, v, n))
+        monkeypatch.setattr(Tensor3, "apply_left",
+                            spy("apply_left", Tensor3.apply_left, 1, 0))
         assert check().passed
-        assert sorted(calls) == [(i, j) for i in range(tensor.d1) for j in range(tensor.d2)]
+        assert sorted(collections.Counter(id(t) for t, _ in tables).values()) == [1] * len(tables)
+        for t, table in tables:
+            assert len({id(p) for row in table for p in row}) == len(set(t._fibres))
+            assert [[dict(p) for p in row] for row in table] == [
+                [t.at_pair(i, j) for j in range(t.d2)] for i in range(t.d1)]
+        assert {name for name, _, _ in calls} >= {"tensor", "apply_left"}
+        repeats = collections.Counter((name, id(p), id(f)) for name, p, f in calls)
+        assert max(repeats.values()) == 1
 
 
 class TestDoiModules:

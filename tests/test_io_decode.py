@@ -4,12 +4,16 @@ fibres.  These tests pin that the result is the object the dense
 constructors build, over Q and GF(7), with the parser's errors unchanged."""
 
 import collections
+import gc
 import json
 import re
 import reprlib
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homhopf.golden import golden_file, golden_names
 from homhopf.integrals import solve_normalized_integral
@@ -215,3 +219,65 @@ def test_shape_errors_come_in_reading_order():
     with pytest.raises(StructureParseError, match="^expected a 2x2 matrix$"):
         sf.build("H")
 
+
+@pytest.mark.parametrize("mult, message", [
+    # a row repeated after an unhashable row: the unhashable entry is the first error
+    ([[["1", "0"], ["0", "1"]], [[["1"], "1"], ["1", "0"]]],
+     "coefficients must be strings, got ['1']"),
+    ([[["1", "0"], ["0", "1"]], [["0", {"a": "1"}], ["0", "1"]]],
+     "coefficients must be strings, got {'a': '1'}"),
+    # a bad string before an unhashable entry in the same row comes first
+    ([[["1", "0"], ["0", "1"]], [["x", []], ["1", "0"]]],
+     "bad coefficient 'x': not an integer or a fraction p/q in ASCII digits"),
+    # a bad row that repeats a good row's prefix
+    ([[["1", "0"], ["0", "1"]], [["0", "1/0"], ["1", "0"]]],
+     "bad coefficient '1/0': Fraction(1, 0)"),
+    ([[["1", "0"], ["0", "1"]], [["0", "1", "0"], ["1", "0"]]],
+     "expected a 2x2x2 tensor"),
+])
+def test_first_error_in_reading_order_with_repeated_rows(mult, message):
+    sf = _kz2_with(Field.rationals(), mult=mult)
+    for _ in range(2):  # a row that failed is not remembered
+        with pytest.raises(StructureParseError) as exc:
+            sf.build("H")
+        assert str(exc.value) == message
+
+
+def test_repeated_rows_decode_alike_and_each_file_keeps_its_own():
+    # "1/7" is a value over Q and no value in GF(7): rows are not shared between files
+    text = _morphism_file("Q", ["1/7", "0"]).replace('"matrix": [[', '"matrix": [["1/7", "0"], [')
+    sf = parse_structure_file(text)
+    f = sf.build("f")
+    assert f.row(0) == f.row(1) == [Fraction(1, 7), 0]
+    gf = parse_structure_file(text.replace('"Q"', '{"GF": 7}'))
+    with pytest.raises(StructureParseError, match="bad coefficient '1/7'"):
+        gf.build("f")
+
+
+def test_row_table_lives_with_its_file():
+    sf = _kz2_with(Field.rationals())
+    sf.build("H")
+    rows = sf._rows
+    assert rows and all(type(key) is tuple for key in rows)
+    assert parse_structure_file(serialize_structure_file(sf))._rows == {}
+    del sf
+    gc.collect()  # each decode's recursive walk is a cycle holding the table
+    assert sys.getrefcount(rows) == 2  # this name and the call's argument
+
+
+#: strings rich in what JSON escapes: quotes, backslashes, control
+#: characters and non-ASCII, the last beyond the basic plane too
+_STRINGS = st.text() | st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\t é€\U0001f600a0')
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(_STRINGS, max_size=4)
+    | st.dictionaries(_STRINGS, inner, max_size=4), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_STRINGS, _JSON, max_size=4), st.sampled_from(sorted(FIELDS)))
+def test_serialization_is_the_bytes_json_dumps_writes(raw, fname):
+    field = FIELDS[fname]
+    text = serialize_structure_file(StructureFile(field, raw))
+    payload = {"field": field_to_raw(field), "objects": raw}
+    assert text.encode() == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()

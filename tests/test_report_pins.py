@@ -90,6 +90,29 @@ def yd_trivial_sweedler_t_action_changed(field):
     return check_yd_module(bad, h)
 
 
+def kz4t_mult_changed(field):
+    # one product changed among products that repeat: Hom-associativity
+    # fails in several i-blocks, and comult_multiplicative on leg products
+    h = twisted_group_algebra(4, 3, field)
+    return check_hom_hopf(dataclasses.replace(h, mult=_changed(h.mult, 25)))
+
+
+def yd_kz3t_action_changed(field):
+    # C's module twist and module Hom-associativity fail interleaved, and
+    # action_comultiplicative on leg products
+    d = yd_datum(twisted_group_algebra(3, 2, field))
+    c = ModuleCoalgebra(d.coalgebra.coalgebra, _changed(d.coalgebra.action, 7))
+    return check_doi_datum(DoiDatum(d.hopf, d.algebra, c))
+
+
+def relative_sweedler_t_module_changed(field, part):
+    h = twisted_sweedler(field)
+    d = relative_datum(h, regular_comodule_algebra(h))
+    m = canonical_module(d)
+    parts = {"action": m.action, "coaction": m.coaction, part: _changed(getattr(m, part), 9)}
+    return check_doi_module(DoiModule(field, m.dim, m.mu, **parts), d)
+
+
 CASES = {
     "kZ2_corrupted_mult": lambda f: golden_hopf("kZ2_corrupted_mult", f),
     "H4_corrupted_antipode": lambda f: golden_hopf("H4_corrupted_antipode", f),
@@ -100,6 +123,12 @@ CASES = {
     "sweedler_t_mult_changed": sweedler_t_mult_changed,
     "relative_sweedler_t_action_changed": relative_sweedler_t_action_changed,
     "yd_trivial_sweedler_t_action_changed": yd_trivial_sweedler_t_action_changed,
+    "kZ4t_mult_changed": kz4t_mult_changed,
+    "yd_kZ3t_action_changed": yd_kz3t_action_changed,
+    "relative_sweedler_t_module_action_changed":
+        lambda f: relative_sweedler_t_module_changed(f, "action"),
+    "relative_sweedler_t_module_coaction_changed":
+        lambda f: relative_sweedler_t_module_changed(f, "coaction"),
 }
 
 #: recorded at the parent of the sparse-tensor change
@@ -261,6 +290,156 @@ PINS.update({'relative_sweedler_t_action_changed': {'GF7': (116,
                                                             [('yd_compatibility', (0, 2)),
                                                              ('yd_compatibility', (0, 3))],
                                                             'c048ed485efbd145e29515bfd7a17662cf9daf81693577d90ded02ef35ded977')}})
+
+
+#: recorded before each product of basis vectors was evaluated once per
+#: distinct value: products that repeat, with violations in several blocks
+PINS.update({'kZ4t_mult_changed': {'GF7': (155,
+                                           [('twist_multiplicative', (1, 2)),
+                                            ('twist_multiplicative', (3, 2)),
+                                            ('hom_associativity', (0, 1, 2)),
+                                            ('hom_associativity', (0, 3, 2)),
+                                            ('hom_associativity', (1, 1, 2)),
+                                            ('hom_associativity', (1, 2, 0)),
+                                            ('hom_associativity', (1, 2, 1)),
+                                            ('hom_associativity', (1, 2, 2)),
+                                            ('hom_associativity', (1, 2, 3)),
+                                            ('hom_associativity', (3, 1, 1)),
+                                            ('hom_associativity', (3, 1, 2)),
+                                            ('hom_associativity', (3, 2, 0)),
+                                            ('hom_associativity', (3, 3, 3)),
+                                            ('comult_multiplicative', (1, 2)),
+                                            ('counit_multiplicative', (1, 2)),
+                                            ('comult_multiplicative', (3, 2))],
+                                           'd80f830f855a7ca2b2f8f8f8c38357625e07b18a0aac2deb2c0b5948b76082de'),
+                                   'Q': (155,
+                                         [('twist_multiplicative', (1, 2)),
+                                          ('twist_multiplicative', (3, 2)),
+                                          ('hom_associativity', (0, 1, 2)),
+                                          ('hom_associativity', (0, 3, 2)),
+                                          ('hom_associativity', (1, 1, 2)),
+                                          ('hom_associativity', (1, 2, 0)),
+                                          ('hom_associativity', (1, 2, 1)),
+                                          ('hom_associativity', (1, 2, 2)),
+                                          ('hom_associativity', (1, 2, 3)),
+                                          ('hom_associativity', (3, 1, 1)),
+                                          ('hom_associativity', (3, 1, 2)),
+                                          ('hom_associativity', (3, 2, 0)),
+                                          ('hom_associativity', (3, 3, 3)),
+                                          ('comult_multiplicative', (1, 2)),
+                                          ('counit_multiplicative', (1, 2)),
+                                          ('comult_multiplicative', (3, 2))],
+                                         '52833e78422b997d4e0b545375f35ee8fff8a442de70961ffdc6b70b8c65a340')},
+             'relative_sweedler_t_module_action_changed': {'GF7': (448,
+                                                                   [('module_unit', (0,)),
+                                                                    ('module_twist', (0, 0)),
+                                                                    ('module_hom_associativity', (0, 0, 0)),
+                                                                    ('module_hom_associativity', (0, 0, 1)),
+                                                                    ('module_hom_associativity', (0, 0, 2)),
+                                                                    ('module_hom_associativity', (0, 0, 3)),
+                                                                    ('module_hom_associativity', (0, 1, 1)),
+                                                                    ('module_hom_associativity', (5, 1, 0)),
+                                                                    ('doi_compatibility', (0, 0)),
+                                                                    ('doi_compatibility', (0, 3)),
+                                                                    ('doi_compatibility', (3, 0))],
+                                                                   'c25eeaf73ad453a72e98dc1c024cca1a23f7d9842664b07fa3cd5ac188257fc0'),
+                                                           'Q': (448,
+                                                                 [('module_unit', (0,)),
+                                                                  ('module_twist', (0, 0)),
+                                                                  ('module_hom_associativity', (0, 0, 0)),
+                                                                  ('module_hom_associativity', (0, 0, 1)),
+                                                                  ('module_hom_associativity', (0, 0, 2)),
+                                                                  ('module_hom_associativity', (0, 0, 3)),
+                                                                  ('module_hom_associativity', (0, 1, 1)),
+                                                                  ('module_hom_associativity', (5, 1, 0)),
+                                                                  ('doi_compatibility', (0, 0)),
+                                                                  ('doi_compatibility', (0, 3)),
+                                                                  ('doi_compatibility', (3, 0))],
+                                                                 'e6047e7f4c6607014f74d459696b3e5c33ae288c81b00614b7055c8f9a40f307')},
+             'relative_sweedler_t_module_coaction_changed': {'GF7': (448,
+                                                                     [('comodule_counit', (0,)),
+                                                                      ('comodule_coassociativity', (0,)),
+                                                                      ('comodule_twist', (0,)),
+                                                                      ('comodule_coassociativity', (3,)),
+                                                                      ('doi_compatibility', (0, 0)),
+                                                                      ('doi_compatibility', (0, 1)),
+                                                                      ('doi_compatibility', (0, 2)),
+                                                                      ('doi_compatibility', (0, 3)),
+                                                                      ('doi_compatibility', (5, 1))],
+                                                                     '0dd6b4c4e07fc8535201b6573873fa4d867d00fc6b5ca425b1d48c32509f17d1'),
+                                                             'Q': (448,
+                                                                   [('comodule_counit', (0,)),
+                                                                    ('comodule_coassociativity', (0,)),
+                                                                    ('comodule_twist', (0,)),
+                                                                    ('comodule_coassociativity', (3,)),
+                                                                    ('doi_compatibility', (0, 0)),
+                                                                    ('doi_compatibility', (0, 1)),
+                                                                    ('doi_compatibility', (0, 2)),
+                                                                    ('doi_compatibility', (0, 3)),
+                                                                    ('doi_compatibility', (5, 1))],
+                                                                   '6cb6127cba4451d63c8139dc208699fc67987a8acfec794de48ac23bc3eb3462')},
+             'yd_kZ3t_action_changed': {'GF7': (1411,
+                                                [('module_twist', (0, 1)),
+                                                 ('module_hom_associativity', (0, 1, 0)),
+                                                 ('module_twist', (0, 2)),
+                                                 ('module_hom_associativity', (0, 2, 0)),
+                                                 ('module_hom_associativity', (0, 2, 1)),
+                                                 ('module_hom_associativity', (0, 2, 2)),
+                                                 ('module_hom_associativity', (0, 2, 3)),
+                                                 ('module_hom_associativity', (0, 2, 4)),
+                                                 ('module_hom_associativity', (0, 2, 5)),
+                                                 ('module_hom_associativity', (0, 2, 6)),
+                                                 ('module_hom_associativity', (0, 2, 7)),
+                                                 ('module_hom_associativity', (0, 2, 8)),
+                                                 ('module_hom_associativity', (0, 3, 7)),
+                                                 ('module_hom_associativity', (0, 4, 6)),
+                                                 ('module_hom_associativity', (0, 5, 1)),
+                                                 ('module_hom_associativity', (0, 5, 8)),
+                                                 ('module_hom_associativity', (0, 6, 4)),
+                                                 ('module_hom_associativity', (0, 7, 1)),
+                                                 ('module_hom_associativity', (0, 7, 3)),
+                                                 ('module_hom_associativity', (0, 8, 5)),
+                                                 ('module_hom_associativity', (1, 1, 1)),
+                                                 ('module_hom_associativity', (1, 3, 1)),
+                                                 ('module_hom_associativity', (1, 8, 1)),
+                                                 ('module_hom_associativity', (2, 2, 1)),
+                                                 ('module_hom_associativity', (2, 4, 1)),
+                                                 ('module_hom_associativity', (2, 6, 1)),
+                                                 ('action_comultiplicative', (0, 1)),
+                                                 ('action_comultiplicative', (0, 2)),
+                                                 ('action_counit', (0, 2))],
+                                                '88f7962881fe81a603967dc39b99ec5b808e33962ca108f8f7eaa1395e14722f'),
+                                        'Q': (1411,
+                                              [('module_twist', (0, 1)),
+                                               ('module_hom_associativity', (0, 1, 0)),
+                                               ('module_twist', (0, 2)),
+                                               ('module_hom_associativity', (0, 2, 0)),
+                                               ('module_hom_associativity', (0, 2, 1)),
+                                               ('module_hom_associativity', (0, 2, 2)),
+                                               ('module_hom_associativity', (0, 2, 3)),
+                                               ('module_hom_associativity', (0, 2, 4)),
+                                               ('module_hom_associativity', (0, 2, 5)),
+                                               ('module_hom_associativity', (0, 2, 6)),
+                                               ('module_hom_associativity', (0, 2, 7)),
+                                               ('module_hom_associativity', (0, 2, 8)),
+                                               ('module_hom_associativity', (0, 3, 7)),
+                                               ('module_hom_associativity', (0, 4, 6)),
+                                               ('module_hom_associativity', (0, 5, 1)),
+                                               ('module_hom_associativity', (0, 5, 8)),
+                                               ('module_hom_associativity', (0, 6, 4)),
+                                               ('module_hom_associativity', (0, 7, 1)),
+                                               ('module_hom_associativity', (0, 7, 3)),
+                                               ('module_hom_associativity', (0, 8, 5)),
+                                               ('module_hom_associativity', (1, 1, 1)),
+                                               ('module_hom_associativity', (1, 3, 1)),
+                                               ('module_hom_associativity', (1, 8, 1)),
+                                               ('module_hom_associativity', (2, 2, 1)),
+                                               ('module_hom_associativity', (2, 4, 1)),
+                                               ('module_hom_associativity', (2, 6, 1)),
+                                               ('action_comultiplicative', (0, 1)),
+                                               ('action_comultiplicative', (0, 2)),
+                                               ('action_counit', (0, 2))],
+                                              'f4f058dd2a0e518f0b22f78f19f3998aeb2ba817a839634e14c3dc99df3ce98f')}})
 
 
 @pytest.mark.parametrize("fname", sorted(FIELDS))
