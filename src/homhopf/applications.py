@@ -1,6 +1,6 @@
 """Instantiations of the Doi machinery: relative Hopf-module data, the
-trivial datum (k, k, H), Yetter-Drinfeld modules over the reversed tensor
-square, and dual integrals.
+trivial datum (k, k, H), and Yetter-Drinfeld modules over the reversed
+tensor square.
 
 A right-right Hom-Yetter-Drinfeld module over (H, alpha) is a module and
 comodule on one space satisfying the braided compatibility
@@ -17,26 +17,15 @@ form is coded only as a test oracle, in ``tests/law_oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (HomComodule, HomHopfAlgebra, _require_over, check_hom_coalgebra,
                    check_hom_comodule, check_hom_hopf, check_hom_module, leg_products,
                    opposite_tensor, product_table)
 from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                   check_comodule_algebra)
-from .integrals import IntegralCandidate, verify_integral
-from .linalg import (Field, Matrix, Tensor3, require_same_field, solve_affine,
-                     vec_add_scaled, vec_dense, vec_dot, vec_sub, vec_tensor)
+from .linalg import (Matrix, Tensor3, require_same_field, vec_add_scaled, vec_dense,
+                     vec_sub, vec_tensor)
 from .report import AxiomReport, require, residual_report
 from .zoo import one_dimensional_hopf
-
-
-@dataclass
-class DualIntegral:
-    """A functional phi on H with phi(h1) h2 = phi(h) 1 and phi.alpha = phi."""
-
-    field: Field
-    phi: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -170,59 +159,3 @@ def trivial_yd_module(h: HomHopfAlgebra) -> DoiModule:
     action = Tensor3(field, 1, h.dim, 1, tuple(h.counit))
     coaction = Tensor3(field, 1, 1, h.dim, tuple(h.unit))
     return DoiModule(field, 1, Matrix.identity(field, 1), action, coaction)
-
-
-# ---------------------------------------------------------------------------
-# dual integrals on H
-
-def dual_right_integrals(h: HomHopfAlgebra) -> list:
-    """Basis of the space of right integral functionals: phi(h1) h2 = phi(h) 1
-    together with phi . alpha = phi."""
-    field = h.field
-    n = h.dim
-    zero = field.zero()
-    ent = {}
-
-    def add(r, c, x):
-        ent[(r, c)] = ent.get((r, c), zero) + x
-
-    for i in range(n):  # rows i*n + k: coordinate k of phi(h1) h2 - phi(h) 1 at h = e_i
-        for j, k, co in h.comult.nonzero_of(i):
-            add(i * n + k, j, co)
-        for k in range(n):
-            add(i * n + k, i, -h.unit[k])
-    for j, i, e in h.alpha.nonzero():  # rows n*n + i: phi(alpha(e_i)) - phi(e_i)
-        add(n * n + i, j, e)
-    for i in range(n):
-        add(n * n + i, i, -field.one())
-    sol = solve_affine(Matrix.from_nonzeros(field, n * n + n, n, ent), [zero] * (n * n + n))
-    out = []
-    for v in sol.nullspace_basis:
-        lead = next(x for x in v if x)
-        out.append(DualIntegral(field, tuple(field.div(x, lead) for x in v)))
-    return out
-
-
-def integral_from_dual(phi: DualIntegral, h: HomHopfAlgebra,
-                       datum: DoiDatum | None = None) -> IntegralCandidate:
-    """theta(x (x) y) = phi(y S^-1(x)) on the trivial datum; the verification
-    report is attached (a failing normalization is informative, not an error)."""
-    require_same_field(h, phi)
-    if not h.antipode_invertible:
-        raise ValueError("antipode must be invertible")
-    field = h.field
-    n = h.dim
-    if len(phi.phi) != n:
-        raise ValueError(f"the functional has {len(phi.phi)} coordinates but the "
-                         f"Hopf algebra has dimension {n}")
-    one = field.one()
-    s_inv_col = h.antipode_inv.columns()
-
-    def entry(i, j, _k):
-        return vec_dot(field, h.mult.apply({j: one}, s_inv_col[i]), phi.phi)
-
-    theta = Tensor3.build(field, n, n, 1, entry)
-    cand = IntegralCandidate(field, n, 1, theta)
-    datum = datum if datum is not None else trivial_datum(h)
-    cand.report = verify_integral(cand, datum)
-    return cand

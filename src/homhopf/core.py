@@ -127,8 +127,8 @@ class HomHopfAlgebra:
         self.unit = tuple(self.field.of(x) for x in self.unit)
         self.counit = tuple(self.field.of(x) for x in self.counit)
         self.alpha_inv = _require_invertible(self.alpha, "twist")
-        # bijectivity of the antipode is recorded eagerly: several
-        # constructions (opposite tensor squares, dual integrals) require it
+        # bijectivity of the antipode is recorded eagerly: the opposite
+        # tensor square and the Yetter-Drinfeld datum require it
         self.antipode_inv = _inverse(self.antipode)
 
     @property

@@ -13,10 +13,12 @@ coefficient is read by looking its string up there: the first lookup of a
 string validates and parses it (``_Coefficients.__missing__``) and every
 later one is a plain dict hit.  A zero, however it is spelled ("0", "-0",
 "0/5"), is stored as the field's shared ``field.zero()``, so decoding drops
-it by identity (``is not zero``) without testing any value.  One depth-first
-walk checks each list's shape and reads its coefficients in reading order,
-and decodes matrices and tensors straight into their nonzero fibres, one per
-innermost list; no dense copy is built.  Rows repeat as well, so each file
+it by identity (``is not zero``) without testing any value.  One pass over
+the rows, block by block for a tensor, checks each list's shape and reads
+its coefficients in reading order, and decodes matrices and tensors
+straight into their nonzero fibres, one per innermost list; no dense copy
+is built, and no reference cycle, so a file and what is built from it are
+freed by reference counting alone.  Rows repeat as well, so each file
 also holds a table from a row of strings (as a tuple) to its fibre, and each
 distinct row is parsed once; a row that cannot be hashed, or fails, is read
 entry by entry, so the first error in reading order is the one reported.
@@ -200,17 +202,19 @@ class StructureFile:
         def parsed(row: list) -> tuple:
             return tuple([(k, x) for k, x in enumerate(map(lookup, row)) if x is not zero])
 
-        def walk(data, shape: tuple) -> None:
-            # depth first, so the first bad list or coefficient in reading order is reported
-            if not isinstance(data, list) or len(data) != shape[0]:
-                raise StructureParseError(f"expected {what}")
-            if len(shape) > 2:
-                for item in data:
-                    walk(item, shape[1:])
-                return
-            width = shape[1]
-            try:
-                for row in data:
+        vector = len(shape) == 1
+        if vector:  # a vector is read as the one row of a 1 x n matrix
+            data, shape = [data], (1, *shape)
+        # a matrix is one block of rows and a tensor a list of them, read in
+        # order, so the first bad list or coefficient in reading order is reported
+        if len(shape) == 3 and (not isinstance(data, list) or len(data) != shape[0]):
+            raise StructureParseError(f"expected {what}")
+        height, width = shape[-2:]
+        try:
+            for block in (data,) if len(shape) == 2 else data:
+                if not isinstance(block, list) or len(block) != height:
+                    raise StructureParseError(f"expected {what}")
+                for row in block:
                     if not isinstance(row, list) or len(row) != width:
                         raise StructureParseError(f"expected {what}")
                     try:  # each distinct row is parsed once per file
@@ -220,13 +224,10 @@ class StructureFile:
                     except TypeError:  # an unhashable entry: read entry by entry, in order
                         fibre = parsed(row)
                     fibres.append(fibre)
-            except TypeError:  # an unhashable entry, a list or a dict, cannot be looked up
-                raise _not_a_string(next(x for x in row if not isinstance(x, str))) from None
-
-        if len(shape) == 1:  # a vector is read as the one row of a 1 x n matrix
-            walk([data], (1, *shape))
-            return tuple(vec_dense(dict(fibres[0]), shape[0], zero))
-        walk(data, shape)
+        except TypeError:  # an unhashable entry, a list or a dict, cannot be looked up
+            raise _not_a_string(next(x for x in row if not isinstance(x, str))) from None
+        if vector:
+            return tuple(vec_dense(dict(fibres[0]), shape[1], zero))
         cls, names = ((Matrix, ("rows", "cols")) if len(shape) == 2
                       else (Tensor3, ("d1", "d2", "d3")))
         return cls._from_fibres(fibres, shape[-1], field=self.field, **dict(zip(names, shape)))

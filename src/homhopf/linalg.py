@@ -29,9 +29,7 @@ holding each pivot column and logs its row operations, not the transform.
 
 All solving is deterministic so that serialized results are reproducible:
 reduced row echelon form picks the leftmost pivot column and the first
-nonzero row, particular solutions set every free variable to zero, and
-nullspace basis vectors are emitted in increasing free-column order with
-entry ``-1`` at the free coordinate.
+nonzero row.
 """
 
 from __future__ import annotations
@@ -752,48 +750,6 @@ def _transform_row(steps: list, i: int, field: Field) -> dict:
         if x:
             y[sel] = x * inv
     return y
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Full solution set of A x = b: ``particular + span(nullspace_basis)``.
-
-    ``particular`` has every free variable equal to zero; each basis vector
-    carries ``-1`` at its free coordinate.  Empty when infeasible.
-    """
-
-    feasible: bool
-    particular: tuple
-    nullspace_basis: tuple
-
-
-def solve_affine(a: Matrix, b: Sequence) -> AffineSolution:
-    if a.rows != len(b):
-        raise ValueError(f"matrix has {a.rows} rows but right-hand side has {len(b)}")
-    field = a.field
-    n = a.cols
-    zero = field.zero()
-    aug = []
-    for fibre, x in zip(a._fibres, b):
-        x = field.of(x)
-        aug.append(fibre + ((n, x),) if x else fibre)
-    R, pivots, _ = _rref_rows(aug, field)
-    if n in pivots:
-        return AffineSolution(False, (), ())
-    particular = [zero] * n
-    for r, col in enumerate(pivots):
-        particular[col] = canonical(R[r].get(n, zero))
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = [zero] * n
-        v[j] = -field.one()
-        for r, col in enumerate(pivots):
-            v[col] = canonical(R[r].get(j, zero))
-        basis.append(tuple(v))
-    return AffineSolution(True, tuple(particular), tuple(basis))
 
 
 @dataclass(frozen=True, eq=False, slots=True)

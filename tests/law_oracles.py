@@ -1,15 +1,19 @@
 """Second codings of laws the package codes once, for tests to compare with
-the package's checkers and constructions.  They use the package's types and
-helpers but none of the codings they cross-check; ``nested`` feeds
+the package's checkers and constructions, and a second route to a normalized
+integral on the trivial datum (k, k, H), through the right integrals of H's
+dual, to compare with the solver.  They use the package's types and helpers
+but none of the codings they cross-check; ``nested`` feeds
 ``classical_oracle``, which imports nothing from the package."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from homhopf.core import HomHopfAlgebra, _require_over
 from homhopf.doi import DoiDatum, DoiModule
 from homhopf.integrals import IntegralCandidate
-from homhopf.linalg import (Matrix, require_same_field, vec_add_scaled, vec_dense, vec_dot,
-                            vec_sparse, vec_sub, vec_tensor)
+from homhopf.linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
+                            vec_dense, vec_dot, vec_sparse, vec_sub, vec_tensor)
 from homhopf.maschke import build_retraction
 from homhopf.report import AxiomReport, ReportBuilder
 
@@ -120,3 +124,60 @@ def retraction_naturality_report(f: Matrix, m_src: DoiModule, m_dst: DoiModule,
     eye_c = Matrix.identity(d.field, d.coalgebra.dim)
     b.check_matrix("naturality", (), f @ nu_src, nu_dst @ f.kron(eye_c))
     return b.report()
+
+
+@dataclass
+class DualIntegral:
+    """A functional phi on H with phi(h1) h2 = phi(h) 1 and phi.alpha = phi."""
+
+    field: Field
+    phi: tuple
+
+
+def dual_right_integrals(h: HomHopfAlgebra) -> list:
+    """Basis of the space of right integral functionals, phi(h1) h2 = phi(h) 1
+    together with phi . alpha = phi: one vector of the nullspace per free
+    column of ``Matrix.rref``, in increasing order, scaled so that its first
+    nonzero coordinate is one."""
+    field = h.field
+    n = h.dim
+    zero, one = field.zero(), field.one()
+    ent = {}
+
+    def add(r, c, x):
+        ent[(r, c)] = ent.get((r, c), zero) + x
+
+    for i in range(n):  # rows i*n + k: coordinate k of phi(h1) h2 - phi(h) 1 at h = e_i
+        for j, k, co in h.comult.nonzero_of(i):
+            add(i * n + k, j, co)
+        for k in range(n):
+            add(i * n + k, i, -h.unit[k])
+    for j, i, e in h.alpha.nonzero():  # rows n*n + i: phi(alpha(e_i)) - phi(e_i)
+        add(n * n + i, j, e)
+    for i in range(n):
+        add(n * n + i, i, -one)
+    red, pivots = Matrix.from_nonzeros(field, n * n + n, n, ent).rref()
+    out = []
+    for free in (j for j in range(n) if j not in pivots):
+        v = [zero] * n
+        v[free] = -one
+        for r, col in enumerate(pivots):
+            v[col] = red.at(r, free)
+        lead = next(x for x in v if x)
+        out.append(DualIntegral(field, tuple(field.div(x, lead) for x in v)))
+    return out
+
+
+def integral_from_dual(phi: DualIntegral, h: HomHopfAlgebra) -> IntegralCandidate:
+    """theta(x (x) y) = phi(y S^-1(x)), a candidate integral on the trivial
+    datum of H, returned unverified: the tests verify it."""
+    require_same_field(h, phi)
+    field = h.field
+    n = h.dim
+    one = field.one()
+    s_inv_col = h.antipode_inv.columns()
+
+    def entry(i, j, _k):
+        return vec_dot(field, h.mult.apply({j: one}, s_inv_col[i]), phi.phi)
+
+    return IntegralCandidate(field, n, 1, Tensor3.build(field, n, n, 1, entry))

@@ -8,7 +8,6 @@ from corpus import (random_module_over_group_algebra, random_module_over_scalars
                     twist_breaking_module, twist_corpus)
 from homhopf import core, doi
 from homhopf.applications import (check_yd_module, check_yd_substructures, comodule_to_doi,
-                                  dual_right_integrals, integral_from_dual,
                                   regular_comodule_algebra, relative_datum,
                                   trivial_datum, trivial_yd_module, yd_datum,
                                   yd_residuals)
@@ -30,7 +29,7 @@ from homhopf.zoo import (group_algebra, inclusion_matrix, projection_matrix,
                          regular_comodule, regular_module, sweedler_h4, trivial_comodule,
                          twisted_group_algebra, twisted_sweedler)
 from law_oracles import (check_k_integral_conditions, coaction_of_action_residuals,
-                         retraction_naturality_report)
+                         dual_right_integrals, integral_from_dual, retraction_naturality_report)
 
 Q = Field.rationals()
 

@@ -220,12 +220,20 @@ class TestVerify:
 
 
 #: (datum, field) -> (witness_row, witness_value, combination), recorded with
-#: the dense Gauss-Jordan kernel that the sparse one replaced
+#: the dense Gauss-Jordan kernel that the sparse one replaced; the
+#: H4t_trivial_datum entries (the trivial datum of H4 twisted by x -> 2x)
+#: with the sparse kernel, from the message the retired survey script pinned
 PINNED_CERTIFICATES = {
     ("H4_trivial_datum", "Q"): (12, "1", [
         (("colinearity", (0, 3), (0, 3)), "-1"),
         (("normalization", (0,), (0,)), "1")]),
     ("H4_trivial_datum", "GF(7)"): (12, "1", [
+        (("colinearity", (0, 3), (0, 3)), "6"),
+        (("normalization", (0,), (0,)), "1")]),
+    ("H4t_trivial_datum", "Q"): (16, "1", [
+        (("colinearity", (0, 3), (0, 3)), "-1"),
+        (("normalization", (0,), (0,)), "1")]),
+    ("H4t_trivial_datum", "GF(7)"): (16, "1", [
         (("colinearity", (0, 3), (0, 3)), "6"),
         (("normalization", (0,), (0,)), "1")]),
     ("yd_H4_twisted", "Q"): (63, "1", [
@@ -274,8 +282,9 @@ class TestWitness:
     def test_certificate_is_pinned(self, field, name):
         # the certificate is a row of the elimination's transform, so a
         # changed pivot sequence would show in it
-        d = (golden_file("H4_trivial_datum", field).build("D") if name == "H4_trivial_datum"
-             else yd_datum(twisted_sweedler(field, 2)))
+        d = {"H4_trivial_datum": lambda: golden_file("H4_trivial_datum", field).build("D"),
+             "H4t_trivial_datum": lambda: trivial_datum(twisted_sweedler(field, 2)),
+             "yd_H4_twisted": lambda: yd_datum(twisted_sweedler(field, 2))}[name]()
         r = solve_normalized_integral(d)
         assert isinstance(r, Infeasible)
         row, value, combination = PINNED_CERTIFICATES[(name, str(field))]

@@ -261,8 +261,24 @@ def test_row_table_lives_with_its_file():
     assert rows and all(type(key) is tuple for key in rows)
     assert parse_structure_file(serialize_structure_file(sf))._rows == {}
     del sf
-    gc.collect()  # each decode's recursive walk is a cycle holding the table
     assert sys.getrefcount(rows) == 2  # this name and the call's argument
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_decoding_leaves_no_cycles(fname):
+    # a file and everything built from it are freed by reference counting
+    # alone, so no decode leaves garbage for the cyclic collector
+    raw = golden_file("yd_kZ2", FIELDS[fname]).raw
+    gc.collect()
+    gc.disable()
+    try:
+        sf = StructureFile(FIELDS[fname], raw)
+        for name in raw:
+            sf.build(name)
+        del sf
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 #: strings rich in what JSON escapes: quotes, backslashes, control

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from homhopf.core import opposite_tensor
 from homhopf.linalg import (Field, GFElement, Matrix, Tensor3, _rref_rows, _transform_row,
-                            solve_affine, vec_add_scaled, vec_dense, vec_dot,
-                            vec_scale, vec_sparse, vec_sub, vec_tensor, vec_tensor_combine)
+                            vec_add_scaled, vec_dense, vec_dot, vec_scale, vec_sparse,
+                            vec_sub, vec_tensor, vec_tensor_combine)
 from homhopf.zoo import group_algebra
 from corpus import is_canonical
 from law_oracles import nested
@@ -369,55 +369,6 @@ class TestSparseKernelOracle:
                 assert type(e) is (int if e.denominator == 1 else Fraction)
             else:
                 assert type(e) is GFElement and e.p == field.p
-
-
-class TestSolveAffine:
-    def test_identity_system(self):
-        sol = solve_affine(Matrix.identity(Q, 2), [1, 0])
-        assert sol.feasible
-        assert list(sol.particular) == [Fraction(1), Fraction(0)]
-        assert sol.nullspace_basis == ()
-
-    def test_inconsistent(self):
-        sol = solve_affine(mat([[0]]), [1])
-        assert not sol.feasible
-        assert sol.particular == () and sol.nullspace_basis == ()
-
-    def test_underdetermined(self):
-        # direct check: particular (2, 0), homogeneous direction (1, -1)
-        sol = solve_affine(mat([[1, 1]]), [2])
-        assert sol.feasible
-        assert list(sol.particular) == [Fraction(2), Fraction(0)]
-        assert [list(v) for v in sol.nullspace_basis] == [[Fraction(1), Fraction(-1)]]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_affine(mat([[1, 1]]), [1, 2])
-
-    @settings(max_examples=60)
-    @given(rows=small_matrices, data=st.data())
-    def test_solutions_solve_exactly(self, rows, data):
-        a = mat(rows)
-        b = data.draw(st.lists(st.integers(-9, 9), min_size=a.rows, max_size=a.rows))
-        sol = solve_affine(a, [Fraction(x) for x in b])
-        if not sol.feasible:
-            # no solution may exist: rank of augmented must exceed rank of A
-            aug = Matrix.from_rows(Q, [a.row(r) + [Fraction(b[r])] for r in range(a.rows)])
-            assert len(aug.rref()[1]) == len(a.rref()[1]) + 1
-            return
-        want = vec_sparse([Fraction(x) for x in b])
-        assert a.apply(vec_sparse(sol.particular)) == want
-        for v in sol.nullspace_basis:
-            assert a.apply(vec_sparse(v)) == {}
-            shifted = [p + x for p, x in zip(sol.particular, v)]
-            assert a.apply(vec_sparse(shifted)) == want
-
-    @settings(max_examples=40)
-    @given(rows=small_matrices)
-    def test_nullspace_dimension(self, rows):
-        a = mat(rows)
-        sol = solve_affine(a, [Fraction(0)] * a.rows)
-        assert len(sol.nullspace_basis) == a.cols - len(a.rref()[1])
 
 
 class TestComposeTensorApply:
