@@ -22,10 +22,12 @@ runs: the datum's construction (``trivial_datum``, ``relative_datum`` or
 (``read_s``: ``parse_structure_file`` and ``build`` of the structure file
 that ``io``'s encoders write for it, serialized once); ``check_doi_datum``
 on it (``check_s``, with the number of axiom instances it checked);
-``assemble_integral_system``;
-elimination, by the solver's own ``_rref_rows``, of the rows the solver
-eliminates (from ``_integral_rows``, with the normalization right-hand side
-as the last column); ``solve_normalized_integral``; ``verify_integral`` on
+the row builder ``_integral_rows`` alone (``rows_s``: the rows and their
+layout, which is what the solver builds); ``assemble_integral_system``
+(``assemble_s``: the same rows with every label expanded and both matrices
+formed); elimination, by the solver's own ``_rref_rows``, of the rows the
+solver eliminates (with the normalization right-hand side as the last
+column); ``solve_normalized_integral``; ``verify_integral`` on
 the answer when an integral exists; then, on the canonical module A (x) C,
 ``check_doi_module`` (``module_check_s``, with the number of axiom instances
 it checked), ``build_retraction`` followed by ``extract_integral`` when an
@@ -125,7 +127,7 @@ def measure(build_datum, repeat: int) -> dict:
     assemble_s, system = best(lambda: assemble_integral_system(d), repeat)
     nunk = system.unknown_count
     del system  # the T4 rungs hold one system at a time
-    rows, _, aff_rows, _, aff_rhs = _integral_rows(d)
+    rows_s, (rows, aff_rows, aff_rhs, _) = best(lambda: _integral_rows(d), repeat)
     rows += aff_rows
     sizes = {"rows": len(rows), "empty_rows": sum(not row for row in rows),
              "unknowns": nunk, "nnz": sum(map(len, rows))}
@@ -143,8 +145,8 @@ def measure(build_datum, repeat: int) -> dict:
     retraction_s = best(lambda: extract_integral(build_retraction(answer, m, d), d),
                         repeat)[0] if feasible else None
     triangle_s = best(lambda: check_triangle_identities(d, m, n), repeat)[0]
-    times = {"datum_s": datum_s, "read_s": read_s, "check_s": check_s, "assemble_s": assemble_s,
-             "elim_s": elim_s, "solve_s": solve_s, "verify_s": verify_s,
+    times = {"datum_s": datum_s, "read_s": read_s, "check_s": check_s, "rows_s": rows_s,
+             "assemble_s": assemble_s, "elim_s": elim_s, "solve_s": solve_s, "verify_s": verify_s,
              "module_check_s": module_check_s, "retraction_s": retraction_s,
              "triangle_s": triangle_s}
     return {**sizes, "rank": len(pivots), "answer": "feasible" if feasible else "infeasible",
@@ -177,8 +179,8 @@ def main(argv=None) -> int:
         print(f"{name}: {r['rows']} rows ({r['empty_rows']} empty), {r['unknowns']} unknowns, "
               f"{r['nnz']} nonzeros, rank {r['rank']}, {r['answer']}; datum "
               f"{r['datum_s']:.4f} s, read {r['read_s']:.4f} s, check {r['check_s']:.4f} s "
-              f"({r['checked']} instances), assemble {r['assemble_s']:.4f} s, elimination "
-              f"{r['elim_s']:.4f} s, solve {r['solve_s']:.4f} s, verify {verify}, module check "
+              f"({r['checked']} instances), rows {r['rows_s']:.4f} s, assemble "
+              f"{r['assemble_s']:.4f} s, elimination {r['elim_s']:.4f} s, solve {r['solve_s']:.4f} s, verify {verify}, module check "
               f"{r['module_check_s']:.4f} s ({r['module_checked']} instances), "
               f"retraction {retraction}, triangles {r['triangle_s']:.4f} s", flush=True)
     print(json.dumps({"repeat": args.repeat, "rungs": results}))

@@ -19,9 +19,13 @@ linear feasibility problem.
 Two independent routes are kept deliberately separate.  One row builder
 writes each side of a condition as the map it is, Post o (theta (x) id_X)
 o Pre, where Pre sends an instance to C (x) C (x) X and Post sends A (x) X
-to the output, and one contraction turns every such term into sparse rows;
-the row and column layout lives in that one helper.  The solver eliminates
-those rows as they are; ``assemble_integral_system`` wraps them as matrices.
+to the output.  A term's Pre over every instance of its family is one flat
+entry list, and one contraction with the Post table turns each term into
+the family's sparse rows; the row and column layout lives in that one
+helper.  The builder gives each family's instances and coordinates, not a
+label per row.  The solver eliminates the rows as they are and labels only
+the rows its certificate names; ``assemble_integral_system`` wraps them as
+matrices with every label.
 ``integral_sides`` evaluates both sides of every condition directly on
 vectors for a given theta and shares no term or table with the assembler, so
 a wrong term on either side shows as a disagreement: tests compare the two
@@ -180,36 +184,36 @@ def verify_integral(cand: IntegralCandidate, d: DoiDatum) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # route 2: row assembly, one contraction per condition term
 
-def _contract(rows: list, labels: list, family: str, instances, shape: tuple, terms) -> None:
-    """Append the rows and labels of ``family``: each instance gets one row per output
-    coordinate (row-major over ``shape``) of the sum over ``terms`` of
-    Post o (theta (x) id_X) o Pre.  ``pre(*instance)`` maps (b, x) to the
-    coefficient of e_i (x) e_j (x) e_x, where b is the unknown of (i, j, 0),
-    and ``post[x]`` lists the (o, k, e) with e the coefficient of e_o in
-    Post(e_k (x) e_x), whose unknown is b + k.  Each row is a sparse vector:
-    sums that cancel are deleted."""
-    coords = list(product(*map(range, shape)))
-    for inst in instances:
-        block = [{} for _ in coords]
-        for pre, post in terms:
-            for (b, x), c in pre(*inst).items():
-                for o, k, e in post[x]:
-                    row, col = block[o], b + k
-                    s = row.get(col)
-                    if s is None:
-                        row[col] = c * e
-                    elif s := s + c * e:
-                        row[col] = s
-                    else:
-                        del row[col]
-        rows.extend(block)
-        labels.extend((family, inst, coord) for coord in coords)
+def _contract(count: int, width: int, terms) -> list:
+    """The ``count * width`` rows of one family, ``width`` per instance (one per
+    output coordinate, row-major), each the sum over ``terms`` of
+    Post o (theta (x) id_X) o Pre.  A term is ``(entries, post)``: ``entries``
+    is Pre over every instance as one flat list of ``(n, b, x, c)``, c the
+    coefficient of e_i (x) e_j (x) e_x in Pre of instance n, where b is the
+    unknown of (i, j, 0); ``post[x]`` lists the (o, k, e) with e the
+    coefficient of e_o in Post(e_k (x) e_x), whose unknown is b + k.  Each
+    row is a sparse vector: sums that cancel are deleted."""
+    rows = [{} for _ in range(count * width)]
+    for entries, post in terms:
+        for n, b, x, c in entries:
+            first = n * width
+            for o, k, e in post[x]:
+                row, col = rows[first + o], b + k
+                s = row.get(col)
+                if s is None:
+                    row[col] = c * e
+                elif s := s + c * e:
+                    row[col] = s
+                else:
+                    del row[col]
+    return rows
 
 
 def _integral_rows(d: DoiDatum) -> tuple:
-    """(homogeneous rows, their labels, affine rows, their labels, affine
-    right-hand sides): the three linear families and normalization as sparse
-    rows over the unknowns laid out by ``theta_index``."""
+    """(homogeneous rows, affine rows, affine right-hand sides, layout): the
+    three linear families and normalization as sparse rows over the unknowns
+    laid out by ``theta_index``.  ``layout`` lists ``(family, instances,
+    coords)`` in row order, each instance holding one row per coordinate."""
     one = d.field.one()
     alg, coalg = d.algebra.algebra, d.coalgebra.coalgebra
     phi, rho_a, mult = d.coalgebra.action, d.algebra.coaction, alg.mult
@@ -221,21 +225,22 @@ def _integral_rows(d: DoiDatum) -> tuple:
     legs = [list(rho_a.nonzero_of(k)) for k in range(da)]
     base = [[theta_index(i, j, 0, dc, da) for j in range(dc)] for i in range(dc)]
     pairs = list(product(range(dc), repeat=2))
+    triples = list(product(range(da), range(dc), range(dc)))
     ident = [[(r, r, one) for r in range(da)]]  # id_A, X trivial
 
     # twist compatibility: (gamma (x) gamma, id_A) and (id, -beta)
-    twist = [(lambda p, q: {(base[i][j], 0): a * b for i, a in gam[p].items()
-                            for j, b in gam[q].items()}, ident),
-             (lambda p, q: {(base[p][q], 0): one},
+    twist = [([(n, base[i][j], 0, a * b) for n, (p, q) in enumerate(pairs)
+               for i, a in gam[p].items() for j, b in gam[q].items()], ident),
+             ([(n, base[p][q], 0, one) for n, (p, q) in enumerate(pairs)],
               [[(r, k, -b) for k in range(da) for r, b in beta[k].items()]])]
     # colinearity, X = C: (gamma^-1 (x) Delta, id_A (x) gamma) and
     # (d (x) c -> d2 (x) gamma^-1(c) (x) d1, -(beta (x) phi) o (rho_A (x) id))
-    colin = [(lambda p, q: {(base[i][j], x): a * b for i, a in gam_inv[p].items()
-                            for j, x, b in delta[q]},
+    colin = [([(n, base[i][j], x, a * b) for n, (p, q) in enumerate(pairs)
+               for i, a in gam_inv[p].items() for j, x, b in delta[q]],
               [[(r * dc + s, r, g) for r in range(da) for s, g in gam[x].items()]
                for x in range(dc)]),
-             (lambda p, q: {(base[d2][j], d1): b * a for d1, d2, b in delta[p]
-                            for j, a in gam_inv[q].items()},
+             ([(n, base[d2][j], d1, b * a) for n, (p, q) in enumerate(pairs)
+               for d1, d2, b in delta[p] for j, a in gam_inv[q].items()],
               [[(r * dc + s, k, -(c * b * f)) for k in range(da)
                 for k2, h, c in legs[k] for r, b in beta[k2].items()
                 for s, f in phi.at_pair(x, h).items()] for x in range(dc)])]
@@ -246,47 +251,57 @@ def _integral_rows(d: DoiDatum) -> tuple:
     act = [[phi.apply(g, {h: one}) for h in range(d.hopf.dim)] for g in gam_inv]
     alpha_inv_col = d.hopf.alpha_inv.columns()
     act_inv = [[phi.apply(g, a) for a in alpha_inv_col] for g in gam_inv]
-
-    def double_coaction(t, p, q):
-        out = {}
-        for u, h, c1 in legs[t]:
-            arg2 = act_inv[q][h]
-            for x, h2, c2 in legs[u]:
-                vec_add_scaled(out, c1 * c2, {(base[i][j], x): a * b
-                                              for i, a in act[p][h2].items()
-                                              for j, b in arg2.items()})
-        return out
-
+    legs2 = [[(x, h2, h, c1 * c2) for u, h, c1 in legs[t] for x, h2, c2 in legs[u]]
+             for t in range(da)]
     beta2 = [alg.alpha.apply(b) for b in beta]
-    module = [(double_coaction, [[(r, k, e) for k in range(da)
-                                  for r, e in mult.apply(beta2[x], {k: one}).items()]
-                                 for x in range(da)]),
-              (lambda t, p, q: {(base[p][q], t): one},
+    module = [([(n, base[i][j], x, c * a * b) for n, (t, p, q) in enumerate(triples)
+                for x, h2, h, c in legs2[t]
+                for i, a in act[p][h2].items() for j, b in act_inv[q][h].items()],
+               [[(r, k, e) for k in range(da) for r, e in mult.apply(beta2[x], {k: one}).items()]
+                for x in range(da)]),
+              ([(n, base[p][q], t, one) for n, (t, p, q) in enumerate(triples)],
                [[(r, k, -e) for k in range(da) for r, e in mult.at_pair(k, x).items()]
                 for x in range(da)])]
 
-    hom_rows, hom_labels, aff_rows, aff_labels = [], [], [], []
+    # normalization (affine), X trivial: (Delta, id_A) = eps(c) 1_A
+    norm = [([(p, base[i][j], 0, c) for p in range(dc) for i, j, c in delta[p]], ident)]
+
+    blocks, layout = [], []
     for family, instances, shape, terms in (
             ("twist_compatibility", pairs, (da,), twist),
             ("colinearity", pairs, (da, dc), colin),
-            ("module_linearity", list(product(range(da), range(dc), range(dc))), (da,), module)):
-        _contract(hom_rows, hom_labels, family, instances, shape, terms)
-    # normalization (affine), X trivial: (Delta, id_A) = eps(c) 1_A
-    _contract(aff_rows, aff_labels, "normalization", [(p,) for p in range(dc)], (da,),
-              [(lambda p: {(base[i][j], 0): c for i, j, c in delta[p]}, ident)])
+            ("module_linearity", triples, (da,), module),
+            ("normalization", [(p,) for p in range(dc)], (da,), norm)):
+        coords = list(product(*map(range, shape)))
+        blocks.append(_contract(len(instances), len(coords), terms))
+        layout.append((family, instances, coords))
     aff_rhs = tuple(coalg.counit[p] * alg.unit[r] for p in range(dc) for r in range(da))
-    return hom_rows, hom_labels, aff_rows, aff_labels, aff_rhs
+    return [row for block in blocks[:-1] for row in block], blocks[-1], aff_rhs, layout
+
+
+def _row_label(layout, i: int) -> tuple:
+    """The (family, instance, coord) label of row ``i`` of ``layout``."""
+    j = i
+    if j >= 0:
+        for family, instances, coords in layout:
+            n, r = divmod(j, len(coords))
+            if n < len(instances):
+                return family, instances[n], coords[r]
+            j -= len(instances) * len(coords)
+    raise IndexError(f"no row {i} in the integral system")
 
 
 def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
     """Homogeneous rows for the three linear families and affine rows for
     normalization, over the unknowns laid out by ``theta_index``: the rows
-    the solver eliminates, as matrices."""
-    hom_rows, hom_labels, aff_rows, aff_labels, aff_rhs = _integral_rows(d)
+    the solver eliminates, as matrices, with every row's label."""
+    hom_rows, aff_rows, aff_rhs, layout = _integral_rows(d)
+    labels = tuple((family, inst, coord) for family, instances, coords in layout
+                   for inst in instances for coord in coords)
     da, dc = d.algebra.algebra.dim, d.coalgebra.coalgebra.dim
     return IntegralSystem(d.field, dc, da, Matrix._of_rows(d.field, da * dc * dc, hom_rows),
-                          tuple(hom_labels), Matrix._of_rows(d.field, da * dc * dc, aff_rows),
-                          aff_rhs, tuple(aff_labels))
+                          labels[:len(hom_rows)], Matrix._of_rows(d.field, da * dc * dc, aff_rows),
+                          aff_rhs, labels[len(hom_rows):])
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +311,24 @@ def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
     """Deterministic particular solution (free coefficients zero) of the
     combined system, certified by the direct evaluator; or an Infeasible
     answer carrying an exact inconsistency witness.  The rows eliminated are
-    ``assemble_integral_system``'s, from the same builder with no matrices, each
-    normalization row holding its right-hand side at column ``unknown_count``;
-    an integral ``Fraction`` may stand for an int there, never in the answer."""
+    ``assemble_integral_system``'s, from the same builder with no matrices and
+    no labels, each normalization row holding its right-hand side at column
+    ``unknown_count``; an integral ``Fraction`` may stand for an int there,
+    never in the answer.  Only the rows a certificate names are labelled."""
     field, zero = d.field, d.field.zero()
     dc, da = d.coalgebra.coalgebra.dim, d.algebra.algebra.dim
     nunk = da * dc * dc
-    aug, labels, aff_rows, aff_labels, aff_rhs = _integral_rows(d)
+    aug, aff_rows, aff_rhs, layout = _integral_rows(d)
     for row, b in zip(aff_rows, aff_rhs):
         if b:
             row[nunk] = b
     aug += aff_rows
-    labels += aff_labels
     red, pivots, steps = _rref_rows(aug, field)
     if nunk in pivots:
         ri = pivots.index(nunk)
         y = _transform_row(steps, ri, field)
         _assert_certificate(aug, y, nunk, field)
-        combo = [(labels[j], canonical(y[j])) for j in sorted(y)]
+        combo = [(_row_label(layout, j), canonical(y[j])) for j in sorted(y)]
         return Infeasible(ri, canonical(red[ri][nunk]), tuple(combo))
     particular = [zero] * nunk
     for r, col in enumerate(pivots):

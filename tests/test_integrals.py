@@ -13,7 +13,7 @@ from homhopf.integrals import (Infeasible, IntegralCandidate,
                                solve_normalized_integral, theta_index,
                                verify_integral)
 from homhopf.linalg import Field, Tensor3, _rref_rows, vec_dense, vec_sub
-from homhopf.zoo import (group_algebra, one_dimensional_hopf, sweedler_h4,
+from homhopf.zoo import (group_algebra, one_dimensional_hopf, sweedler_h4, taft_algebra,
                          twisted_group_algebra, twisted_sweedler)
 
 Q = Field.rationals()
@@ -246,6 +246,16 @@ PINNED_CERTIFICATES = {
         (("colinearity", (0, 3), (1, 3)), "6"),
         (("normalization", (0,), (0,)), "1"),
         (("normalization", (0,), (1,)), "1")]),
+    # the Taft algebra T_3 at zeta = 2 exists over GF(7) only; both certificates name
+    # normalization rows, which follow every module_linearity row
+    ("trivial_T3", "GF(7)"): (72, "1", [
+        (("colinearity", (0, 5), (0, 5)), "6"),
+        (("normalization", (0,), (0,)), "1")]),
+    ("yd_T3", "GF(7)"): (723, "1", [
+        (("colinearity", (0, 7), (0, 7)), "6"),
+        (("colinearity", (0, 7), (1, 7)), "2"),
+        (("normalization", (0,), (0,)), "1"),
+        (("normalization", (0,), (1,)), "5")]),
 }
 
 
@@ -278,32 +288,44 @@ class TestWitness:
             assert not any(acc), key
             assert val and val == r.witness_value, key
 
-    @pytest.mark.parametrize("name", sorted({name for name, _ in PINNED_CERTIFICATES}))
+    @pytest.mark.parametrize("name", sorted({name for name, f in PINNED_CERTIFICATES if f == "Q"}))
     def test_certificate_is_pinned(self, field, name):
         # the certificate is a row of the elimination's transform, so a
         # changed pivot sequence would show in it
         d = {"H4_trivial_datum": lambda: golden_file("H4_trivial_datum", field).build("D"),
              "H4t_trivial_datum": lambda: trivial_datum(twisted_sweedler(field, 2)),
              "yd_H4_twisted": lambda: yd_datum(twisted_sweedler(field, 2))}[name]()
-        r = solve_normalized_integral(d)
-        assert isinstance(r, Infeasible)
-        row, value, combination = PINNED_CERTIFICATES[(name, str(field))]
-        assert r.witness_row == row
-        assert r.witness_value == field.of(value)
-        assert is_canonical(r.witness_value, field)
-        assert [label for label, _ in r.combination] == [label for label, _ in combination]
-        assert [coeff for _, coeff in r.combination] == [field.of(c) for _, c in combination]
-        assert all(is_canonical(coeff, field) for _, coeff in r.combination)
+        _assert_pinned_certificate(d, name, field)
+
+    @pytest.mark.parametrize("name", ["trivial_T3", "yd_T3"])
+    def test_gf7_certificate_is_pinned(self, name):
+        gf7 = Field.prime(7)
+        kind, base = name.split("_")
+        _assert_pinned_certificate(_pinned_datum(kind, base, gf7), name, gf7)
 
     def test_theta_index_flattening(self):
         assert theta_index(1, 0, 1, 2, 2) == 5
+
+
+def _assert_pinned_certificate(d, name, field):
+    """Solve ``d`` and compare its certificate with the pin of (name, field)."""
+    r = solve_normalized_integral(d)
+    assert isinstance(r, Infeasible)
+    row, value, combination = PINNED_CERTIFICATES[(name, str(field))]
+    assert r.witness_row == row
+    assert r.witness_value == field.of(value)
+    assert is_canonical(r.witness_value, field)
+    assert [label for label, _ in r.combination] == [label for label, _ in combination]
+    assert [coeff for _, coeff in r.combination] == [field.of(c) for _, c in combination]
+    assert all(is_canonical(coeff, field) for _, coeff in r.combination)
 
 
 def _pinned_datum(kind, base, field):
     h = {"kZ2": lambda: group_algebra(2, field),
          "tw_kZ3": lambda: twisted_group_algebra(3, 2, field),
          "H4": lambda: sweedler_h4(field),
-         "tw_H4": lambda: twisted_sweedler(field, 2)}[base]()
+         "tw_H4": lambda: twisted_sweedler(field, 2),
+         "T3": lambda: taft_algebra(3, 2, field)}[base]()
     if kind == "trivial":
         return trivial_datum(h)
     if kind == "relative":
@@ -313,11 +335,20 @@ def _pinned_datum(kind, base, field):
 
 def system_digest(s) -> str:
     """sha256 over every label, every row and every affine right-hand side
-    of an assembled system, written as strings."""
-    text = []
+    of an assembled system, written as strings (a row densely, its zeros
+    written as the field's zero)."""
+    text, zero = [], str(s.field.zero())
     for labels, m in ((s.homogeneous_labels, s.homogeneous), (s.affine_labels, s.affine_lhs)):
         text.append(f"{m.rows}x{m.cols}")
-        text.extend(f"{label} {' '.join(map(str, m.row(r)))}" for r, label in enumerate(labels))
+        by_row = [{} for _ in range(m.rows)]
+        for c, col in enumerate(m.columns()):
+            for r, x in col.items():
+                by_row[r][c] = str(x)
+        for label, nonzeros in zip(labels, by_row):
+            cells = [zero] * m.cols
+            for c, x in nonzeros.items():
+                cells[c] = x
+            text.append(f"{label} {' '.join(cells)}")
     text.append(" ".join(map(str, s.affine_rhs)))
     return hashlib.sha256("\n".join(text).encode()).hexdigest()
 
@@ -375,6 +406,12 @@ SYSTEM_DIGESTS = {
         "fa9b476d5d1c7a1ad267381358f3f0a57d20f3574f033746ebd04031260c060c",
     ("yd", "tw_H4", "GF7"):
         "3badd0ab5212a3f2a4a1558ac6ad3fa298f6269cbcd8e818a09f089a8dab5452",
+    # the Taft algebra T_3 at zeta = 2, over GF(7) only: its coproduct has zeta-weighted
+    # legs, so the rows are not +-1 monomial rows like those of kZn
+    ("trivial", "T3", "GF7"):
+        "799d2aa27d974ed01a30f13398b633e166792f7275e25902c5bcfa57eb14d514",
+    ("yd", "T3", "GF7"):
+        "4cb9d54ea395c441c694e02e994ec6a28661a79addbf53d5b040525548263e2b",
 }
 
 
@@ -418,3 +455,21 @@ class TestEliminatedRows:
         assert all(x for row in rows for x in row.values())
         # most rows cancel to empty; those must be empty, not rows of zeros
         assert any(not row for row in rows)
+
+
+class TestRowLabels:
+    """The solver labels only the rows its certificate names, from the layout
+    of the row builder; that must be the assembled system's label of the row."""
+
+    @pytest.mark.parametrize("key", sorted(SYSTEM_DIGESTS), ids="-".join)
+    def test_derived_label_is_the_assembled_label(self, key):
+        kind, base, flag = key
+        field = Field.rationals() if flag == "Q" else Field.prime(7)
+        d = _pinned_datum(kind, base, field)
+        s = assemble_integral_system(d)
+        labels = s.homogeneous_labels + s.affine_labels
+        layout = integrals._integral_rows(d)[3]
+        assert [integrals._row_label(layout, i) for i in range(len(labels))] == list(labels)
+        for i in (len(labels), -1):
+            with pytest.raises(IndexError, match=f"no row {i} in the integral system"):
+                integrals._row_label(layout, i)
