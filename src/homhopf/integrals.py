@@ -23,13 +23,16 @@ to the output.  A term's Pre over every instance of its family is one flat
 entry list, and one contraction with the Post table turns each term into
 the family's sparse rows; the row and column layout lives in that one
 helper.  The builder gives each family's instances and coordinates, not a
-label per row.  The solver eliminates the rows as they are and labels only
-the rows its certificate names; ``assemble_integral_system`` wraps them as
-matrices with every label.
-``integral_sides`` evaluates both sides of every condition directly on
-vectors for a given theta and shares no term or table with the assembler, so
-a wrong term on either side shows as a disagreement: tests compare the two
-entry for entry, and every solution is certified by the direct route.
+label per row; ``assemble_integral_system`` wraps its rows as matrices with
+every label.  ``integral_sides`` evaluates both sides of every condition
+directly on vectors for a given theta and shares no term or table with the
+assembler, so a wrong term on either side shows as a disagreement: tests
+compare the two entry for entry, and every solution is certified by the
+direct route.
+
+The solver returns the theta of the normalization rows alone if the direct
+evaluator passes it; otherwise it eliminates every row as it is, labelling
+only the rows its certificate names.
 """
 
 from __future__ import annotations
@@ -210,10 +213,10 @@ def _contract(count: int, width: int, terms) -> list:
 
 
 def _integral_rows(d: DoiDatum) -> tuple:
-    """(homogeneous rows, affine rows, affine right-hand sides, layout): the
-    three linear families and normalization as sparse rows over the unknowns
-    laid out by ``theta_index``.  ``layout`` lists ``(family, instances,
-    coords)`` in row order, each instance holding one row per coordinate."""
+    """(rows, layout): the three linear families, then normalization
+    (``_normalization_rows``), as sparse rows over the unknowns laid out by
+    ``theta_index``.  ``layout`` lists ``(family, instances, coords)`` in row
+    order, each instance holding one row per coordinate."""
     one = d.field.one()
     alg, coalg = d.algebra.algebra, d.coalgebra.coalgebra
     phi, rho_a, mult = d.coalgebra.action, d.algebra.coaction, alg.mult
@@ -263,20 +266,29 @@ def _integral_rows(d: DoiDatum) -> tuple:
                [[(r, k, -e) for k in range(da) for r, e in mult.at_pair(k, x).items()]
                 for x in range(da)])]
 
-    # normalization (affine), X trivial: (Delta, id_A) = eps(c) 1_A
-    norm = [([(p, base[i][j], 0, c) for p in range(dc) for i, j, c in delta[p]], ident)]
-
     blocks, layout = [], []
     for family, instances, shape, terms in (
             ("twist_compatibility", pairs, (da,), twist),
             ("colinearity", pairs, (da, dc), colin),
-            ("module_linearity", triples, (da,), module),
-            ("normalization", [(p,) for p in range(dc)], (da,), norm)):
+            ("module_linearity", triples, (da,), module)):
         coords = list(product(*map(range, shape)))
         blocks.append(_contract(len(instances), len(coords), terms))
         layout.append((family, instances, coords))
-    aff_rhs = tuple(coalg.counit[p] * alg.unit[r] for p in range(dc) for r in range(da))
-    return [row for block in blocks[:-1] for row in block], blocks[-1], aff_rhs, layout
+    layout.append(("normalization", [(p,) for p in range(dc)], [(r,) for r in range(da)]))
+    return [row for block in blocks for row in block] + _normalization_rows(d), layout
+
+
+def _normalization_rows(d: DoiDatum) -> list:
+    """Normalization, theta(c1 (x) c2) = eps(c) 1_A, as (Delta, id_A) with X
+    trivial: row (p, r) holds its nonzero right-hand side at ``unknown_count``,
+    where an integral ``Fraction`` may stand for an int, never in the answer."""
+    alg, coalg, one = d.algebra.algebra, d.coalgebra.coalgebra, d.field.one()
+    da, dc = alg.dim, coalg.dim
+    rows = _contract(dc, da, [([(p, theta_index(i, j, 0, dc, da), 0, c) for p in range(dc)
+                                for i, j, c in coalg.comult.nonzero_of(p)],
+                               [[(r, r, one) for r in range(da)]])])
+    rhs = (coalg.counit[p] * alg.unit[r] for p in range(dc) for r in range(da))
+    return [{**row, da * dc * dc: b} if b else row for row, b in zip(rows, rhs)]
 
 
 def _row_label(layout, i: int) -> tuple:
@@ -295,13 +307,14 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
     """Homogeneous rows for the three linear families and affine rows for
     normalization, over the unknowns laid out by ``theta_index``: the rows
     the solver eliminates, as matrices, with every row's label."""
-    hom_rows, aff_rows, aff_rhs, layout = _integral_rows(d)
+    rows, layout = _integral_rows(d)
     labels = tuple((family, inst, coord) for family, instances, coords in layout
                    for inst in instances for coord in coords)
     da, dc = d.algebra.algebra.dim, d.coalgebra.coalgebra.dim
-    return IntegralSystem(d.field, dc, da, Matrix._of_rows(d.field, da * dc * dc, hom_rows),
-                          labels[:len(hom_rows)], Matrix._of_rows(d.field, da * dc * dc, aff_rows),
-                          aff_rhs, labels[len(hom_rows):])
+    n, nunk = len(rows) - da * dc, da * dc * dc  # the da * dc affine rows come last
+    rhs = tuple(row.pop(nunk, d.field.zero()) for row in rows[n:])
+    return IntegralSystem(d.field, dc, da, Matrix._of_rows(d.field, nunk, rows[:n]), labels[:n],
+                          Matrix._of_rows(d.field, nunk, rows[n:]), rhs, labels[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +323,40 @@ def assemble_integral_system(d: DoiDatum) -> IntegralSystem:
 def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
     """Deterministic particular solution (free coefficients zero) of the
     combined system, certified by the direct evaluator; or an Infeasible
-    answer carrying an exact inconsistency witness.  The rows eliminated are
-    ``assemble_integral_system``'s, from the same builder with no matrices and
-    no labels, each normalization row holding its right-hand side at column
-    ``unknown_count``; an integral ``Fraction`` may stand for an int there,
-    never in the answer.  Only the rows a certificate names are labelled."""
-    field, zero = d.field, d.field.zero()
-    dc, da = d.coalgebra.coalgebra.dim, d.algebra.algebra.dim
-    nunk = da * dc * dc
-    aug, aff_rows, aff_rhs, layout = _integral_rows(d)
-    for row, b in zip(aff_rows, aff_rhs):
-        if b:
-            row[nunk] = b
-    aug += aff_rows
-    red, pivots, steps = _rref_rows(aug, field)
+    answer carrying an exact inconsistency witness.
+
+    theta_N, read from the normalization rows alone, is the answer if the
+    direct evaluator finds no violation at it; else ``_solve_all_rows``
+    eliminates every row, and gives every Infeasible.  theta_N is then the
+    full answer: the normalization rows span a subspace of the augmented row
+    space, so their pivot columns are among the full system's, and theta_N
+    is zero on its free columns; solving it, theta_N is its one particular
+    solution with those columns zero."""
+    red, pivots, _ = _rref_rows(_normalization_rows(d), d.field)
+    if d.algebra.algebra.dim * d.coalgebra.coalgebra.dim ** 2 not in pivots:
+        cand = _read_theta(d, red, pivots)
+        for checked, (_, _, lhs, rhs, _) in enumerate(integral_sides(cand, d), 1):
+            if lhs != rhs:  # sparse sides hold no zeros, as in ``check_vec``
+                break
+        else:
+            cand.report = AxiomReport((), checked)
+            return cand
+    return _solve_all_rows(d)
+
+
+def _solve_all_rows(d: DoiDatum) -> IntegralCandidate | Infeasible:
+    """The solve on all of ``assemble_integral_system``'s rows, unlabelled but
+    for the rows a certificate names."""
+    nunk = d.algebra.algebra.dim * d.coalgebra.coalgebra.dim ** 2
+    aug, layout = _integral_rows(d)
+    red, pivots, steps = _rref_rows(aug, d.field)
     if nunk in pivots:
         ri = pivots.index(nunk)
-        y = _transform_row(steps, ri, field)
-        _assert_certificate(aug, y, nunk, field)
+        y = _transform_row(steps, ri, d.field)
+        _assert_certificate(aug, y, nunk)
         combo = [(_row_label(layout, j), canonical(y[j])) for j in sorted(y)]
         return Infeasible(ri, canonical(red[ri][nunk]), tuple(combo))
-    particular = [zero] * nunk
-    for r, col in enumerate(pivots):
-        particular[col] = red[r].get(nunk, zero)
-    cand = IntegralCandidate.from_vector(field, dc, da, particular)
+    cand = _read_theta(d, red, pivots)
     rep = verify_integral(cand, d)
     if not rep.passed:
         raise RuntimeError("solver produced a solution the direct evaluator rejects; "
@@ -342,11 +365,19 @@ def solve_normalized_integral(d: DoiDatum) -> IntegralCandidate | Infeasible:
     return cand
 
 
-def _assert_certificate(aug, y, nunk, field) -> None:
+def _read_theta(d: DoiDatum, red: list, pivots: list) -> IntegralCandidate:
+    """theta, free coefficients zero, from a consistent RREF of augmented rows."""
+    field, dc, da = d.field, d.coalgebra.coalgebra.dim, d.algebra.algebra.dim
+    theta = [field.zero()] * (da * dc * dc)
+    for r, col in enumerate(pivots):
+        theta[col] = red[r].get(len(theta), field.zero())
+    return IntegralCandidate.from_vector(field, dc, da, theta)
+
+
+def _assert_certificate(aug, y, nunk) -> None:
     """y . [A | b] must be zero on A's columns and nonzero at b (column nunk)."""
     comb = {}
     for r, coeff in y.items():
-        for c, x in aug[r].items():
-            comb[c] = comb.get(c, field.zero()) + coeff * x
-    if any(x for c, x in comb.items() if c != nunk) or not comb.get(nunk):
+        vec_add_scaled(comb, coeff, aug[r])  # keeps only the entries that do not cancel
+    if comb.keys() != {nunk}:
         raise RuntimeError("inconsistency witness failed exact validation")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpus import is_canonical
+from corpus import is_canonical, twist_corpus
 from homhopf.applications import (regular_comodule_algebra, relative_datum,
                                   trivial_datum, yd_datum)
 from homhopf import integrals
@@ -426,9 +426,11 @@ class TestAssembledSystemPins:
 
 class TestEliminatedRows:
     """The solver eliminates the rows of the one row builder as they are,
-    without forming matrices: they must be the assembled system's rows, with
-    each normalization right-hand side at column ``unknown_count``, and hold
-    no zero, since elimination takes every stored scalar for a nonzero."""
+    without forming matrices: ``_solve_all_rows`` takes every row, and the
+    solver's first pass the normalization rows alone.  They must be the
+    assembled system's rows, with each normalization right-hand side at column
+    ``unknown_count``, and hold no zero, since elimination takes every stored
+    scalar for a nonzero."""
 
     @pytest.mark.parametrize("key", sorted(SYSTEM_DIGESTS), ids="-".join)
     def test_rows_are_the_assembled_rows_and_hold_only_nonzeros(self, key, monkeypatch):
@@ -442,19 +444,73 @@ class TestEliminatedRows:
             return _rref_rows(rows, fld)
 
         monkeypatch.setattr(integrals, "_rref_rows", spy)
-        solve_normalized_integral(d)
+        integrals._solve_all_rows(d)
         (rows,) = seen
         s = assemble_integral_system(d)
         n = s.unknown_count
         want = [dict((c, x) for c, x in enumerate(s.homogeneous.row(i)) if x)
                 for i in range(s.homogeneous.rows)]
+        affine = []
         for i, b in enumerate(s.affine_rhs):
             row = {c: x for c, x in enumerate(s.affine_lhs.row(i)) if x}
-            want.append({**row, n: b} if b else row)
-        assert rows == want
+            affine.append({**row, n: b} if b else row)
+        assert rows == want + affine
         assert all(x for row in rows for x in row.values())
         # most rows cancel to empty; those must be empty, not rows of zeros
         assert any(not row for row in rows)
+        # the first pass eliminates the affine rows alone, once; only a
+        # fall-through eliminates again, and then every row
+        seen.clear()
+        solve_normalized_integral(d)
+        assert seen[0] == affine
+        assert seen[1:] in ([], [rows])
+
+
+class TestFirstPass:
+    """The solver's answer from the normalization rows alone is the answer of
+    ``_solve_all_rows``, which eliminates every row: the same theta with the
+    direct evaluator's report, or the same certificate."""
+
+    @staticmethod
+    def _assert_same_answer(d, key):
+        fast, full = solve_normalized_integral(d), integrals._solve_all_rows(d)
+        assert type(fast) is type(full), key
+        if isinstance(full, Infeasible):
+            assert (fast.witness_row, fast.witness_value, fast.combination) == (
+                full.witness_row, full.witness_value, full.combination), key
+        else:
+            assert fast.theta == full.theta and fast.theta.entries == full.theta.entries, key
+            assert fast.report == verify_integral(fast, d), key
+            assert fast.report.format() == verify_integral(fast, d).format(), key
+
+    @staticmethod
+    def _falls_through(d, monkeypatch) -> bool:
+        calls = []
+        full = integrals._solve_all_rows
+        monkeypatch.setattr(integrals, "_solve_all_rows", lambda d: calls.append(d) or full(d))
+        solve_normalized_integral(d)
+        monkeypatch.undo()
+        return bool(calls)
+
+    @pytest.mark.parametrize("key", sorted(SYSTEM_DIGESTS), ids="-".join)
+    def test_pinned_data_agree_with_the_full_elimination(self, key, monkeypatch):
+        kind, base, flag = key
+        field = Field.rationals() if flag == "Q" else Field.prime(7)
+        d = _pinned_datum(kind, base, field)
+        self._assert_same_answer(d, key)
+        # the first pass is not vacuous: trivial kZn data end there, while the
+        # infeasible data over H4, its twist and T3 fall through to the full
+        # elimination
+        if kind == "trivial" and "kZ" in base:
+            assert not self._falls_through(d, monkeypatch)
+        if base in ("H4", "tw_H4", "T3") and kind != "relative":
+            assert self._falls_through(d, monkeypatch)
+
+    def test_twist_corpus_agrees_with_the_full_elimination(self, field):
+        for h in twist_corpus(field, 5):
+            for d in (trivial_datum(h), relative_datum(h, regular_comodule_algebra(h)),
+                      yd_datum(h)):
+                self._assert_same_answer(d, (h.dim, d.algebra.dim, d.coalgebra.dim))
 
 
 class TestRowLabels:
@@ -468,7 +524,7 @@ class TestRowLabels:
         d = _pinned_datum(kind, base, field)
         s = assemble_integral_system(d)
         labels = s.homogeneous_labels + s.affine_labels
-        layout = integrals._integral_rows(d)[3]
+        layout = integrals._integral_rows(d)[1]
         assert [integrals._row_label(layout, i) for i in range(len(labels))] == list(labels)
         for i in (len(labels), -1):
             with pytest.raises(IndexError, match=f"no row {i} in the integral system"):

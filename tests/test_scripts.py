@@ -31,8 +31,8 @@ def _ladder(tmp_path) -> dict:
 
 def test_ladder_sizes_repeat_across_runs(tmp_path):
     # the sizes of a rung are deterministic even though its times are not
-    sizes = ("rows", "empty_rows", "unknowns", "nnz", "rank", "answer", "checked",
-             "module_checked")
+    sizes = ("rows", "empty_rows", "unknowns", "nnz", "rank", "eliminated_rows", "answer",
+             "checked", "module_checked")
     first, second = (_ladder(tmp_path)["rungs"]["trivial-kZ2-Q"] for _ in range(2))
     assert {k: first[k] for k in sizes} == {k: second[k] for k in sizes}
     assert first["answer"] == "feasible" and first["unknowns"] == 4 and first["checked"] > 0
@@ -42,6 +42,8 @@ def test_ladder_sizes_repeat_across_runs(tmp_path):
                                        "triangle_s"))
     # the row builder is timed on its own, apart from the assembly that also labels every row
     assert first["rows_s"] > 0
+    # kZ2's integral comes from its two normalization rows alone
+    assert first["eliminated_rows"] == 2 < first["rows"]
 
 
 def test_ladder_times_retractions_only_where_an_integral_exists(tmp_path):
@@ -49,6 +51,8 @@ def test_ladder_times_retractions_only_where_an_integral_exists(tmp_path):
     assert rungs["trivial-kZ2-Q"]["retraction_s"] >= 0
     h4 = rungs["trivial-H4-Q"]
     assert h4["answer"] == "infeasible"
+    # no integral: the solver eliminated every row
+    assert h4["eliminated_rows"] == h4["rows"]
     assert h4["verify_s"] is None and h4["retraction_s"] is None and h4["triangle_s"] >= 0
 
 
