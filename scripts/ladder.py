@@ -32,7 +32,11 @@ canonical module A (x) C,
 ``check_doi_module`` (``module_check_s``, with the number of axiom instances
 it checked), ``build_retraction`` followed by ``extract_integral`` when an
 integral exists (``retraction_s``), and ``check_triangle_identities`` with
-A's regular module as N (``triangle_s``).
+A's regular module as N (``triangle_s``).  Last, ``cli_find_s`` times
+``homhopf find-integral <file> D`` run in process through ``cli.main`` on
+that structure file, written once to a temporary directory: the whole
+command, which reads the datum, checks it as every datum command does,
+solves and prints the answer.
 
 The solver builds and eliminates every row only where the theta of the
 normalization rows alone fails the direct evaluator, or those rows are
@@ -52,9 +56,12 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
+import tempfile
 import time
 from math import gcd
 
@@ -134,6 +141,22 @@ def eliminated_rows(d) -> int:
     return seen[-1]
 
 
+def time_find_integral(text: str, repeat: int) -> float:
+    """The least time of ``repeat`` in-process ``find-integral <file> D`` runs
+    on the structure file ``text``, written beforehand; its output is dropped."""
+    from homhopf.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "datum.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            took, code = best(lambda: main(["find-integral", path, "D"]), repeat)
+    if code not in (0, 3):  # an integral or none: anything else is not the command's work
+        raise SystemExit(f"find-integral exited {code} on a ladder datum")
+    return took
+
+
 def measure(build_datum, repeat: int) -> dict:
     from homhopf.doi import check_doi_datum, check_doi_module, check_triangle_identities
     from homhopf.integrals import (IntegralCandidate, _integral_rows, assemble_integral_system,
@@ -166,10 +189,11 @@ def measure(build_datum, repeat: int) -> dict:
     retraction_s = best(lambda: extract_integral(build_retraction(answer, m, d), d),
                         repeat)[0] if feasible else None
     triangle_s = best(lambda: check_triangle_identities(d, m, n), repeat)[0]
+    cli_find_s = time_find_integral(text, repeat)
     times = {"datum_s": datum_s, "read_s": read_s, "check_s": check_s, "rows_s": rows_s,
              "assemble_s": assemble_s, "elim_s": elim_s, "solve_s": solve_s, "verify_s": verify_s,
              "module_check_s": module_check_s, "retraction_s": retraction_s,
-             "triangle_s": triangle_s}
+             "triangle_s": triangle_s, "cli_find_s": cli_find_s}
     return {**sizes, "rank": len(pivots), "answer": "feasible" if feasible else "infeasible",
             "checked": report.checked, "module_checked": module_report.checked,
             **{k: None if t is None else round(t, 6) for k, t in times.items()}}
@@ -204,7 +228,8 @@ def main(argv=None) -> int:
               f"({r['checked']} instances), rows {r['rows_s']:.4f} s, assemble "
               f"{r['assemble_s']:.4f} s, elimination {r['elim_s']:.4f} s, solve {r['solve_s']:.4f} s, verify {verify}, module check "
               f"{r['module_check_s']:.4f} s ({r['module_checked']} instances), "
-              f"retraction {retraction}, triangles {r['triangle_s']:.4f} s", flush=True)
+              f"retraction {retraction}, triangles {r['triangle_s']:.4f} s, find-integral "
+              f"{r['cli_find_s']:.4f} s", flush=True)
     print(json.dumps({"repeat": args.repeat, "rungs": results}))
     return 0
 

@@ -22,9 +22,8 @@ from .core import (HomComodule, HomHopfAlgebra, _require_over, check_hom_coalgeb
                    opposite_tensor, product_table)
 from .doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                   check_comodule_algebra)
-from .linalg import (Matrix, Tensor3, require_same_field, vec_add_scaled, vec_dense,
-                     vec_sub, vec_tensor)
-from .report import AxiomReport, require, residual_report
+from .linalg import Matrix, Tensor3, require_same_field, vec_add_scaled, vec_tensor
+from .report import AxiomReport, ReportBuilder, require
 from .zoo import one_dimensional_hopf
 
 
@@ -119,16 +118,15 @@ def yd_datum(h: HomHopfAlgebra) -> DoiDatum:
 # Yetter-Drinfeld checks.  A YD module over H is a DoiModule over yd_datum(h):
 # there A = C = H, so its action and coaction are indexed by the basis of H.
 
-def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
-    """Residuals of the braided compatibility on every basis pair."""
+def yd_sides(m: DoiModule, h: HomHopfAlgebra):
+    """Yield ``(i, j, lhs, rhs)``: both sides of the braided compatibility on
+    the basis pair (e_i of M, e_j of H), as sparse vectors of M (x) H."""
     require_same_field(h, m)
     _require_over(h.dim, h.dim, m)
-    field = m.field
-    one = field.one()
-    dm, dh = m.dim, h.dim
+    one = m.field.one()
+    dh = h.dim
     mu_col = m.mu.columns()
     mu_inv_col = m.mu_inv.columns()
-    out = {}
     for i, j, lhs in leg_products(m.coaction, h.comult, product_table(m.action),
                                   product_table(h.mult), dh):
         rhs = {}
@@ -137,15 +135,16 @@ def yd_residuals(m: DoiModule, h: HomHopfAlgebra) -> dict:
             for q, s in m.coaction.apply_left(v).items():
                 m0, m1 = divmod(q, dh)
                 vec_add_scaled(rhs, cd * s, vec_tensor(mu_col[m0], h.mult.at_pair(h1, m1), dh))
-        out[(i, j)] = vec_dense(vec_sub(lhs, rhs), dm * dh, field.zero())
-    return out
+        yield i, j, lhs, rhs
 
 
 def check_yd_module(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:
     """The braided compatibility on all basis pairs (substructures assumed
     valid; check them with the module/comodule checkers)."""
-    return residual_report({("yd_compatibility", idx): r
-                            for idx, r in yd_residuals(m, h).items()})
+    b = ReportBuilder()
+    for i, j, lhs, rhs in yd_sides(m, h):
+        b.check_vec("yd_compatibility", (i, j), lhs, rhs, m.dim * h.dim)
+    return b.report()
 
 
 def check_yd_substructures(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:

@@ -139,6 +139,25 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_with(sf: StructureFile, out: str | None, name: str, record) -> None:
+    """With ``--out``, write the file read with one more object, ``name``,
+    whose record ``record()`` makes."""
+    if out:
+        extended = StructureFile(sf.field, {**sf.raw, name: record()})
+        _emit(serialize_structure_file(extended), out)
+
+
+def _datum(sf: StructureFile, name: str):
+    """The Doi datum ``name``, built and checked, as every command that reads
+    a datum assumes it: check_doi_datum with A's and C's own laws merged in."""
+    _require_kind(sf, name, "doi_datum", "datum")
+    datum = sf.build(name)
+    require(check_doi_datum(datum).merged(check_hom_algebra(datum.algebra.algebra))
+            .merged(check_hom_coalgebra(datum.coalgebra.coalgebra)),
+            f"{name!r} is not a valid Doi datum")
+    return datum
+
+
 #: kind -> (the key of the object it is checked against, or None; checker);
 #: a Hopf algebra that modules or comodules reference is checked as its
 #: algebra or coalgebra
@@ -178,16 +197,12 @@ def cmd_check(args) -> int:
 
 def cmd_find_integral(args) -> int:
     sf = _load(args.path)
-    _require_kind(sf, args.datum, "doi_datum", "datum")
-    datum = sf.build(args.datum)
-    result = solve_normalized_integral(datum)
+    result = solve_normalized_integral(_datum(sf, args.datum))
     if isinstance(result, Infeasible):
         print(result.message())
         return INFEASIBLE
-    labels_c = sf.labels(sf.raw[args.datum]["coalgebra"]) or \
-        [str(i) for i in range(result.dim_c)]
-    labels_a = sf.labels(sf.raw[args.datum]["algebra"]) or \
-        [str(i) for i in range(result.dim_a)]
+    labels_c = sf.labels(sf.raw[args.datum]["coalgebra"])
+    labels_a = sf.labels(sf.raw[args.datum]["algebra"])
     print(f"normalized integral for {args.datum} "
           f"({result.report.checked} conditions verified):")
     for i in range(result.dim_c):
@@ -196,19 +211,15 @@ def cmd_find_integral(args) -> int:
             if any(c != "0" for c in coeffs):
                 val = " + ".join(f"{c}*{labels_a[k]}" for k, c in enumerate(coeffs) if c != "0")
                 print(f"  theta({labels_c[i]} (x) {labels_c[j]}) = {val}")
-    if args.out:
-        out = StructureFile(sf.field, dict(sf.raw))
-        out.raw["theta"] = integral_to_raw(result, args.datum)
-        _emit(serialize_structure_file(out), args.out)
+    _emit_with(sf, args.out, "theta", lambda: integral_to_raw(result, args.datum))
     return OK
 
 
 def cmd_certify(args) -> int:
     sf = _load(args.path)
-    _require_kind(sf, args.datum, "doi_datum", "datum")
+    datum = _datum(sf, args.datum)
     for name in args.modules:
         _require_kind(sf, name, "doi_module", "module")
-    datum = sf.build(args.datum)
     modules = [(name, sf.build(name)) for name in args.modules]
     result = separability_report(datum, modules)
     if isinstance(result, Infeasible):
@@ -216,17 +227,14 @@ def cmd_certify(args) -> int:
         return INFEASIBLE
     for name, ok in result.checked_modules:
         print(f"retraction on {name}: {'verified' if ok else 'FAILED'}")
-    if args.out:
-        out = StructureFile(sf.field, dict(sf.raw))
-        out.raw["certificate"] = certificate_to_raw(result.theta, args.datum,
-                                                    result.checked_modules)
-        _emit(serialize_structure_file(out), args.out)
+    _emit_with(sf, args.out, "certificate", lambda: certificate_to_raw(
+        result.theta, args.datum, result.checked_modules))
     return OK if result.all_passed else CHECK_FAILED
 
 
 def cmd_split(args) -> int:
     sf = _load(args.path)
-    _require_kind(sf, args.datum, "doi_datum", "datum")
+    datum = _datum(sf, args.datum)
     _require_morphism(sf, args.f, "f")
     _require_morphism(sf, args.g, "g")
     f_raw, g_raw = sf.raw[args.f], sf.raw[args.g]
@@ -234,26 +242,18 @@ def cmd_split(args) -> int:
         raise StructureParseError(
             f"g {args.g!r} maps {g_raw['source']!r} to {g_raw['target']!r}; a section "
             f"of {args.f!r} must map {f_raw['target']!r} to {f_raw['source']!r}")
-    datum = sf.build(args.datum)
     src = sf.build(f_raw["source"])
     dst = sf.build(f_raw["target"])
     f = _morphism_matrix(sf, args.f, "f")
     g = _morphism_matrix(sf, args.g, "g")
-    # the section is the theorem's, not checked; the datum read from the file
-    # is one of its hypotheses (check_doi_datum leaves A's and C's own laws out)
-    require(check_doi_datum(datum).merged(check_hom_algebra(datum.algebra.algebra))
-            .merged(check_hom_coalgebra(datum.coalgebra.coalgebra)),
-            f"{args.datum!r} is not a valid Doi datum")
     theta = solve_normalized_integral(datum)
     if isinstance(theta, Infeasible):
         print(theta.message())
         return INFEASIBLE
     section = split_epimorphism(f, g, src, dst, theta, datum)
     print(f"verified section of {args.f} found")
-    if args.out:
-        out = StructureFile(sf.field, dict(sf.raw))
-        out.raw["section"] = morphism_to_raw(section, f_raw["target"], f_raw["source"])
-        _emit(serialize_structure_file(out), args.out)
+    _emit_with(sf, args.out, "section",
+               lambda: morphism_to_raw(section, f_raw["target"], f_raw["source"]))
     return OK
 
 

@@ -17,8 +17,10 @@ and the two directions are mutually inverse on that object.  Splittings of
 epimorphisms (and monomorphisms) that split A-linearly are the theorem's one
 candidate nu_M . (g (x) id_C) . rho_N, a composite of three Doi morphisms.
 
-The theorem takes (H, A, C) to be a Doi datum; nothing here checks the
-datum's own laws, which ``homhopf split`` checks on the datum it reads.
+The theorem takes (H, A, C) to be a Doi datum, and nothing here checks the
+datum's own laws.  The command line has one rule for it: ``find-integral``,
+``certify`` and ``split`` each check the datum they read, A's and C's own
+laws included, and exit 1 before answering when it fails.
 """
 
 from __future__ import annotations

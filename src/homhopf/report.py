@@ -50,14 +50,6 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def residual_report(residuals: dict) -> AxiomReport:
-    """The report on dense residuals keyed by ``(axiom, index)``: one
-    violation for each residual that is not all zero."""
-    violations = tuple(Violation(axiom, index, tuple(res))
-                       for (axiom, index), res in residuals.items() if any(res))
-    return AxiomReport(violations, len(residuals))
-
-
 def _label(i, labels):
     if labels is not None and isinstance(i, int) and 0 <= i < len(labels):
         return labels[i]
@@ -131,10 +123,13 @@ class ReportBuilder:
         """Compare two matrices of ``rows`` rows given by their sparse columns."""
         self.checked += 1
         if lhs != rhs:  # the residual is built only when they differ
-            residual = Matrix.from_nonzeros(field, rows, len(lhs), {
-                (r, c): x for c, (u, v) in enumerate(zip(lhs, rhs))
-                for r, x in vec_sub(u, v).items()})
-            self.violations.append(Violation(axiom, index, tuple(residual.entries)))
+            by_row = [{} for _ in range(rows)]
+            for c, (u, v) in enumerate(zip(lhs, rhs)):
+                for r, x in vec_sub(u, v).items():
+                    by_row[r][c] = x
+            zero = field.zero()
+            self.violations.append(Violation(axiom, index, tuple(
+                x for row in by_row for x in vec_dense(row, len(lhs), zero))))
 
     def fail(self, axiom: str, index: tuple, residual=()) -> None:
         self.checked += 1

@@ -345,24 +345,29 @@ class TestCommands:
         assert doi_morphism_report(section, sf.build("N"), sf.build("M"),
                                    sf.build("D")).passed
 
+    @pytest.mark.parametrize("argv", [["find-integral"], ["certify", "M", "N"],
+                                      ["split", "f", "g"]], ids=lambda a: a[0])
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=["Q", "GF7"])
     @pytest.mark.parametrize("obj,key,value,families", [
-        # S = 2 on k: nothing else reads the antipode, so without the datum
-        # check this printed "verified section"
+        # S = 2 or S = 0 on k: nothing else reads the antipode, so without the
+        # datum check each command printed "verified" and exited 0
         ("k", "antipode", [["2"]], ["antipode_left", "antipode_right"]),
+        ("k", "antipode", [["0"]], ["antipode_left", "antipode_right"]),
         # g.1 = 2g breaks C as a module coalgebra (it was "infeasible", exit 3)
         ("C", "action", [[["1", "0"]], [["0", "2"]]],
          ["module_unit", "action_comultiplicative", "action_counit"]),
         # 1_A = 2 passes check_doi_datum alone and fails A's Hom-algebra laws
         ("A", "unit", ["2"], ["right_unit", "left_unit"]),
-    ])
-    def test_split_rejects_an_invalid_datum(self, tmp_path, obj, key, value, families):
-        data = json.loads(serialize_structure_file(golden_file("maschke_split_kZ2", Q)))
+    ], ids=["S=2", "S=0", "C-action", "unit-2"])
+    def test_datum_commands_reject_an_invalid_datum(self, tmp_path, argv, field, obj, key,
+                                                    value, families):
+        data = json.loads(serialize_structure_file(golden_file("maschke_split_kZ2", field)))
         data["objects"][obj][key] = value
         p = tmp_path / "m.json"
         p.write_text(json.dumps(data))
-        rc, out, err = run_cli(["split", str(p), "D", "f", "g"])
+        rc, out, err = run_cli([argv[0], str(p), "D", *argv[1:]])
         assert rc == 1
-        assert "verified section" not in out
+        assert "verified" not in out
         assert "'D' is not a valid Doi datum" in err
         assert all(family in err for family in families)
 

@@ -10,7 +10,7 @@ from homhopf import core, doi
 from homhopf.applications import (check_yd_module, check_yd_substructures, comodule_to_doi,
                                   regular_comodule_algebra, relative_datum,
                                   trivial_datum, trivial_yd_module, yd_datum,
-                                  yd_residuals)
+                                  yd_sides)
 from homhopf.core import (check_hom_comodule, check_hom_hopf, check_hom_module,
                           hopf_automorphism_report)
 from homhopf.doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra, _counit,
@@ -106,7 +106,7 @@ class TestDatumBoundary:
         lambda q, p: retraction_naturality_report(p.f, q.m, q.m, q.theta, q.d),
         lambda q, p: list(integral_sides(p.theta, q.d)),
         lambda q, p: direct_sum_doi(q.m, p.m),
-        lambda q, p: yd_residuals(trivial_yd_module(p.h), q.h),
+        lambda q, p: list(yd_sides(trivial_yd_module(p.h), q.h)),
         lambda q, p: coaction_of_action_residuals(trivial_yd_module(p.h), q.h),
         lambda q, p: check_k_integral_conditions(
             integral_from_dual(dual_right_integrals(p.h)[0], p.h), q.h),
@@ -119,7 +119,7 @@ class TestDatumBoundary:
         lambda q, p: comodule_to_doi(regular_comodule(p.h.as_coalgebra()), q.d),
     ], ids=["hopf_automorphism_report", "module_morphism_report", "doi_morphism_report",
             "build_retraction", "retraction_report", "retraction_naturality_report",
-            "integral_sides", "direct_sum_doi", "yd_residuals",
+            "integral_sides", "direct_sum_doi", "yd_sides",
             "coaction_of_action_residuals", "check_k_integral_conditions",
             "integral_from_dual", "extract_integral", "split_epimorphism",
             "split_monomorphism", "check_yd_substructures", "separability_report",

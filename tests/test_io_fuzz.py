@@ -1,11 +1,14 @@
-"""Mutated golden files through ``homhopf check``, in process.
+"""Mutated golden files through ``homhopf check`` and the datum commands, in
+process.
 
 Each example takes a small golden file over Q or GF(7), breaks it in one
 way (a dropped or extra key, a wrong kind or reference, a bad shape, a
 non-string, malformed or zero-denominator coefficient, a basis label that is
-not a string, a bad dim or field, deep nesting) and checks one of its objects.  Whatever the input, the run
-must end with a documented exit code (0 pass, 1 check failed, 2 parse or
-usage error, 3 infeasible) and no traceback.
+not a string, a bad dim or field, deep nesting) and checks one of its
+objects, or runs ``find-integral``, ``certify`` and ``split`` on its datum D.
+Whatever the input, each run must end with a documented exit code (0 pass,
+1 check failed, 2 parse or usage error, 3 infeasible) and no traceback; a
+datum command that exits 0 has read a datum that ``homhopf check`` passes.
 """
 
 import contextlib
@@ -22,6 +25,8 @@ from homhopf.io import serialize_structure_file
 from homhopf.linalg import Field
 
 NAMES = ("kZ2", "H4", "kZ2_trivial_datum", "maschke_split_kZ2", "yd_kZ2")
+#: golden files that hold a datum D (H4's has no integral)
+DATUM_NAMES = ("kZ2_trivial_datum", "H4_trivial_datum", "maschke_split_kZ2", "yd_kZ2")
 FIELDS = {"Q": Field.rationals(), "GF7": Field.prime(7)}
 KINDS = ("hom_hopf_algebra", "hom_algebra", "hom_coalgebra", "hom_module",
          "hom_comodule", "comodule_algebra", "module_coalgebra", "doi_datum",
@@ -59,9 +64,9 @@ def _descend(draw, value):
 
 
 @st.composite
-def mutated(draw):
-    """(file text, object name to check) for one broken golden file."""
-    data = _golden(draw(st.sampled_from(NAMES)), draw(st.sampled_from(sorted(FIELDS))))
+def mutated(draw, names=NAMES):
+    """(file text, object name to check) for one broken golden file, one of ``names``."""
+    data = _golden(draw(st.sampled_from(names)), draw(st.sampled_from(sorted(FIELDS))))
     objects = data["objects"]
     name = draw(st.sampled_from(sorted(objects)))
     obj = objects[name]
@@ -111,14 +116,37 @@ def path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "mutated.json"
 
 
+def _run(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=mutated())
 def test_check_on_a_mutated_file_exits_cleanly(path, case):
     text, name = case
     path.write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", str(path), name])
+    code, out, err = _run(["check", str(path), name])
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    assert code == 0 or err.getvalue() or "FAIL" in out.getvalue()
+    assert "Traceback" not in err
+    assert code == 0 or err or "FAIL" in out
+
+
+#: the commands that read a datum, with the arguments after the datum's name
+#: (the modules and morphisms of maschke_split_kZ2)
+DATUM_COMMANDS = (("find-integral",), ("certify", "M", "N"), ("split", "f", "g"))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mutated(DATUM_NAMES))
+def test_datum_commands_on_a_mutated_file_exit_cleanly(path, case):
+    text, _ = case
+    path.write_text(text, encoding="utf-8")
+    for command, *rest in DATUM_COMMANDS:
+        code, _, err = _run([command, str(path), "D", *rest])
+        assert code in (0, 1, 2, 3), command
+        assert "Traceback" not in err
+        if code == 0:
+            assert _run(["check", str(path), "D"])[0] == 0, command

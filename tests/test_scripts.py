@@ -39,7 +39,7 @@ def test_ladder_sizes_repeat_across_runs(tmp_path):
     assert first["module_checked"] > 0
     assert all(first[k] >= 0 for k in ("datum_s", "read_s", "check_s", "assemble_s", "elim_s", "solve_s",
                                        "verify_s", "module_check_s", "retraction_s",
-                                       "triangle_s"))
+                                       "triangle_s", "cli_find_s"))
     # the row builder is timed on its own, apart from the assembly that also labels every row
     assert first["rows_s"] > 0
     # kZ2's integral comes from its two normalization rows alone
@@ -54,6 +54,8 @@ def test_ladder_times_retractions_only_where_an_integral_exists(tmp_path):
     # no integral: the solver eliminated every row
     assert h4["eliminated_rows"] == h4["rows"]
     assert h4["verify_s"] is None and h4["retraction_s"] is None and h4["triangle_s"] >= 0
+    # the whole find-integral command is timed on both answers
+    assert h4["cli_find_s"] >= 0
 
 
 def test_setup_pairs_times_each_side_in_fresh_processes(tmp_path):

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {"split_monomorphism"}
 
 # the package's codings that law_oracles cross-checks, and so must not use
-CROSS_CHECKED = {"verify_integral", "integral_sides", "_integral_rows", "yd_residuals",
+CROSS_CHECKED = {"verify_integral", "integral_sides", "_integral_rows", "yd_sides",
                  "solve_normalized_integral"}
 
 
