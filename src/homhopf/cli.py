@@ -108,15 +108,25 @@ def _require_kind(sf: StructureFile, name: str, kind: str, role: str) -> None:
         raise StructureParseError(f"{role} {name!r} is a {actual}; expected a {kind}")
 
 
-def _require_morphism(sf: StructureFile, name: str, role: str) -> None:
-    """A morphism whose source and target are Doi modules in the same file."""
+def _require_module(sf: StructureFile, name: str, datum: str, role: str) -> None:
+    """Usage error unless object ``name`` is a Doi module over the datum ``datum``."""
+    _require_kind(sf, name, "doi_module", role)
+    over = sf.raw[name]["datum"]
+    if over != datum:
+        raise StructureParseError(
+            f"{role} {name!r} is over {over!r}; expected a module over the datum {datum!r}")
+
+
+def _require_morphism(sf: StructureFile, name: str, datum: str, role: str) -> None:
+    """A morphism whose source and target are Doi modules over the datum
+    ``datum`` in the same file."""
     _require_kind(sf, name, "morphism", role)
     for end in ("source", "target"):
         ref = sf.raw[name][end]
         if not isinstance(ref, str) or ref not in sf.raw:
             raise StructureParseError(
                 f"{role} {name!r}: {end} {ref!r} is not an object in the file")
-        _require_kind(sf, ref, "doi_module", f"{end} of {name!r}")
+        _require_module(sf, ref, datum, f"{end} of {name!r}")
 
 
 def _morphism_matrix(sf: StructureFile, name: str, role: str):
@@ -219,7 +229,7 @@ def cmd_certify(args) -> int:
     sf = _load(args.path)
     datum = _datum(sf, args.datum)
     for name in args.modules:
-        _require_kind(sf, name, "doi_module", "module")
+        _require_module(sf, name, args.datum, "module")
     modules = [(name, sf.build(name)) for name in args.modules]
     result = separability_report(datum, modules)
     if isinstance(result, Infeasible):
@@ -235,8 +245,8 @@ def cmd_certify(args) -> int:
 def cmd_split(args) -> int:
     sf = _load(args.path)
     datum = _datum(sf, args.datum)
-    _require_morphism(sf, args.f, "f")
-    _require_morphism(sf, args.g, "g")
+    _require_morphism(sf, args.f, args.datum, "f")
+    _require_morphism(sf, args.g, args.datum, "g")
     f_raw, g_raw = sf.raw[args.f], sf.raw[args.g]
     if (g_raw["source"], g_raw["target"]) != (f_raw["target"], f_raw["source"]):
         raise StructureParseError(

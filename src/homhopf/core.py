@@ -56,17 +56,20 @@ def _view(cls, **attrs):
 
 
 def _check_parts(s, *parts) -> None:
-    """Reject a part of the structure ``s`` that is not shaped by ``s.dim``
-    (matrices dim x dim, tensors dim x dim x dim, vectors of length dim) or
-    whose field is not ``s.field``; ``parts`` are (name, value) pairs."""
-    n = s.dim
-    for name, part in parts:
+    """Reject a part of the structure ``s`` that is not of its shape or whose
+    field is not ``s.field``.  ``parts`` are (name, value) pairs, shaped by
+    ``s.dim`` (matrices dim x dim, tensors dim x dim x dim, vectors of length
+    dim), or (name, value, shape) triples, where None in ``shape`` admits any
+    length on that axis."""
+    for name, part, *shape in parts:
         if not isinstance(part, (Matrix, Tensor3)):
-            if len(part) != n:
+            if len(part) != s.dim:
                 raise ValueError(f"{name} has wrong length")
             continue
-        shape = part.shape
-        if shape != (n,) * len(shape):
+        got = part.shape
+        want = shape[0] if shape else (s.dim,) * len(got)
+        if got != want and (len(got) != len(want) or any(
+                w is not None and w != g for w, g in zip(want, got))):
             raise ValueError(f"{name} has wrong shape")
         if part.field != s.field:
             raise ValueError(f"the {name} is over {part.field} but the "
@@ -155,11 +158,8 @@ class HomModule:
     action: Tensor3
 
     def __post_init__(self):
-        if self.mu.rows != self.dim or self.mu.cols != self.dim:
-            raise ValueError("twist has wrong shape")
-        if self.action.d1 != self.dim or self.action.d3 != self.dim:
-            raise ValueError("action tensor has wrong shape")
-        require_same_field(self, self.mu, self.action)
+        _check_parts(self, ("twist", self.mu),
+                     ("action tensor", self.action, (self.dim, None, self.dim)))
         self.mu_inv = _require_invertible(self.mu, "module twist")
 
 
@@ -173,11 +173,8 @@ class HomComodule:
     coaction: Tensor3
 
     def __post_init__(self):
-        if self.mu.rows != self.dim or self.mu.cols != self.dim:
-            raise ValueError("twist has wrong shape")
-        if self.coaction.d1 != self.dim or self.coaction.d2 != self.dim:
-            raise ValueError("coaction tensor has wrong shape")
-        require_same_field(self, self.mu, self.coaction)
+        _check_parts(self, ("twist", self.mu),
+                     ("coaction tensor", self.coaction, (self.dim, self.dim, None)))
         self.mu_inv = _require_invertible(self.mu, "comodule twist")
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
-                   HomModule, _evaluated, _module_report, _require_over, _view,
+                   HomModule, _check_parts, _evaluated, _module_report, _require_over, _view,
                    check_hom_comodule, check_hom_hopf, check_hom_module, leg_products,
                    product_table)
 from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
@@ -41,9 +41,7 @@ class ComoduleAlgebra:
     coaction: Tensor3  # [a][a'][h]
 
     def __post_init__(self):
-        if self.coaction.d1 != self.algebra.dim or self.coaction.d2 != self.algebra.dim:
-            raise ValueError("coaction tensor has wrong shape")
-        require_same_field(self.algebra, self.coaction)
+        _check_parts(self.algebra, ("coaction tensor", self.coaction, (self.dim, self.dim, None)))
 
     @property
     def dim(self) -> int:
@@ -65,9 +63,7 @@ class ModuleCoalgebra:
     action: Tensor3  # [c][h][c']
 
     def __post_init__(self):
-        if self.action.d1 != self.coalgebra.dim or self.action.d3 != self.coalgebra.dim:
-            raise ValueError("action tensor has wrong shape")
-        require_same_field(self.coalgebra, self.action)
+        _check_parts(self.coalgebra, ("action tensor", self.action, (self.dim, None, self.dim)))
 
     @property
     def dim(self) -> int:
@@ -122,9 +118,7 @@ class DoiModule(HomModule):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.coaction.d1 != self.dim or self.coaction.d2 != self.dim:
-            raise ValueError("coaction tensor has wrong shape")
-        require_same_field(self, self.coaction)
+        _check_parts(self, ("coaction tensor", self.coaction, (self.dim, self.dim, None)))
 
 
 # ---------------------------------------------------------------------------

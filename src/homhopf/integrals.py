@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
+from .core import _check_parts
 from .doi import DoiDatum
 from .linalg import (Field, Matrix, Tensor3, _rref_rows, _transform_row, canonical,
                      require_same_field, vec_add_scaled, vec_scale, vec_sparse, vec_tensor,
@@ -58,9 +59,7 @@ class IntegralCandidate:
     report: AxiomReport | None = dc_field(default=None, compare=False)
 
     def __post_init__(self):
-        require_same_field(self, self.theta)
-        if (self.theta.d1, self.theta.d2, self.theta.d3) != (self.dim_c, self.dim_c, self.dim_a):
-            raise ValueError("theta tensor has wrong shape")
+        _check_parts(self, ("theta tensor", self.theta, (self.dim_c, self.dim_c, self.dim_a)))
 
     @classmethod
     def from_vector(cls, field: Field, dim_c: int, dim_a: int, vec) -> "IntegralCandidate":

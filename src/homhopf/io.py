@@ -47,20 +47,34 @@ class StructureParseError(ValueError):
 _COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?").fullmatch
 
 
+_HOPF = ("hom_hopf_algebra",)
+
+#: kind of a dimensioned object -> (its references, each key with the kinds
+#: it may name; its parts in reading order; its constructor, called with the
+#: field, ``dim`` and the parts)
+_KINDS = {
+    "hom_hopf_algebra": ({}, ("twist", "mult", "unit", "comult", "counit", "antipode"),
+                         HomHopfAlgebra),
+    "hom_algebra": ({}, ("twist", "mult", "unit"), HomAlgebra),
+    "hom_coalgebra": ({}, ("twist", "comult", "counit"), HomCoalgebra),
+    "hom_module": ({"algebra": ("hom_algebra", "hom_hopf_algebra")}, ("twist", "action"),
+                   HomModule),
+    "hom_comodule": ({"coalgebra": ("hom_coalgebra", "hom_hopf_algebra")},
+                     ("twist", "coaction"), HomComodule),
+    "comodule_algebra": ({"hopf": _HOPF}, ("twist", "mult", "unit", "coaction"),
+                         lambda field, n, twist, mult, unit, coaction: ComoduleAlgebra(
+                             HomAlgebra(field, n, twist, mult, unit), coaction)),
+    "module_coalgebra": ({"hopf": _HOPF}, ("twist", "comult", "counit", "action"),
+                         lambda field, n, twist, comult, counit, action: ModuleCoalgebra(
+                             HomCoalgebra(field, n, twist, comult, counit), action)),
+    "doi_module": ({"datum": ("doi_datum",)}, ("twist", "action", "coaction"), DoiModule),
+    # a Yetter-Drinfeld module is a Doi module over yd_datum(H): A = C = H
+    "yd_module": ({"hopf": _HOPF}, ("twist", "action", "coaction"), DoiModule),
+}
+
 _SCHEMAS = {
-    "hom_hopf_algebra": {"kind", "dim", "basis", "twist", "mult", "unit",
-                         "comult", "counit", "antipode"},
-    "hom_algebra": {"kind", "dim", "basis", "twist", "mult", "unit"},
-    "hom_coalgebra": {"kind", "dim", "basis", "twist", "comult", "counit"},
-    "hom_module": {"kind", "algebra", "dim", "basis", "twist", "action"},
-    "hom_comodule": {"kind", "coalgebra", "dim", "basis", "twist", "coaction"},
-    "comodule_algebra": {"kind", "hopf", "dim", "basis", "twist", "mult",
-                         "unit", "coaction"},
-    "module_coalgebra": {"kind", "hopf", "dim", "basis", "twist", "comult",
-                         "counit", "action"},
+    **{kind: {"kind", *refs, "dim", "basis", *parts} for kind, (refs, parts, _) in _KINDS.items()},
     "doi_datum": {"kind", "hopf", "algebra", "coalgebra"},
-    "doi_module": {"kind", "datum", "dim", "basis", "twist", "action", "coaction"},
-    "yd_module": {"kind", "hopf", "dim", "basis", "twist", "action", "coaction"},
     "morphism": {"kind", "source", "target", "matrix"},
     "integral": {"kind", "datum", "theta"},
     "certificate": {"kind", "datum", "theta", "modules"},
@@ -99,14 +113,15 @@ class StructureFile:
         obj = self._raw_of(name)
         kind = obj["kind"]
         stack = _stack + (name,)
-        builder = getattr(self, f"_build_{kind}", None)
+        builder = (self._build_dimensioned if kind in _KINDS
+                   else getattr(self, f"_build_{kind}", None))
         if builder is None:
             raise StructureParseError(f"object {name!r} has unsupported kind {kind!r}")
         built = builder(obj, stack)
         self._built[name] = built
         return built
 
-    # -- per-kind builders ------------------------------------------------
+    # -- builders ------------------------------------------------------------
     def _ref(self, obj: dict, key: str, stack: tuple, kinds: tuple):
         name = obj[key]
         if not isinstance(name, str):
@@ -117,62 +132,27 @@ class StructureFile:
                 f"{key!r} must reference one of {kinds}, got {target_kind!r}")
         return self.build(name, stack)
 
-    def _parts(self, obj: dict, *keys: str, act: int = 0, coact: int = 0) -> list:
-        """Decode the parts ``keys`` of ``obj``, each shaped by its key and
-        ``obj["dim"]``: an action is by an algebra of dimension ``act``, a
-        coaction into a coalgebra of dimension ``coact``."""
+    def _build_dimensioned(self, obj, stack):
+        """An object of a kind in ``_KINDS``: its references built first, then
+        its parts, each shaped by ``obj["dim"]`` and the referenced object: an
+        action is by its algebra, a coaction into its coalgebra."""
+        refs, keys, make = _KINDS[obj["kind"]]
+        act = coact = None
+        for key, kinds in refs.items():
+            ref = self._ref(obj, key, stack, kinds)
+            act, coact = ((ref.algebra.dim, ref.coalgebra.dim) if isinstance(ref, DoiDatum)
+                          else (ref.dim, ref.dim))
         n = obj["dim"]
         shapes = {"twist": (n, n), "antipode": (n, n), "unit": (n,), "counit": (n,),
                   "mult": (n, n, n), "comult": (n, n, n), "action": (n, act, n),
                   "coaction": (n, n, coact)}
-        return [self._decode(obj[key], shapes[key]) for key in keys]
-
-    def _build_hom_hopf_algebra(self, obj, stack):
-        return HomHopfAlgebra(self.field, obj["dim"], *self._parts(
-            obj, "twist", "mult", "unit", "comult", "counit", "antipode"))
-
-    def _build_hom_algebra(self, obj, stack):
-        return HomAlgebra(self.field, obj["dim"], *self._parts(obj, "twist", "mult", "unit"))
-
-    def _build_hom_coalgebra(self, obj, stack):
-        return HomCoalgebra(self.field, obj["dim"],
-                            *self._parts(obj, "twist", "comult", "counit"))
-
-    def _build_hom_module(self, obj, stack):
-        a = self._ref(obj, "algebra", stack, ("hom_algebra", "hom_hopf_algebra"))
-        return HomModule(self.field, obj["dim"], *self._parts(obj, "twist", "action", act=a.dim))
-
-    def _build_hom_comodule(self, obj, stack):
-        c = self._ref(obj, "coalgebra", stack, ("hom_coalgebra", "hom_hopf_algebra"))
-        return HomComodule(self.field, obj["dim"],
-                           *self._parts(obj, "twist", "coaction", coact=c.dim))
-
-    def _build_comodule_algebra(self, obj, stack):
-        h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
-        alg = self._build_hom_algebra(obj, stack)
-        return ComoduleAlgebra(alg, *self._parts(obj, "coaction", coact=h.dim))
-
-    def _build_module_coalgebra(self, obj, stack):
-        h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
-        coalg = self._build_hom_coalgebra(obj, stack)
-        return ModuleCoalgebra(coalg, *self._parts(obj, "action", act=h.dim))
+        return make(self.field, n, *[self._decode(obj[key], shapes[key]) for key in keys])
 
     def _build_doi_datum(self, obj, stack):
         h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
         a = self._ref(obj, "algebra", stack, ("comodule_algebra",))
         c = self._ref(obj, "coalgebra", stack, ("module_coalgebra",))
         return DoiDatum(h, a, c)
-
-    def _build_doi_module(self, obj, stack):
-        d = self._ref(obj, "datum", stack, ("doi_datum",))
-        return DoiModule(self.field, obj["dim"], *self._parts(
-            obj, "twist", "action", "coaction", act=d.algebra.dim, coact=d.coalgebra.dim))
-
-    def _build_yd_module(self, obj, stack):
-        # a Yetter-Drinfeld module is a Doi module over yd_datum(H): A = C = H
-        h = self._ref(obj, "hopf", stack, ("hom_hopf_algebra",))
-        return DoiModule(self.field, obj["dim"], *self._parts(
-            obj, "twist", "action", "coaction", act=h.dim, coact=h.dim))
 
     def _build_morphism(self, obj, stack):
         rows = obj["matrix"]
@@ -288,7 +268,7 @@ def parse_structure_file(text: str) -> StructureFile:
         kind = obj["kind"]
         if not isinstance(kind, str) or kind not in _SCHEMAS:
             raise StructureParseError(f"object {name!r} has unknown kind {reprlib.repr(kind)}")
-        if "dim" in _SCHEMAS[kind]:
+        if kind in _KINDS:
             dim = obj.get("dim")
             if not _is_int(dim) or dim <= 0:
                 raise StructureParseError(f"object {name!r}: 'dim' must be a positive integer")

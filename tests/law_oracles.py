@@ -3,11 +3,13 @@ the package's checkers and constructions, and a second route to a normalized
 integral on the trivial datum (k, k, H), through the right integrals of H's
 dual, to compare with the solver.  They use the package's types and helpers
 but none of the codings they cross-check; ``nested`` feeds
-``classical_oracle``, which imports nothing from the package."""
+``classical_oracle``, which imports nothing from the package, and
+``reduced_mod`` reduces an answer over Q mod p in Python integers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from homhopf.core import HomHopfAlgebra, _require_over
 from homhopf.doi import DoiDatum, DoiModule
@@ -23,6 +25,19 @@ def nested(x) -> list:
     if isinstance(x, Matrix):
         return [x.row(r) for r in range(x.rows)]
     return [[[x.at(i, j, k) for k in range(x.d3)] for j in range(x.d2)] for i in range(x.d1)]
+
+
+def reduced_mod(theta: Tensor3, p: int) -> dict:
+    """The nonzeros of a theta over Q reduced mod p, as {(i, j, k): residue},
+    a/b taken to a * b^-1 mod p with Python's ``pow`` and ``%``, no package
+    arithmetic; a denominator divisible by p raises ValueError."""
+    out = {}
+    for i, j, k, x in theta.nonzero():
+        x = Fraction(x)
+        residue = x.numerator * pow(x.denominator, -1, p) % p
+        if residue:
+            out[i, j, k] = residue
+    return out
 
 
 def check_k_integral_conditions(cand: IntegralCandidate, h: HomHopfAlgebra) -> AxiomReport:

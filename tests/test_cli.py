@@ -205,7 +205,8 @@ class TestKindErrors:
 
     def test_split_over_a_datum_the_modules_are_not_over(self, tmp_path):
         # M and N are over D; D2 is kZ2's relative datum, whose algebra has
-        # dimension 2.  This died in doi._action_matrix with an IndexError.
+        # dimension 2.  This died in doi._action_matrix with an IndexError,
+        # and later stopped at the dimensions of D2's algebra and M's action.
         data = json.loads(serialize_structure_file(golden_file("maschke_split_kZ2", Q)))
         other = json.loads(serialize_structure_file(golden_file("kZ2_relative_datum", Q)))
         for name, obj in other["objects"].items():
@@ -215,7 +216,8 @@ class TestKindErrors:
         p = tmp_path / "mix.json"
         p.write_text(json.dumps(data))
         self.assert_usage_error(["split", str(p), "D2", "f", "g"],
-                                "1-dimensional algebra", "dimension 2")
+                                "source of 'f' 'M' is over 'D'",
+                                "expected a module over the datum 'D2'")
 
     def test_boolean_dim_is_exit_2(self, tmp_path):
         data = json.loads(serialize_structure_file(golden_file("kZ2", Q)))
@@ -370,6 +372,23 @@ class TestCommands:
         assert "verified" not in out
         assert "'D' is not a valid Doi datum" in err
         assert all(family in err for family in families)
+
+    @pytest.mark.parametrize("argv", [["certify", "M", "N"], ["split", "f", "g"]],
+                             ids=lambda a: a[0])
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=["Q", "GF7"])
+    @pytest.mark.parametrize("moved", ["M", "N"])
+    def test_datum_commands_reject_a_module_over_another_datum(self, tmp_path, argv, field,
+                                                               moved):
+        # D2 is a copy of D, so nothing else tells the two apart: each command
+        # printed "verified" and exited 0 on a module over D2
+        data = json.loads(serialize_structure_file(golden_file("maschke_split_kZ2", field)))
+        data["objects"]["D2"] = data["objects"]["D"]
+        data["objects"][moved]["datum"] = "D2"
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(data))
+        rc, out, err = run_cli([argv[0], str(p), "D", *argv[1:]])
+        assert (rc, out) == (2, "")
+        assert f"{moved!r} is over 'D2'; expected a module over the datum 'D'" in err
 
     def test_twist_output_passes_check(self, tmp_path):
         p = tmp_path / "kZ4.json"

@@ -141,11 +141,11 @@ class TestConstructionValidation:
 
 
     @pytest.mark.parametrize("build, message", [
-        (lambda h, h7: HomModule(Q, 2, h7.alpha, h.mult), "the Matrix is over GF\\(7\\) but the HomModule"),
-        (lambda h, h7: HomModule(Q, 2, h.alpha, h7.mult), "the Tensor3 is over GF\\(7\\) but the HomModule"),
-        (lambda h, h7: HomComodule(Q, 2, h7.alpha, h.comult), "the Matrix is over GF\\(7\\) but the HomComodule"),
-        (lambda h, h7: HomComodule(Q, 2, h.alpha, h7.comult), "the Tensor3 is over GF\\(7\\) but the HomComodule"),
-        (lambda h, h7: DoiModule(Q, 2, h.alpha, h.mult, h7.comult), "the Tensor3 is over GF\\(7\\) but the DoiModule"),
+        (lambda h, h7: HomModule(Q, 2, h7.alpha, h.mult), "the twist is over GF\\(7\\) but the HomModule"),
+        (lambda h, h7: HomModule(Q, 2, h.alpha, h7.mult), "the action tensor is over GF\\(7\\) but the HomModule"),
+        (lambda h, h7: HomComodule(Q, 2, h7.alpha, h.comult), "the twist is over GF\\(7\\) but the HomComodule"),
+        (lambda h, h7: HomComodule(Q, 2, h.alpha, h7.comult), "the coaction tensor is over GF\\(7\\) but the HomComodule"),
+        (lambda h, h7: DoiModule(Q, 2, h.alpha, h.mult, h7.comult), "the coaction tensor is over GF\\(7\\) but the DoiModule"),
     ], ids=["module_twist", "module_action", "comodule_twist", "comodule_coaction", "doi_coaction"])
     def test_modules_reject_parts_over_another_field(self, build, message):
         # a module like this one passed check_hom_module once Q scalars were ints

@@ -72,9 +72,9 @@ class TestDatumBoundary:
 
     def test_coaction_and_action_over_another_field_rejected(self):
         h, h7 = group_algebra(2, Q), group_algebra(2, Field.prime(7))
-        with pytest.raises(ValueError, match=r"the Tensor3 is over GF\(7\) but the HomAlgebra is over Q"):
+        with pytest.raises(ValueError, match=r"the coaction tensor is over GF\(7\) but the HomAlgebra is over Q"):
             ComoduleAlgebra(h.as_algebra(), h7.comult)
-        with pytest.raises(ValueError, match=r"the Tensor3 is over GF\(7\) but the HomCoalgebra is over Q"):
+        with pytest.raises(ValueError, match=r"the action tensor is over GF\(7\) but the HomCoalgebra is over Q"):
             ModuleCoalgebra(h.as_coalgebra(), h7.mult)
 
     # Over Q an integral scalar is an int, which a GFElement would take for

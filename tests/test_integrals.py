@@ -4,10 +4,12 @@ import random
 import pytest
 
 from corpus import is_canonical, twist_corpus
+from law_oracles import reduced_mod
 from homhopf.applications import (regular_comodule_algebra, relative_datum,
                                   trivial_datum, yd_datum)
 from homhopf import integrals
 from homhopf.golden import golden_file
+from homhopf.io import StructureFile, hopf_to_raw
 from homhopf.integrals import (Infeasible, IntegralCandidate,
                                assemble_integral_system, integral_sides,
                                solve_normalized_integral, theta_index,
@@ -195,7 +197,7 @@ class TestVerify:
     def test_candidate_rejects_theta_over_another_field(self):
         # over GF(7) the entry 8 is 1, so this theta would pass on kZ2 over Q
         theta = Tensor3(Field.prime(7), 2, 2, 1, (1, 0, 0, 8))
-        with pytest.raises(ValueError, match="the Tensor3 is over GF.7. but the "
+        with pytest.raises(ValueError, match="the theta tensor is over GF.7. but the "
                                              "IntegralCandidate is over Q"):
             IntegralCandidate(Q, 2, 1, theta)
 
@@ -424,6 +426,15 @@ class TestAssembledSystemPins:
         assert system_digest(s) == SYSTEM_DIGESTS[key]
 
 
+def _sparse_rows(m) -> list:
+    """The rows of ``m`` as {column: nonzero} dicts, read from its nonzeros
+    rather than densified row by row."""
+    rows = [{} for _ in range(m.rows)]
+    for r, c, x in m.nonzero():
+        rows[r][c] = x
+    return rows
+
+
 class TestEliminatedRows:
     """The solver eliminates the rows of the one row builder as they are,
     without forming matrices: ``_solve_all_rows`` takes every row, and the
@@ -448,12 +459,9 @@ class TestEliminatedRows:
         (rows,) = seen
         s = assemble_integral_system(d)
         n = s.unknown_count
-        want = [dict((c, x) for c, x in enumerate(s.homogeneous.row(i)) if x)
-                for i in range(s.homogeneous.rows)]
-        affine = []
-        for i, b in enumerate(s.affine_rhs):
-            row = {c: x for c, x in enumerate(s.affine_lhs.row(i)) if x}
-            affine.append({**row, n: b} if b else row)
+        want = _sparse_rows(s.homogeneous)
+        affine = [{**row, n: b} if b else row
+                  for row, b in zip(_sparse_rows(s.affine_lhs), s.affine_rhs)]
         assert rows == want + affine
         assert all(x for row in rows for x in row.values())
         # most rows cancel to empty; those must be empty, not rows of zeros
@@ -511,6 +519,48 @@ class TestFirstPass:
             for d in (trivial_datum(h), relative_datum(h, regular_comodule_algebra(h)),
                       yd_datum(h)):
                 self._assert_same_answer(d, (h.dim, d.algebra.dim, d.coalgebra.dim))
+
+
+class TestCrossField:
+    """Data over Q whose GF(7) data are their reduction mod 7.  Where the two
+    augmented systems have the same pivot columns, some pivot minor is
+    nonzero mod 7, so the GF(7) RREF is the Q RREF reduced: both answers are
+    infeasible, or theta over GF(7) is theta over Q reduced mod 7.  Rank can
+    only drop mod 7."""
+
+    @staticmethod
+    def _pairs():
+        gf7 = Field.prime(7)
+        for kind, base, flag in sorted(SYSTEM_DIGESTS):
+            if flag == "Q" and (kind, base, "GF7") in SYSTEM_DIGESTS:
+                yield _pinned_datum(kind, base, Q), _pinned_datum(kind, base, gf7)
+        for h in twist_corpus(Q, 5):
+            # H's file read over GF(7): its coefficients reduced mod 7
+            h7 = StructureFile(gf7, {"H": hopf_to_raw(h)}).build("H")
+            for make in (trivial_datum, lambda h: relative_datum(h, regular_comodule_algebra(h)),
+                         yd_datum):
+                yield make(h), make(h7)
+
+    def test_gf7_answers_are_the_q_answers_reduced(self):
+        # pairs whose pivots agreed, by answer; and all pairs
+        agreed, total = {"feasible": 0, "infeasible": 0}, 0
+        for dq, d7 in self._pairs():
+            nunk = dq.algebra.dim * dq.coalgebra.dim ** 2
+            pq, p7 = (_rref_rows(integrals._integral_rows(d)[0], d.field)[1] for d in (dq, d7))
+            assert len(p7) <= len(pq)
+            total += 1
+            if p7 != pq:
+                continue
+            aq, a7 = solve_normalized_integral(dq), solve_normalized_integral(d7)
+            if nunk in pq:
+                assert isinstance(aq, Infeasible) and isinstance(a7, Infeasible)
+                agreed["infeasible"] += 1
+            else:
+                assert ({(i, j, k): x.value for i, j, k, x in a7.theta.nonzero()}
+                        == reduced_mod(aq.theta, 7))
+                agreed["feasible"] += 1
+        # not vacuous: the pivots agreed on most pairs, both answers among them
+        assert sum(agreed.values()) >= 0.9 * total and min(agreed.values()) > 0
 
 
 class TestRowLabels:

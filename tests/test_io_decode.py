@@ -5,7 +5,9 @@ constructors build, over Q and GF(7), with the parser's errors unchanged."""
 
 import collections
 import gc
+import hashlib
 import json
+import os
 import re
 import reprlib
 import sys
@@ -297,3 +299,94 @@ def test_serialization_is_the_bytes_json_dumps_writes(raw, fname):
     text = serialize_structure_file(StructureFile(field, raw))
     payload = {"field": field_to_raw(field), "objects": raw}
     assert text.encode() == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+# -- the reader's refusals ----------------------------------------------------
+
+#: the sorted lines of ``_refusals`` over Q and GF(7), one per file line
+_REFUSALS_FILE = os.path.join(os.path.dirname(__file__), "reader_refusals.txt")
+#: (line count, sha256 of the lines joined by newlines), recorded before the
+#: reader built its dimensioned kinds from one table
+REFUSALS_PIN = (656, "626fb0c9ab6a98b53d9c20a030e447537af7d1768bcc71b7990786739f1c1235")
+
+
+def _objects(name, field):
+    return json.loads(serialize_structure_file(golden_file(name, field)))["objects"]
+
+
+def _refusal_objects(field):
+    """maschke_split_kZ2 (a datum ``D`` and two modules, a morphism and its
+    section over it) beside kZ2's ``H``, a Yetter-Drinfeld module ``Y`` over
+    H, and the four kinds no golden file holds, from H's parts: a Hom-algebra
+    ``Alg``, a Hom-coalgebra ``Coalg``, ``Mod`` (Alg acting on itself) and
+    ``Comod`` (Coalg coacting on itself)."""
+    h = _objects("kZ2", field)["H"]
+    common = {"dim": h["dim"], "basis": h["basis"], "twist": h["twist"]}
+    return {**_objects("maschke_split_kZ2", field), "H": h,
+            "Y": _objects("yd_kZ2", field)["M_trivial"],
+            "Alg": {"kind": "hom_algebra", **common, "mult": h["mult"], "unit": h["unit"]},
+            "Coalg": {"kind": "hom_coalgebra", **common, "comult": h["comult"],
+                      "counit": h["counit"]},
+            "Mod": {"kind": "hom_module", "algebra": "Alg", **common, "action": h["mult"]},
+            "Comod": {"kind": "hom_comodule", "coalgebra": "Coalg", **common,
+                      "coaction": h["comult"]}}
+
+
+def _refusals(field) -> list:
+    """'<field> <case>: <what reading and building the object gave>' for each
+    one-fault change to one object of ``_refusal_objects``: each key dropped,
+    each reference pointed at every object in the file, and each part's last
+    row or block (a vector's last entry) dropped."""
+    objects, lines = _refusal_objects(field), []
+
+    def attempt(case, name, obj):
+        text = json.dumps({"field": field_to_raw(field), "objects": {**objects, name: obj}})
+        try:
+            parse_structure_file(text).build(name)
+            outcome = "built"
+        except ValueError as exc:  # a StructureParseError is one
+            outcome = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{field} {case}: {outcome}")
+
+    for name, obj in objects.items():
+        for key, value in obj.items():
+            attempt(f"{name} without {key}", name,
+                    {k: v for k, v in obj.items() if k != key})
+            if key != "kind" and isinstance(value, str):
+                for target in objects:
+                    attempt(f"{name}.{key} -> {target}", name, {**obj, key: target})
+            elif key != "basis" and isinstance(value, list):
+                attempt(f"{name}.{key} short", name, {**obj, key: value[:-1]})
+    return lines
+
+
+def _all_refusals() -> list:
+    return sorted(line for field in FIELDS.values() for line in _refusals(field))
+
+
+def _pin(lines) -> tuple:
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_reader_refusals_are_pinned():
+    lines = _all_refusals()
+    with open(_REFUSALS_FILE, encoding="utf-8") as fh:
+        recorded = fh.read().splitlines()
+    assert _pin(recorded) == REFUSALS_PIN
+    if _pin(lines) != REFUSALS_PIN:
+        first = next((n for n, (a, b) in enumerate(zip(lines, recorded)) if a != b),
+                     min(len(lines), len(recorded)))
+        pytest.fail(f"line {first} differs: now {lines[first:first + 1]}, "
+                    f"recorded {recorded[first:first + 1]}")
+    # every kind of object is refused somewhere, and a reference pointed at
+    # an object of a kind it may not name is refused with that kind
+    assert sum(": built" not in line for line in lines) > len(lines) // 2
+    assert any("'hopf' must reference one of ('hom_hopf_algebra',), got 'doi_module'" in line
+               for line in lines)
+
+
+if __name__ == "__main__":  # re-record the refusals (only when they are meant to change)
+    refusals = _all_refusals()
+    with open(_REFUSALS_FILE, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in refusals))
+    print(_pin(refusals))
