@@ -271,6 +271,10 @@ def cmd_twist(args) -> int:
     sf = _load(args.path)
     _require_kind(sf, args.hopf, "hom_hopf_algebra", "hopf")
     _require_kind(sf, args.automorphism, "morphism", "automorphism")
+    for end in ("source", "target"):  # the automorphism maps H to H
+        if (ref := sf.raw[args.automorphism][end]) != args.hopf:
+            raise StructureParseError(f"automorphism {args.automorphism!r}: {end} {ref!r} "
+                                      f"is not the Hopf algebra {args.hopf!r}")
     hopf = sf.build(args.hopf)
     auto = sf.build(args.automorphism)
     twisted = yau_twist(hopf, auto)

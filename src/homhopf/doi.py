@@ -92,11 +92,12 @@ class DoiDatum:
                         ("module coalgebra", self.coalgebra.coalgebra.field)):
             if f != h.field:
                 raise ValueError(f"the {part} is over {f} but the Hopf algebra is over {h.field}")
-        for part, dim in (("comodule algebra's coaction", self.algebra.coaction.d3),
-                          ("module coalgebra's action", self.coalgebra.action.d2)):
+        for what, dim in (("comodule algebra's coaction is into a {}-dimensional coalgebra",
+                           self.algebra.coaction.d3),
+                          ("module coalgebra's action is by a {}-dimensional algebra",
+                           self.coalgebra.action.d2)):
             if dim != h.dim:
-                raise ValueError(f"the {part} is by a {dim}-dimensional algebra "
-                                 f"but the Hopf algebra has dimension {h.dim}")
+                raise ValueError(f"the {what.format(dim)} but the Hopf algebra has dimension {h.dim}")
 
     @property
     def field(self) -> Field:

@@ -113,36 +113,51 @@ def theta_index(i: int, j: int, k: int, dim_c: int, dim_a: int) -> int:
 
 def integral_sides(cand: IntegralCandidate, d: DoiDatum):
     """Evaluate every condition instance directly: yield ``(family, instance,
-    lhs, rhs, length)`` with both sides as sparse vectors of that length."""
+    lhs, rhs, length)`` with both sides as sparse vectors of that length.
+    The tables that hold theta are summed from its nonempty fibres through
+    the rows of gamma and gamma^-1; like every table here, they are read
+    through the datum's own readers and share nothing with the row builder."""
     require_same_field(d, cand)
-    field = d.field
-    one = field.one()
+    one = d.field.one()
     theta = cand.theta
-    alg = d.algebra.algebra
-    coalg = d.coalgebra.coalgebra
-    phi = d.coalgebra.action
-    rho_a = d.algebra.coaction
+    alg, coalg = d.algebra.algebra, d.coalgebra.coalgebra
+    phi, rho_a = d.coalgebra.action, d.algebra.coaction
     da, dc, dh = alg.dim, coalg.dim, d.hopf.dim
     if (cand.dim_c, cand.dim_a) != (dc, da):
         raise ValueError("candidate dimensions do not match the datum")
     beta_col = alg.alpha.columns()
     gam_col = coalg.gamma.columns()
     gam_inv_col = coalg.gamma_inv.columns()
+    gam_row, gam_inv_row = ([vec_sparse(m.row(i)) for i in range(dc)]
+                            for m in (coalg.gamma, coalg.gamma_inv))
     delta = [list(coalg.comult.nonzero_of(i)) for i in range(dc)]
     legs = [list(rho_a.nonzero_of(i)) for i in range(da)]
+    # (i, j) -> theta(e_i (x) e_j), the nonempty ones
+    fibres = {(i, j): v for i in range(dc) for j in range(dc) if (v := theta.at_pair(i, j))}
+    # theta(gamma(e_p) (x) gamma(e_q)), theta(gamma^-1(e_p) (x) e_c) and
+    # theta(e_c (x) gamma^-1(e_q)), summed over the nonempty fibres: fibre
+    # (i, j) lands where row i or j of gamma or gamma^-1 has a nonzero
+    twisted, th_left, th_right = ([[{} for _ in range(dc)] for _ in range(dc)] for _ in range(3))
+    for (i, j), v in fibres.items():
+        for p, a in gam_row[i].items():
+            for q, b in gam_row[j].items():
+                vec_add_scaled(twisted[p][q], a * b, v)
+        for p, a in gam_inv_row[i].items():
+            vec_add_scaled(th_left[p][j], a, v)
+        for q, a in gam_inv_row[j].items():
+            vec_add_scaled(th_right[i][q], a, v)
     for p in range(dc):
         for q in range(dc):
-            lhs = theta.apply(gam_col[p], gam_col[q])
-            rhs = alg.alpha.apply(theta.at_pair(p, q))
-            yield "twist_compatibility", (p, q), lhs, rhs, da
+            v = fibres.get((p, q))
+            yield "twist_compatibility", (p, q), twisted[p][q], alg.alpha.apply(v) if v else {}, da
 
-    # theta(gamma^-1(e_p) (x) e_c) and rho_A(theta(e_c (x) gamma^-1(e_q))), each formed once
-    th_left = [[theta.apply(g, {c: one}) for c in range(dc)] for g in gam_inv_col]
-    rho_th = [[rho_a.apply_left(theta.apply({c: one}, g)) for g in gam_inv_col]
-              for c in range(dc)]
+    # rho_A(theta(e_c (x) gamma^-1(e_q))), formed once for each nonempty one
+    rho_th = [[rho_a.apply_left(v) if v else {} for v in row] for row in th_right]
     for p in range(dc):          # d = e_p
+        left = th_left[p]
         for q in range(dc):      # c = e_q
-            lhs = vec_tensor_combine(delta[q], th_left[p], gam_col, dc)
+            lhs = (vec_tensor_combine(delta[q], left, gam_col, dc)
+                   if any(left[j] for j, _, _ in delta[q]) else {})
             rhs = {}
             for d1, d2, co in delta[p]:
                 for leg, s in rho_th[d2][q].items():  # in A (x) H

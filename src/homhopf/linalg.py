@@ -25,7 +25,8 @@ tensors are treated as immutable; every operation returns a fresh object.
 
 Elimination is sparse: :func:`_rref_rows` works on rows held as
 ``{column: nonzero scalar}`` dicts (or matrix fibres), visits only the rows
-holding each pivot column and logs its row operations, not the transform.
+holding each pivot column and logs its row operations, not the transform;
+a row operation skips the pivot column, which cancels by construction.
 
 All solving is deterministic so that serialized results are reproducible:
 reduced row echelon form picks the leftmost pivot column and the first
@@ -689,7 +690,8 @@ def _rref_rows(rows: Sequence[dict], field: Field) -> tuple[list, list, list]:
     holding it (a row joins on fill-in and on a swap; entries are checked
     when used), so a step visits only those rows; yet each row gets the
     operations of a sweep over all rows in the same order, so reduced rows,
-    pivots, dict orders, solutions and certificates are those of the sweep.
+    pivots, dict orders, solutions and certificates are those of the sweep,
+    whose zero f - f * 1 in the pivot column is deleted here unread.
     """
     rows = [dict(row) for row in rows]
     one = field.one()
@@ -712,31 +714,29 @@ def _rref_rows(rows: Sequence[dict], field: Field) -> tuple[list, list, list]:
         inv = field.div(one, rows[piv_row][col])
         if inv != one:
             rows[piv_row] = {c: inv * x for c, x in rows[piv_row].items()}
-        pivot = rows[piv_row]
         elim = [(r, rows[r][col]) for r in dict.fromkeys(held) if r != piv_row and col in rows[r]]
+        # row r -= f * pivot: the pivot's entries off its column, listed once
+        rest = [(c, b) for c, b in rows[piv_row].items() if c != col] if elim else ()
         for r, f in elim:
-            _sub_scaled(rows[r], f, pivot, r, where)
+            row = rows[r]
+            del row[col]  # f - f * 1, zero by construction
+            for c, b in rest:
+                x = row.get(c)
+                if x is None:
+                    row[c] = -(f * b)
+                    where[c].append(r)  # fill-in: r joins column c
+                else:
+                    x = x - f * b
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
         steps.append((piv_row, sel, inv, elim))
         pivots.append(col)
         piv_row += 1
         if piv_row == len(rows):
             break
     return rows, pivots, steps
-
-
-def _sub_scaled(row: dict, f, pivot: dict, r: int, where: dict) -> None:
-    """Row r -= f * pivot, dropping entries that cancel; r joins ``where``."""
-    for c, b in pivot.items():
-        x = row.get(c)
-        if x is None:
-            row[c] = -(f * b)
-            where[c].append(r)
-        else:
-            x = x - f * b
-            if x:
-                row[c] = x
-            else:
-                del row[c]
 
 
 def _transform_row(steps: list, i: int, field: Field) -> dict:

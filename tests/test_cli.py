@@ -195,6 +195,21 @@ class TestKindErrors:
         p.write_text(json.dumps(data))
         self.assert_usage_error(["twist", str(p), "H", "a"], f"{rows}x{cols}", "needs 2x2")
 
+    @pytest.mark.parametrize("source, target", [("nowhere", "H"), ("H", "nowhere"),
+                                                ("H2", "H"), ("H", "H2")])
+    def test_twist_by_a_morphism_not_on_the_hopf_algebra(self, tmp_path, field, source, target):
+        # both ends must name H; with either pointing elsewhere twist exited 0
+        # and wrote H twisted by the matrix
+        data = json.loads(serialize_structure_file(golden_file("kZ4", field)))
+        data["objects"]["H2"] = data["objects"]["H"]
+        data["objects"]["a"] = {"kind": "morphism", "source": source, "target": target,
+                                "matrix": [[str(int(r == c)) for c in range(4)] for r in range(4)]}
+        p = tmp_path / "ends.json"
+        p.write_text(json.dumps(data))
+        end, ref = ("source", source) if source != "H" else ("target", target)
+        self.assert_usage_error(["twist", str(p), "H", "a"],
+                                f"automorphism 'a': {end} {ref!r} is not the Hopf algebra 'H'")
+
     def test_non_string_basis_label_is_exit_2(self, tmp_path):
         # a label of another type died in AxiomReport.format with a TypeError
         data = json.loads(serialize_structure_file(golden_file("kZ2_corrupted_mult", Q)))

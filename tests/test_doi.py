@@ -133,7 +133,7 @@ class TestDatumBoundary:
             entry(_trivial_datum_parts(Q), _trivial_datum_parts(Field.prime(7)))
 
     def test_coaction_by_another_dimension_rejected(self):
-        with pytest.raises(ValueError, match="coaction is by a 3-dimensional algebra "
+        with pytest.raises(ValueError, match="coaction is into a 3-dimensional coalgebra "
                                              "but the Hopf algebra has dimension 2"):
             relative_datum(group_algebra(2, Q), regular_comodule_algebra(group_algebra(3, Q)))
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from law_oracles import reduced_mod
 from homhopf.applications import (regular_comodule_algebra, relative_datum,
                                   trivial_datum, yd_datum)
 from homhopf import integrals
+from homhopf.doi import DoiDatum, ModuleCoalgebra
 from homhopf.golden import golden_file
 from homhopf.io import StructureFile, hopf_to_raw
 from homhopf.integrals import (Infeasible, IntegralCandidate,
@@ -534,12 +536,36 @@ class TestCrossField:
         for kind, base, flag in sorted(SYSTEM_DIGESTS):
             if flag == "Q" and (kind, base, "GF7") in SYSTEM_DIGESTS:
                 yield _pinned_datum(kind, base, Q), _pinned_datum(kind, base, gf7)
+
+        def reduced(h):  # H's file read over GF(7): its coefficients reduced mod 7
+            return StructureFile(gf7, {"H": hopf_to_raw(h)}).build("H")
+
+        def relative(h):
+            return relative_datum(h, regular_comodule_algebra(h))
+
         for h in twist_corpus(Q, 5):
-            # H's file read over GF(7): its coefficients reduced mod 7
-            h7 = StructureFile(gf7, {"H": hopf_to_raw(h)}).build("H")
-            for make in (trivial_datum, lambda h: relative_datum(h, regular_comodule_algebra(h)),
-                         yd_datum):
+            h7 = reduced(h)
+            for make in (trivial_datum, relative, yd_datum):
                 yield make(h), make(h7)
+        # the ladder's kZ6-kZ8 and one seeded twist of each, kZ7 among them,
+        # whose group order 7 divides
+        rng = random.Random(3503)
+        for n in (6, 7, 8):
+            k = rng.choice([k for k in range(2, n) if gcd(k, n) == 1])
+            for h in (group_algebra(n, Q), twisted_group_algebra(n, k, Q)):
+                h7 = reduced(h)
+                for make in (trivial_datum, relative):
+                    yield make(h), make(h7)
+        # three seeded one-entry corruptions of the action of twisted kZ4's
+        # relative datum, each entry set to an integer it does not hold
+        h = twisted_group_algebra(4, 3, Q)
+        h7 = reduced(h)
+        for _ in range(3):
+            ent = {(i, j, k): x for i, j, k, x in h.mult.nonzero()}
+            ent[rng.randrange(4), rng.randrange(4), rng.randrange(4)] = rng.choice((2, 3, -1))
+            yield tuple(DoiDatum(g, regular_comodule_algebra(g), ModuleCoalgebra(
+                g.as_coalgebra(), Tensor3.from_nonzeros(g.field, 4, 4, 4, {
+                    key: g.field.of(x) for key, x in ent.items()}))) for g in (h, h7))
 
     def test_gf7_answers_are_the_q_answers_reduced(self):
         # pairs whose pivots agreed, by answer; and all pairs

@@ -306,8 +306,10 @@ def test_serialization_is_the_bytes_json_dumps_writes(raw, fname):
 #: the sorted lines of ``_refusals`` over Q and GF(7), one per file line
 _REFUSALS_FILE = os.path.join(os.path.dirname(__file__), "reader_refusals.txt")
 #: (line count, sha256 of the lines joined by newlines), recorded before the
-#: reader built its dimensioned kinds from one table
-REFUSALS_PIN = (656, "626fb0c9ab6a98b53d9c20a030e447537af7d1768bcc71b7990786739f1c1235")
+#: reader built its dimensioned kinds from one table; re-recorded when the
+#: datum's two ``D.hopf -> H`` lines came to word A's coaction as one into a
+#: coalgebra, no other line changing
+REFUSALS_PIN = (656, "345c84262e2c72966f3e7ac56e6c55c0060c2d8a5bdf0a61bdb5570bb635dcb4")
 
 
 def _objects(name, field):
