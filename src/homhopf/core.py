@@ -16,12 +16,12 @@ Hom-Hopf algebras add the bialgebra compatibilities and the antipode
 convolution identities S*I = I*S = unit.counit with S alpha = alpha S.
 Checkers evaluate every axiom on every basis tuple and report exact
 residuals; nothing is sampled.  Each side of an instance combines entries of
-tables built once per check and only read: products, and maps as ``columns()``
-tables (``vec_combine``; ``vec_tensor_combine`` for a tensor product of maps).
-Products of basis vectors repeat (group-like and monomial bases, their
-twists and tensor squares), so a side that a product determines is evaluated
-once per distinct product and read for each instance; every instance is
-still compared.
+tables built once per check (a Doi datum's included) and only read: products,
+and maps as ``columns()`` tables (``vec_combine``; ``vec_tensor_combine`` for
+a tensor product of maps).  Products of basis vectors repeat (group-like and
+monomial bases, their twists and tensor squares), so a side that a product
+determines is evaluated once per distinct product, listed once by its table,
+and read for each instance; every instance is still compared.
 """
 
 from __future__ import annotations
@@ -181,33 +181,30 @@ class HomComodule:
 # ---------------------------------------------------------------------------
 # checkers
 
-def product_table(t: Tensor3) -> list:
-    """``table[i][j]`` = t[i][j][:], e.g. the product of basis vectors i and j.
+class ProductTable(list):
+    """``table[i][j]`` = t[i][j][:], e.g. the product of basis vectors i and j,
+    one shared dict per distinct product, to be only read; ``products`` lists
+    them once each and ``where[i][j]`` is the position of ``table[i][j]`` there.
+    A checker applies a map to each distinct product once (``_evaluated``)."""
 
-    Equal products are one shared dict, to be only read: the store keeps
-    equal fibres once, and each fibre becomes one dict.  A checker applies a
-    map to each distinct product once (``_distinct``, ``_evaluated``) and
-    reads the result for every instance with that product."""
-    d2, fibres = t.d2, t._fibres
-    dicts = {key: dict(f) for key, f in {id(f): f for f in fibres}.items()}
-    return [[dicts[id(f)] for f in fibres[i * d2:(i + 1) * d2]] for i in range(t.d1)]
+    __slots__ = ("products", "where")
 
 
-def _distinct(table: list) -> tuple:
-    """(the distinct dicts of ``table``, each once, and the table of their
-    positions in that list), distinct by identity as ``product_table``
-    shares them."""
-    first = {}
-    where = [[first.setdefault(id(p), (len(first), p))[0] for p in row] for row in table]
-    return [p for _, p in first.values()], where
+def product_table(t: Tensor3) -> ProductTable:
+    """``t``'s table, one dict per distinct fibre, built in one pass over the fibres."""
+    d2, fibres, first, table = t.d2, t._fibres, {}, ProductTable()
+    table.where = [[first.setdefault(id(f), (len(first), f))[0]
+                    for f in fibres[i * d2:(i + 1) * d2]] for i in range(t.d1)]
+    table.products = [dict(f) for _, f in first.values()]
+    table.extend([table.products[q] for q in row] for row in table.where)
+    return table
 
 
 def _evaluated(table: list, *maps) -> list:
     """For each map f of ``maps``, the table of ``f(table[i][j])``, with f
     called once per distinct product."""
-    products, where = _distinct(table)
-    return [[[values[q] for q in row] for row in where]
-            for values in ([f(p) for p in products] for f in maps)]
+    return [[[values[q] for q in row] for row in table.where]
+            for values in ([f(p) for p in table.products] for f in maps)]
 
 
 def leg_products(left: Tensor3, right: Tensor3, prod1: list, prod2: list, n2: int):
@@ -219,9 +216,11 @@ def leg_products(left: Tensor3, right: Tensor3, prod1: list, prod2: list, n2: in
     law rho(ab) = a0b0 (x) a1b1, the module-coalgebra law
     Delta(c.h) = c1.h1 (x) c2.h2, and the side m0.h1 (x) m1h2 of the
     Yetter-Drinfeld law.  Each x0y0 (x) x1y1 is formed once per pair of
-    distinct products of the shared tables."""
-    legs_l, legs_r = ([list(t.nonzero_of(i)) for i in range(t.d1)] for t in (left, right))
-    (products1, at1), (products2, at2) = _distinct(prod1), _distinct(prod2)
+    distinct products of the shared tables, and the legs of a tensor that is
+    both factors are listed once."""
+    legs_l = [list(left.nonzero_of(i)) for i in range(left.d1)]
+    legs_r = legs_l if right is left else [list(right.nonzero_of(j)) for j in range(right.d1)]
+    products1, at1, products2, at2 = prod1.products, prod1.where, prod2.products, prod2.where
     width, tensors = len(products2), {}  # q1 * width + q2 -> x0y0 (x) x1y1
     for i, xs in enumerate(legs_l):
         for j, ys in enumerate(legs_r):
@@ -251,7 +250,7 @@ def _algebra_report(a: HomAlgebra, prod: list) -> AxiomReport:
     by_right = [[prod[r][l] for r in range(n)] for l in range(n)]  # [l][r] = e_r e_l
     left = [[vec_combine(alpha_col[i], by_right[l]) for l in range(n)] for i in range(n)]
     right = [[vec_combine(alpha_col[k], prod[l]) for l in range(n)] for k in range(n)]
-    products, where = _distinct(prod)
+    products, where = prod.products, prod.where
     twisted = [vec_combine(p, alpha_col) for p in products]  # alpha(e_i e_j)
     unit = vec_sparse(a.unit)
     b.check_vec("twist_fixes_unit", (), vec_combine(unit, alpha_col), unit, n)
@@ -302,7 +301,10 @@ def check_hom_coalgebra(c: HomCoalgebra) -> AxiomReport:
 def check_hom_hopf(h: HomHopfAlgebra) -> AxiomReport:
     """Full Hom-Hopf check: algebra and coalgebra axioms, bialgebra
     compatibilities, both antipode convolution identities, S alpha = alpha S."""
-    prod = product_table(h.mult)
+    return _hopf_report(h, product_table(h.mult))
+
+
+def _hopf_report(h: HomHopfAlgebra, prod: list) -> AxiomReport:
     rep = _algebra_report(h.as_algebra(), prod).merged(check_hom_coalgebra(h.as_coalgebra()))
     b = ReportBuilder()
     n = h.dim
@@ -360,10 +362,10 @@ def _module_report(m: HomModule, a: HomAlgebra, acted: list, prod: list) -> Axio
     twisted = [[vec_combine(mu_col[i], by_algebra[l]) for l in range(da)] for i in range(dm)]
     by_twist = [[vec_combine(alpha_col[k], acted[l]) for l in range(dm)] for k in range(da)]
     # per distinct e_i.a_j: mu(e_i.a_j), then (e_i.a_j).alpha(a_k) for each k
-    actions, acted_at = _distinct(acted)
+    actions, acted_at = acted.products, acted.where
     lhs_of = [[vec_combine(v, mu_col), *(vec_combine(v, twist) for twist in by_twist)]
               for v in actions]
-    products, prod_at = _distinct(prod)
+    products, prod_at = prod.products, prod.where
     unit = vec_sparse(a.unit)
     for i in range(dm):
         b.check_vec("module_unit", (i,), vec_combine(unit, acted[i]), mu_col[i], dm)

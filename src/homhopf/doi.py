@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra,
-                   HomModule, _check_parts, _evaluated, _module_report, _require_over, _view,
-                   check_hom_comodule, check_hom_hopf, check_hom_module, leg_products,
+                   HomModule, _check_parts, _evaluated, _hopf_report, _module_report,
+                   _require_over, _view, check_hom_comodule, check_hom_module, leg_products,
                    product_table)
 from .linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
                      vec_combine, vec_dot, vec_sparse, vec_tensor)
@@ -127,6 +127,10 @@ class DoiModule(HomModule):
 
 def check_comodule_algebra(a: ComoduleAlgebra, h: HomHopfAlgebra) -> AxiomReport:
     """Comodule axioms plus multiplicativity and unitality of the coaction."""
+    return _comodule_algebra_report(a, h, product_table(h.mult))
+
+
+def _comodule_algebra_report(a: ComoduleAlgebra, h: HomHopfAlgebra, prod_h: list) -> AxiomReport:
     rep = check_hom_comodule(a.as_comodule(), h.as_coalgebra())
     b = ReportBuilder()
     da, dh = a.dim, h.dim
@@ -135,15 +139,19 @@ def check_comodule_algebra(a: ComoduleAlgebra, h: HomHopfAlgebra) -> AxiomReport
                 vec_tensor(unit, vec_sparse(h.unit), dh), da * dh)
     prod = product_table(a.algebra.mult)
     coacted, = _evaluated(prod, a.coaction.apply_left)
-    for i, j, rhs in leg_products(a.coaction, a.coaction, prod, product_table(h.mult), dh):
+    for i, j, rhs in leg_products(a.coaction, a.coaction, prod, prod_h, dh):
         b.check_vec("coaction_multiplicative", (i, j), coacted[i][j], rhs, da * dh)
     return rep.merged(b.report())
 
 
 def check_module_coalgebra(c: ModuleCoalgebra, h: HomHopfAlgebra) -> AxiomReport:
     """Module axioms plus compatibility of the action with Delta and eps."""
+    return _module_coalgebra_report(c, h, product_table(h.mult))
+
+
+def _module_coalgebra_report(c: ModuleCoalgebra, h: HomHopfAlgebra, prod: list) -> AxiomReport:
     acted = product_table(c.action)
-    rep = _module_report(c.as_module(), h.as_algebra(), acted, product_table(h.mult))
+    rep = _module_report(c.as_module(), h.as_algebra(), acted, prod)
     b = ReportBuilder()
     dc, comult, counit = c.dim, c.coalgebra.comult, c.coalgebra.counit
     coproduct, counit_of = _evaluated(acted, comult.apply_left,
@@ -155,9 +163,10 @@ def check_module_coalgebra(c: ModuleCoalgebra, h: HomHopfAlgebra) -> AxiomReport
 
 
 def check_doi_datum(d: DoiDatum) -> AxiomReport:
-    return (check_hom_hopf(d.hopf)
-            .merged(check_comodule_algebra(d.algebra, d.hopf))
-            .merged(check_module_coalgebra(d.coalgebra, d.hopf)))
+    # the checks of H, A over H and C over H, merged, with H's product table built once
+    h, prod = d.hopf, product_table(d.hopf.mult)
+    return (_hopf_report(h, prod).merged(_comodule_algebra_report(d.algebra, h, prod))
+            .merged(_module_coalgebra_report(d.coalgebra, h, prod)))
 
 
 def check_doi_module(m: DoiModule, d: DoiDatum) -> AxiomReport:

@@ -20,8 +20,10 @@ straight into their nonzero fibres, one per innermost list; no dense copy
 is built, and no reference cycle, so a file and what is built from it are
 freed by reference counting alone.  Rows repeat as well, so each file
 also holds a table from a row of strings (as a tuple) to its fibre, and each
-distinct row is parsed once; a row that cannot be hashed, or fails, is read
-entry by entry, so the first error in reading order is the one reported.
+distinct row is parsed, made canonical and interned there once per file; a
+row that cannot be hashed, or fails, is read entry by entry, so the first
+error in reading order is the one reported.  Matrices and tensors keep the
+table's fibres (``_FibreStore._keep``), with no second walk over values.
 """
 
 from __future__ import annotations
@@ -174,29 +176,26 @@ class StructureFile:
         """A vector (a dense tuple), matrix or tensor of the given shape from
         nested lists of coefficient strings; a matrix or tensor keeps the
         nonzeros of each innermost list as one fibre."""
-        dims = "x".join(map(str, shape))
-        what = (f"a vector of length {dims}", f"a {dims} matrix",
-                f"a {dims} tensor")[len(shape) - 1]
         lookup, zero, fibres, rows = self._scalars.__getitem__, self.field.zero(), [], self._rows
 
         def parsed(row: list) -> tuple:
             return tuple([(k, x) for k, x in enumerate(map(lookup, row)) if x is not zero])
 
         vector = len(shape) == 1
-        if vector:  # a vector is read as the one row of a 1 x n matrix
+        if vector:  # read as the one row of a 1 x n matrix; ``shape[vector:]`` is as given
             data, shape = [data], (1, *shape)
         # a matrix is one block of rows and a tensor a list of them, read in
         # order, so the first bad list or coefficient in reading order is reported
         if len(shape) == 3 and (not isinstance(data, list) or len(data) != shape[0]):
-            raise StructureParseError(f"expected {what}")
+            raise _expected(shape[vector:])
         height, width = shape[-2:]
         try:
             for block in (data,) if len(shape) == 2 else data:
                 if not isinstance(block, list) or len(block) != height:
-                    raise StructureParseError(f"expected {what}")
+                    raise _expected(shape[vector:])
                 for row in block:
                     if not isinstance(row, list) or len(row) != width:
-                        raise StructureParseError(f"expected {what}")
+                        raise _expected(shape[vector:])
                     try:  # each distinct row is parsed once per file
                         fibre = rows[tuple(row)]
                     except KeyError:  # a row that fails to parse is not stored
@@ -210,7 +209,14 @@ class StructureFile:
             return tuple(vec_dense(dict(fibres[0]), shape[1], zero))
         cls, names = ((Matrix, ("rows", "cols")) if len(shape) == 2
                       else (Tensor3, ("d1", "d2", "d3")))
-        return cls._from_fibres(fibres, shape[-1], field=self.field, **dict(zip(names, shape)))
+        # the row table's fibres are finished: canonical values, each row one object
+        return cls._shaped(field=self.field, **dict(zip(names, shape)))._keep(tuple(fibres), width)
+
+
+def _expected(shape: tuple) -> StructureParseError:
+    """The error for data that is not a vector, matrix or tensor of ``shape``."""
+    what = ("a vector of length {}", "a {} matrix", "a {} tensor")[len(shape) - 1]
+    return StructureParseError("expected " + what.format("x".join(map(str, shape))))
 
 
 class _Coefficients(dict):

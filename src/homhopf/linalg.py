@@ -16,8 +16,9 @@ keeps only their nonzeros: one fibre of ``(index, value)`` pairs per matrix
 row, or per index pair (i, j) of a tensor.  Kronecker products, induced
 modules and twists repeat whole rows, so equal fibres are stored once per
 object; the store looks up no value or ``(index, value)`` pair, since that
-would cost a lookup per nonzero.  Products, Kronecker products, evaluations
-and elimination read the fibres, so they cost the nonzeros, not the shape.
+would cost a lookup per nonzero (a decoded object shares its file's
+fibres, kept with no second walk: ``io``).  Products, Kronecker products,
+evaluations and elimination read the fibres, so they cost the nonzeros.
 Checkers hold a map as its ``columns()`` table, the images of basis vectors
 read in one pass over the fibres, and apply it with :func:`vec_combine`, a
 tensor product of two maps with :func:`vec_tensor_combine`.  Matrices and
@@ -419,11 +420,12 @@ class _FibreStore:
     # with ``slots=True`` on both subclasses an object holds no __dict__
     __slots__ = ("_fibres", "_zero")
 
-    def _store(self, fibres, width: int) -> None:
-        """Keep ``fibres`` (one iterable of pairs per fibre) and the dense view."""
+    def _store(self, fibres, width: int):
+        """``_keep`` ``fibres`` (one iterable of pairs each), canonical and interned."""
         # Kronecker products, induced modules and twists repeat whole rows:
         # each nonempty fibre is swapped for the equal one already seen in
-        # this call, so equal fibres are stored once per object.  Values and
+        # this call, so equal fibres are stored once per object (a decoded
+        # object shares its file's fibres instead, see ``io``).  Values and
         # pairs are not looked up; a lookup per nonzero cost more time than
         # the memory it saved (GF(p) values are shared by the arithmetic).
         # Values are stored in the field's canonical form:
@@ -439,11 +441,15 @@ class _FibreStore:
                              else of(e) or None) is not None]) if fibre else ()
                   for fibre in fibres)
         fibre_of = {}.setdefault
-        fibres = tuple([fibre_of(t, t) if t else () for t in fibres])
+        return self._keep(tuple([fibre_of(t, t) if t else () for t in fibres]), width)
+
+    def _keep(self, fibres: tuple, width: int):
+        """Keep finished ``fibres`` and the dense view on them; return self."""
         zero = self.field.zero()
         object.__setattr__(self, "_fibres", fibres)
         object.__setattr__(self, "_zero", zero)
         object.__setattr__(self, "entries", _DenseEntries(fibres, width, zero))
+        return self
 
     def _store_dense(self, count: int, width: int) -> None:
         """Store the ``count`` fibres of ``width`` entries each held by the
@@ -458,12 +464,11 @@ class _FibreStore:
         self._store(fibres, width)
 
     @classmethod
-    def _from_fibres(cls, fibres, width: int, **shape):
-        """The object of ``shape`` (its field and dimensions) holding ``fibres``."""
+    def _shaped(cls, **shape):
+        """An object of ``shape`` (its field and dimensions), to ``_store`` or ``_keep``."""
         obj = cls.__new__(cls)
         for name, value in shape.items():
             object.__setattr__(obj, name, value)
-        obj._store(fibres, width)
         return obj
 
     def __reduce__(self):
@@ -491,7 +496,7 @@ class _FibreStore:
 
 def _rebuilt(cls, fibres, width: int, shape: dict):
     """The copied or unpickled :class:`_FibreStore` object."""
-    return cls._from_fibres(fibres, width, **shape)
+    return cls._shaped(**shape)._store(fibres, width)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -525,13 +530,13 @@ class Matrix(_FibreStore):
                 raise ValueError(f"index ({r}, {c}) outside a {rows}x{cols} matrix")
             if e:
                 fibres[r].append((c, e))
-        return cls._from_fibres(fibres, cols, field=field, rows=rows, cols=cols)
+        return cls._shaped(field=field, rows=rows, cols=cols)._store(fibres, cols)
 
     @classmethod
     def _of_rows(cls, field: Field, cols: int, rows: Sequence[dict]) -> "Matrix":
         """The matrix whose rows are the sparse vectors ``rows``."""
-        return cls._from_fibres((sorted(row.items()) for row in rows), cols,
-                                field=field, rows=len(rows), cols=cols)
+        return cls._shaped(field=field, rows=len(rows), cols=cols)._store(
+            (sorted(row.items()) for row in rows), cols)
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
@@ -609,8 +614,8 @@ class Matrix(_FibreStore):
     def scale(self, s: Scalar) -> "Matrix":
         if not s:
             return Matrix.zeros(self.field, self.rows, self.cols)
-        return Matrix._from_fibres((((c, s * e) for c, e in fibre) for fibre in self._fibres),
-                                   self.cols, field=self.field, rows=self.rows, cols=self.cols)
+        return Matrix._shaped(field=self.field, rows=self.rows, cols=self.cols)._store(
+            (((c, s * e) for c, e in fibre) for fibre in self._fibres), self.cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row/column index (i, j) -> i*other.dim + j."""
@@ -618,8 +623,8 @@ class Matrix(_FibreStore):
         oc = other.cols
         fibres = [[(c1 * oc + c2, a * b) for c1, a in mine for c2, b in theirs]
                   for mine in self._fibres for theirs in other._fibres]
-        return Matrix._from_fibres(fibres, self.cols * oc, field=self.field,
-                                   rows=self.rows * other.rows, cols=self.cols * oc)
+        return Matrix._shaped(field=self.field, rows=self.rows * other.rows,
+                              cols=self.cols * oc)._store(fibres, self.cols * oc)
 
     def apply(self, v: dict) -> dict:
         # a loop over the few nonzeros costs less than calling max and min
@@ -664,13 +669,13 @@ class Matrix(_FibreStore):
             inv = [()] * n
             for r, ((c, e),) in enumerate(fibres):
                 inv[c] = ((r, one if e == one else self.field.div(one, e)),)
-            return Matrix._from_fibres(inv, n, field=self.field, rows=n, cols=n)
+            return Matrix._shaped(field=self.field, rows=n, cols=n)._store(inv, n)
         red, pivots, _ = _rref_rows([f + ((n + r, one),) for r, f in enumerate(fibres)],
                                     self.field)
         if pivots != list(range(n)):
             return None
-        return Matrix._from_fibres([sorted([(c - n, x) for c, x in row.items() if c >= n])
-                                    for row in red], n, field=self.field, rows=n, cols=n)
+        return Matrix._shaped(field=self.field, rows=n, cols=n)._store(
+            [sorted([(c - n, x) for c, x in row.items() if c >= n]) for row in red], n)
 
 
 def _rref_rows(rows: Sequence[dict], field: Field) -> tuple[list, list, list]:
@@ -785,7 +790,7 @@ class Tensor3(_FibreStore):
                 raise ValueError(f"index ({i}, {j}, {k}) outside a {d1}x{d2}x{d3} tensor")
             if e:
                 fibres[i * d2 + j].append((k, e))
-        return cls._from_fibres(fibres, d3, field=field, d1=d1, d2=d2, d3=d3)
+        return cls._shaped(field=field, d1=d1, d2=d2, d3=d3)._store(fibres, d3)
 
     @property
     def shape(self) -> tuple:

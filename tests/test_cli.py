@@ -241,6 +241,18 @@ class TestKindErrors:
         p.write_text(json.dumps(data))
         self.assert_usage_error(["check", str(p), "H"], "'dim' must be a positive integer")
 
+    def test_zero_dim_is_exit_2(self, tmp_path):
+        data = json.loads(serialize_structure_file(golden_file("kZ2", Q)))
+        data["objects"]["H"].update(dim=0, basis=[])
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps(data))
+        self.assert_usage_error(["check", str(p), "H"],
+                                "object 'H': 'dim' must be a positive integer")
+
+    def test_modulus_one_is_exit_2(self):
+        self.assert_usage_error(["examples", "kZ2", "--field", "GF:1"],
+                                "modulus 1 is not a prime below 2**31")
+
 
 class TestCommands:
     def test_one_parser_serves_every_call(self):

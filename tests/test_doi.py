@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -166,7 +167,7 @@ class TestComponentChecks:
         assert check_doi_datum(rel_kz2).passed
 
     @pytest.mark.parametrize("case", ["hopf", "module_coalgebra", "comodule_algebra",
-                                      "doi_module"])
+                                      "doi_module", "datum"])
     def test_each_product_table_is_built_once(self, monkeypatch, case):
         # each tensor's table of products of basis vectors is built once, as
         # one shared dict per distinct product, and every map the checker
@@ -179,6 +180,8 @@ class TestComponentChecks:
             "module_coalgebra": lambda: check_module_coalgebra(d.coalgebra, d.hopf),
             "comodule_algebra": lambda: check_comodule_algebra(d.algebra, d.hopf),
             "doi_module": lambda: check_doi_module(m, d),
+            # K's table serves the Hom-Hopf, comodule-algebra and module-coalgebra parts
+            "datum": lambda: check_doi_datum(d),
         }[case]
         tables, products, calls = [], set(), []
         real_table, real_tensor, real_dot = core.product_table, core.vec_tensor, core.vec_dot
@@ -215,6 +218,48 @@ class TestComponentChecks:
         assert {name for name, _, _ in calls} >= {"tensor", "apply_left"}
         repeats = collections.Counter((name, id(p), id(f)) for name, p, f in calls)
         assert max(repeats.values()) == 1
+
+
+def _merged_checks(d):
+    """The datum's three public checks, merged in the order ``check_doi_datum`` gives."""
+    return (check_hom_hopf(d.hopf).merged(check_comodule_algebra(d.algebra, d.hopf))
+            .merged(check_module_coalgebra(d.coalgebra, d.hopf)))
+
+
+def _assert_same_report(got, want):
+    assert got.violations == want.violations
+    assert got.checked == want.checked
+    assert got.format() == want.format()
+    assert got.format(verbose=True) == want.format(verbose=True)
+
+
+class TestDatumCheck:
+    """``check_doi_datum`` builds H's product table once for its three parts
+    and reports exactly what the three public checks report, merged."""
+
+    @pytest.mark.parametrize("kind", ["trivial", "relative", "yd"])
+    def test_datum_check_is_the_merge_of_its_three_checks(self, field, kind):
+        make = {"trivial": trivial_datum, "yd": yd_datum,
+                "relative": lambda h: relative_datum(h, regular_comodule_algebra(h))}[kind]
+        for h in twist_corpus(field, 3):
+            d = make(h)
+            rep = check_doi_datum(d)
+            assert rep.passed
+            _assert_same_report(rep, _merged_checks(d))
+
+    def test_failing_datum_check_is_the_merge_of_its_three_checks(self, field):
+        # every part broken: an antipode that is not one, a doubled coaction
+        # and a zero action
+        h = twisted_group_algebra(3, 2, field)
+        n = h.dim
+        bad_h = dataclasses.replace(h, antipode=Matrix.identity(field, n))
+        a = ComoduleAlgebra(h.as_algebra(), Tensor3.from_nonzeros(
+            field, n, n, n, {(i, j, k): 2 * e for i, j, k, e in h.comult.nonzero()}))
+        c = ModuleCoalgebra(h.as_coalgebra(), Tensor3.zeros(field, n, n, n))
+        d = DoiDatum(bad_h, a, c)
+        rep = check_doi_datum(d)
+        assert {"antipode_left", "coaction_unit", "module_unit"} <= set(rep.failing_axioms())
+        _assert_same_report(rep, _merged_checks(d))
 
 
 class TestDoiModules:

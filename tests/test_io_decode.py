@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import is_canonical
 from homhopf.golden import golden_file, golden_names
 from homhopf.integrals import solve_normalized_integral
 from homhopf.io import (StructureFile, StructureParseError, field_to_raw, integral_to_raw,
@@ -94,6 +95,54 @@ def test_decoded_parts_equal_the_dense_constructors(field, name):
                 assert part.entries == dense.entries
                 assert tuple(part.entries) == tuple(dense.entries)
             seen += 1
+    assert seen
+
+
+def _decoded_parts(sf):
+    """(part, its raw innermost lists in reading order) for every matrix and
+    tensor built from ``sf``."""
+    for obj in sorted(sf.raw):
+        built, raw = sf.build(obj), sf.raw[obj]
+        for key, path in PARTS[raw["kind"]].items():
+            part = _attr(built, path)
+            if isinstance(part, Tensor3):
+                yield part, [row for block in raw[key] for row in block]
+            elif isinstance(part, Matrix):
+                yield part, raw[key]
+
+
+@pytest.mark.parametrize("field, name", _files())
+def test_equal_rows_of_one_file_decode_to_one_fibre(field, name):
+    # each distinct row is parsed, made canonical and interned once per file,
+    # and every matrix and tensor built from the file keeps that one fibre
+    sf = _load(field, name)
+    fibres, count = collections.defaultdict(set), 0  # row of strings -> ids of its fibres
+    for part, rows in _decoded_parts(sf):
+        for row, fibre in zip(rows, part._fibres, strict=True):
+            fibres[tuple(row)].add(id(fibre))
+            count += 1
+    assert count > len(fibres)  # rows repeat
+    assert all(len(ids) == 1 for ids in fibres.values())
+
+
+@pytest.mark.parametrize("field, name", _files())
+def test_decoded_parts_equal_and_hash_like_from_nonzeros(field, name):
+    # the decoder keeps the row table's fibres as they are; the object is the
+    # one the store builds from the same nonzeros, values canonical
+    seen = 0
+    for part, rows in _decoded_parts(_load(field, name)):
+        width = part.shape[-1]
+        values = {divmod(q, width): field.of(x) for q, x in enumerate(
+            x for row in rows for x in row) if field.of(x)}
+        if isinstance(part, Matrix):
+            ref = Matrix.from_nonzeros(field, *part.shape, values)
+        else:
+            ref = Tensor3.from_nonzeros(field, *part.shape, {
+                (*divmod(q, part.d2), k): x for (q, k), x in values.items()})
+        assert part == ref and hash(part) == hash(ref)
+        assert part._fibres == ref._fibres
+        assert all(is_canonical(x, field) for fibre in part._fibres for _, x in fibre)
+        seen += 1
     assert seen
 
 

@@ -45,6 +45,12 @@ class TestScalars:
         with pytest.raises(ValueError):
             Field.prime(6)
 
+    @pytest.mark.parametrize("p", [1, 0, -7])
+    def test_modulus_below_two_is_refused(self, p):
+        # GF(1) would be a field in which 1 = 0
+        with pytest.raises(ValueError, match=rf"^modulus {p} is not a prime below 2\*\*31$"):
+            Field.prime(p)
+
     @given(a=st.integers(-50, 50), p=st.sampled_from([2, 3, 7, 31]))
     def test_gf_equal_to_int_hashes_alike(self, a, p):
         # only the canonical residue equals an int, and equal values share a hash
