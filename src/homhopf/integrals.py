@@ -28,11 +28,13 @@ every label.  ``integral_sides`` evaluates both sides of every condition
 directly on vectors for a given theta and shares no term or table with the
 assembler, so a wrong term on either side shows as a disagreement: tests
 compare the two entry for entry, and every solution is certified by the
-direct route.
+direct route.  The evaluator sums each table that holds theta from theta's
+nonempty fibres, keyed by the instances a fibre reaches, so a sparse theta
+costs its nonzeros and one step per instance.
 
-The solver returns the theta of the normalization rows alone if the direct
-evaluator passes it; otherwise it eliminates every row as it is, labelling
-only the rows its certificate names.
+The solver returns the theta of the normalization rows alone, read from
+their pivot entries, if the direct evaluator passes it; otherwise it
+eliminates every row as it is, labelling only the rows its certificate names.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from itertools import product
 from .core import _check_parts
 from .doi import DoiDatum
 from .linalg import (Field, Matrix, Tensor3, _rref_rows, _transform_row, canonical,
-                     require_same_field, vec_add_scaled, vec_scale, vec_sparse, vec_tensor,
-                     vec_tensor_combine)
+                     require_same_field, vec_add_scaled, vec_scale, vec_sparse, vec_tensor)
 from .report import AxiomReport, ReportBuilder
 
 
@@ -60,10 +61,6 @@ class IntegralCandidate:
 
     def __post_init__(self):
         _check_parts(self, ("theta tensor", self.theta, (self.dim_c, self.dim_c, self.dim_a)))
-
-    @classmethod
-    def from_vector(cls, field: Field, dim_c: int, dim_a: int, vec) -> "IntegralCandidate":
-        return cls(field, dim_c, dim_a, Tensor3(field, dim_c, dim_c, dim_a, tuple(vec)))
 
 
 @dataclass
@@ -114,79 +111,100 @@ def theta_index(i: int, j: int, k: int, dim_c: int, dim_a: int) -> int:
 def integral_sides(cand: IntegralCandidate, d: DoiDatum):
     """Evaluate every condition instance directly: yield ``(family, instance,
     lhs, rhs, length)`` with both sides as sparse vectors of that length.
-    The tables that hold theta are summed from its nonempty fibres through
-    the rows of gamma and gamma^-1; like every table here, they are read
-    through the datum's own readers and share nothing with the row builder."""
+    Every table that holds theta is summed from its nonempty fibres, keyed by
+    the instances it reaches; an instance theta does not reach yields one
+    shared empty dict, only read, as both sides.  Like every table here, the
+    tables are read through the datum's own readers and share nothing with
+    the row builder."""
     require_same_field(d, cand)
     one = d.field.one()
-    theta = cand.theta
     alg, coalg = d.algebra.algebra, d.coalgebra.coalgebra
-    phi, rho_a = d.coalgebra.action, d.algebra.coaction
+    phi, rho_a, mult = d.coalgebra.action, d.algebra.coaction, alg.mult
     da, dc, dh = alg.dim, coalg.dim, d.hopf.dim
     if (cand.dim_c, cand.dim_a) != (dc, da):
         raise ValueError("candidate dimensions do not match the datum")
     beta_col = alg.alpha.columns()
     gam_col = coalg.gamma.columns()
-    gam_inv_col = coalg.gamma_inv.columns()
-    gam_row, gam_inv_row = ([vec_sparse(m.row(i)) for i in range(dc)]
-                            for m in (coalg.gamma, coalg.gamma_inv))
+    gam_row, gam_inv_row = coalg.gamma._fibres, coalg.gamma_inv._fibres
     delta = [list(coalg.comult.nonzero_of(i)) for i in range(dc)]
     legs = [list(rho_a.nonzero_of(i)) for i in range(da)]
+    pairs = list(product(range(dc), repeat=2))
+    none = {}  # both sides of every instance theta does not reach; never written to
     # (i, j) -> theta(e_i (x) e_j), the nonempty ones
-    fibres = {(i, j): v for i in range(dc) for j in range(dc) if (v := theta.at_pair(i, j))}
-    # theta(gamma(e_p) (x) gamma(e_q)), theta(gamma^-1(e_p) (x) e_c) and
-    # theta(e_c (x) gamma^-1(e_q)), summed over the nonempty fibres: fibre
-    # (i, j) lands where row i or j of gamma or gamma^-1 has a nonzero
-    twisted, th_left, th_right = ([[{} for _ in range(dc)] for _ in range(dc)] for _ in range(3))
+    fibres = {divmod(n, dc): dict(f) for n, f in enumerate(cand.theta._fibres) if f}
+    # (p, q) -> theta(gamma(e_p) (x) gamma(e_q)); j -> p -> theta(gamma^-1(e_p)
+    # (x) e_j); i -> q -> theta(e_i (x) gamma^-1(e_q)): fibre (i, j) lands
+    # where row i or j of gamma or gamma^-1 has a nonzero
+    twisted, th_left, th_right = {}, {}, {}
     for (i, j), v in fibres.items():
-        for p, a in gam_row[i].items():
-            for q, b in gam_row[j].items():
-                vec_add_scaled(twisted[p][q], a * b, v)
-        for p, a in gam_inv_row[i].items():
-            vec_add_scaled(th_left[p][j], a, v)
-        for q, a in gam_inv_row[j].items():
-            vec_add_scaled(th_right[i][q], a, v)
-    for p in range(dc):
-        for q in range(dc):
-            v = fibres.get((p, q))
-            yield "twist_compatibility", (p, q), twisted[p][q], alg.alpha.apply(v) if v else {}, da
+        for p, a in gam_row[i]:
+            for q, b in gam_row[j]:
+                vec_add_scaled(twisted.setdefault((p, q), {}), a * b, v)
+        for p, a in gam_inv_row[i]:
+            vec_add_scaled(th_left.setdefault(j, {}).setdefault(p, {}), a, v)
+        for q, a in gam_inv_row[j]:
+            vec_add_scaled(th_right.setdefault(i, {}).setdefault(q, {}), a, v)
+    for pq in pairs:
+        v = fibres.get(pq)
+        yield "twist_compatibility", pq, twisted.get(pq, none), alg.alpha.apply(v) if v else none, da
 
-    # rho_A(theta(e_c (x) gamma^-1(e_q))), formed once for each nonempty one
-    rho_th = [[rho_a.apply_left(v) if v else {} for v in row] for row in th_right]
-    for p in range(dc):          # d = e_p
-        left = th_left[p]
-        for q in range(dc):      # c = e_q
-            lhs = (vec_tensor_combine(delta[q], left, gam_col, dc)
-                   if any(left[j] for j, _, _ in delta[q]) else {})
-            rhs = {}
-            for d1, d2, co in delta[p]:
-                for leg, s in rho_th[d2][q].items():  # in A (x) H
+    # colinearity at d = e_p, c = e_q: the left side through the first legs of
+    # Delta(e_q), the right side through the second legs of Delta(e_p), with
+    # rho_A(theta(e_i (x) gamma^-1(e_q))) formed once for each nonempty one
+    rho_th = {i: {q: rho_a.apply_left(v) for q, v in row.items()} for i, row in th_right.items()}
+    lhs, rhs = {}, {}
+    for q in range(dc):
+        for j, k, c in delta[q]:
+            for p, v in th_left.get(j, none).items():
+                vec_add_scaled(lhs.setdefault((p, q), {}), c, vec_tensor(v, gam_col[k], dc))
+    for p in range(dc):
+        for d1, d2, co in delta[p]:
+            for q, v in rho_th.get(d2, none).items():
+                acc = rhs.setdefault((p, q), {})
+                for leg, s in v.items():  # in A (x) H
                     u, hh = divmod(leg, dh)
-                    vec_add_scaled(rhs, co * s, vec_tensor(beta_col[u], phi.at_pair(d1, hh), dc))
-            yield "colinearity", (p, q), lhs, rhs, da * dc
+                    vec_add_scaled(acc, co * s, vec_tensor(beta_col[u], phi.at_pair(d1, hh), dc))
+    for pq in pairs:
+        yield "colinearity", pq, lhs.get(pq, none), rhs.get(pq, none), da * dc
 
     unit_a = vec_sparse(alg.unit)
     for p in range(dc):
         acc = {}
         for c1, c2, co in delta[p]:
-            vec_add_scaled(acc, co, theta.at_pair(c1, c2))
+            vec_add_scaled(acc, co, fibres.get((c1, c2), none))
         yield "normalization", (p,), acc, vec_scale(coalg.counit[p], unit_a), da
 
     beta2_col = [alg.alpha.apply(beta_col[i]) for i in range(da)]
-    # gamma^-1(e_p).e_h and gamma^-1(e_q).alpha^-1(e_h)
-    act = [[phi.apply(g, {h: one}) for h in range(dh)] for g in gam_inv_col]
-    alpha_inv_col = d.hopf.alpha_inv.columns()
-    act_inv = [[phi.apply(g, a) for a in alpha_inv_col] for g in gam_inv_col]
-    for t_idx in range(da):      # a = e_t
-        for p in range(dc):      # d = e_p
-            for q in range(dc):  # c = e_q
-                lhs = {}
-                for u, hh, c1 in legs[t_idx]:
-                    for u2, h2, c2 in legs[u]:
-                        tt = theta.apply(act[p][h2], act_inv[q][hh])
-                        vec_add_scaled(lhs, c1 * c2, alg.mult.apply(beta2_col[u2], tt))
-                rhs = alg.mult.apply(theta.at_pair(p, q), {t_idx: one})
-                yield "module_linearity", (t_idx, p, q), lhs, rhs, da
+    # (h, i) -> p -> the coefficient of e_i in gamma^-1(e_p).e_h, and
+    # (h, j) -> q -> that of e_j in gamma^-1(e_q).alpha^-1(e_h), read off phi's fibres
+    occ, occ_inv, gam_inv = {}, {}, [dict(f) for f in gam_inv_row]
+    for n, f in enumerate(phi._fibres):
+        k, h = divmod(n, dh)
+        for i, e in f:
+            vec_add_scaled(occ.setdefault((h, i), {}), e, gam_inv[k])
+    for (h, j), v in occ.items():
+        for hh, a in d.hopf.alpha_inv._fibres[h]:
+            vec_add_scaled(occ_inv.setdefault((hh, j), {}), a, v)
+    # (h2, hh) -> (p, q) -> theta(gamma^-1(e_p).e_h2 (x) gamma^-1(e_q).alpha^-1(e_hh)),
+    # for the (h2, hh) of rho_A's double coaction a[0][1], a[1]
+    tables = {(h2, hh): {} for t in range(da) for u, hh, _ in legs[t] for _, h2, _ in legs[u]}
+    for (h2, hh), table in tables.items():
+        for (i, j), v in fibres.items():
+            left, right = occ.get((h2, i)), occ_inv.get((hh, j))
+            if left and right:
+                for p, a in left.items():
+                    for q, b in right.items():
+                        vec_add_scaled(table.setdefault((p, q), {}), a * b, v)
+    for t in range(da):      # a = e_t
+        lhs = {}
+        for u, hh, c1 in legs[t]:
+            for x, h2, c2 in legs[u]:
+                for pq, v in tables[(h2, hh)].items():
+                    vec_add_scaled(lhs.setdefault(pq, {}), c1 * c2, mult.apply(beta2_col[x], v))
+        for pq in pairs:
+            v = fibres.get(pq)
+            yield ("module_linearity", (t, *pq), lhs.get(pq, none),
+                   mult.apply(v, {t: one}) if v else none, da)
 
 
 def verify_integral(cand: IntegralCandidate, d: DoiDatum) -> AxiomReport:
@@ -382,10 +400,10 @@ def _solve_all_rows(d: DoiDatum) -> IntegralCandidate | Infeasible:
 def _read_theta(d: DoiDatum, red: list, pivots: list) -> IntegralCandidate:
     """theta, free coefficients zero, from a consistent RREF of augmented rows."""
     field, dc, da = d.field, d.coalgebra.coalgebra.dim, d.algebra.algebra.dim
-    theta = [field.zero()] * (da * dc * dc)
-    for r, col in enumerate(pivots):
-        theta[col] = red[r].get(len(theta), field.zero())
-    return IntegralCandidate.from_vector(field, dc, da, theta)
+    nunk = da * dc * dc
+    theta = {(col // (dc * da), col // da % dc, col % da): red[r][nunk]
+             for r, col in enumerate(pivots) if nunk in red[r]}
+    return IntegralCandidate(field, dc, da, Tensor3.from_nonzeros(field, dc, dc, da, theta))
 
 
 def _assert_certificate(aug, y, nunk) -> None:

@@ -12,7 +12,7 @@ from math import gcd
 from homhopf.applications import regular_comodule_algebra, relative_datum, trivial_datum
 from homhopf.core import HomComodule, HomHopfAlgebra, HomModule
 from homhopf.doi import DoiModule, induce
-from homhopf.integrals import Infeasible, solve_normalized_integral
+from homhopf.integrals import Infeasible, IntegralCandidate, solve_normalized_integral
 from homhopf.linalg import Field, GFElement, Matrix, Tensor3
 from homhopf.zoo import (regular_module, sweedler_h4, twisted_group_algebra,
                          twisted_sweedler)
@@ -26,6 +26,16 @@ def is_canonical(x, field: Field) -> bool:
     if field.p is not None:
         return type(x) is GFElement and x.p == field.p and x is GFElement(x.value, field.p)
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def candidate(field: Field, dim_c: int, dim_a: int, vec) -> IntegralCandidate:
+    """The integral candidate whose coefficient of e_k in theta(e_i (x) e_j)
+    is ``vec[theta_index(i, j, k)]``, built from the nonzero entries of the
+    dense ``vec`` with ``Tensor3.from_nonzeros``."""
+    theta = {(n // (dim_c * dim_a), n // dim_a % dim_c, n % dim_a): x
+             for n, x in enumerate(vec) if x}
+    return IntegralCandidate(field, dim_c, dim_a,
+                             Tensor3.from_nonzeros(field, dim_c, dim_c, dim_a, theta))
 
 
 def random_invertible(field: Field, n: int, rng: random.Random, span: int = 3) -> Matrix:

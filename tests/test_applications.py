@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from corpus import (random_graded_comodule, twist_corpus, yd_both_regular,
+from corpus import (candidate, random_graded_comodule, twist_corpus, yd_both_regular,
                     yd_regular_action_trivial_coaction,
                     yd_regular_action_unit_coaction,
                     yd_trivial_action_group_coaction)
@@ -447,13 +447,12 @@ class TestScalarConditions:
         sol = solve_normalized_integral(d)
         if isinstance(sol, IntegralCandidate):
             candidates.append(sol)
-            candidates.append(IntegralCandidate.from_vector(
-                Q, h.dim, 1, [x + x for x in sol.theta.entries]))
+            candidates.append(candidate(Q, h.dim, 1, [x + x for x in sol.theta.entries]))
         for phi in dual_right_integrals(h):
             candidates.append(integral_from_dual(phi, h))
         rng = random.Random(40)
         for _ in range(3):
-            candidates.append(IntegralCandidate.from_vector(
+            candidates.append(candidate(
                 Q, h.dim, 1, [Q.of(rng.randint(-2, 2)) for _ in range(h.dim * h.dim)]))
         for cand in candidates:
             full = verify_integral(cand, d).passed

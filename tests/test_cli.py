@@ -7,10 +7,13 @@ import sys
 import pytest
 
 from homhopf.cli import main
+from homhopf.doi import direct_sum_doi, induce
 from homhopf.golden import golden_file, golden_names
-from homhopf.io import (StructureParseError, parse_structure_file,
-                        serialize_structure_file)
+from homhopf.integrals import Infeasible, solve_normalized_integral
+from homhopf.io import (StructureParseError, doi_module_to_raw, morphism_to_raw,
+                        parse_structure_file, serialize_structure_file)
 from homhopf.linalg import Field
+from homhopf.zoo import inclusion_matrix, projection_matrix, regular_module
 
 Q = Field.rationals()
 
@@ -373,6 +376,25 @@ class TestCommands:
         from homhopf.doi import doi_morphism_report
         assert doi_morphism_report(section, sf.build("N"), sf.build("M"),
                                    sf.build("D")).passed
+
+    @pytest.mark.parametrize("argv", [["certify", "M", "N"], ["split", "f", "g"]],
+                             ids=lambda a: a[0])
+    @pytest.mark.parametrize("field", [Q, Field.prime(7)], ids=["Q", "GF7"])
+    def test_datum_commands_on_an_infeasible_datum(self, tmp_path, argv, field):
+        # H4's trivial datum has no normalized integral; N is k induced up to
+        # it, M = N + N, and f, g project M onto and include N as the first summand
+        sf = golden_file("H4_trivial_datum", field)
+        d = sf.build("D")
+        n = induce(regular_module(d.algebra.algebra), d)
+        sf.raw["N"] = doi_module_to_raw(n, "D")
+        sf.raw["M"] = doi_module_to_raw(direct_sum_doi(n, n), "D")
+        sf.raw["f"] = morphism_to_raw(projection_matrix(field, 8, 0, 4), "M", "N")
+        sf.raw["g"] = morphism_to_raw(inclusion_matrix(field, 8, 0, 4), "N", "M")
+        p = tmp_path / "h4.json"
+        p.write_text(serialize_structure_file(sf))
+        answer = solve_normalized_integral(d)
+        assert isinstance(answer, Infeasible)
+        assert run_cli([argv[0], str(p), "D", *argv[1:]]) == (3, answer.message() + "\n", "")
 
     @pytest.mark.parametrize("argv", [["find-integral"], ["certify", "M", "N"],
                                       ["split", "f", "g"]], ids=lambda a: a[0])

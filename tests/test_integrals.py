@@ -1,10 +1,11 @@
 import hashlib
 import random
+from itertools import product
 from math import gcd
 
 import pytest
 
-from corpus import is_canonical, twist_corpus
+from corpus import candidate, is_canonical, twist_corpus
 from law_oracles import reduced_mod
 from homhopf.applications import (regular_comodule_algebra, relative_datum,
                                   trivial_datum, yd_datum)
@@ -81,13 +82,20 @@ class TestOracleEquivalence:
                                       "trivial_H4", "relative_kZ2",
                                       "relative_tw_H4", "yd_kZ2"])
     def test_rows_match_direct_evaluation(self, field, name):
+        # five dense random candidates, then the sparse ones, on which the
+        # evaluator gives each instance theta does not reach its shared empty sides
         d = datum_zoo(field)[name]
         s = assemble_integral_system(d)
         rng = random.Random(99)
-        for _ in range(5):
-            vec = [field.of(rng.randint(-3, 3)) for _ in range(s.unknown_count)]
-            cand = IntegralCandidate.from_vector(field, s.dim_c, s.dim_a, vec)
+        dense = [candidate(field, s.dim_c, s.dim_a,
+                           [field.of(rng.randint(-3, 3)) for _ in range(s.unknown_count)])
+                 for _ in range(5)]
+        for cand in dense + _sparse_candidates(d, rng):
+            vec = [cand.theta.at(*ijk)
+                   for ijk in product(range(s.dim_c), range(s.dim_c), range(s.dim_a))]
             direct = _residuals(cand, d)
+            assert set(direct) == {(fam, inst) for fam, inst, _ in
+                                   s.homogeneous_labels + s.affine_labels}
             for r in range(s.homogeneous.rows):
                 fam, inst, coord = s.homogeneous_labels[r]
                 val = _dot(s.homogeneous.row(r), vec, field)
@@ -97,6 +105,47 @@ class TestOracleEquivalence:
                 fam, inst, coord = s.affine_labels[r]
                 val = _dot(s.affine_lhs.row(r), vec, field) - s.affine_rhs[r]
                 assert val == direct[(fam, inst)][coord[0]]
+
+    @pytest.mark.parametrize("name", sorted(datum_zoo(Q)))
+    def test_sides_hold_no_zero_and_stay_as_yielded(self, field, name):
+        # the solver's ``lhs != rhs`` and ``check_vec``'s ``lhs == rhs`` compare
+        # sparse sides, which is exact only if no side holds an explicit zero;
+        # each instance is yielded once, and no side changes after its yield
+        d = datum_zoo(field)[name]
+        dc, da = d.coalgebra.coalgebra.dim, d.algebra.algebra.dim
+        rng = random.Random(3801)
+        cands = _sparse_candidates(d, rng) + [candidate(field, dc, da, [
+            field.of(rng.randint(-3, 3)) for _ in range(dc * dc * da)])]
+        solved = solve_normalized_integral(d)
+        if isinstance(solved, IntegralCandidate):
+            cands.append(solved)
+        for cand in cands:
+            sides, at_yield = [], []
+            for fam, inst, lhs, rhs, _ in integral_sides(cand, d):
+                sides.append((fam, inst, lhs, rhs))
+                at_yield.append((fam, inst, dict(lhs), dict(rhs)))
+            assert sides == at_yield
+            assert len({(fam, inst) for fam, inst, _, _ in sides}) == len(sides)
+            assert all(x for _, _, lhs, rhs in sides for x in (*lhs.values(), *rhs.values()))
+
+
+def _sparse_candidates(d, rng) -> list:
+    """theta_N (the normalization rows' theta) where those rows are
+    consistent, a random theta of density 0.1, theta = 0 and a theta with one
+    nonzero fibre."""
+    field, dc, da = d.field, d.coalgebra.coalgebra.dim, d.algebra.algebra.dim
+    n, zero = dc * dc * da, field.zero()
+    out = []
+    red, pivots = _rref_rows(integrals._normalization_rows(d), field)[:2]
+    if n not in pivots:
+        out.append(integrals._read_theta(d, red, pivots))
+    out.append(candidate(field, dc, da, [field.of(rng.choice((1, -1, 2, 3)))
+                                         if rng.random() < 0.1 else zero for _ in range(n)]))
+    out.append(candidate(field, dc, da, [zero] * n))
+    first = theta_index(rng.randrange(dc), rng.randrange(dc), 0, dc, da)
+    out.append(candidate(field, dc, da, [field.of(rng.choice((1, -1, 2, 3)))
+                                         if first <= m < first + da else zero for m in range(n)]))
+    return out
 
 
 def _residuals(cand, d):
@@ -181,16 +230,14 @@ class TestVerify:
         # homogeneity: the linear families survive scaling, normalization not
         d = trivial_datum(group_algebra(2, Q))
         sol = solve_normalized_integral(d)
-        doubled = IntegralCandidate.from_vector(Q, 2, 1,
-                                                [x + x for x in sol.theta.entries])
+        doubled = candidate(Q, 2, 1, [x + x for x in sol.theta.entries])
         rep = verify_integral(doubled, d)
         assert rep.failing_axioms() == ("normalization",)
 
     def test_homogeneous_families_scale(self):
         d = trivial_datum(group_algebra(3, Q))
         sol = solve_normalized_integral(d)
-        tripled = IntegralCandidate.from_vector(Q, 3, 1,
-                                                [Q.of(3) * x for x in sol.theta.entries])
+        tripled = candidate(Q, 3, 1, [Q.of(3) * x for x in sol.theta.entries])
         res = _residuals(tripled, d)
         for (fam, _), r in res.items():
             if fam != "normalization":
@@ -203,9 +250,9 @@ class TestVerify:
                                              "IntegralCandidate is over Q"):
             IntegralCandidate(Q, 2, 1, theta)
 
-    def test_from_vector_reduces_entries_over_gf(self):
+    def test_candidate_reduces_entries_over_gf(self):
         gf7 = Field.prime(7)
-        cand = IntegralCandidate.from_vector(gf7, 2, 1, [1, 0, 0, 8])
+        cand = candidate(gf7, 2, 1, [1, 0, 0, 8])
         assert cand.theta == Tensor3(gf7, 2, 2, 1, (gf7.one(), 0, 0, gf7.one()))
         assert [str(x) for x in cand.theta.entries] == ["1", "0", "0", "1"]
         assert verify_integral(cand, trivial_datum(group_algebra(2, gf7))).passed

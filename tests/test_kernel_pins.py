@@ -18,8 +18,8 @@ import random
 
 import pytest
 
-from corpus import (commuting_twist, cyclic_rep, random_graded_comodule, random_invertible,
-                    twist_breaking_module, twist_corpus)
+from corpus import (candidate, commuting_twist, cyclic_rep, random_graded_comodule,
+                    random_invertible, twist_breaking_module, twist_corpus)
 from homhopf import integrals
 from homhopf.applications import (regular_comodule_algebra, relative_datum, trivial_datum,
                                   yd_datum)
@@ -94,7 +94,7 @@ def _random_theta(d, density: float, rng: random.Random):
     field, dc, da = d.field, d.coalgebra.dim, d.algebra.dim
     vec = [field.of(rng.choice((1, -1, 2, 3))) if rng.random() < density else field.zero()
            for _ in range(dc * dc * da)]
-    return integrals.IntegralCandidate.from_vector(field, dc, da, vec)
+    return candidate(field, dc, da, vec)
 
 
 def _reports(d, rng: random.Random):
