@@ -14,9 +14,12 @@ times and keeps the best call.
 
 This is the in-process view of perfbench's ``setup_s``, which is raw wall
 time of the same call and so follows the host's state as much as the code.
-It prints each side's bests in increasing order, their medians and how many
-pairs each side had the lower best; the last line of stdout is one JSON
-object.  Standard library only.
+It prints each side's bests in increasing order, their medians, how many
+pairs the change had the lower best and a verdict on the bests under
+``setup_s``'s bound in BENCHMARK.json, read as ``scripts/bench_pairs.py``
+reads every end-to-end metric (``within bound``, ``worse than bound`` or
+``unresolved`` when the runs cannot tell); the last line of stdout is one
+JSON object.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import subprocess
 import sys
 import tempfile
 
-from bench_pairs import ROOT, export_revision
+from bench_pairs import ROOT, export_revision, verdict
 
 # one process's best set-up time, printed as JSON; run in the checkout
 _TIMER = """
@@ -90,15 +93,19 @@ def main(argv=None) -> int:
 
     bests = runs["bests"]
     lower = sum(c < b for b, c in zip(bests["base"], bests["change"]))
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        setup = next(m for m in json.load(fh)["end_to_end"] if m["name"] == "setup_s")
+    outcome = verdict(bests["base"], bests["change"], setup["better"], setup["bound"])
     print(f"{args.workload} set-up, best of {args.calls} build_jobs calls per process, "
           f"seed {args.seed}:")
     for side in ("base", "change"):
         print(f"  {side:6} median {statistics.median(bests[side]) * 1000:.1f} ms, bests (ms): "
               + " ".join(f"{t * 1000:.1f}" for t in sorted(bests[side])))
-    print(f"  change lower in {lower} of {args.processes} pairs")
+    print(f"  change lower in {lower} of {args.processes} pairs: {outcome} "
+          f"({setup['bound']:.0%})")
     print(json.dumps({"workload": args.workload, "base": args.base, "seed": args.seed,
                       "calls": args.calls, "processes": args.processes,
-                      "first": runs["first"], "change_lower": lower,
+                      "first": runs["first"], "change_lower": lower, "verdict": outcome,
                       "median_s": {side: statistics.median(v) for side, v in bests.items()},
                       "bests_s": {side: sorted(v) for side, v in bests.items()}}))
     return 0

@@ -155,6 +155,8 @@ def check_yd_substructures(m: DoiModule, h: HomHopfAlgebra) -> AxiomReport:
 def trivial_yd_module(h: HomHopfAlgebra) -> DoiModule:
     """k with action by the counit and coaction by the unit."""
     field = h.field
-    action = Tensor3(field, 1, h.dim, 1, tuple(h.counit))
-    coaction = Tensor3(field, 1, 1, h.dim, tuple(h.unit))
+    action = Tensor3.from_nonzeros(field, 1, h.dim, 1,
+                                   {(0, j, 0): e for j, e in enumerate(h.counit)})
+    coaction = Tensor3.from_nonzeros(field, 1, 1, h.dim,
+                                     {(0, 0, k): e for k, e in enumerate(h.unit)})
     return DoiModule(field, 1, Matrix.identity(field, 1), action, coaction)

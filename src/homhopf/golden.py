@@ -77,16 +77,16 @@ def _maschke_split_objects(field: Field):
 
 def _corrupt_group_mult(field: Field):
     # 1.1 = g instead of 1: breaks the unit axiom at the first basis vector
-    one, zero = field.one(), field.zero()
-    mult = Tensor3.from_nested(field, [[[zero, one], [zero, one]],
-                                       [[zero, one], [one, zero]]])
+    one = field.one()
+    mult = Tensor3.from_nonzeros(field, 2, 2, 2, {(0, 0, 1): one, (0, 1, 1): one,
+                                                  (1, 0, 1): one, (1, 1, 0): one})
     return _hopf_file(replace(group_algebra(2, field), mult=mult), GROUP_BASIS[2])
 
 
 def _corrupt_h4_antipode(field: Field):
     # S(x) = +gx instead of -gx: breaks the antipode convolution at x
-    bad = Matrix.from_rows(field, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                   [0, 0, 0, 1], [0, 0, 1, 0]])
+    one = field.one()
+    bad = Matrix.from_nonzeros(field, 4, 4, {(0, 0): one, (1, 1): one, (2, 3): one, (3, 2): one})
     return _hopf_file(replace(sweedler_h4(field), antipode=bad), H4_BASIS)
 
 

@@ -13,7 +13,8 @@ intermediate sum.  Vectors are sparse: a dict ``{index: nonzero scalar}``
 that never holds a zero.  Matrices and order-3
 tensors (structure constants, which are mostly zero) share one store that
 keeps only their nonzeros: one fibre of ``(index, value)`` pairs per matrix
-row, or per index pair (i, j) of a tensor.  Kronecker products, induced
+row, or per index pair (i, j) of a tensor, and the package builds every
+object from its nonzeros (``from_nonzeros``).  Kronecker products, induced
 modules and twists repeat whole rows, so equal fibres are stored once per
 object; the store looks up no value or ``(index, value)`` pair, since that
 would cost a lookup per nonzero (a decoded object shares its file's
@@ -360,10 +361,9 @@ def vec_tensor_combine(legs, left: Sequence, right: Sequence, n: int) -> dict:
     return out
 
 
-class _DenseEntries(Sequence):
-    """Read-only row-major view of the entries of a :class:`Matrix` or a
-    :class:`Tensor3`, zeros included, computed from its nonzero fibres on
-    access.  Equal to the tuple of the same entries and hashes like it."""
+class _DenseEntries:
+    """The row-major entries of a :class:`Matrix` or a :class:`Tensor3`,
+    zeros included, computed from its nonzero fibres as they are iterated."""
 
     __slots__ = ("_fibres", "_width", "_zero")
 
@@ -375,20 +375,6 @@ class _DenseEntries(Sequence):
     def __len__(self) -> int:
         return len(self._fibres) * self._width
 
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return tuple(self)[idx]
-        n = len(self)
-        if idx < 0:
-            idx += n
-        if not 0 <= idx < n:
-            raise IndexError("entry index out of range")
-        q, k = divmod(idx, self._width)
-        for kk, e in self._fibres[q]:
-            if kk == k:
-                return e
-        return self._zero
-
     def __iter__(self) -> Iterator:
         width, zero = self._width, self._zero
         for fibre in self._fibres:
@@ -397,25 +383,15 @@ class _DenseEntries(Sequence):
                 row[k] = e
             yield from row
 
-    def __eq__(self, other):
-        if isinstance(other, (_DenseEntries, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return repr(tuple(self))
-
 
 class _FibreStore:
     """The one store of :class:`Matrix` and :class:`Tensor3`: ``_fibres``
     holds one fibre per matrix row or tensor index pair (i, j), a tuple of
-    ``(index, nonzero value)`` pairs in increasing index, and ``entries`` is
-    the dense row-major view on them.  The dense constructor takes those
-    entries; ``from_nonzeros`` takes the nonzeros alone.  Two objects are
-    equal when their shapes and fibres are."""
+    ``(index, nonzero value)`` pairs in increasing index.  The package
+    builds every object from its nonzeros, with ``from_nonzeros`` or
+    ``_shaped(...)._store``; the dense constructor, ``build``, ``from_rows``
+    and the iterable row-major ``entries`` remain for perfbench's inputs
+    alone.  Two objects are equal when their shapes and fibres are."""
 
     # with ``slots=True`` on both subclasses an object holds no __dict__
     __slots__ = ("_fibres", "_zero")
@@ -798,28 +774,13 @@ class Tensor3(_FibreStore):
 
     @classmethod
     def zeros(cls, field: Field, d1: int, d2: int, d3: int) -> "Tensor3":
-        return cls(field, d1, d2, d3, (field.zero(),) * (d1 * d2 * d3))
+        return cls.from_nonzeros(field, d1, d2, d3, {})
 
     @classmethod
     def build(cls, field: Field, d1: int, d2: int, d3: int,
               fn: Callable[[int, int, int], Scalar]) -> "Tensor3":
         return cls(field, d1, d2, d3,
                    tuple(fn(i, j, k) for i in range(d1) for j in range(d2) for k in range(d3)))
-
-    @classmethod
-    def from_nested(cls, field: Field, nested: Sequence) -> "Tensor3":
-        d1 = len(nested)
-        d2 = len(nested[0]) if d1 else 0
-        d3 = len(nested[0][0]) if d2 else 0
-        ent = []
-        for plane in nested:
-            if len(plane) != d2:
-                raise ValueError("ragged tensor")
-            for row in plane:
-                if len(row) != d3:
-                    raise ValueError("ragged tensor")
-                ent.extend(field.of(x) for x in row)
-        return cls(field, d1, d2, d3, tuple(ent))
 
     def at(self, i: int, j: int, k: int) -> Scalar:
         if not (0 <= i < self.d1 and 0 <= j < self.d2 and 0 <= k < self.d3):

@@ -51,9 +51,8 @@ def sweedler_scaling(field: Field, lam) -> Matrix:
     lam = field.of(lam)
     if not lam:
         raise ValueError("scaling must be nonzero")
-    z, o = field.zero(), field.one()
-    return Matrix.from_rows(field, [[o, z, z, z], [z, o, z, z],
-                                    [z, z, lam, z], [z, z, z, lam]])
+    one = field.one()
+    return Matrix.from_nonzeros(field, 4, 4, {(0, 0): one, (1, 1): one, (2, 2): lam, (3, 3): lam})
 
 
 def twisted_sweedler(field: Field, lam=2) -> HomHopfAlgebra:
@@ -118,7 +117,8 @@ def regular_comodule(c: HomCoalgebra) -> HomComodule:
 def trivial_comodule(h: HomHopfAlgebra) -> HomComodule:
     """The one-dimensional comodule 1 -> 1 (x) 1_H."""
     field = h.field
-    coaction = Tensor3(field, 1, 1, h.dim, tuple(h.unit))
+    coaction = Tensor3.from_nonzeros(field, 1, 1, h.dim,
+                                     {(0, 0, k): e for k, e in enumerate(h.unit)})
     return HomComodule(field, 1, Matrix.identity(field, 1), coaction)
 
 

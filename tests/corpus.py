@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from homhopf.applications import regular_comodule_algebra, relative_datum, trivial_datum
@@ -28,19 +29,52 @@ def is_canonical(x, field: Field) -> bool:
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
+def dense(field: Field, entries, shape: tuple | None = None) -> Matrix | Tensor3:
+    """The Matrix (``shape`` (rows, cols)) or Tensor3 (``shape`` (d1, d2, d3))
+    with the dense ``entries``, built from their nonzeros with
+    ``from_nonzeros``, whose store makes each value canonical in ``field``
+    (an int, a Fraction or a string like "3/2") and drops the zeros.  Without
+    ``shape`` the entries are nested: a matrix's rows, or a tensor's planes
+    of rows; with it they are row-major, or a function of the index."""
+    if shape is None:
+        shape, part = (), entries
+        while isinstance(part, (list, tuple)):
+            shape += (len(part),)
+            part = part[0] if part else None
+        entries = _flat(entries, shape)
+    index = list(product(*map(range, shape)))
+    if callable(entries):
+        entries = [entries(*at) for at in index]
+    if len(entries) != len(index):
+        raise ValueError("entry count does not match dimensions")
+    cls = Matrix if len(shape) == 2 else Tensor3
+    return cls.from_nonzeros(field, *shape, {at: x for at, x in zip(index, entries) if x})
+
+
+def _flat(part, shape: tuple) -> list:
+    """The nested ``part`` of ``shape`` as one row-major list."""
+    if not shape:
+        return [part]
+    if len(part) != shape[0]:
+        raise ValueError("ragged entries")
+    return [x for sub in part for x in _flat(sub, shape[1:])]
+
+
+def dense_entries(x: Matrix | Tensor3) -> tuple:
+    """The row-major entries of ``x``, zeros included, read through ``at``."""
+    return tuple(x.at(*at) for at in product(*map(range, x.shape)))
+
+
 def candidate(field: Field, dim_c: int, dim_a: int, vec) -> IntegralCandidate:
     """The integral candidate whose coefficient of e_k in theta(e_i (x) e_j)
     is ``vec[theta_index(i, j, k)]``, built from the nonzero entries of the
-    dense ``vec`` with ``Tensor3.from_nonzeros``."""
-    theta = {(n // (dim_c * dim_a), n // dim_a % dim_c, n % dim_a): x
-             for n, x in enumerate(vec) if x}
-    return IntegralCandidate(field, dim_c, dim_a,
-                             Tensor3.from_nonzeros(field, dim_c, dim_c, dim_a, theta))
+    dense ``vec`` with :func:`dense`."""
+    return IntegralCandidate(field, dim_c, dim_a, dense(field, vec, (dim_c, dim_c, dim_a)))
 
 
 def random_invertible(field: Field, n: int, rng: random.Random, span: int = 3) -> Matrix:
     while True:
-        m = Matrix.build(field, n, n, lambda r, c: field.of(rng.randint(-span, span)))
+        m = dense(field, lambda r, c: rng.randint(-span, span), (n, n))
         if m.inverse() is not None:
             return m
 
@@ -61,7 +95,7 @@ def cyclic_rep(field: Field, dim: int, order: int, rng: random.Random) -> Matrix
         for i in range(d):
             ent[start + (i + 1) % d][start + i] = one
         start += d
-    g0 = Matrix.build(field, dim, dim, lambda r, c: ent[r][c])
+    g0 = dense(field, ent)
     p = random_invertible(field, dim, rng)
     return p @ g0 @ p.inverse()
 
@@ -125,9 +159,9 @@ def twist_breaking_module(field: Field) -> DoiModule:
     module: k acts through the twist [[1, 1], [0, 1]], and the grading
     coaction e_i -> e_i (x) g^i ignores the twist, so the comodule twist,
     counit and coassociativity laws and the Doi law all fail."""
-    mu = Matrix.from_rows(field, [[1, 1], [0, 1]])
-    action = Tensor3.build(field, 2, 1, 2, lambda i, _, j: mu.at(j, i))
-    coaction = Tensor3.from_nested(field, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    mu = dense(field, [[1, 1], [0, 1]])
+    action = dense(field, lambda i, _, j: mu.at(j, i), (2, 1, 2))
+    coaction = dense(field, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
     return DoiModule(field, 2, mu, action, coaction)
 
 
@@ -143,14 +177,14 @@ def random_module_over_group_algebra(h: HomHopfAlgebra, dim: int,
     for _ in range(n - 1):
         powers.append(powers[-1] @ g)
     mats = [mu @ powers[a] for a in range(n)]
-    action = Tensor3.build(field, dim, n, dim, lambda m, a, mm: mats[a].at(mm, m))
+    action = dense(field, lambda m, a, mm: mats[a].at(mm, m), (dim, n, dim))
     return HomModule(field, dim, mu, action)
 
 
 def random_module_over_scalars(field: Field, dim: int, rng: random.Random) -> HomModule:
     """A module over the one-dimensional Hopf algebra: any invertible twist."""
     mu = random_invertible(field, dim, rng)
-    action = Tensor3.build(field, dim, 1, dim, lambda m, _, mm: mu.at(mm, m))
+    action = dense(field, lambda m, _, mm: mu.at(mm, m), (dim, 1, dim))
     return HomModule(field, dim, mu, action)
 
 
@@ -160,9 +194,8 @@ def graded_comodule(h: HomHopfAlgebra, degrees, mu: Matrix) -> HomComodule:
     field = h.field
     dim = len(degrees)
     mu_inv = mu.inverse()
-    coaction = Tensor3.build(field, dim, dim, h.dim,
-                             lambda i, j, c: mu_inv.at(j, i) if c == degrees[i]
-                             else field.zero())
+    coaction = dense(field, lambda i, j, c: mu_inv.at(j, i) if c == degrees[i] else 0,
+                     (dim, dim, h.dim))
     return HomComodule(field, dim, mu, coaction)
 
 
@@ -176,7 +209,7 @@ def random_graded_comodule(h: HomHopfAlgebra, dim: int, rng: random.Random) -> H
             for j in range(dim):
                 if degrees[i] == degrees[j]:
                     ent[i][j] = field.of(rng.randint(-2, 2))
-        mu = Matrix.build(field, dim, dim, lambda r, c: ent[r][c])
+        mu = dense(field, ent)
         if mu.inverse() is not None:
             return graded_comodule(h, degrees, mu)
 
@@ -192,8 +225,8 @@ def yd_regular_action_trivial_coaction(h: HomHopfAlgebra, mu: Matrix | None = No
     mu_inv = mu.inverse()
     # action m.a = (mu alpha^-1)(m a); for mu = alpha this is the regular action
     action = _compose_output(h.mult, mu @ h.alpha_inv)
-    coaction = Tensor3.build(field, n, n, h.dim, lambda i, j, c:
-                             (mu_inv @ h.alpha_inv).at(j, i) * _unit_coeff(h, c))
+    coaction = dense(field, lambda i, j, c: (mu_inv @ h.alpha_inv).at(j, i) * _unit_coeff(h, c),
+                     (n, n, h.dim))
     return DoiModule(field, n, mu, action, coaction)
 
 
@@ -214,7 +247,7 @@ def _compose_output(t: Tensor3, m: Matrix) -> Tensor3:
                     s = s + e * v
         return s
 
-    return Tensor3.build(field, t.d1, t.d2, t.d3, entry)
+    return dense(field, entry, t.shape)
 
 
 def yd_trivial_action_group_coaction(h: HomHopfAlgebra) -> DoiModule:
@@ -222,10 +255,8 @@ def yd_trivial_action_group_coaction(h: HomHopfAlgebra) -> DoiModule:
     grouplike grading of the regular basis."""
     field = h.field
     n = h.dim
-    action = Tensor3.build(field, n, n, n,
-                           lambda m, a, mm: h.counit[a] if mm == m else field.zero())
-    coaction = Tensor3.build(field, n, n, n,
-                             lambda i, j, c: field.one() if i == j == c else field.zero())
+    action = dense(field, lambda m, a, mm: h.counit[a] if mm == m else 0, (n, n, n))
+    coaction = dense(field, lambda i, j, c: 1 if i == j == c else 0, (n, n, n))
     return DoiModule(field, n, Matrix.identity(field, n), action, coaction)
 
 
@@ -239,7 +270,6 @@ def yd_regular_action_unit_coaction(h: HomHopfAlgebra) -> DoiModule:
     """Multiplication action with the coaction m -> alpha^-1(m) (x) 1."""
     field = h.field
     n = h.dim
-    coaction = Tensor3.build(field, n, n, n,
-                             lambda i, j, c: h.alpha_inv.at(j, i) * h.unit[c])
+    coaction = dense(field, lambda i, j, c: h.alpha_inv.at(j, i) * h.unit[c], (n, n, n))
     return DoiModule(field, n, h.alpha, h.mult, coaction)
 

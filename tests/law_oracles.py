@@ -14,6 +14,7 @@ from fractions import Fraction
 from homhopf.core import HomHopfAlgebra, _require_over
 from homhopf.doi import DoiDatum, DoiModule
 from homhopf.integrals import IntegralCandidate
+from corpus import dense
 from homhopf.linalg import (Field, Matrix, Tensor3, require_same_field, vec_add_scaled,
                             vec_dense, vec_dot, vec_sparse, vec_sub, vec_tensor)
 from homhopf.maschke import build_retraction
@@ -195,4 +196,4 @@ def integral_from_dual(phi: DualIntegral, h: HomHopfAlgebra) -> IntegralCandidat
     def entry(i, j, _k):
         return vec_dot(field, h.mult.apply({j: one}, s_inv_col[i]), phi.phi)
 
-    return IntegralCandidate(field, n, 1, Tensor3.build(field, n, n, 1, entry))
+    return IntegralCandidate(field, n, 1, dense(field, entry, (n, n, 1)))

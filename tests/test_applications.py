@@ -6,7 +6,8 @@ import tracemalloc
 
 import pytest
 
-from corpus import (candidate, random_graded_comodule, twist_corpus, yd_both_regular,
+from corpus import (candidate, dense, dense_entries, random_graded_comodule, twist_corpus,
+                    yd_both_regular,
                     yd_regular_action_trivial_coaction,
                     yd_regular_action_unit_coaction,
                     yd_trivial_action_group_coaction)
@@ -57,7 +58,7 @@ class TestDataConstructors:
         from homhopf.core import HomComodule
         candidates.append(HomComodule(Q, 2, Matrix.identity(Q, 2),
                                       Tensor3.zeros(Q, 2, 2, 2)))
-        bad = Tensor3.from_nested(Q, [[[1, 1], [0, 0]], [[0, 0], [1, 1]]])
+        bad = dense(Q, [[[1, 1], [0, 0]], [[0, 0], [1, 1]]])
         candidates.append(HomComodule(Q, 2, Matrix.identity(Q, 2), bad))
         for m in candidates:
             comodule_verdict = check_hom_comodule(m, h.as_coalgebra()).passed
@@ -188,7 +189,7 @@ class TestYdDatum:
     def test_requires_invertible_antipode(self):
         h = group_algebra(2, Q)
         broken = type(h)(Q, 2, h.alpha, h.mult, h.unit, h.comult, h.counit,
-                         Matrix.from_rows(Q, [[1, 1], [1, 1]]))
+                         dense(Q, [[1, 1], [1, 1]]))
         with pytest.raises(ValueError):
             yd_datum(broken)
 
@@ -241,7 +242,7 @@ def yd_corpus(h, rng):
                     yd_regular_action_trivial_coaction(h), True))
         out.append(("trivial_action_group_coaction",
                     yd_trivial_action_group_coaction(h), True))
-        mu = Matrix.from_rows(h.field, [[1, 2], [2, 1]])  # 1 + 2g, in the commutant
+        mu = dense(h.field, [[1, 2], [2, 1]])  # 1 + 2g, in the commutant
         out.append(("regular_action_trivial_coaction_twisted",
                     yd_regular_action_trivial_coaction(h, mu), None))
     return out
@@ -315,8 +316,8 @@ class TestYdModules:
         m = trivial_yd_module(h)
         sf = StructureFile(Q, {"H": hopf_to_raw(h), "M": yd_module_to_raw(m, "H")})
         back = sf.build("M")
-        assert back.action.entries == m.action.entries
-        assert back.coaction.entries == m.coaction.entries
+        assert dense_entries(back.action) == dense_entries(m.action)
+        assert dense_entries(back.coaction) == dense_entries(m.coaction)
         assert back.mu == m.mu
 
     def test_doi_check_rejects_invalid(self):
@@ -370,7 +371,7 @@ class TestDualIntegrals:
         d = trivial_datum(h)
         sol = solve_normalized_integral(d)
         cand = integral_from_dual(dual_right_integrals(h)[0], h)
-        assert cand.theta.entries == sol.theta.entries
+        assert dense_entries(cand.theta) == dense_entries(sol.theta)
         assert verify_integral(cand, d).passed
 
     def test_integral_from_dual_scalar(self):
@@ -415,7 +416,7 @@ class TestDualIntegrals:
             verified = cand is not None and verify_integral(cand, d).passed
             assert isinstance(sol, IntegralCandidate) == verified
             if verified:
-                assert cand.theta.entries == sol.theta.entries
+                assert dense_entries(cand.theta) == dense_entries(sol.theta)
 
 
 class TestScalarConditions:
@@ -447,7 +448,7 @@ class TestScalarConditions:
         sol = solve_normalized_integral(d)
         if isinstance(sol, IntegralCandidate):
             candidates.append(sol)
-            candidates.append(candidate(Q, h.dim, 1, [x + x for x in sol.theta.entries]))
+            candidates.append(candidate(Q, h.dim, 1, [x + x for x in dense_entries(sol.theta)]))
         for phi in dual_right_integrals(h):
             candidates.append(integral_from_dual(phi, h))
         rng = random.Random(40)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import is_canonical
+from corpus import dense, dense_entries, is_canonical
 from homhopf.applications import regular_comodule_algebra, relative_datum, trivial_datum, yd_datum
 from homhopf.core import HomHopfAlgebra, check_hom_hopf
 from homhopf.integrals import (Infeasible, IntegralCandidate, solve_normalized_integral,
@@ -45,7 +45,7 @@ def scalars(x):
     """Every scalar held by ``x``: matrices, tensors, sparse vectors,
     sequences, solutions, integrals, certificates and reports."""
     if isinstance(x, (Matrix, Tensor3)):
-        yield from x.entries
+        yield from dense_entries(x)
     elif isinstance(x, dict):
         yield from x.values()
     elif isinstance(x, (list, tuple)):
@@ -75,9 +75,9 @@ def matrices(draw, field, rows=None, cols=None):
     cols = draw(st.integers(1, 4)) if cols is None else cols
     ent = draw(st.lists(values(field), min_size=rows * cols, max_size=rows * cols))
     if field.p is None:
-        # the dense constructor keeps what it is given, also a Fraction(2, 1)
-        return Matrix(field, rows, cols, tuple(Fraction(x) for x in ent))
-    return Matrix(field, rows, cols, tuple(field.of(x) for x in ent))
+        # the store is handed every value as a Fraction, also a Fraction(2, 1)
+        return dense(field, [Fraction(x) for x in ent], (rows, cols))
+    return dense(field, [field.of(x) for x in ent], (rows, cols))
 
 
 class TestFieldScalars:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_module_over_group_algebra
+from corpus import dense, dense_entries, random_module_over_group_algebra
 from homhopf.applications import regular_comodule_algebra, relative_datum, trivial_datum
 from homhopf.core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra, HomModule,
                           check_hom_algebra, check_hom_coalgebra, check_hom_comodule,
@@ -91,7 +91,7 @@ def reference_hom_module(m: HomModule, a: HomAlgebra) -> AxiomReport:
 
 def _counit_row(c) -> Matrix:
     """The counit of ``c`` as a 1 x dim matrix."""
-    return Matrix.from_rows(c.field, [list(c.counit)])
+    return dense(c.field, [list(c.counit)])
 
 
 def _scalar(field, v: dict):
@@ -244,8 +244,8 @@ def _invertible(draw, field: Field, n: int) -> Matrix:
     perm = draw(st.permutations(range(n)))
     diag = draw(st.lists(NONZERO, min_size=n, max_size=n))
     upper = _entries(draw, n * n)
-    u = Matrix.build(field, n, n, lambda r, c: field.of(
-        diag[r] if r == c else upper[r * n + c] if c > r else 0))
+    u = dense(field, lambda r, c: diag[r] if r == c else upper[r * n + c] if c > r else 0,
+              (n, n))
     p = Matrix.from_nonzeros(field, n, n, {(perm[c], c): field.one() for c in range(n)})
     return p @ u
 
@@ -255,14 +255,14 @@ def random_algebras(draw):
     field = draw(FIELDS)
     n = draw(st.integers(1, 4))
     return HomAlgebra(field, n, _invertible(draw, field, n),
-                      Tensor3(field, n, n, n, _entries(draw, n ** 3)), _entries(draw, n))
+                      dense(field, _entries(draw, n ** 3), (n, n, n)), _entries(draw, n))
 
 
 @st.composite
 def random_modules(draw):
     a = draw(random_algebras())
     dm = draw(st.integers(1, 5))
-    action = Tensor3(a.field, dm, a.dim, dm, _entries(draw, dm * a.dim * dm))
+    action = dense(a.field, _entries(draw, dm * a.dim * dm), (dm, a.dim, dm))
     return HomModule(a.field, dm, _invertible(draw, a.field, dm), action), a
 
 
@@ -271,14 +271,14 @@ def random_coalgebras(draw):
     field = draw(FIELDS)
     n = draw(st.integers(1, 4))
     return HomCoalgebra(field, n, _invertible(draw, field, n),
-                        Tensor3(field, n, n, n, _entries(draw, n ** 3)), _entries(draw, n))
+                        dense(field, _entries(draw, n ** 3), (n, n, n)), _entries(draw, n))
 
 
 @st.composite
 def random_comodules(draw):
     c = draw(random_coalgebras())
     dm = draw(st.integers(1, 4))
-    coaction = Tensor3(c.field, dm, dm, c.dim, _entries(draw, dm * dm * c.dim))
+    coaction = dense(c.field, _entries(draw, dm * dm * c.dim), (dm, dm, c.dim))
     return HomComodule(c.field, dm, _invertible(draw, c.field, dm), coaction), c
 
 
@@ -287,9 +287,9 @@ def random_hopf_algebras(draw):
     field = draw(FIELDS)
     n = draw(st.integers(1, 4))
     return HomHopfAlgebra(field, n, _invertible(draw, field, n),
-                          Tensor3(field, n, n, n, _entries(draw, n ** 3)), _entries(draw, n),
-                          Tensor3(field, n, n, n, _entries(draw, n ** 3)), _entries(draw, n),
-                          Matrix(field, n, n, _entries(draw, n * n)))
+                          dense(field, _entries(draw, n ** 3), (n, n, n)), _entries(draw, n),
+                          dense(field, _entries(draw, n ** 3), (n, n, n)), _entries(draw, n),
+                          dense(field, _entries(draw, n * n), (n, n)))
 
 
 @st.composite
@@ -298,7 +298,7 @@ def random_automorphisms(draw):
     h = draw(random_hopf_algebras())
     n = h.dim
     a = (_invertible(draw, h.field, n) if draw(st.booleans())
-         else Matrix(h.field, n, n, _entries(draw, n * n)))
+         else dense(h.field, _entries(draw, n * n), (n, n)))
     return h, a
 
 
@@ -310,10 +310,10 @@ ZOO = [lambda f: group_algebra(1, f), lambda f: group_algebra(2, f),
 
 def _changed(draw, t: Tensor3) -> Tensor3:
     """``t`` with one entry moved by a drawn amount (possibly zero)."""
-    ent = list(t.entries)
+    ent = list(dense_entries(t))
     idx = draw(st.integers(0, len(ent) - 1))
     ent[idx] = ent[idx] + t.field.of(draw(SCALARS))
-    return Tensor3(t.field, t.d1, t.d2, t.d3, tuple(ent))
+    return dense(t.field, ent, t.shape)
 
 
 @st.composite
@@ -332,10 +332,10 @@ def zoo_modules(draw):
 
 def _changed_matrix(draw, m: Matrix) -> Matrix:
     """``m`` with one entry moved by a drawn amount (possibly zero)."""
-    ent = list(m.entries)
+    ent = list(dense_entries(m))
     idx = draw(st.integers(0, len(ent) - 1))
     ent[idx] = ent[idx] + m.field.of(draw(SCALARS))
-    return Matrix(m.field, m.rows, m.cols, tuple(ent))
+    return dense(m.field, ent, m.shape)
 
 
 @st.composite
@@ -506,14 +506,14 @@ def induced_pairs(draw):
     kind = draw(st.sampled_from(["random", "zero", "identity"]))
     if kind == "identity":
         dst = src
-        ent = list(Matrix.identity(field, src.dim).entries)
+        ent = list(dense_entries(Matrix.identity(field, src.dim)))
         idx = draw(st.integers(0, len(ent) - 1))
         ent[idx] = ent[idx] + field.of(draw(SCALARS))
-        f = Matrix(field, src.dim, src.dim, tuple(ent))
+        f = dense(field, ent, (src.dim, src.dim))
     elif kind == "zero":
         f = Matrix.zeros(field, dst.dim, src.dim)
     else:
-        f = Matrix(field, dst.dim, src.dim, _entries(draw, dst.dim * src.dim))
+        f = dense(field, _entries(draw, dst.dim * src.dim), (dst.dim, src.dim))
     return f, src, dst, d
 
 

@@ -4,7 +4,8 @@ an independently coded classical brute-force evaluator on the full corpus."""
 import random
 
 import classical_oracle as oracle
-from corpus import random_graded_comodule, random_module_over_group_algebra
+from corpus import (dense, dense_entries, random_graded_comodule,
+                    random_module_over_group_algebra)
 from homhopf.applications import (comodule_to_doi, regular_comodule_algebra,
                                   relative_datum, trivial_datum)
 from homhopf.core import (HomComodule, HomHopfAlgebra, check_hom_algebra,
@@ -26,19 +27,19 @@ def nested_mult(h):
 def corrupted_hopf_variants(h):
     """Small deterministic perturbations of one structure constant each."""
     variants = []
-    ent = list(h.mult.entries)
+    ent = list(dense_entries(h.mult))
     ent[0] = ent[0] + Q.one()
     variants.append(("mult", HomHopfAlgebra(h.field, h.dim, h.alpha,
-                                            Tensor3(h.field, h.dim, h.dim, h.dim, tuple(ent)),
+                                            dense(h.field, ent, h.mult.shape),
                                             h.unit, h.comult, h.counit, h.antipode)))
-    ent = list(h.comult.entries)
+    ent = list(dense_entries(h.comult))
     ent[-1] = ent[-1] + Q.one()
     variants.append(("comult", HomHopfAlgebra(h.field, h.dim, h.alpha, h.mult, h.unit,
-                                              Tensor3(h.field, h.dim, h.dim, h.dim, tuple(ent)),
+                                              dense(h.field, ent, h.comult.shape),
                                               h.counit, h.antipode)))
-    bad_s = Matrix.build(h.field, h.dim, h.dim,
-                         lambda r, c: h.antipode.at(r, c) + (Q.one() if r == c == h.dim - 1
-                                                             else Q.zero()))
+    bad_s = dense(h.field, lambda r, c: h.antipode.at(r, c) + (Q.one() if r == c == h.dim - 1
+                                                              else Q.zero()),
+                  h.antipode.shape)
     variants.append(("antipode", HomHopfAlgebra(h.field, h.dim, h.alpha, h.mult, h.unit,
                                                 h.comult, h.counit, bad_s)))
     return variants
@@ -81,9 +82,9 @@ class TestModuleLevel:
                 candidates.append(m)
         # force a few identity-twist modules: take mu = id variants directly
         from homhopf.core import HomModule
-        g = Matrix.from_rows(Q, [[0, 1], [1, 0]])
-        action = Tensor3.build(Q, 2, 2, 2,
-                               lambda m, a, mm: (g if a else Matrix.identity(Q, 2)).at(mm, m))
+        g = dense(Q, [[0, 1], [1, 0]])
+        action = dense(Q, lambda m, a, mm: (g if a else Matrix.identity(Q, 2)).at(mm, m),
+                       (2, 2, 2))
         candidates.append(HomModule(Q, 2, Matrix.identity(Q, 2), action))
         bad = HomModule(Q, 2, Matrix.identity(Q, 2), Tensor3.zeros(Q, 2, 2, 2))
         candidates.append(bad)
@@ -98,9 +99,8 @@ class TestModuleLevel:
         degrees_options = [[0], [1], [0, 1], [0, 0], [1, 1]]
         for degs in degrees_options:
             dim = len(degs)
-            coaction = Tensor3.build(Q, dim, dim, 2,
-                                     lambda i, j, c, d=degs: Q.one()
-                                     if i == j and c == d[i] else Q.zero())
+            coaction = dense(Q, lambda i, j, c, d=degs: Q.one()
+                             if i == j and c == d[i] else Q.zero(), (dim, dim, 2))
             candidates.append(HomComodule(Q, dim, Matrix.identity(Q, dim), coaction))
         candidates.append(HomComodule(Q, 2, Matrix.identity(Q, 2), Tensor3.zeros(Q, 2, 2, 2)))
         for m in candidates:
@@ -139,18 +139,17 @@ class TestDoiLevel:
         rng = random.Random(60)
         candidates = []
         from homhopf.core import HomModule
-        g = Matrix.from_rows(Q, [[0, 1], [1, 0]])
-        action = Tensor3.build(Q, 2, 2, 2,
-                               lambda m, a, mm: (g if a else Matrix.identity(Q, 2)).at(mm, m))
+        g = dense(Q, [[0, 1], [1, 0]])
+        action = dense(Q, lambda m, a, mm: (g if a else Matrix.identity(Q, 2)).at(mm, m),
+                       (2, 2, 2))
         n = HomModule(Q, 2, Matrix.identity(Q, 2), action)
         candidates.append(induce(n, d))
         good = candidates[0]
         candidates.append(DoiModule(Q, good.dim, good.mu, good.action,
                                     Tensor3.zeros(Q, good.dim, good.dim, 2)))
         mu_inv = good.mu.inverse()
-        trivial_grading = Tensor3.build(Q, good.dim, good.dim, 2,
-                                        lambda i, j, c: mu_inv.at(j, i)
-                                        if c == 0 else Q.zero())
+        trivial_grading = dense(Q, lambda i, j, c: mu_inv.at(j, i) if c == 0 else Q.zero(),
+                                (good.dim, good.dim, 2))
         candidates.append(DoiModule(Q, good.dim, good.mu, good.action, trivial_grading))
         for m in candidates:
             classical = oracle.doi_module_ok(

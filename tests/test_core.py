@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import twist_corpus
+from corpus import dense, twist_corpus
 from homhopf.core import (HomAlgebra, HomCoalgebra, HomComodule, HomHopfAlgebra, HomModule,
                           check_hom_algebra, check_hom_coalgebra, check_hom_comodule,
                           check_hom_hopf, check_hom_module,
@@ -66,7 +66,7 @@ class TestGoldenStructures:
 class TestCorruptions:
     def test_corrupted_group_multiplication_fails_unit(self):
         h = group_algebra(2, Q)
-        bad_mult = Tensor3.from_nested(Q, [[[0, 1], [0, 1]], [[0, 1], [1, 0]]])
+        bad_mult = dense(Q, [[[0, 1], [0, 1]], [[0, 1], [1, 0]]])
         bad = h.as_algebra()
         bad.mult = bad_mult
         report = check_hom_algebra(bad)
@@ -79,15 +79,15 @@ class TestCorruptions:
         h = group_algebra(2, Q)
         c = h.as_coalgebra()
         # Delta(g) = g (x) 1 breaks left/right counit symmetry
-        c.comult = Tensor3.from_nested(Q, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
+        c.comult = dense(Q, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
         report = check_hom_coalgebra(c)
         assert not report.passed
         assert {"left_counit", "right_counit"} & set(report.failing_axioms())
 
     def test_corrupted_antipode_located_at_x(self):
         h = sweedler_h4(Q)
-        bad = Matrix.from_rows(Q, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                   [0, 0, 0, 1], [0, 0, 1, 0]])  # S(x) = +gx
+        bad = dense(Q, [[1, 0, 0, 0], [0, 1, 0, 0],
+                        [0, 0, 0, 1], [0, 0, 1, 0]])  # S(x) = +gx
         h2 = HomHopfAlgebra(Q, 4, h.alpha, h.mult, h.unit, h.comult, h.counit, bad)
         report = check_hom_hopf(h2)
         assert not report.passed
@@ -222,8 +222,8 @@ class TestYauTwist:
 
     def test_non_automorphism_rejected_with_identity_name(self):
         h = group_algebra(4, Q)
-        bad = Matrix.from_rows(Q, [[1, 0, 0, 0], [0, 0, 1, 0],
-                                   [0, 1, 0, 0], [0, 0, 0, 1]])  # g -> g^2: not invertible as hom
+        bad = dense(Q, [[1, 0, 0, 0], [0, 0, 1, 0],
+                        [0, 1, 0, 0], [0, 0, 0, 1]])  # g -> g^2: not invertible as hom
         with pytest.raises(ConstructionError) as exc:
             yau_twist(h, bad)
         assert "automorphism" in str(exc.value)
@@ -242,7 +242,7 @@ class TestYauTwist:
     def test_automorphism_of_wrong_shape_rejected(self, rows, cols):
         # 3x2 died with an IndexError, 2x3 failed automorphism_comult
         h = group_algebra(2, Q)
-        a = Matrix.from_rows(Q, [[int(r == c) for c in range(cols)] for r in range(rows)])
+        a = dense(Q, [[int(r == c) for c in range(cols)] for r in range(rows)])
         for entry in (hopf_automorphism_report, yau_twist):
             with pytest.raises(ValueError, match=f"is a {rows}x{cols} matrix .* needs 2x2"):
                 entry(h, a)

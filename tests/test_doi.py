@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from corpus import (random_module_over_group_algebra, random_module_over_scalars,
+from corpus import (dense, random_module_over_group_algebra, random_module_over_scalars,
                     twist_breaking_module, twist_corpus)
 from homhopf import core, doi
 from homhopf.applications import (check_yd_module, check_yd_substructures, comodule_to_doi,
@@ -562,9 +562,8 @@ class TestMorphisms:
         n = random_module_over_group_algebra(rel_kz2.hopf, 2, random.Random(6))
         gn = induce(n, rel_kz2)
         mu_inv = gn.mu.inverse()
-        trivial_grading = Tensor3.build(Q, gn.dim, gn.dim, 2,
-                                        lambda i, j, c: mu_inv.at(j, i)
-                                        if c == 0 else Q.zero())
+        trivial_grading = dense(Q, lambda i, j, c: mu_inv.at(j, i) if c == 0 else Q.zero(),
+                                (gn.dim, gn.dim, 2))
         bad = DoiModule(Q, gn.dim, gn.mu, gn.action, trivial_grading)
         rep = check_doi_module(bad, rel_kz2)
         assert not rep.passed

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from corpus import candidate, is_canonical, twist_corpus
+from corpus import candidate, dense, dense_entries, is_canonical, twist_corpus
 from law_oracles import reduced_mod
 from homhopf.applications import (regular_comodule_algebra, relative_datum,
                                   trivial_datum, yd_datum)
@@ -215,7 +215,7 @@ class TestSolve:
         d = trivial_datum(group_algebra(4, Q))
         r1 = solve_normalized_integral(d)
         r2 = solve_normalized_integral(d)
-        assert r1.theta.entries == r2.theta.entries
+        assert dense_entries(r1.theta) == dense_entries(r2.theta)
 
 
 class TestVerify:
@@ -230,14 +230,14 @@ class TestVerify:
         # homogeneity: the linear families survive scaling, normalization not
         d = trivial_datum(group_algebra(2, Q))
         sol = solve_normalized_integral(d)
-        doubled = candidate(Q, 2, 1, [x + x for x in sol.theta.entries])
+        doubled = candidate(Q, 2, 1, [x + x for x in dense_entries(sol.theta)])
         rep = verify_integral(doubled, d)
         assert rep.failing_axioms() == ("normalization",)
 
     def test_homogeneous_families_scale(self):
         d = trivial_datum(group_algebra(3, Q))
         sol = solve_normalized_integral(d)
-        tripled = candidate(Q, 3, 1, [Q.of(3) * x for x in sol.theta.entries])
+        tripled = candidate(Q, 3, 1, [Q.of(3) * x for x in dense_entries(sol.theta)])
         res = _residuals(tripled, d)
         for (fam, _), r in res.items():
             if fam != "normalization":
@@ -245,7 +245,7 @@ class TestVerify:
 
     def test_candidate_rejects_theta_over_another_field(self):
         # over GF(7) the entry 8 is 1, so this theta would pass on kZ2 over Q
-        theta = Tensor3(Field.prime(7), 2, 2, 1, (1, 0, 0, 8))
+        theta = dense(Field.prime(7), (1, 0, 0, 8), (2, 2, 1))
         with pytest.raises(ValueError, match="the theta tensor is over GF.7. but the "
                                              "IntegralCandidate is over Q"):
             IntegralCandidate(Q, 2, 1, theta)
@@ -253,8 +253,9 @@ class TestVerify:
     def test_candidate_reduces_entries_over_gf(self):
         gf7 = Field.prime(7)
         cand = candidate(gf7, 2, 1, [1, 0, 0, 8])
-        assert cand.theta == Tensor3(gf7, 2, 2, 1, (gf7.one(), 0, 0, gf7.one()))
-        assert [str(x) for x in cand.theta.entries] == ["1", "0", "0", "1"]
+        one = gf7.one()
+        assert cand.theta == Tensor3.from_nonzeros(gf7, 2, 2, 1, {(0, 0, 0): one, (1, 1, 0): one})
+        assert [str(x) for x in dense_entries(cand.theta)] == ["1", "0", "0", "1"]
         assert verify_integral(cand, trivial_datum(group_algebra(2, gf7))).passed
 
     def test_dimension_mismatch(self):
@@ -326,7 +327,7 @@ class TestWitness:
             rows += [s.affine_lhs.row(i) for i in range(s.affine_lhs.rows)]
             rhs = [field.zero()] * s.homogeneous.rows + list(s.affine_rhs)
             if isinstance(r, IntegralCandidate):
-                vec = r.theta.entries
+                vec = dense_entries(r.theta)
                 assert all(_dot(row, vec, field) == b for row, b in zip(rows, rhs)), key
                 continue
             acc = [field.zero()] * s.unknown_count
@@ -536,7 +537,7 @@ class TestFirstPass:
             assert (fast.witness_row, fast.witness_value, fast.combination) == (
                 full.witness_row, full.witness_value, full.combination), key
         else:
-            assert fast.theta == full.theta and fast.theta.entries == full.theta.entries, key
+            assert fast.theta == full.theta and dense_entries(fast.theta) == dense_entries(full.theta), key
             assert fast.report == verify_integral(fast, d), key
             assert fast.report.format() == verify_integral(fast, d).format(), key
 

@@ -1,7 +1,7 @@
 """The structure-file boundary: coefficients are parsed once per distinct
 string, and matrices and tensors are decoded straight into their nonzero
-fibres.  These tests pin that the result is the object the dense
-constructors build, over Q and GF(7), with the parser's errors unchanged."""
+fibres.  These tests pin that the result is the object built from the
+same dense entries, over Q and GF(7), with the parser's errors unchanged."""
 
 import collections
 import gc
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import is_canonical
+from corpus import dense, dense_entries, is_canonical
 from homhopf.golden import golden_file, golden_names
 from homhopf.integrals import solve_normalized_integral
 from homhopf.io import (StructureFile, StructureParseError, field_to_raw, integral_to_raw,
@@ -47,12 +47,11 @@ def _reparse(sf):
 
 
 def _dense(field, raw):
-    """The part ``raw`` (nested lists of strings) through the dense constructors."""
+    """The part ``raw`` (nested lists of strings) read densely: a vector as
+    the tuple of its values, a matrix or tensor through ``corpus.dense``."""
     if not isinstance(raw[0], list):
         return tuple(field.of(x) for x in raw)
-    if not isinstance(raw[0][0], list):
-        return Matrix.from_rows(field, raw)
-    return Tensor3.from_nested(field, raw)
+    return dense(field, raw)
 
 
 def _attr(obj, path):
@@ -92,8 +91,7 @@ def test_decoded_parts_equal_the_dense_constructors(field, name):
             assert part == dense, (obj, key)
             if not isinstance(dense, tuple):
                 assert part.shape == dense.shape
-                assert part.entries == dense.entries
-                assert tuple(part.entries) == tuple(dense.entries)
+                assert dense_entries(part) == dense_entries(dense)
             seen += 1
     assert seen
 
@@ -190,8 +188,8 @@ def test_same_string_is_each_fields_own_value():
     assert type(q.at(0, 1)) is int
     assert gf.row(0) == [GFElement(5, 7), GFElement(1, 7), GFElement(0, 7)]
     assert all(type(x) is GFElement for x in gf.row(0))
-    assert q == Matrix.from_rows(Field.rationals(), [[Fraction(3, 2), 8, 0]])
-    assert gf == Matrix.from_rows(Field.prime(7), [[5, 1, 0]])
+    assert q == dense(Field.rationals(), [[Fraction(3, 2), 8, 0]])
+    assert gf == dense(Field.prime(7), [[5, 1, 0]])
 
 
 def test_scalars_are_not_shared_between_files():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import (integral_corpus, random_module_over_group_algebra,
+from corpus import (dense, dense_entries, integral_corpus, random_module_over_group_algebra,
                     random_module_over_scalars, seeded_twist, twist_breaking_module)
 from homhopf.applications import (comodule_to_doi, regular_comodule_algebra,
                                   relative_datum, trivial_datum)
@@ -118,9 +118,9 @@ class TestRetractionReport:
     def test_retraction_with_one_entry_changed(self, setting):
         d, m, nu = setting
         assert retraction_report(nu, m, d).passed
-        ent = list(nu.entries)
+        ent = list(dense_entries(nu))
         ent[1] = ent[1] + Q.one()
-        bad = Matrix(Q, nu.rows, nu.cols, tuple(ent))
+        bad = dense(Q, ent, nu.shape)
         assert self.summary(retraction_report(bad, m, d)) == (
             6, [("a_linear", (0,)), ("a_linear", (1,)), ("a_linear", (2,)),
                 ("c_colinear", ()), ("twist_commutes", ())],
@@ -149,14 +149,14 @@ class TestExtraction:
         _, d, theta = kz2_setting
         nu = build_retraction(theta, canonical_module(d), d)
         back = extract_integral(nu, d)
-        assert back.theta.entries == theta.theta.entries
+        assert dense_entries(back.theta) == dense_entries(theta.theta)
 
     def test_round_trip_twisted(self):
         d = trivial_datum(twisted_group_algebra(4, 3, Q))
         theta = solve_normalized_integral(d)
         nu = build_retraction(theta, canonical_module(d), d)
         back = extract_integral(nu, d)
-        assert back.theta.entries == theta.theta.entries
+        assert dense_entries(back.theta) == dense_entries(theta.theta)
 
     def test_round_trip_relative(self):
         d = relative_datum(group_algebra(2, Q),
@@ -164,7 +164,7 @@ class TestExtraction:
         theta = solve_normalized_integral(d)
         nu = build_retraction(theta, canonical_module(d), d)
         back = extract_integral(nu, d)
-        assert back.theta.entries == theta.theta.entries
+        assert dense_entries(back.theta) == dense_entries(theta.theta)
 
     @pytest.mark.parametrize("make", [
         lambda: twisted_group_algebra(4, 3, Q),
@@ -177,7 +177,7 @@ class TestExtraction:
         theta = solve_normalized_integral(d)
         nu = build_retraction(theta, canonical_module(d), d)
         back = extract_integral(nu, d)
-        assert back.theta.entries == theta.theta.entries
+        assert dense_entries(back.theta) == dense_entries(theta.theta)
 
     def test_round_trip_twisted_sweedler_relative(self):
         # H-valued integrals exist for the relative datum even though the
@@ -188,7 +188,7 @@ class TestExtraction:
         assert not isinstance(theta, Infeasible)
         nu = build_retraction(theta, canonical_module(d), d)
         back = extract_integral(nu, d)
-        assert back.theta.entries == theta.theta.entries
+        assert dense_entries(back.theta) == dense_entries(theta.theta)
 
     def test_trivial_datum_scalar(self):
         d = trivial_datum(one_dimensional_hopf(Q))
@@ -309,7 +309,7 @@ class TestSplitting:
 
     def test_non_morphism_rejected(self):
         d, theta, reg, tri, big = self._setting()
-        f_bad = Matrix.from_rows(Q, [[1, 0, 0], [1, 1, 0]])
+        f_bad = dense(Q, [[1, 0, 0], [1, 1, 0]])
         g = inclusion_matrix(Q, 3, 0, 2)
         with pytest.raises(ConstructionError):
             split_epimorphism(f_bad, g, big, reg, theta, d)
@@ -407,15 +407,15 @@ class TestSeparability:
         # not a ConstructionError out of the report's induce
         h, d, _ = kz2_setting
         reg = comodule_to_doi(regular_comodule(h.as_coalgebra()), d)
-        doubled = Tensor3.build(Q, 2, 1, 2, lambda i, _, j: 2 * reg.action.at(i, 0, j))
+        doubled = dense(Q, lambda i, _, j: 2 * reg.action.at(i, 0, j), (2, 1, 2))
         bad = DoiModule(Q, 2, reg.mu, doubled, reg.coaction)
         cert = separability_report(d, [("regular", reg), ("doubled", bad)])
         assert cert.checked_modules == (("regular", True), ("doubled", False))
         # over (kZ2, kZ2, kZ2), k with g acting as 0 breaks the module laws,
         # yet the retraction built on it passes retraction_report
         rel = relative_datum(h, regular_comodule_algebra(h))
-        g_as_zero = DoiModule(Q, 1, Matrix.identity(Q, 1), Tensor3(Q, 1, 2, 1, (1, 0)),
-                              Tensor3(Q, 1, 1, 2, (1, 0)))
+        g_as_zero = DoiModule(Q, 1, Matrix.identity(Q, 1), dense(Q, [[[1], [0]]]),
+                              dense(Q, [[[1, 0]]]))
         assert separability_report(rel, [("g as 0", g_as_zero)]).checked_modules == (
             ("g as 0", False),)
 

@@ -14,13 +14,14 @@ import pytest
 
 import dataclasses
 
+from corpus import dense, dense_entries
 from homhopf.applications import (check_yd_module, regular_comodule_algebra,
                                   relative_datum, trivial_yd_module, yd_datum)
 from homhopf.core import HomHopfAlgebra, check_hom_hopf
 from homhopf.doi import (ComoduleAlgebra, DoiDatum, DoiModule, ModuleCoalgebra,
                          check_doi_datum, check_doi_module, check_module_coalgebra)
 from homhopf.golden import golden_file
-from homhopf.linalg import Field, Matrix, Tensor3
+from homhopf.linalg import Field, Tensor3
 from homhopf.maschke import canonical_module
 from homhopf.zoo import group_algebra, twisted_group_algebra, twisted_sweedler
 
@@ -35,9 +36,9 @@ def summary(rep):
 
 
 def _changed(t: Tensor3, idx: int) -> Tensor3:
-    ent = list(t.entries)
+    ent = list(dense_entries(t))
     ent[idx] = ent[idx] + t.field.one()
-    return Tensor3(t.field, t.d1, t.d2, t.d3, tuple(ent))
+    return dense(t.field, ent, t.shape)
 
 
 def golden_hopf(name, field):
@@ -47,9 +48,9 @@ def golden_hopf(name, field):
 def kz7_antipode_moved(field):
     # S(g) = g^5 instead of g^6: the 1 in column 1 moves up one row
     h = group_algebra(7, field)
-    ent = list(h.antipode.entries)
+    ent = list(dense_entries(h.antipode))
     ent[6 * 7 + 1], ent[5 * 7 + 1] = ent[5 * 7 + 1], ent[6 * 7 + 1]
-    bad = Matrix(field, 7, 7, tuple(ent))
+    bad = dense(field, ent, (7, 7))
     return check_hom_hopf(HomHopfAlgebra(field, 7, h.alpha, h.mult, h.unit,
                                          h.comult, h.counit, bad))
 

@@ -72,3 +72,4 @@ def test_setup_pairs_times_each_side_in_fresh_processes(tmp_path):
         bests = result["bests_s"][side]
         assert len(bests) == 2 and bests == sorted(bests) and bests[0] > 0
     assert 0 <= result["change_lower"] <= 2
+    assert result["verdict"] in ("within bound", "worse than bound", "unresolved")
