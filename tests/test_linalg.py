@@ -542,30 +542,45 @@ class TestFibreStore:
         assert hash(t) == hash(dense(field, [[[1, 0], [1, 0]]]))
         assert t != dense(field, [[[1, 0]], [[1, 0]]])
 
-    def test_dense_surface_builds_what_from_nonzeros_builds(self, field):
-        # perfbench's inputs and tests still build through the dense
-        # constructor, build and from_rows and iterate entries; the package
-        # and the other tests build from nonzeros.  9 is 2 over GF(7).
-        rows = [[0, Fraction(4, 2), 9], [1, 0, 0]]
-        flat = [x for row in rows for x in row]
+    # perfbench's inputs and tests still build through the dense constructor,
+    # build and from_rows and iterate entries; the package and the other tests
+    # build from nonzeros.  9 is 2 over GF(7).
+    DENSE_ROWS = [[0, Fraction(4, 2), 9], [1, 0, 0]]
+    DENSE_FLAT = tuple(x for row in DENSE_ROWS for x in row)
+    DENSE_SURFACES = {
+        "Matrix": lambda f, rows, flat: Matrix(f, 2, 3, flat),
+        "Matrix.from_rows": lambda f, rows, flat: Matrix.from_rows(f, rows),
+        "Matrix.build": lambda f, rows, flat: Matrix.build(f, 2, 3, lambda r, c: rows[r][c]),
+        "Tensor3": lambda f, rows, flat: Tensor3(f, 1, 2, 3, flat),
+        "Tensor3.build": lambda f, rows, flat: Tensor3.build(f, 1, 2, 3,
+                                                              lambda _, r, c: rows[r][c]),
+    }
+
+    @pytest.mark.parametrize("surface", sorted(DENSE_SURFACES))
+    def test_dense_surface_builds_what_from_nonzeros_builds(self, field, surface):
+        rows, flat = self.DENSE_ROWS, self.DENSE_FLAT
         values = [field.of(x) for x in flat]
         nonzeros = {(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row) if x}
-        m = Matrix.from_nonzeros(field, 2, 3, nonzeros)
-        t = Tensor3.from_nonzeros(field, 1, 2, 3, {(0, r, c): x for (r, c), x in nonzeros.items()})
-        for built, ref in [(Matrix(field, 2, 3, tuple(flat)), m),
-                           (Matrix.from_rows(field, rows), m),
-                           (Matrix.build(field, 2, 3, lambda r, c: rows[r][c]), m),
-                           (Tensor3(field, 1, 2, 3, tuple(flat)), t),
-                           (Tensor3.build(field, 1, 2, 3, lambda _, r, c: rows[r][c]), t)]:
-            assert built == ref and hash(built) == hash(ref)
-            for x in (built, ref):
-                assert list(x.entries) == values and len(x.entries) == 6
-                assert all(is_canonical(e, field) for e in x.entries)
-        for cls, shape in ((Matrix, (2, 3)), (Tensor3, (1, 2, 3))):
-            with pytest.raises(ValueError, match="entry count does not match dimensions"):
-                cls(field, *shape, tuple(flat) + (0,))
-            with pytest.raises(ValueError, match=r"element of GF\(5\) in field"):
-                cls(field, *shape, tuple(flat[:-1]) + (GFElement(1, 5),))
+        if surface.startswith("Matrix"):
+            ref = Matrix.from_nonzeros(field, 2, 3, nonzeros)
+        else:
+            ref = Tensor3.from_nonzeros(field, 1, 2, 3,
+                                        {(0, r, c): x for (r, c), x in nonzeros.items()})
+        built = self.DENSE_SURFACES[surface](field, rows, flat)
+        assert type(built) is type(ref)
+        assert built == ref and hash(built) == hash(ref)
+        for x in (built, ref):
+            assert list(x.entries) == values and len(x.entries) == 6
+            assert all(is_canonical(e, field) for e in x.entries)
+
+    @pytest.mark.parametrize("cls, shape", [(Matrix, (2, 3)), (Tensor3, (1, 2, 3))],
+                             ids=["Matrix", "Tensor3"])
+    def test_dense_constructor_rejects_bad_entries(self, field, cls, shape):
+        flat = self.DENSE_FLAT
+        with pytest.raises(ValueError, match="entry count does not match dimensions"):
+            cls(field, *shape, flat + (0,))
+        with pytest.raises(ValueError, match=r"element of GF\(5\) in field"):
+            cls(field, *shape, flat[:-1] + (GFElement(1, 5),))
 
     def test_accessors_reject_indices_outside_the_shape(self, field):
         m = dense(field, [[1, 2], [3, 4]])
